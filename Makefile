@@ -12,8 +12,7 @@ all: check
 # core table benchmarks run once each (they are full optimizations, not
 # microbenchmarks) and the parsed numbers land in BENCH_core.json.
 # Table[1-7] covers every table of the paper (the old [13456] class
-# silently skipped Table2MeanSigma and Table7Effort) plus the
-# Table1FoldedCascodeSpec speculation legs. SweepOTA16 is the
+# silently skipped Table2MeanSigma and Table7Effort). SweepOTA16 is the
 # batch-engine contract: the shared-evaluation-cache run must answer
 # >=30% of would-be simulator calls cross-job (it fails the bench
 # otherwise). BackendsOTA tracks the registered search backends side by
@@ -41,10 +40,10 @@ benchsmoke: build
 	$(GO) test -run xxx -bench 'Table1FoldedCascode$$' -benchtime 1x . >/dev/null
 
 # CPU/heap/mutex/block profiles of the hottest benchmark (the full
-# Table-1 folded-cascode optimization, serial and speculating legs) with
-# a flat top of each. The mutex and block profiles are what to read
-# after touching internal/sched or the speculation executor: lock
-# contention and semaphore waits show up there, not in CPU samples. The
+# Table-1 folded-cascode optimization) with a flat top of each. The
+# mutex and block profiles are what to read after touching
+# internal/sched or the evaluation cache: lock contention and waits on
+# in-flight cache entries show up there, not in CPU samples. The
 # raw profiles stay in profile.out/ for interactive digging:
 #   go tool pprof -http=:8000 profile.out/cpu.pprof
 # To profile a live daemon instead, start specwised with -pprof-addr

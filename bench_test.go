@@ -21,6 +21,7 @@ import (
 	"specwise/internal/jobs"
 	"specwise/internal/linmodel"
 	"specwise/internal/paper"
+	"specwise/internal/problem"
 	"specwise/internal/rng"
 	"specwise/internal/wcd"
 )
@@ -46,46 +47,6 @@ func BenchmarkTable1FoldedCascode(b *testing.B) {
 			b.Fatal(err)
 		}
 		reportYields(b, res)
-	}
-}
-
-// BenchmarkTable1FoldedCascodeSpec: the same Table-1 run with the
-// predict-ahead evaluation pipeline off and on, at the worker counts of
-// interest. The serial leg is the baseline; the speculate legs trade
-// idle cores for wall clock while — by the claim-based determinism
-// contract — reporting the exact simulation count and yields of the
-// baseline. spec-hit-% is the fraction of speculative computes the
-// authoritative pass claimed (wasted work is 100 minus that). On a
-// single-core runner the speculate legs degrade to roughly the baseline:
-// the pool finds no idle cycles to use, which is the point.
-func BenchmarkTable1FoldedCascodeSpec(b *testing.B) {
-	for _, tc := range []struct {
-		name        string
-		speculate   bool
-		specWorkers int
-	}{
-		{"serial", false, 0},
-		{"speculate-2", true, 2},
-		{"speculate-gomaxprocs", true, 0},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := benchCfg()
-			cfg.Speculate = tc.speculate
-			cfg.SpecWorkers = tc.specWorkers
-			for i := 0; i < b.N; i++ {
-				res, err := paper.Table1(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportYields(b, res)
-				if tc.speculate {
-					b.ReportMetric(float64(res.Speculation.Computes), "spec-computes")
-					if res.Speculation.Computes > 0 {
-						b.ReportMetric(100*float64(res.Speculation.Claims)/float64(res.Speculation.Computes), "spec-hit-%")
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -174,7 +135,7 @@ func BenchmarkTable6Miller(b *testing.B) {
 // Table 7) — simulation counting overhead on the instrumented problem.
 func BenchmarkTable7Effort(b *testing.B) {
 	p := circuits.OTAProblem()
-	var counter core.Counter
+	var counter problem.Counter
 	ip := counter.Instrument(p)
 	d := p.InitialDesign()
 	s := make([]float64, p.NumStat())
@@ -451,7 +412,7 @@ func BenchmarkWorstCaseSearch(b *testing.B) {
 func BenchmarkSimulatorEval(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		p    *core.Problem
+		p    *problem.Problem
 	}{
 		{"ota", circuits.OTAProblem()},
 		{"miller", circuits.MillerProblem()},

@@ -13,7 +13,7 @@
 //
 //	specwise-worker -server http://daemon:8080 [-token T] [-name host-1] \
 //	    [-lane verify|optimize] [-poll 500ms] [-verify-workers N] \
-//	    [-sweep-workers N] [-speculate] [-spec-workers N] [-max-jobs N]
+//	    [-sweep-workers N] [-max-jobs N]
 //
 // The worker exits on SIGINT/SIGTERM (in-flight leases are dropped and
 // requeue on the daemon after the lease TTL), after -max-jobs jobs, or
@@ -47,10 +47,6 @@ func main() {
 		"Monte-Carlo verification pool per job (0 = GOMAXPROCS; bit-identical results for any value)")
 	sweepWorkers := flag.Int("sweep-workers", 0,
 		"per-frequency AC-sweep fan-out per job (0 = GOMAXPROCS; bit-identical results for any value)")
-	speculate := flag.Bool("speculate", false,
-		"predict-ahead evaluation for claimed optimize jobs that omit options.speculate; an explicit options.speculate=false opts out (bit-identical results and simulation counts)")
-	specWorkers := flag.Int("spec-workers", 0,
-		"speculation pool per job (0 = GOMAXPROCS; requires -speculate or options.speculate)")
 	maxJobs := flag.Int("max-jobs", 0, "exit after this many executed jobs (0 = run forever)")
 	sharedEvalCache := flag.Bool("shared-eval-cache", false,
 		"share one local evaluation cache across jobs claimed on the same problem (bit-identical results)")
@@ -92,8 +88,6 @@ func main() {
 		Poll:            *poll,
 		VerifyWorkers:   *verifyWorkers,
 		SweepWorkers:    *sweepWorkers,
-		Speculate:       *speculate,
-		SpecWorkers:     *specWorkers,
 		MaxJobs:         *maxJobs,
 		SharedEvalCache: *sharedEvalCache,
 		EvalCacheSize:   *evalCacheSize,

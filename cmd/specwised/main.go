@@ -9,8 +9,7 @@
 //	    [-verify-weight 3] [-optimize-weight 1] \
 //	    [-worker-token T] [-lease-ttl 30s] [-remote-only] \
 //	    [-retain-jobs N] [-retain-for D] \
-//	    [-store jobs.wal] [-snapshot-every N] \
-//	    [-speculate] [-spec-workers N] [-pprof-addr :6060]
+//	    [-store jobs.wal] [-snapshot-every N] [-pprof-addr :6060]
 //
 // Jobs are classified into two priority lanes at submit — cheap
 // "verify" jobs and heavy "optimize" jobs (options.lane overrides the
@@ -21,14 +20,6 @@
 // Retry-After computed from the lane's recent drain rate. Job progress
 // can be streamed live over server-sent events from
 // GET /v1/jobs/{id}/events.
-//
-// -speculate turns on the predict-ahead evaluation pipeline for
-// optimize jobs that leave options.speculate unset (an explicit
-// options.speculate — true or false — always wins, so a request can opt
-// out): while the optimizer executes its authoritative step, idle cores
-// pre-run the simulations the predicted next step will need. Results and
-// simulation counts are bit-identical with speculation on or off;
-// -spec-workers bounds the per-job speculation pool (0 = GOMAXPROCS).
 //
 // -pprof-addr serves net/http/pprof on a separate listener (off by
 // default, never on the API address): profile a live daemon with
@@ -105,10 +96,6 @@ func main() {
 		"default Monte-Carlo verification pool per job (0 = GOMAXPROCS; bit-identical results for any value)")
 	sweepWorkers := flag.Int("sweep-workers", 0,
 		"default per-frequency AC-sweep fan-out per job (0 = GOMAXPROCS; bit-identical results for any value)")
-	speculate := flag.Bool("speculate", false,
-		"predict-ahead evaluation for optimize jobs that omit options.speculate; an explicit options.speculate=false opts out (bit-identical results and simulation counts)")
-	specWorkers := flag.Int("spec-workers", 0,
-		"speculation pool per job (0 = GOMAXPROCS; requires -speculate or options.speculate)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this separate listen address (empty = disabled)")
 	workerToken := flag.String("worker-token", "",
@@ -166,8 +153,6 @@ func main() {
 		},
 		VerifyWorkers:    *verifyWorkers,
 		SweepWorkers:     *sweepWorkers,
-		Speculate:        *speculate,
-		SpecWorkers:      *specWorkers,
 		LeaseTTL:         *leaseTTL,
 		RetainJobs:       *retainJobs,
 		RetainFor:        *retainFor,

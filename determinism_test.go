@@ -106,60 +106,3 @@ func TestWorkerKnobDeterminism(t *testing.T) {
 	par.SweepWorkers = 4
 	checkIdentical(t, "ota verify/sweep workers", OTA(), serial, par)
 }
-
-// TestSpeculationDeterminismOTA checks the predict-ahead pipeline the
-// same way as every other worker knob: pre-running the predicted next
-// step's simulations must not change a single bit of the trajectory.
-// Speculative results only ever enter through the evaluation cache and
-// are claimed (never recomputed) by the authoritative pass, so the
-// numbers the optimizer sees are the same IEEE-754 words either way.
-func TestSpeculationDeterminismOTA(t *testing.T) {
-	spec := determinismOpts
-	spec.Speculate = true
-	spec.SpecWorkers = 4
-	checkIdentical(t, "ota speculate on/off", OTA(), determinismOpts, spec)
-}
-
-// TestSpeculationDeterminismCEM covers the population speculator: the
-// cem backend predicts its next population from a forked RNG without
-// advancing the authoritative stream, so speculation must be invisible
-// there too.
-func TestSpeculationDeterminismCEM(t *testing.T) {
-	base := determinismOpts
-	base.Algorithm = "cem"
-	spec := base
-	spec.Speculate = true
-	spec.SpecWorkers = 4
-	checkIdentical(t, "ota cem speculate on/off", OTA(), base, spec)
-}
-
-// TestSpeculationSimulationCount pins the accounting half of the
-// determinism contract: a speculating run reports exactly the simulation
-// count of a non-speculating run (speculative computes are claimed, not
-// double-counted), while still reporting its own speculation effort.
-func TestSpeculationSimulationCount(t *testing.T) {
-	base, err := Optimize(OTA(), determinismOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := determinismOpts
-	opts.Speculate = true
-	opts.SpecWorkers = 4
-	spec, err := Optimize(OTA(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Simulations != spec.Simulations {
-		t.Errorf("simulations counter moved: %d without speculation, %d with",
-			base.Simulations, spec.Simulations)
-	}
-	if base.ConstraintSims != spec.ConstraintSims {
-		t.Errorf("constraint sims moved: %d vs %d", base.ConstraintSims, spec.ConstraintSims)
-	}
-	if spec.Speculation.Claims > spec.Speculation.Computes {
-		t.Errorf("claims %d > computes %d", spec.Speculation.Claims, spec.Speculation.Computes)
-	}
-	if base.Speculation.Computes != 0 || base.Speculation.Predicted != 0 {
-		t.Errorf("non-speculating run reports speculation effort: %+v", base.Speculation)
-	}
-}

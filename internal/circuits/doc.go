@@ -1,7 +1,7 @@
 // Package circuits provides the benchmark circuits of the paper's Sec. 6 —
 // the folded-cascode and the Miller (two-stage) operational amplifiers —
 // plus a small five-transistor OTA used by the quickstart example. Each
-// circuit is exposed as a core.Problem: a black-box performance evaluator
+// circuit is exposed as a problem.Problem: a black-box performance evaluator
 // f(d, ŝ, θ) over design parameters, normalized statistical parameters
 // (global and Pelgrom local variations, Sec. 4) and operating parameters
 // (temperature and supply), together with the functional sizing

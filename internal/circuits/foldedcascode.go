@@ -1,7 +1,7 @@
 package circuits
 
 import (
-	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/spice"
 	"specwise/internal/variation"
 )
@@ -146,19 +146,19 @@ func buildFoldedCascode(g fcDesign, deltas []variation.Delta, theta []float64) *
 	return tb
 }
 
-// FoldedCascodeProblem builds the core.Problem for the folded-cascode
+// FoldedCascodeProblem builds the problem.Problem for the folded-cascode
 // opamp with both global and local (mismatch) variations — the circuit of
 // the paper's Tables 1–5.
-func FoldedCascodeProblem() *core.Problem {
+func FoldedCascodeProblem() *problem.Problem {
 	model := FoldedCascodeVariations()
-	specs := []core.Spec{
-		{Name: "A0", Unit: "dB", Kind: core.GE, Bound: 40},
-		{Name: "ft", Unit: "MHz", Kind: core.GE, Bound: 40},
-		{Name: "CMRR", Unit: "dB", Kind: core.GE, Bound: 80},
-		{Name: "SRp", Unit: "V/µs", Kind: core.GE, Bound: 35},
-		{Name: "Power", Unit: "mW", Kind: core.LE, Bound: 3.5},
+	specs := []problem.Spec{
+		{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 40},
+		{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 40},
+		{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 80},
+		{Name: "SRp", Unit: "V/µs", Kind: problem.GE, Bound: 35},
+		{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 3.5},
 	}
-	design := []core.Param{
+	design := []problem.Param{
 		{Name: "W1", Unit: "µm", Init: 30, Lo: 5, Hi: 400, LogScale: true},
 		{Name: "L1", Unit: "µm", Init: 1.0, Lo: 0.6, Hi: 5},
 		{Name: "W3", Unit: "µm", Init: 60, Lo: 5, Hi: 400, LogScale: true},
@@ -168,7 +168,7 @@ func FoldedCascodeProblem() *core.Problem {
 		{Name: "W9", Unit: "µm", Init: 100, Lo: 10, Hi: 600, LogScale: true},
 		{Name: "WT", Unit: "µm", Init: 100, Lo: 10, Hi: 800, LogScale: true},
 	}
-	theta := []core.OpRange{
+	theta := []problem.OpRange{
 		{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
 		{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
 	}
@@ -197,7 +197,7 @@ func FoldedCascodeProblem() *core.Problem {
 		return mosConstraints(tb.mosfets, dc.X), nil
 	}
 
-	return &core.Problem{
+	return &problem.Problem{
 		Name:            "folded-cascode",
 		Specs:           specs,
 		Design:          design,

@@ -1,7 +1,7 @@
 package circuits
 
 import (
-	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/spice"
 	"specwise/internal/variation"
 )
@@ -99,18 +99,18 @@ func buildMiller(g mlDesign, deltas []variation.Delta, theta []float64) *testben
 	return tb
 }
 
-// MillerProblem builds the core.Problem for the Miller opamp with global
+// MillerProblem builds the problem.Problem for the Miller opamp with global
 // process variations only — the circuit of the paper's Table 6.
-func MillerProblem() *core.Problem {
+func MillerProblem() *problem.Problem {
 	model := MillerVariations()
-	specs := []core.Spec{
-		{Name: "A0", Unit: "dB", Kind: core.GE, Bound: 80},
-		{Name: "ft", Unit: "MHz", Kind: core.GE, Bound: 1.3},
-		{Name: "PM", Unit: "°", Kind: core.GE, Bound: 60},
-		{Name: "SRp", Unit: "V/µs", Kind: core.GE, Bound: 3},
-		{Name: "Power", Unit: "mW", Kind: core.LE, Bound: 1.3},
+	specs := []problem.Spec{
+		{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 80},
+		{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 1.3},
+		{Name: "PM", Unit: "°", Kind: problem.GE, Bound: 60},
+		{Name: "SRp", Unit: "V/µs", Kind: problem.GE, Bound: 3},
+		{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 1.3},
 	}
-	design := []core.Param{
+	design := []problem.Param{
 		{Name: "W1", Unit: "µm", Init: 20, Lo: 5, Hi: 200, LogScale: true},
 		{Name: "W3", Unit: "µm", Init: 20, Lo: 5, Hi: 200, LogScale: true},
 		{Name: "W6", Unit: "µm", Init: 115, Lo: 10, Hi: 600, LogScale: true},
@@ -118,7 +118,7 @@ func MillerProblem() *core.Problem {
 		{Name: "WT", Unit: "µm", Init: 4, Lo: 2, Hi: 100, LogScale: true},
 		{Name: "CC", Unit: "pF", Init: 6, Lo: 1, Hi: 20, LogScale: true},
 	}
-	theta := []core.OpRange{
+	theta := []problem.OpRange{
 		{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
 		{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
 	}
@@ -147,7 +147,7 @@ func MillerProblem() *core.Problem {
 		return mosConstraints(tb.mosfets, dc.X), nil
 	}
 
-	return &core.Problem{
+	return &problem.Problem{
 		Name:            "miller",
 		Specs:           specs,
 		Design:          design,

@@ -1,7 +1,7 @@
 package circuits
 
 import (
-	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/spice"
 	"specwise/internal/variation"
 )
@@ -104,23 +104,23 @@ func buildOTA(g otaDesign, deltas []variation.Delta, theta []float64) *testbench
 	return tb
 }
 
-// OTAProblem builds the core.Problem for the five-transistor OTA: a
+// OTAProblem builds the problem.Problem for the five-transistor OTA: a
 // three-parameter design space that exercises every part of the optimizer
 // quickly.
-func OTAProblem() *core.Problem {
+func OTAProblem() *problem.Problem {
 	model := OTAVariations()
-	specs := []core.Spec{
-		{Name: "A0", Unit: "dB", Kind: core.GE, Bound: 38},
-		{Name: "ft", Unit: "MHz", Kind: core.GE, Bound: 30},
-		{Name: "CMRR", Unit: "dB", Kind: core.GE, Bound: 60},
-		{Name: "Power", Unit: "mW", Kind: core.LE, Bound: 0.4},
+	specs := []problem.Spec{
+		{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 38},
+		{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 30},
+		{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 60},
+		{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 0.4},
 	}
-	design := []core.Param{
+	design := []problem.Param{
 		{Name: "W1", Unit: "µm", Init: 20, Lo: 2, Hi: 200, LogScale: true},
 		{Name: "W3", Unit: "µm", Init: 30, Lo: 2, Hi: 200, LogScale: true},
 		{Name: "WT", Unit: "µm", Init: 8, Lo: 2, Hi: 100, LogScale: true},
 	}
-	theta := []core.OpRange{
+	theta := []problem.OpRange{
 		{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
 		{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
 	}
@@ -149,7 +149,7 @@ func OTAProblem() *core.Problem {
 		return mosConstraints(tb.mosfets, dc.X), nil
 	}
 
-	return &core.Problem{
+	return &problem.Problem{
 		Name:            "ota5",
 		Specs:           specs,
 		Design:          design,

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 // The circuit registry maps request-level circuit names to problem
@@ -16,14 +16,14 @@ import (
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]func() *core.Problem{}
+	registry   = map[string]func() *problem.Problem{}
 )
 
 // Register adds a named circuit constructor. Names are matched
 // case-insensitively at Build (request normalization lower-cases them);
 // registering a duplicate name panics, since a silent overwrite would
 // change what submitted requests mean.
-func Register(name string, build func() *core.Problem) {
+func Register(name string, build func() *problem.Problem) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if name == "" || build == nil {
@@ -50,7 +50,7 @@ func Names() []string {
 
 // Build constructs the named circuit's problem, or an error listing the
 // registered names.
-func Build(name string) (*core.Problem, error) {
+func Build(name string) (*problem.Problem, error) {
 	registryMu.RLock()
 	build, ok := registry[strings.ToLower(name)]
 	registryMu.RUnlock()

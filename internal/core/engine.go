@@ -8,6 +8,7 @@ import (
 	"specwise/internal/coord"
 	"specwise/internal/evalcache"
 	"specwise/internal/linmodel"
+	"specwise/internal/problem"
 	"specwise/internal/rng"
 	"specwise/internal/wcd"
 )
@@ -18,55 +19,35 @@ import (
 // progress and log plumbing, and result assembly. A SearchBackend drives
 // the design point; the engine does everything else.
 type Engine struct {
-	problem *Problem
+	prob    *problem.Problem
 	opts    Options
-	counter Counter
-	cache   evalcache.Wrapper // nil when Options.NoEvalCache is set
-	sim0    SimCounters       // simulator counters at construction time
-	p       *Problem          // instrumented (and possibly cached) copy
-	res     *Result           // assembled during run
-
-	// specCache is the cache's speculation capability, non-nil only when
-	// Options.Speculate is on and the cache supports claim semantics;
-	// specExec is the run's speculation pool (nil when the backend does
-	// not implement Speculator). steps counts completed backend Steps —
-	// the speculation rounds key their seeds off it.
-	specCache evalcache.SpecWrapper
-	specExec  *specExec
-	steps     int
+	counter problem.Counter
+	cache   evalcache.Wrapper   // nil when Options.NoEvalCache is set
+	sim0    problem.SimCounters // simulator counters at construction time
+	p       *problem.Problem    // instrumented (and possibly cached) copy
+	res     *Result             // assembled during run
 }
 
 // newEngine instruments the problem per the (already defaulted) options.
-func newEngine(problem *Problem, opts Options) *Engine {
-	e := &Engine{problem: problem, opts: opts}
-	e.p = e.counter.Instrument(problem)
+func newEngine(prob *problem.Problem, opts Options) *Engine {
+	e := &Engine{prob: prob, opts: opts}
+	e.p = e.counter.Instrument(prob)
 	if !opts.NoEvalCache {
 		if opts.EvalCache != nil {
 			e.cache = opts.EvalCache
 		} else {
 			e.cache = evalcache.New(opts.EvalCacheSize)
 		}
-		if sw, ok := e.cache.(evalcache.SpecWrapper); ok && opts.Speculate {
-			// Claim-aware authoritative handle: the first authoritative
-			// touch of a speculatively computed entry credits the run's
-			// counters, keeping Result.Simulations identical with
-			// speculation on or off.
-			e.specCache = sw
-			e.p = sw.WrapClaiming(e.p,
-				func() { e.counter.AddEvals(1) },
-				func() { e.counter.AddConstraintEvals(1) })
-		} else {
-			e.p = e.cache.Wrap(e.p)
-		}
+		e.p = e.cache.Wrap(e.p)
 	}
 	if opts.NoConstraints {
 		e.p.Constraints = nil
 	}
-	if problem.SimConfigure != nil {
-		problem.SimConfigure(SimOptions{SweepWorkers: opts.SweepWorkers})
+	if prob.SimConfigure != nil {
+		prob.SimConfigure(problem.SimOptions{SweepWorkers: opts.SweepWorkers})
 	}
-	if problem.SimStats != nil {
-		e.sim0 = problem.SimStats()
+	if prob.SimStats != nil {
+		e.sim0 = prob.SimStats()
 	}
 	return e
 }
@@ -74,7 +55,7 @@ func newEngine(problem *Problem, opts Options) *Engine {
 // Problem returns the instrumented problem backends must evaluate
 // through: evaluations are counted (Result.Simulations) and memoized
 // unless the run disabled the cache.
-func (e *Engine) Problem() *Problem { return e.p }
+func (e *Engine) Problem() *problem.Problem { return e.p }
 
 // Options returns the run options (with defaults applied). Backends
 // read them; mutating them mid-run is not supported.
@@ -127,38 +108,18 @@ func (e *Engine) DesignBox() coord.Box {
 // result. Cancelling ctx stops the run between backend steps (and inside
 // them, wherever the backend checks) and returns ctx.Err().
 func (e *Engine) run(ctx context.Context, b SearchBackend) (*Result, error) {
-	e.res = &Result{Problem: e.problem, Algorithm: b.Name()}
-	if e.specCache != nil {
-		if sp, ok := b.(Speculator); ok {
-			e.specExec = newSpecExec(e, sp)
-			e.specExec.start(ctx)
-			// Shutdown on every exit path: cancels all speculation and
-			// waits for in-flight work, so nothing can write into the
-			// cache after this run returns.
-			defer e.specExec.shutdown()
-		}
-	}
+	e.res = &Result{Problem: e.prob, Algorithm: b.Name()}
 	if err := b.Init(ctx, e); err != nil {
 		return nil, err
 	}
 	for {
-		if e.specExec != nil {
-			// Predict-ahead: rotate the speculation round while the
-			// backend is quiescent, then overlap the pool with the Step.
-			e.specExec.round()
-		}
 		done, err := b.Step(ctx, e)
-		e.steps++
 		if err != nil {
 			return nil, err
 		}
 		if done {
 			break
 		}
-	}
-	if e.specExec != nil {
-		// Settle the pool before reading the effort counters.
-		e.specExec.shutdown()
 	}
 	return e.finish(b.Final()), nil
 }
@@ -172,14 +133,11 @@ func (e *Engine) finish(final []float64) *Result {
 	if e.cache != nil {
 		res.EvalCache = e.cache.Stats()
 	}
-	if e.specExec != nil {
-		res.Speculation = e.specExec.stats(res.EvalCache)
-	}
-	if e.problem.SimStats != nil {
+	if e.prob.SimStats != nil {
 		// Report only this run's share of the (problem-cumulative)
 		// simulator counters.
-		now := e.problem.SimStats()
-		res.Sim = SimCounters{
+		now := e.prob.SimStats()
+		res.Sim = problem.SimCounters{
 			WarmStarts:     now.WarmStarts - e.sim0.WarmStarts,
 			WarmConverged:  now.WarmConverged - e.sim0.WarmConverged,
 			Fallbacks:      now.Fallbacks - e.sim0.Fallbacks,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"specwise/internal/problem"
 	"specwise/internal/rng"
 )
 
@@ -31,7 +32,7 @@ type ISResult struct {
 // the estimator variance by orders of magnitude. This is the classical
 // worst-case-distance companion technique to the paper's Sec. 3 machinery
 // and costs nothing extra: s_wc is already computed per spec.
-func EstimateSpecFailureIS(p *Problem, d []float64, spec int, theta, swc []float64, n int, seed uint64) (*ISResult, error) {
+func EstimateSpecFailureIS(p *problem.Problem, d []float64, spec int, theta, swc []float64, n int, seed uint64) (*ISResult, error) {
 	if spec < 0 || spec >= p.NumSpecs() {
 		return nil, errors.New("core: spec index out of range")
 	}

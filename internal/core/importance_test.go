@@ -4,16 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"specwise/internal/problem"
 	"specwise/internal/stat"
 )
 
 // linear margin m = beta·σ − g·s with ‖g‖ = 1: P(fail) = Φ(−β) exactly.
-func linearSpecProblem(beta float64) (*Problem, []float64) {
+func linearSpecProblem(beta float64) (*problem.Problem, []float64) {
 	g := []float64{0.6, 0.8} // unit norm
-	p := &Problem{
+	p := &problem.Problem{
 		Name:      "is",
-		Specs:     []Spec{{Name: "m", Kind: GE, Bound: 0}},
-		Design:    []Param{{Name: "d", Init: 0, Lo: -1, Hi: 1}},
+		Specs:     []problem.Spec{{Name: "m", Kind: problem.GE, Bound: 0}},
+		Design:    []problem.Param{{Name: "d", Init: 0, Lo: -1, Hi: 1}},
 		StatNames: []string{"s0", "s1"},
 		Eval: func(d, s, th []float64) ([]float64, error) {
 			return []float64{beta - g[0]*s[0] - g[1]*s[1]}, nil

@@ -1,3 +1,10 @@
+// Package core implements the paper's primary contribution: the iterative
+// direct yield optimizer of Fig. 6, built from spec-wise linearization at
+// worst-case points (Sec. 5.2), feasibility-region linearization
+// (Sec. 5.1), a sampled-yield coordinate search (Sec. 5.3), a
+// simulation-based line search (Sec. 5.4) and a feasible-start search
+// (Sec. 5.5). The problem abstraction it runs on lives in
+// internal/problem.
 package core
 
 import (
@@ -7,6 +14,7 @@ import (
 	"specwise/internal/coord"
 	"specwise/internal/evalcache"
 	"specwise/internal/linmodel"
+	"specwise/internal/problem"
 	"specwise/internal/wcd"
 )
 
@@ -78,20 +86,6 @@ type Options struct {
 	// problem.SimOptions). 0 means GOMAXPROCS; results are
 	// bit-identical for every setting.
 	SweepWorkers int
-	// Speculate enables the deterministic predict-ahead pipeline: while
-	// the authoritative search step runs, a background pool pre-simulates
-	// the design points the backend predicts for its next step into the
-	// evaluation cache (see Speculator). Results — every accept/reject,
-	// every rng draw, every counter — are bit-identical with speculation
-	// on or off at any worker count; mispredictions only waste idle
-	// cycles, and speculative work runs at strictly lower scheduler
-	// priority than the foreground pools. Requires the evaluation cache
-	// (ignored under NoEvalCache) and a backend implementing Speculator
-	// (ignored otherwise).
-	Speculate bool
-	// SpecWorkers bounds the speculation pool. 0 means GOMAXPROCS. Only
-	// meaningful with Speculate set.
-	SpecWorkers int
 	// WC tunes the worst-case distance searches.
 	WC wcd.Options
 	// Coord tunes the coordinate search.
@@ -169,7 +163,7 @@ type Iteration struct {
 
 // Result is the outcome of a full optimization run.
 type Result struct {
-	Problem *Problem
+	Problem *problem.Problem
 	// Algorithm names the search backend that produced the run.
 	Algorithm string
 	// Iterations[0] is the initial state; each further entry is a state
@@ -186,13 +180,10 @@ type Result struct {
 	// EvalCache reports the memoization-cache counters of the run
 	// (zero when Options.NoEvalCache disabled the cache).
 	EvalCache evalcache.Stats
-	// Speculation reports the predict-ahead pipeline's effort (zero when
-	// Options.Speculate was off or the backend cannot predict).
-	Speculation SpecStats
 	// Sim reports the simulator-side effort counters (DC warm starts,
 	// homotopy fallbacks, Newton iterations) when the problem exposes
 	// them through Problem.SimStats; zero otherwise.
-	Sim SimCounters
+	Sim problem.SimCounters
 }
 
 // Optimizer pairs the engine with a search backend. The default backend
@@ -207,8 +198,8 @@ type Optimizer struct {
 // Options.NoEvalCache is set, evaluations are memoized: the counter sits
 // between the cache and the simulator, so Result.Simulations counts only
 // evaluations that actually ran.
-func NewOptimizer(problem *Problem, opts Options) (*Optimizer, error) {
-	if err := problem.Validate(); err != nil {
+func NewOptimizer(prob *problem.Problem, opts Options) (*Optimizer, error) {
+	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
 	opts.defaults()
@@ -216,7 +207,7 @@ func NewOptimizer(problem *Problem, opts Options) (*Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Optimizer{eng: newEngine(problem, opts), backend: backend}, nil
+	return &Optimizer{eng: newEngine(prob, opts), backend: backend}, nil
 }
 
 // Run executes the optimization without external cancellation; see
@@ -243,7 +234,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // NewAndRun is a convenience wrapper: validate, construct and run.
-func NewAndRun(p *Problem, opts Options) (*Result, error) {
+func NewAndRun(p *problem.Problem, opts Options) (*Result, error) {
 	o, err := NewOptimizer(p, opts)
 	if err != nil {
 		return nil, err

@@ -5,11 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"specwise/internal/problem"
 	"specwise/internal/testprob"
 )
 
 // analyticProblem is the shared closed-form fixture; see testprob.
-func analyticProblem() *Problem { return testprob.Analytic() }
+func analyticProblem() *problem.Problem { return testprob.Analytic() }
 
 func TestValidateRejectsBadProblems(t *testing.T) {
 	p := analyticProblem()

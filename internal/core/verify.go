@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"specwise/internal/problem"
 	"specwise/internal/rng"
 	"specwise/internal/sched"
 	"specwise/internal/stat"
@@ -30,7 +31,7 @@ type MCResult struct {
 
 // VerifyMC runs the Monte-Carlo verification without external
 // cancellation and with the default worker count; see VerifyMCContext.
-func VerifyMC(p *Problem, d []float64, thetas [][]float64, n int, seed uint64) (*MCResult, error) {
+func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed uint64) (*MCResult, error) {
 	return VerifyMCContext(context.Background(), p, d, thetas, n, seed, 0)
 }
 
@@ -50,7 +51,7 @@ func VerifyMC(p *Problem, d []float64, thetas [][]float64, n int, seed uint64) (
 // Cancelling ctx stops the pool between samples: every worker exits at
 // its next sample claim and the call returns ctx.Err() — no goroutine
 // outlives the call, even on early cancellation.
-func VerifyMCContext(ctx context.Context, p *Problem, d []float64, thetas [][]float64, n int, seed uint64, workers int) (*MCResult, error) {
+func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, thetas [][]float64, n int, seed uint64, workers int) (*MCResult, error) {
 	unique, specToUnique := wcd.DistinctThetas(thetas)
 	r := rng.New(seed)
 	res := &MCResult{
@@ -99,26 +100,12 @@ func VerifyMCContext(ctx context.Context, p *Problem, d []float64, thetas [][]fl
 	}
 	// Caller-runs pool: the calling goroutine always works; up to
 	// workers-1 extra goroutines join only while the process-wide compute
-	// scheduler has free foreground slots, so nested pools (an AC sweep
-	// inside a verification sample) size themselves to the machine
-	// together instead of multiplying. Under a speculative context the
-	// extras spawn ungated instead: each Eval already waits for a
-	// speculation-class slot inside the handle, and an extra that held a
-	// foreground slot across that wait would pin foreground capacity in a
-	// blocked state — freezing speculation and starving the authoritative
-	// pools of the very slots it sat on.
+	// scheduler has free slots, so nested pools (an AC sweep inside a
+	// verification sample) size themselves to the machine together
+	// instead of multiplying.
 	sch := sched.Default()
-	speculative := sched.IsSpec(ctx)
 	var wg sync.WaitGroup
 	for extra := 0; extra < workers-1; extra++ {
-		if speculative {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-			continue
-		}
 		if !sch.TryAcquire() {
 			break
 		}

@@ -15,18 +15,12 @@
 package evalcache
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"specwise/internal/problem"
 )
-
-// errSpecCacheFull aborts a speculative evaluation when the cache cannot
-// store its result; the speculation pool treats it like any other
-// speculative failure (logged effort, no retry).
-var errSpecCacheFull = errors.New("evalcache: speculative evaluation skipped, cache full")
 
 // DefaultMaxEntries bounds the cache when no explicit capacity is given.
 // An optimizer run evaluates tens of thousands of points at most; the cap
@@ -61,49 +55,14 @@ type Stats struct {
 	// (cheaper, DC-only) constraint evaluations, keyed by d alone.
 	ConstraintHits   int64
 	ConstraintMisses int64
-	// SpecComputes counts simulator calls issued through a speculative
-	// handle (WrapSpec); SpecClaims counts speculative entries later
-	// consumed — and credited to the run's simulation counters — by the
-	// authoritative handle. Their difference is wasted speculation.
-	SpecComputes int64
-	SpecClaims   int64
 }
 
 // entry is one memoized evaluation. done is closed once vals/err are
-// valid; waiters block on it (the singleflight rendezvous). spec marks
-// an entry produced by a speculative handle and not yet consumed by the
-// authoritative one; the first authoritative touch clears it and fires
-// the claim hook (see WrapClaiming), so effort counters are identical
-// with speculation on or off.
+// valid; waiters block on it (the singleflight rendezvous).
 type entry struct {
 	done chan struct{}
 	vals []float64
 	err  error
-	spec bool
-}
-
-// SpecGate admits one speculative simulator call: it blocks until the
-// compute scheduler grants a low-priority slot (or the speculation
-// context dies, in which case it returns an error and the evaluation is
-// abandoned without a cache entry). The returned release function gives
-// the slot back once the call finishes.
-type SpecGate func() (release func(), err error)
-
-// SpecWrapper is the optional capability the speculative evaluation
-// pipeline needs from a cache: a claim-aware authoritative handle and a
-// gated speculative handle over the same entries. Both the per-run
-// Cache and a Shared cache's View implement it.
-type SpecWrapper interface {
-	Wrapper
-	// WrapClaiming is Wrap plus speculation-claim hooks: the first
-	// authoritative touch of a speculation-owned entry invokes the
-	// matching hook, letting the caller credit the simulation to its
-	// effort counters exactly as if it had run it itself.
-	WrapClaiming(p *problem.Problem, claimEval, claimCons func()) *problem.Problem
-	// WrapSpec returns the speculative handle: lookups hit the same
-	// entries, but every simulator call it has to run itself passes the
-	// gate first and the resulting entry is marked speculation-owned.
-	WrapSpec(p *problem.Problem, gate SpecGate) *problem.Problem
 }
 
 // Cache memoizes Problem.Eval and Problem.Constraints results.
@@ -115,7 +74,6 @@ type Cache struct {
 
 	hits, misses, deduped, overflow atomic.Int64
 	consHits, consMisses            atomic.Int64
-	specComputes, specClaims        atomic.Int64
 }
 
 // New returns an empty cache. maxEntries <= 0 selects DefaultMaxEntries.
@@ -139,8 +97,6 @@ func (c *Cache) Stats() Stats {
 		Overflow:         c.overflow.Load(),
 		ConstraintHits:   c.consHits.Load(),
 		ConstraintMisses: c.consMisses.Load(),
-		SpecComputes:     c.specComputes.Load(),
-		SpecClaims:       c.specClaims.Load(),
 	}
 }
 
@@ -157,56 +113,17 @@ func (c *Cache) Len() int {
 // already requires) and return defensive copies, so callers may not
 // corrupt each other through the cache.
 func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
-	return c.WrapClaiming(p, nil, nil)
-}
-
-// WrapClaiming is Wrap plus speculation-claim hooks: when the wrapped
-// functions touch a speculation-owned entry for the first time, the
-// matching hook runs (exactly once per entry) before the value is
-// returned. The optimizer passes its simulation-counter increments here,
-// which is what keeps Result.Simulations bit-identical with speculation
-// on or off: a speculated point the run actually needed is counted at
-// claim time instead of compute time.
-func (c *Cache) WrapClaiming(p *problem.Problem, claimEval, claimCons func()) *problem.Problem {
 	q := *p
 	inner := p.Eval
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return c.do(c.evals, evalKey(d, s, theta), &c.hits, &c.misses, claimEval, func() ([]float64, error) {
+		return c.do(c.evals, evalKey(d, s, theta), &c.hits, &c.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints
 		q.Constraints = func(d []float64) ([]float64, error) {
-			return c.do(c.cons, packFloats(nil, d), &c.consHits, &c.consMisses, claimCons, func() ([]float64, error) {
-				return innerC(d)
-			})
-		}
-	}
-	return &q
-}
-
-// WrapSpec returns the speculative handle: a shallow copy of p whose
-// Eval and Constraints share this cache's entries with the authoritative
-// handle but never its effort accounting. Hits and in-flight joins are
-// free; a point the handle has to simulate itself passes gate first
-// (blocking until the scheduler grants a low-priority slot) and lands in
-// the cache marked speculation-owned, where the authoritative handle
-// claims it on first touch. A gate error abandons the evaluation with no
-// cache entry, so cancelled speculation can never poison an
-// authoritative wait.
-func (c *Cache) WrapSpec(p *problem.Problem, gate SpecGate) *problem.Problem {
-	q := *p
-	inner := p.Eval
-	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return c.doSpec(c.evals, evalKey(d, s, theta), gate, func() ([]float64, error) {
-			return inner(d, s, theta)
-		})
-	}
-	if p.Constraints != nil {
-		innerC := p.Constraints
-		q.Constraints = func(d []float64) ([]float64, error) {
-			return c.doSpec(c.cons, packFloats(nil, d), gate, func() ([]float64, error) {
+			return c.do(c.cons, packFloats(nil, d), &c.consHits, &c.consMisses, func() ([]float64, error) {
 				return innerC(d)
 			})
 		}
@@ -215,21 +132,12 @@ func (c *Cache) WrapSpec(p *problem.Problem, gate SpecGate) *problem.Problem {
 }
 
 // do is the memoized call: answer from a completed entry, join an
-// in-flight one, or run compute and publish the result. claim fires when
-// the entry was speculation-owned (see WrapClaiming).
-func (c *Cache) do(m map[string]*entry, key string, hits, misses *atomic.Int64, claim func(), compute func() ([]float64, error)) ([]float64, error) {
+// in-flight one, or run compute and publish the result.
+func (c *Cache) do(m map[string]*entry, key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
 	c.mu.Lock()
 	if e, ok := m[key]; ok {
 		inflight := !closed(e.done)
-		claimed := e.spec
-		e.spec = false
 		c.mu.Unlock()
-		if claimed {
-			c.specClaims.Add(1)
-			if claim != nil {
-				claim()
-			}
-		}
 		if inflight {
 			c.deduped.Add(1)
 		} else {
@@ -261,60 +169,6 @@ func (c *Cache) do(m map[string]*entry, key string, hits, misses *atomic.Int64, 
 	if err != nil {
 		// Errors are not memoized: drop the entry so a later retry can
 		// run the simulator again (current waiters still see the error).
-		c.mu.Lock()
-		delete(m, key)
-		c.mu.Unlock()
-		return nil, err
-	}
-	return append([]float64(nil), vals...), nil
-}
-
-// doSpec is the speculative-handle call: join whatever exists, otherwise
-// pass the gate, publish a speculation-owned entry and compute into it.
-// A full cache skips the work entirely — speculating into the void would
-// burn a simulator call on a result nobody can ever claim.
-func (c *Cache) doSpec(m map[string]*entry, key string, gate SpecGate, compute func() ([]float64, error)) ([]float64, error) {
-	c.mu.Lock()
-	if e, ok := m[key]; ok {
-		c.mu.Unlock()
-		<-e.done
-		if e.err != nil {
-			return nil, e.err
-		}
-		return append([]float64(nil), e.vals...), nil
-	}
-	c.mu.Unlock()
-
-	release, err := gate()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	c.mu.Lock()
-	if e, ok := m[key]; ok {
-		// Someone published (or started) the point while we waited for a
-		// slot: join it instead of duplicating the simulation.
-		c.mu.Unlock()
-		<-e.done
-		if e.err != nil {
-			return nil, e.err
-		}
-		return append([]float64(nil), e.vals...), nil
-	}
-	if len(m) >= c.max {
-		c.mu.Unlock()
-		return nil, errSpecCacheFull
-	}
-	e := &entry{done: make(chan struct{}), spec: true}
-	m[key] = e
-	c.mu.Unlock()
-
-	c.specComputes.Add(1)
-	vals, err := compute()
-	e.vals, e.err = vals, err
-	close(e.done)
-	if err != nil {
 		c.mu.Lock()
 		delete(m, key)
 		c.mu.Unlock()

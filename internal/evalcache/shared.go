@@ -39,10 +39,8 @@ type Wrapper interface {
 }
 
 var (
-	_ Wrapper     = (*Cache)(nil)
-	_ Wrapper     = (*View)(nil)
-	_ SpecWrapper = (*Cache)(nil)
-	_ SpecWrapper = (*View)(nil)
+	_ Wrapper = (*Cache)(nil)
+	_ Wrapper = (*View)(nil)
 )
 
 // SharedStats snapshots the process-wide counters of a Shared cache.
@@ -179,7 +177,6 @@ type View struct {
 
 	hits, crossHits, misses, deduped atomic.Int64
 	consHits, consMisses             atomic.Int64
-	specComputes, specClaims         atomic.Int64
 }
 
 // Stats snapshots this view's counters.
@@ -191,8 +188,6 @@ func (v *View) Stats() Stats {
 		Deduped:          v.deduped.Load(),
 		ConstraintHits:   v.consHits.Load(),
 		ConstraintMisses: v.consMisses.Load(),
-		SpecComputes:     v.specComputes.Load(),
-		SpecClaims:       v.specClaims.Load(),
 	}
 }
 
@@ -200,47 +195,17 @@ func (v *View) Stats() Stats {
 // present — are memoized through the shared cache under this view's
 // problem key. Returned slices are defensive copies.
 func (v *View) Wrap(p *problem.Problem) *problem.Problem {
-	return v.WrapClaiming(p, nil, nil)
-}
-
-// WrapClaiming is Wrap plus speculation-claim hooks; see
-// (*Cache).WrapClaiming for the contract. Claims are scoped to this
-// view's own speculation — entries a sibling job stored normally are
-// plain (cross-)hits, never claims.
-func (v *View) WrapClaiming(p *problem.Problem, claimEval, claimCons func()) *problem.Problem {
 	q := *p
 	inner := p.Eval
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return v.do(v.key('e', d, s, theta), &v.hits, &v.misses, claimEval, func() ([]float64, error) {
+		return v.do(v.key('e', d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints
 		q.Constraints = func(d []float64) ([]float64, error) {
-			return v.do(v.key('c', d, nil, nil), &v.consHits, &v.consMisses, claimCons, func() ([]float64, error) {
-				return innerC(d)
-			})
-		}
-	}
-	return &q
-}
-
-// WrapSpec returns this view's speculative handle; see (*Cache).WrapSpec
-// for the contract. Speculative entries land in the shared LRU like any
-// other, so sibling jobs in a sweep can hit one job's speculation.
-func (v *View) WrapSpec(p *problem.Problem, gate SpecGate) *problem.Problem {
-	q := *p
-	inner := p.Eval
-	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return v.doSpec(v.key('e', d, s, theta), gate, func() ([]float64, error) {
-			return inner(d, s, theta)
-		})
-	}
-	if p.Constraints != nil {
-		innerC := p.Constraints
-		q.Constraints = func(d []float64) ([]float64, error) {
-			return v.doSpec(v.key('c', d, nil, nil), gate, func() ([]float64, error) {
+			return v.do(v.key('c', d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
 				return innerC(d)
 			})
 		}
@@ -266,10 +231,8 @@ func (v *View) key(kind byte, d, s, theta []float64) string {
 
 // do is the memoized call through the shared cache: answer from a
 // completed entry (classifying same-view vs cross-view), join an
-// in-flight one, or run compute, publish and evict past the cap. claim
-// fires when the entry was this view's own unclaimed speculation (see
-// WrapClaiming).
-func (v *View) do(key string, hits, misses *atomic.Int64, claim func(), compute func() ([]float64, error)) ([]float64, error) {
+// in-flight one, or run compute, publish and evict past the cap.
+func (v *View) do(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
 	s := v.shared
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -277,20 +240,7 @@ func (v *View) do(key string, hits, misses *atomic.Int64, claim func(), compute 
 		s.lru.MoveToFront(el)
 		inflight := !closed(se.e.done)
 		cross := se.owner != v
-		claimed := se.e.spec && !cross
-		if claimed {
-			// A sibling view's touch leaves the flag set: only the owning
-			// job may claim, so its simulation counter is independent of
-			// how sweep siblings interleave.
-			se.e.spec = false
-		}
 		s.mu.Unlock()
-		if claimed {
-			v.specClaims.Add(1)
-			if claim != nil {
-				claim()
-			}
-		}
 		if inflight {
 			s.deduped.Add(1)
 			v.deduped.Add(1)
@@ -323,68 +273,6 @@ func (v *View) do(key string, hits, misses *atomic.Int64, claim func(), compute 
 	if err != nil {
 		// Errors are not memoized: drop the entry so a later retry can
 		// run the simulator again (current waiters still see the error).
-		if el, ok := s.entries[key]; ok && el.Value.(*sharedEntry) == se {
-			s.dropLocked(el, se)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), vals...), nil
-}
-
-// doSpec is the speculative-handle call through the shared cache: join
-// whatever exists, otherwise pass the gate, publish a speculation-owned
-// entry and compute into it. Speculative traffic never touches the
-// view's hit/miss counters — only specComputes — so job stats keep
-// measuring authoritative reuse.
-func (v *View) doSpec(key string, gate SpecGate, compute func() ([]float64, error)) ([]float64, error) {
-	s := v.shared
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		se := el.Value.(*sharedEntry)
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		<-se.e.done
-		if se.e.err != nil {
-			return nil, se.e.err
-		}
-		return append([]float64(nil), se.e.vals...), nil
-	}
-	s.mu.Unlock()
-
-	release, err := gate()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		// Someone published (or started) the point while we waited for a
-		// slot: join it instead of duplicating the simulation.
-		se := el.Value.(*sharedEntry)
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		<-se.e.done
-		if se.e.err != nil {
-			return nil, se.e.err
-		}
-		return append([]float64(nil), se.e.vals...), nil
-	}
-	se := &sharedEntry{key: key, problem: v.problem, owner: v, e: &entry{done: make(chan struct{}), spec: true}}
-	s.entries[key] = s.lru.PushFront(se)
-	s.perProb[v.problem]++
-	s.evictLocked()
-	s.mu.Unlock()
-
-	v.specComputes.Add(1)
-	vals, err := compute()
-	s.mu.Lock()
-	se.e.vals, se.e.err = vals, err
-	close(se.e.done)
-	if err != nil {
 		if el, ok := s.entries[key]; ok && el.Value.(*sharedEntry) == se {
 			s.dropLocked(el, se)
 		}

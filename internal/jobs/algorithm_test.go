@@ -61,8 +61,12 @@ func TestNormalizeRejectsUnhonoredOptions(t *testing.T) {
 // requests that omit the algorithm field hash byte-identically to the
 // encoding before the field existed, so journaled jobs and cached
 // results from earlier releases stay reachable. The constants were
-// captured from the pre-backend-split tree.
+// captured from the pre-backend-split tree, except the last, which was
+// captured while options.speculate and options.specWorkers still
+// configured a pipeline: the retired, decode-only fields must keep the
+// hash of the requests that carry them.
 func TestRequestHashAlgorithmCompat(t *testing.T) {
+	on := true
 	cases := []struct {
 		req  Request
 		want string
@@ -73,6 +77,9 @@ func TestRequestHashAlgorithmCompat(t *testing.T) {
 			"0899a44435537add14b0bbc553418badff1e4632fe17b6fbdda6c95fcb38320e"},
 		{Request{Circuit: "miller", Options: RunOptions{}},
 			"0ecdfa4bbbe7b58576aa85e96004b351b01a0a9c38f054d22e1ea0be654aac50"},
+		{Request{Circuit: "ota", Options: RunOptions{ModelSamples: 1500, VerifySamples: 80, MaxIterations: 2, Seed: Seed(7),
+			Speculate: &on, SpecWorkers: 4}},
+			"0264e04dea8e370e72e5ed90be714b049c052e994fd55a80d29cf61df93e0f33"},
 	}
 	for i, tc := range cases {
 		if err := tc.req.Normalize(); err != nil {

@@ -31,7 +31,7 @@ import (
 	"sort"
 	"time"
 
-	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 // ErrEmptyBatch rejects batch submissions with no requests.
@@ -132,7 +132,7 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 		probHash string
 	}
 	members := make([]memberReq, len(reqs))
-	problems := make(map[string]*core.Problem) // problemHash → resolved, once
+	problems := make(map[string]*problem.Problem) // problemHash → resolved, once
 	for i := range reqs {
 		mr := memberReq{req: reqs[i]}
 		m.stampDefaults(&mr.req)

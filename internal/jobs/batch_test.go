@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 // batchReqs builds n analytic requests with seeds 1..n.
@@ -385,7 +385,7 @@ func stripEffort(t *testing.T, res *Result) string {
 func TestSharedEvalCacheBitIdentity(t *testing.T) {
 	run := func(shared bool) map[string]string {
 		cfg := Config{Workers: 2, SharedEvalCache: shared}
-		cfg.Resolve = func(req *Request) (*core.Problem, error) { return testProblem(0), nil }
+		cfg.Resolve = func(req *Request) (*problem.Problem, error) { return testProblem(0), nil }
 		m := New(cfg)
 		defer m.Close()
 		b, err := m.SubmitBatch(batchReqs(4))
@@ -428,7 +428,7 @@ func TestBatchCrossHitAccounting(t *testing.T) {
 	// counts — prefix reuse is not guaranteed, so instead use two
 	// verify jobs, which evaluate the same worst-case grid.
 	cfg := Config{Workers: 1, SharedEvalCache: true}
-	cfg.Resolve = func(req *Request) (*core.Problem, error) { return testProblem(0), nil }
+	cfg.Resolve = func(req *Request) (*problem.Problem, error) { return testProblem(0), nil }
 	m := New(cfg)
 	defer m.Close()
 	mk := func(samples int) Request {

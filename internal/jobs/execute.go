@@ -5,6 +5,7 @@ import (
 
 	"specwise/internal/core"
 	"specwise/internal/evalcache"
+	"specwise/internal/problem"
 	"specwise/internal/report"
 	"specwise/internal/wcd"
 
@@ -26,15 +27,6 @@ type ExecEnv struct {
 	// SweepWorkers is the per-frequency AC-sweep fan-out default for
 	// requests that do not set options.sweepWorkers (0 = GOMAXPROCS).
 	SweepWorkers int
-	// Speculate turns on the predict-ahead evaluation pipeline for
-	// optimize requests that leave options.speculate unset — an explicit
-	// options.speculate (true or false) always wins, so a request can opt
-	// out of a speculating fleet. SpecWorkers is the speculation-pool
-	// default for requests that do not set options.specWorkers
-	// (0 = GOMAXPROCS). Behaviour-preserving like the other knobs:
-	// results and simulation counts are bit-identical.
-	Speculate   bool
-	SpecWorkers int
 	// Progress, when non-nil, receives optimizer milestones. Remote
 	// workers leave it nil — progress is not streamed back over the
 	// pull protocol.
@@ -55,7 +47,7 @@ type ExecEnv struct {
 // returned core.Result is non-nil only for optimize-kind requests (the
 // manager folds its reuse counters into the service metrics; remote
 // workers ignore it).
-func Execute(ctx context.Context, p *core.Problem, req *Request, env ExecEnv) (*Result, *core.Result, error) {
+func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv) (*Result, *core.Result, error) {
 	switch req.Kind {
 	case KindVerify:
 		n := req.Options.VerifySamples
@@ -95,13 +87,6 @@ func Execute(ctx context.Context, p *core.Problem, req *Request, env ExecEnv) (*
 		}
 		if opts.SweepWorkers <= 0 {
 			opts.SweepWorkers = env.SweepWorkers
-		}
-		// Tri-state merge: an explicit request value (true or false) wins;
-		// only an absent options.speculate follows the pool default, so a
-		// client can opt one request out of a -speculate fleet.
-		opts.Speculate = req.Options.speculateOr(env.Speculate)
-		if opts.SpecWorkers <= 0 {
-			opts.SpecWorkers = env.SpecWorkers
 		}
 		opts.EvalCache = env.EvalCache
 		opts.Progress = env.Progress

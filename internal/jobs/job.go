@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/report"
 	"specwise/internal/wcd"
 )
@@ -94,18 +95,12 @@ type RunOptions struct {
 	// and keep hitting the result cache.
 	VerifyWorkers int `json:"verifyWorkers,omitempty"`
 	SweepWorkers  int `json:"sweepWorkers,omitempty"`
-	// Speculate turns on the predict-ahead evaluation pipeline: while the
-	// optimizer executes the authoritative step, idle cores pre-run the
-	// simulations the predicted next step will need. Behaviour-preserving
-	// like the worker knobs (results and simulation counts are
-	// bit-identical with speculation on or off). The pointer makes the
-	// option tri-state: nil follows the executing pool's default (the
-	// daemon/worker -speculate flag), while an explicit false opts a
-	// request out of a speculating fleet — distinguishable from "unset",
-	// which a plain bool with omitempty cannot express on the wire.
-	// Requests that leave it nil marshal without the field and hash
-	// identically to pre-knob requests, keeping the result cache warm.
-	// SpecWorkers bounds the speculation pool (0 = GOMAXPROCS).
+	// Speculate and SpecWorkers are retired: they configured a
+	// predict-ahead evaluation pipeline that no longer exists. They still
+	// decode, because journaled requests and existing clients carry them,
+	// and they stay in the encoding so those requests keep their content
+	// hash. Optimize jobs ignore them; verify jobs reject them like any
+	// other optimizer-only option.
 	Speculate   *bool `json:"speculate,omitempty"`
 	SpecWorkers int   `json:"specWorkers,omitempty"`
 	// Lane overrides the priority-lane classification that normally
@@ -121,10 +116,6 @@ type RunOptions struct {
 // Seed returns a pointer to v, for building RunOptions literals.
 func Seed(v uint64) *uint64 { return &v }
 
-// Bool returns a pointer to v, for building RunOptions literals
-// (options.speculate is tri-state: nil, explicit true, explicit false).
-func Bool(v bool) *bool { return &v }
-
 // defaultSeed is the optimizer's default random stream (DAC 2001
 // opening day), used when a request leaves the seed unset.
 const defaultSeed = 20010618
@@ -136,16 +127,6 @@ func (o RunOptions) seed() uint64 {
 		return *o.Seed
 	}
 	return defaultSeed
-}
-
-// speculateOr resolves the tri-state speculate option against the
-// executing pool's default: an explicit request value — true or false —
-// always wins, nil follows the pool.
-func (o RunOptions) speculateOr(def bool) bool {
-	if o.Speculate != nil {
-		return *o.Speculate
-	}
-	return def
 }
 
 // Core converts the wire options into optimizer options.
@@ -174,8 +155,6 @@ func (o RunOptions) Core() core.Options {
 		RefineThetaPasses:  o.RefineThetaPasses,
 		VerifyWorkers:      o.VerifyWorkers,
 		SweepWorkers:       o.SweepWorkers,
-		Speculate:          o.Speculate != nil && *o.Speculate,
-		SpecWorkers:        o.SpecWorkers,
 	}
 }
 
@@ -390,7 +369,7 @@ type Job struct {
 	lane string
 	req  Request
 
-	problem *core.Problem // resolved at submit time (or on recovery)
+	problem *problem.Problem // resolved at submit time (or on recovery)
 
 	mu     sync.Mutex
 	state  State

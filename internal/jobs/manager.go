@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"specwise/internal/circuits"
-	"specwise/internal/core"
 	"specwise/internal/evalcache"
+	"specwise/internal/problem"
 	"specwise/internal/yieldspec"
 )
 
@@ -97,13 +97,6 @@ type Config struct {
 	// that do not set options.sweepWorkers (0 means GOMAXPROCS). Results
 	// are bit-identical for every setting.
 	SweepWorkers int
-	// Speculate turns on the predict-ahead evaluation pipeline for
-	// optimize jobs that leave options.speculate unset (an explicit
-	// options.speculate — true or false — always wins); SpecWorkers
-	// bounds the per-job speculation pool (0 means GOMAXPROCS). Results
-	// and simulation counts are bit-identical for every setting.
-	Speculate   bool
-	SpecWorkers int
 	// SharedEvalCache turns on the manager-scoped shared evaluation
 	// cache: jobs on the same problem (same circuit or byte-identical
 	// spec) reuse each other's simulations, which is where a sweep's
@@ -125,7 +118,7 @@ type Config struct {
 	DefaultAlgorithm string
 	// Resolve overrides problem resolution; tests inject cheap synthetic
 	// problems here. nil uses the built-in circuits and yieldspec.
-	Resolve func(req *Request) (*core.Problem, error)
+	Resolve func(req *Request) (*problem.Problem, error)
 	// Store persists every control-plane mutation and enables crash
 	// recovery on boot (use Open, not New, to surface recovery errors).
 	// nil or NullStore keeps the in-memory-only behavior. internal/store
@@ -186,7 +179,7 @@ func (c *Config) defaults() {
 // name (see circuits.Register) or an inline yieldspec document. Inline
 // specs must carry their netlist inline too — a service request has no
 // base directory to resolve file references against.
-func ResolveProblem(req *Request) (*core.Problem, error) {
+func ResolveProblem(req *Request) (*problem.Problem, error) {
 	if req.Circuit != "" {
 		return circuits.Build(req.Circuit)
 	}
@@ -1013,8 +1006,6 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*Result, error) {
 	env := ExecEnv{
 		VerifyWorkers: m.cfg.VerifyWorkers,
 		SweepWorkers:  m.cfg.SweepWorkers,
-		Speculate:     m.cfg.Speculate,
-		SpecWorkers:   m.cfg.SpecWorkers,
 		Progress:      job.addProgress,
 	}
 	if m.evalShared != nil {

@@ -85,16 +85,6 @@ type Metrics struct {
 	warmConverged     atomic.Int64
 	dcFallbacks       atomic.Int64
 
-	// Predict-ahead speculation counters aggregated over completed
-	// optimization runs (core.Options.Speculate): evaluations issued by
-	// the speculation pool, issued evaluations later claimed by the
-	// authoritative trajectory (hits), issued but never claimed (wasted),
-	// and candidates cancelled before completing.
-	specIssued    atomic.Int64
-	specHits      atomic.Int64
-	specWasted    atomic.Int64
-	specCancelled atomic.Int64
-
 	// Manager-scoped shared evaluation cache, when configured: live
 	// snapshot hooks installed once before any concurrency. The shared
 	// counters supersede the per-run aggregates above in the exposition —
@@ -123,12 +113,6 @@ func (m *Metrics) noteRun(res *core.Result) {
 	m.evalCacheMisses.Add(res.EvalCache.Misses + res.EvalCache.ConstraintMisses)
 	m.evalCacheDeduped.Add(res.EvalCache.Deduped)
 	m.evalCacheOverflow.Add(res.EvalCache.Overflow)
-	m.specIssued.Add(res.Speculation.Computes)
-	m.specHits.Add(res.Speculation.Claims)
-	if wasted := res.Speculation.Computes - res.Speculation.Claims; wasted > 0 {
-		m.specWasted.Add(wasted)
-	}
-	m.specCancelled.Add(res.Speculation.Cancelled)
 	m.warmStarts.Add(res.Sim.WarmStarts)
 	m.warmConverged.Add(res.Sim.WarmConverged)
 	m.dcFallbacks.Add(res.Sim.Fallbacks)
@@ -418,19 +402,11 @@ func (m *Metrics) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "specwised_evalcache_overflow_total %d\n", m.evalCacheOverflow.Load())
 		fmt.Fprintf(w, "specwised_evalcache_evictions_total 0\n")
 	}
-	fmt.Fprintf(w, "specwised_speculation_issued_total %d\n", m.specIssued.Load())
-	fmt.Fprintf(w, "specwised_speculation_hits_total %d\n", m.specHits.Load())
-	fmt.Fprintf(w, "specwised_speculation_wasted_total %d\n", m.specWasted.Load())
-	fmt.Fprintf(w, "specwised_speculation_cancelled_total %d\n", m.specCancelled.Load())
 	ss := sched.Default().Stats()
 	fmt.Fprintf(w, "specwised_sched_capacity %d\n", ss.Capacity)
-	fmt.Fprintf(w, "specwised_sched_spec_capacity %d\n", ss.SpecCapacity)
-	fmt.Fprintf(w, "specwised_sched_fg_in_use %d\n", ss.FgInUse)
-	fmt.Fprintf(w, "specwised_sched_spec_in_use %d\n", ss.SpecInUse)
-	fmt.Fprintf(w, "specwised_sched_spec_waiting %d\n", ss.SpecWaiting)
-	fmt.Fprintf(w, "specwised_sched_fg_granted_total %d\n", ss.FgGranted)
-	fmt.Fprintf(w, "specwised_sched_fg_denied_total %d\n", ss.FgDenied)
-	fmt.Fprintf(w, "specwised_sched_spec_granted_total %d\n", ss.SpecGranted)
+	fmt.Fprintf(w, "specwised_sched_fg_in_use %d\n", ss.InUse)
+	fmt.Fprintf(w, "specwised_sched_fg_granted_total %d\n", ss.Granted)
+	fmt.Fprintf(w, "specwised_sched_fg_denied_total %d\n", ss.Denied)
 	fmt.Fprintf(w, "specwised_dc_warm_starts_total %d\n", m.warmStarts.Load())
 	fmt.Fprintf(w, "specwised_dc_warm_converged_total %d\n", m.warmConverged.Load())
 	fmt.Fprintf(w, "specwised_dc_fallbacks_total %d\n", m.dcFallbacks.Load())

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 type memStore struct {
@@ -100,7 +100,7 @@ func persistManager(t *testing.T, cfg Config, st Store, delay time.Duration) *Ma
 	t.Helper()
 	cfg.Store = st
 	if cfg.Resolve == nil {
-		cfg.Resolve = func(req *Request) (*core.Problem, error) {
+		cfg.Resolve = func(req *Request) (*problem.Problem, error) {
 			return testProblem(delay), nil
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"specwise/internal/core"
 	"specwise/internal/linmodel"
 	"specwise/internal/mismatch"
+	"specwise/internal/problem"
 	"specwise/internal/rng"
 	_ "specwise/internal/search" // register the search backends
 	"specwise/internal/wcd"
@@ -31,13 +32,6 @@ type RunConfig struct {
 	ModelSamples  int
 	VerifySamples int
 	Iterations    int
-	// Speculate turns on the predict-ahead evaluation pipeline for the
-	// optimization experiments; SpecWorkers bounds its pool
-	// (0 = GOMAXPROCS). Results are bit-identical either way — the knob
-	// only trades idle cores for wall clock, which is exactly what the
-	// speculation benchmarks measure.
-	Speculate   bool
-	SpecWorkers int
 }
 
 // Full is the paper-scale configuration (N = 10,000 model samples, 300
@@ -56,8 +50,6 @@ func Table1(cfg RunConfig, log io.Writer) (*core.Result, error) {
 		ModelSamples:  cfg.ModelSamples,
 		VerifySamples: cfg.VerifySamples,
 		MaxIterations: cfg.Iterations,
-		Speculate:     cfg.Speculate,
-		SpecWorkers:   cfg.SpecWorkers,
 		Seed:          Seed,
 		Log:           log,
 	})
@@ -90,7 +82,7 @@ func Table2(res *core.Result, from, to int) []Table2Row {
 			distA = 1e-12
 		}
 		dmu := (muB - muA) / distA
-		if s.Kind == core.LE {
+		if s.Kind == problem.LE {
 			dmu = (muA - muB) / distA
 		}
 		rows = append(rows, Table2Row{
@@ -366,7 +358,7 @@ type reportVal struct {
 
 // analyzeMismatch mirrors the public specwise.AnalyzeMismatch without
 // importing the root package (internal packages cannot).
-func analyzeMismatch(p *core.Problem, d []float64) ([]reportVal, error) {
+func analyzeMismatch(p *problem.Problem, d []float64) ([]reportVal, error) {
 	zeroS := make([]float64, p.NumStat())
 	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
 	if err != nil {

@@ -250,15 +250,6 @@ func (c *Counter) ConstraintEvals() int64 { return c.constraints.Load() }
 // Total returns all simulator invocations.
 func (c *Counter) Total() int64 { return c.evals.Load() + c.constraints.Load() }
 
-// AddEvals credits n full-performance simulations that ran outside the
-// instrumented path — the speculation pipeline calls this when the
-// authoritative run claims a pre-computed cache entry, so effort
-// accounting matches a run that simulated the point itself.
-func (c *Counter) AddEvals(n int64) { c.evals.Add(n) }
-
-// AddConstraintEvals credits n constraint simulations; see AddEvals.
-func (c *Counter) AddConstraintEvals(n int64) { c.constraints.Add(n) }
-
 // Reset zeroes the counters.
 func (c *Counter) Reset() {
 	c.evals.Store(0)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 // This file defines the JSON-serializable mirror of core.Result used by
@@ -186,7 +187,7 @@ func JSONResult(res *core.Result) *Result {
 	}
 	for _, s := range p.Specs {
 		op := ">="
-		if s.Kind == core.LE {
+		if s.Kind == problem.LE {
 			op = "<="
 		}
 		out.Specs = append(out.Specs, SpecInfo{Name: s.Name, Unit: s.Unit, Op: op, Bound: s.Bound})
@@ -253,7 +254,7 @@ type Verification struct {
 }
 
 // JSONVerification flattens a core.MCResult into its wire form.
-func JSONVerification(p *core.Problem, mc *core.MCResult) *Verification {
+func JSONVerification(p *problem.Problem, mc *core.MCResult) *Verification {
 	out := &Verification{
 		Problem: p.Name,
 		Yield:   mc.Estimate.Yield(),

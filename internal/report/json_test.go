@@ -7,17 +7,18 @@ import (
 	"testing"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/stat"
 )
 
 func jsonFixtureResult() *core.Result {
-	p := &core.Problem{
+	p := &problem.Problem{
 		Name: "fixture",
-		Specs: []core.Spec{
-			{Name: "A0", Unit: "dB", Kind: core.GE, Bound: 40},
-			{Name: "P", Unit: "mW", Kind: core.LE, Bound: 2},
+		Specs: []problem.Spec{
+			{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 40},
+			{Name: "P", Unit: "mW", Kind: problem.LE, Bound: 2},
 		},
-		Design: []core.Param{
+		Design: []problem.Param{
 			{Name: "W1", Unit: "um", Init: 10, Lo: 1, Hi: 100},
 		},
 		StatNames: []string{"s0"},
@@ -112,9 +113,9 @@ func TestJSONResultRoundTrips(t *testing.T) {
 }
 
 func TestJSONVerification(t *testing.T) {
-	p := &core.Problem{
+	p := &problem.Problem{
 		Name:      "fixture",
-		Specs:     []core.Spec{{Name: "A0", Kind: core.GE, Bound: 40}},
+		Specs:     []problem.Spec{{Name: "A0", Kind: problem.GE, Bound: 40}},
 		StatNames: []string{"s0"},
 		Eval:      func(d, s, th []float64) ([]float64, error) { return []float64{50}, nil },
 	}

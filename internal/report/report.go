@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 )
 
 // blockLabel names iteration i the way the paper does.
@@ -43,7 +44,7 @@ func OptimizationTrace(w io.Writer, res *core.Result) {
 	fmt.Fprintf(w, "%-24s", "Specification")
 	for _, s := range p.Specs {
 		op := ">"
-		if s.Kind == core.LE {
+		if s.Kind == problem.LE {
 			op = "<"
 		}
 		fmt.Fprintf(w, "%14s", fmt.Sprintf("%s %g", op, s.Bound))
@@ -107,11 +108,11 @@ func ImprovementTable(w io.Writer, res *core.Result, from, to int) {
 		// Normalize the mean shift by the initial distance to the bound,
 		// signed so that "+" always means improvement, as in the paper.
 		distA := muA - s.Bound
-		if s.Kind == core.LE {
+		if s.Kind == problem.LE {
 			distA = s.Bound - muA
 		}
 		dmu := (muB - muA) / distA
-		if s.Kind == core.LE {
+		if s.Kind == problem.LE {
 			dmu = (muA - muB) / distA
 		}
 		dsg := (sgB - sgA) / sgA

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/stat"
 )
 
 func fakeResult() *core.Result {
-	p := &core.Problem{
+	p := &problem.Problem{
 		Name: "fake",
-		Specs: []core.Spec{
-			{Name: "A0", Unit: "dB", Kind: core.GE, Bound: 40},
-			{Name: "P", Unit: "mW", Kind: core.LE, Bound: 2},
+		Specs: []problem.Spec{
+			{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 40},
+			{Name: "P", Unit: "mW", Kind: problem.LE, Bound: 2},
 		},
-		Design: []core.Param{
+		Design: []problem.Param{
 			{Name: "W", Unit: "µm", Init: 10, Lo: 1, Hi: 100},
 		},
 		StatNames: []string{"s"},

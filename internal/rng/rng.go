@@ -33,15 +33,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Fork returns an independent value copy of the generator, including the
-// cached Box–Muller variate, so the fork produces exactly the stream the
-// original will. Speculative prediction uses forks to pre-compute future
-// draws without advancing — or racing on — the authoritative state.
-func (r *Rand) Fork() *Rand {
-	c := *r
-	return &c
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 pseudo-random bits.

@@ -1,39 +1,16 @@
-// Package sched is the process-wide compute scheduler: one weighted
-// semaphore shared by every parallel evaluation pool — AC-sweep workers,
-// finite-difference gradient workers, Monte-Carlo verification workers —
-// and the speculative evaluation pipeline. It exists so those pools,
-// which nest freely (an AC sweep fans out inside a gradient probe that
-// fans out inside a worst-case search), can together size themselves to
-// the machine instead of multiplying worker counts, and so speculative
-// work can soak up idle capacity without ever degrading the
-// authoritative run.
+// Package sched is the process-wide compute scheduler: one semaphore
+// shared by every parallel evaluation pool — AC-sweep workers,
+// finite-difference gradient workers, Monte-Carlo verification workers.
+// It exists so those pools, which nest freely (an AC sweep fans out
+// inside a gradient probe that fans out inside a worst-case search), can
+// together size themselves to the machine instead of multiplying worker
+// counts.
 //
-// Two priority classes share the capacity:
-//
-//   - Foreground (the authoritative trajectory) acquires extra-worker
-//     slots with the non-blocking TryAcquire. A denied TryAcquire is
-//     never an error — every pool follows the caller-runs pattern, where
-//     the requesting goroutine processes work itself and extra workers
-//     are pure bonus — so the foreground never waits on the scheduler
-//     and nested pools cannot deadlock.
-//
-//   - Speculation acquires with the blocking AcquireSpec, one slot per
-//     simulator call, and is admitted only while total occupancy leaves
-//     the reserve free. Slots are held for a single evaluation, so
-//     speculative work drains out of the foreground's way within one
-//     simulator call of the foreground ramping up; foreground admission
-//     deliberately ignores speculative holds (transient oversubscription
-//     bounded by the speculative capacity beats priority inversion).
-//
-// The classes must never mix on one goroutine: a goroutine that blocks
-// in AcquireSpec while holding a foreground slot pins capacity that
-// AcquireSpec itself is waiting on, and enough such goroutines freeze
-// speculation entirely while starving authoritative TryAcquire. Pools
-// that can run on both sides of the divide therefore check IsSpec on
-// their context: under a speculative context they spawn their extras
-// ungated (the extras hold no slots — actual simulator concurrency is
-// already bounded by the speculation gate inside the evaluation handle),
-// and only foreground work takes TryAcquire slots.
+// Pools acquire extra-worker slots with the non-blocking TryAcquire. A
+// denied TryAcquire is never an error — every pool follows the
+// caller-runs pattern, where the requesting goroutine processes work
+// itself and extra workers are pure bonus — so no caller ever waits on
+// the scheduler and nested pools cannot deadlock.
 //
 // Determinism is untouched by construction: the scheduler only decides
 // how many goroutines run concurrently, and every pool it gates writes
@@ -42,65 +19,40 @@
 package sched
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Sched is one weighted compute semaphore. The zero value is not usable;
+// Sched is one compute semaphore. The zero value is not usable;
 // construct with New or use the process-wide Default.
 type Sched struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu       sync.Mutex
+	capacity int
+	inUse    int
 
-	capacity int // total slots (foreground extras + speculation)
-	specCap  int // ceiling on concurrently held speculative slots
-
-	fg          int // foreground extra-worker slots held
-	spec        int // speculative slots held
-	specWaiting int // goroutines blocked in AcquireSpec
-
-	fgGranted   atomic.Int64
-	fgDenied    atomic.Int64
-	specGranted atomic.Int64
+	granted atomic.Int64
+	denied  atomic.Int64
 }
 
 // Stats is a snapshot of the scheduler gauges and counters, feeding the
 // daemon's /metrics series.
 type Stats struct {
-	// Capacity and SpecCapacity are the configured slot ceilings.
-	Capacity     int
-	SpecCapacity int
-	// FgInUse / SpecInUse are the currently held slots per class.
-	FgInUse   int
-	SpecInUse int
-	// SpecWaiting is the speculation queue depth: goroutines blocked in
-	// AcquireSpec right now.
-	SpecWaiting int
-	// FgGranted / FgDenied count TryAcquire outcomes; SpecGranted counts
-	// speculative slot grants.
-	FgGranted   int64
-	FgDenied    int64
-	SpecGranted int64
+	// Capacity is the configured slot ceiling; InUse the slots held now.
+	Capacity int
+	InUse    int
+	// Granted / Denied count TryAcquire outcomes.
+	Granted int64
+	Denied  int64
 }
 
-// New returns a scheduler with the given total capacity (values < 1 are
-// raised to 1). The speculative ceiling is capacity-1 — one slot is
-// reserved for the (ungated, caller-runs) authoritative goroutine — but
-// never below 1, so speculation stays functional on single-core boxes
-// where it is pure opt-in overhead.
+// New returns a scheduler with the given capacity (values < 1 are
+// raised to 1).
 func New(capacity int) *Sched {
 	if capacity < 1 {
 		capacity = 1
 	}
-	specCap := capacity - 1
-	if specCap < 1 {
-		specCap = 1
-	}
-	s := &Sched{capacity: capacity, specCap: specCap}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Sched{capacity: capacity}
 }
 
 var (
@@ -117,106 +69,35 @@ func Default() *Sched {
 	return defaultSch
 }
 
-// specCtxKey marks contexts that belong to the speculative pipeline.
-type specCtxKey struct{}
-
-// WithSpec marks ctx (and everything derived from it) as speculative:
-// work under it runs at speculation priority, and pools that spawn
-// extra workers must consult IsSpec and spawn them ungated instead of
-// taking foreground TryAcquire slots. This is what keeps the class
-// divide intact across nested pools — a speculative goroutine that held
-// a foreground slot while blocking in AcquireSpec would pin the very
-// capacity AcquireSpec waits on.
-func WithSpec(ctx context.Context) context.Context {
-	return context.WithValue(ctx, specCtxKey{}, true)
-}
-
-// IsSpec reports whether ctx was marked speculative by WithSpec.
-func IsSpec(ctx context.Context) bool {
-	v, _ := ctx.Value(specCtxKey{}).(bool)
-	return v
-}
-
-// TryAcquire requests one foreground extra-worker slot without blocking.
-// Callers must follow the caller-runs pattern: the requesting goroutine
-// does work itself regardless, extra workers only join while slots are
-// free. Speculative holds are deliberately not counted against
-// foreground admission — the foreground must never lose parallelism to
-// speculation — so occupancy can transiently exceed capacity by at most
-// the speculative ceiling for the tail of one simulator call.
+// TryAcquire requests one extra-worker slot without blocking. Callers
+// must follow the caller-runs pattern: the requesting goroutine does
+// work itself regardless, extra workers only join while slots are free.
 func (s *Sched) TryAcquire() bool {
 	s.mu.Lock()
-	if s.fg >= s.capacity {
+	if s.inUse >= s.capacity {
 		s.mu.Unlock()
-		s.fgDenied.Add(1)
+		s.denied.Add(1)
 		return false
 	}
-	s.fg++
+	s.inUse++
 	s.mu.Unlock()
-	s.fgGranted.Add(1)
+	s.granted.Add(1)
 	return true
 }
 
 // Release returns a TryAcquire slot.
 func (s *Sched) Release() {
 	s.mu.Lock()
-	s.fg--
+	s.inUse--
 	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// AcquireSpec blocks until a speculative slot is available — total
-// occupancy below capacity and speculative holds below the speculative
-// ceiling — or ctx is cancelled. A cancelled ctx is refused even when a
-// slot is immediately free, so a dead speculation round can never launch
-// one more simulator call. Hold the slot for one simulator call, then
-// ReleaseSpec: per-evaluation holds are what lets the foreground reclaim
-// the machine within one call.
-func (s *Sched) AcquireSpec(ctx context.Context) error {
-	s.mu.Lock()
-	for {
-		if err := ctx.Err(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if s.spec < s.specCap && s.fg+s.spec < s.capacity {
-			break
-		}
-		s.specWaiting++
-		// Wake the cond wait when ctx dies so cancellation cannot strand
-		// a waiter; Release/ReleaseSpec broadcast on every slot return.
-		stop := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
-		s.cond.Wait()
-		stop()
-		s.specWaiting--
-	}
-	s.spec++
-	s.mu.Unlock()
-	s.specGranted.Add(1)
-	return nil
-}
-
-// ReleaseSpec returns a speculative slot.
-func (s *Sched) ReleaseSpec() {
-	s.mu.Lock()
-	s.spec--
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // Stats snapshots the gauges and counters.
 func (s *Sched) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{
-		Capacity:     s.capacity,
-		SpecCapacity: s.specCap,
-		FgInUse:      s.fg,
-		SpecInUse:    s.spec,
-		SpecWaiting:  s.specWaiting,
-	}
+	st := Stats{Capacity: s.capacity, InUse: s.inUse}
 	s.mu.Unlock()
-	st.FgGranted = s.fgGranted.Load()
-	st.FgDenied = s.fgDenied.Load()
-	st.SpecGranted = s.specGranted.Load()
+	st.Granted = s.granted.Load()
+	st.Denied = s.denied.Load()
 	return st
 }

@@ -1,23 +1,21 @@
 package sched
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestTryAcquireCapacity(t *testing.T) {
 	s := New(2)
 	if !s.TryAcquire() || !s.TryAcquire() {
-		t.Fatal("expected two foreground slots")
+		t.Fatal("expected two slots")
 	}
 	if s.TryAcquire() {
 		t.Fatal("expected denial past capacity")
 	}
 	st := s.Stats()
-	if st.FgInUse != 2 || st.FgDenied != 1 || st.FgGranted != 2 {
+	if st.Capacity != 2 || st.InUse != 2 || st.Denied != 1 || st.Granted != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	s.Release()
@@ -26,158 +24,41 @@ func TestTryAcquireCapacity(t *testing.T) {
 	}
 	s.Release()
 	s.Release()
-	if st := s.Stats(); st.FgInUse != 0 {
-		t.Fatalf("FgInUse = %d after releases", st.FgInUse)
-	}
-}
-
-func TestSpecCeilingAndReserve(t *testing.T) {
-	s := New(4) // specCap = 3
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if err := s.AcquireSpec(ctx); err != nil {
-			t.Fatalf("spec slot %d: %v", i, err)
-		}
-	}
-	// The 4th speculative slot must block (ceiling), even though total
-	// occupancy is below capacity.
-	blocked := make(chan error, 1)
-	go func() {
-		cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		defer cancel()
-		blocked <- s.AcquireSpec(cctx)
-	}()
-	if err := <-blocked; err == nil {
-		t.Fatal("expected 4th speculative acquire to block until timeout")
-	}
-	s.ReleaseSpec()
-	s.ReleaseSpec()
-	s.ReleaseSpec()
-}
-
-func TestSpecYieldsToForeground(t *testing.T) {
-	s := New(2) // specCap = 1
-	// Foreground saturates capacity: speculation must wait.
-	if !s.TryAcquire() || !s.TryAcquire() {
-		t.Fatal("foreground slots")
-	}
-	got := make(chan error, 1)
-	go func() { got <- s.AcquireSpec(context.Background()) }()
-	// Give the waiter time to park, then check the queue-depth gauge.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().SpecWaiting == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("speculative waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case err := <-got:
-		t.Fatalf("speculation admitted under full foreground load: %v", err)
-	default:
-	}
-	s.Release()
-	s.Release()
-	if err := <-got; err != nil {
-		t.Fatalf("speculation after foreground drained: %v", err)
-	}
-	s.ReleaseSpec()
-}
-
-func TestAcquireSpecCancellation(t *testing.T) {
-	s := New(1)
-	if err := s.AcquireSpec(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan error, 1)
-	go func() { got <- s.AcquireSpec(ctx) }()
-	for s.Stats().SpecWaiting == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-got; err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	s.ReleaseSpec()
-}
-
-// TestAcquireSpecCancelledAtEntry: a dead context is refused even when a
-// slot is immediately free — a cancelled speculation round must not get
-// to launch one more simulator call.
-func TestAcquireSpecCancelledAtEntry(t *testing.T) {
-	s := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.AcquireSpec(ctx); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st := s.Stats(); st.SpecInUse != 0 || st.SpecGranted != 0 {
-		t.Fatalf("cancelled acquire touched slots: %+v", st)
-	}
-}
-
-func TestSpecContextMark(t *testing.T) {
-	ctx := context.Background()
-	if IsSpec(ctx) {
-		t.Fatal("plain context reported speculative")
-	}
-	marked := WithSpec(ctx)
-	if !IsSpec(marked) {
-		t.Fatal("WithSpec context not reported speculative")
-	}
-	// The mark survives derivation — nested pools see it through the
-	// cancellation contexts layered on top.
-	derived, cancel := context.WithCancel(marked)
-	defer cancel()
-	if !IsSpec(derived) {
-		t.Fatal("derived context lost the speculative mark")
+	if st := s.Stats(); st.InUse != 0 {
+		t.Fatalf("InUse = %d after releases", st.InUse)
 	}
 }
 
 func TestConcurrentStress(t *testing.T) {
 	s := New(3)
-	var fgHeld, specHeld, maxSpec atomic.Int64
+	var held, maxHeld atomic.Int64
 	var wg sync.WaitGroup
-	ctx := context.Background()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if s.TryAcquire() {
-					fgHeld.Add(1)
-					fgHeld.Add(-1)
-					s.Release()
+				if !s.TryAcquire() {
+					continue
 				}
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if err := s.AcquireSpec(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-				n := specHeld.Add(1)
+				n := held.Add(1)
 				for {
-					old := maxSpec.Load()
-					if n <= old || maxSpec.CompareAndSwap(old, n) {
+					old := maxHeld.Load()
+					if n <= old || maxHeld.CompareAndSwap(old, n) {
 						break
 					}
 				}
-				specHeld.Add(-1)
-				s.ReleaseSpec()
+				held.Add(-1)
+				s.Release()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := maxSpec.Load(); got > 2 {
-		t.Fatalf("speculative holds exceeded ceiling: %d > 2", got)
+	if got := maxHeld.Load(); got > 3 {
+		t.Fatalf("held slots exceeded capacity: %d > 3", got)
 	}
 	st := s.Stats()
-	if st.FgInUse != 0 || st.SpecInUse != 0 || st.SpecWaiting != 0 {
-		t.Fatalf("slots leaked: %+v", st)
+	if st.InUse != 0 || st.Granted+st.Denied != 8*200 {
+		t.Fatalf("slots leaked or attempts lost: %+v", st)
 	}
 }

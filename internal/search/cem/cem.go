@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"specwise/internal/core"
 	"specwise/internal/feasopt"
@@ -57,12 +56,6 @@ type Backend struct {
 	gen, generations int
 	pop, elites      int
 	kappa            float64
-
-	// specFinal tells pool-side SpeculateWarm calls whether the current
-	// prediction round targets the final full analysis (atomic: stale
-	// pool workers may read it while a new round is being predicted; a
-	// stale read only wastes idle cycles).
-	specFinal atomic.Bool
 }
 
 // Name implements core.SearchBackend.
@@ -285,73 +278,6 @@ func (b *Backend) Step(ctx context.Context, e *core.Engine) (bool, error) {
 
 // Final returns the best design found.
 func (b *Backend) Final() []float64 { return b.best }
-
-// Compile-time check: the backend participates in the predict-ahead
-// pipeline (core.Options.Speculate).
-var _ core.Speculator = (*Backend)(nil)
-var _ core.SpecWarmer = (*Backend)(nil)
-
-// Predict implements core.Speculator. A generation's population is a
-// pure function of the sampler state and the rng stream, so forking the
-// stream (never advancing it — the authoritative draws stay untouched)
-// reproduces the next population exactly. When the next Step is the
-// final full analysis instead, the single prediction is the best design,
-// and SpeculateWarm replays the whole Analyze for it.
-func (b *Backend) Predict(e *core.Engine) [][]float64 {
-	if b.mean == nil {
-		return nil
-	}
-	if b.gen >= b.generations || b.converged() {
-		b.specFinal.Store(true)
-		return [][]float64{append([]float64(nil), b.best...)}
-	}
-	b.specFinal.Store(false)
-	rf := b.r.Fork()
-	n := len(b.mean)
-	preds := make([][]float64, b.pop)
-	for c := range preds {
-		x := make([]float64, n)
-		for k := range x {
-			x[k] = clamp01(b.mean[k] + b.sigma[k]*rf.NormFloat64())
-		}
-		preds[c] = b.decode(e, x)
-	}
-	return preds
-}
-
-// SpeculateWarm implements core.SpecWarmer: pre-simulate what scoreAt
-// will need for one predicted candidate — the constraint shortcut first
-// (an infeasible candidate costs nothing more), then the frozen
-// sample × θ margin grid. The final-generation prediction instead warms
-// the full Analyze schedule. All evaluation goes through the gated
-// handle p; every error aborts silently.
-func (b *Backend) SpeculateWarm(ctx context.Context, p *core.Problem, e *core.Engine, d []float64, seed uint64) {
-	if b.specFinal.Load() {
-		e.SpeculateAnalyze(ctx, p, d, seed)
-		return
-	}
-	if p.Constraints != nil {
-		cv, err := p.Constraints(d)
-		if err != nil {
-			return
-		}
-		for j, c := range cv {
-			if c < 0 && -c/b.cscale[j] > 0 {
-				return // scoreAt ranks by violation alone, no margin sims
-			}
-		}
-	}
-	for _, s := range b.samples {
-		for _, th := range b.thetas {
-			if ctx.Err() != nil {
-				return
-			}
-			if _, err := p.Eval(d, s, th); err != nil {
-				return
-			}
-		}
-	}
-}
 
 func (b *Backend) converged() bool {
 	for _, s := range b.sigma {

@@ -12,14 +12,11 @@ package feasguided
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"specwise/internal/coord"
 	"specwise/internal/core"
 	"specwise/internal/feasopt"
 	"specwise/internal/linmodel"
-	"specwise/internal/sched"
 )
 
 // Name is the backend's registry and wire identifier.
@@ -171,168 +168,3 @@ func (b *Backend) Step(ctx context.Context, e *core.Engine) (bool, error) {
 
 // Final returns the last accepted design.
 func (b *Backend) Final() []float64 { return b.d }
-
-// Compile-time check: the backend participates in the predict-ahead
-// pipeline (core.Options.Speculate).
-var _ core.Speculator = (*Backend)(nil)
-
-// Predict implements core.Speculator: it derives the design point(s) the
-// next Step will analyze, issuing the simulations it needs through the
-// engine's prediction handle so they populate the cache for the upcoming
-// authoritative replay. Predict runs synchronously on the authoritative
-// goroutine, so the handle is ungated (foreground priority — the
-// authoritative loop must never wait on the scheduler) and the warm
-// fan-out below bounds itself with foreground caller-runs slots. The
-// accept branch is an exact prediction — the step's linearize →
-// coordinate-search → line-search pipeline is a pure function of the
-// backend's (quiescent) state, so its simulations are all claimed by the
-// next Step — and the serial finite-difference and bisection sections
-// are pre-warmed in parallel, which is where the multi-core win comes
-// from. The reject branch (shrunken trust region from the same point) is
-// a lookahead for the step after next; its extra cost over the accept
-// branch is a handful of line-search points (the linearization probes
-// are shared), wasted only when the step is accepted.
-func (b *Backend) Predict(e *core.Engine) [][]float64 {
-	opts := e.Options()
-	if b.accepted >= opts.MaxIterations || b.attempt >= opts.MaxIterations+4 {
-		return nil // next Step exits on budget before analyzing anything
-	}
-	sp := e.SpecProblem()
-	if sp == nil || b.est == nil {
-		return nil
-	}
-	var preds [][]float64
-	if d := b.predictStep(e, sp, b.coordOpts); d != nil {
-		preds = append(preds, d)
-	}
-	// Reject-branch lookahead, mirroring Step's shrink rule: only worth
-	// speculating when a rejection would actually continue the search.
-	if newTrust := trustOf(b.coordOpts) / 2; newTrust >= 1.2 && b.rejections+1 <= 3 {
-		co := b.coordOpts
-		co.TrustFactor = newTrust
-		if co.TrustFrac <= 0 {
-			co.TrustFrac = 0.35
-		}
-		co.TrustFrac /= 2
-		if d := b.predictStep(e, sp, co); d != nil && (len(preds) == 0 || !equalVec(d, preds[0])) {
-			preds = append(preds, d)
-		}
-	}
-	return preds
-}
-
-// predictStep replays one Step's candidate derivation through the
-// prediction handle sp: linearize (probes pre-warmed in parallel),
-// coordinate search (pure computation on the frozen estimator), line
-// search (dyadic γ grid pre-warmed, then exact bisection replay).
-// Returns nil when the step would stop or the replay fails.
-func (b *Backend) predictStep(e *core.Engine, sp *core.Problem, co coord.Options) []float64 {
-	var lc *coord.LinearConstraints
-	if sp.Constraints != nil {
-		warmConstraintProbes(sp, b.d)
-		var err error
-		lc, err = feasopt.Linearize(sp, b.d, 0)
-		if err != nil {
-			return nil
-		}
-	}
-	sr := coord.Search(e.DesignBox(), b.est, lc, b.d, co)
-	if !sr.Moved {
-		return nil
-	}
-	if sp.Constraints == nil {
-		return sp.ClampDesign(append([]float64(nil), sr.D...))
-	}
-	warmGammaGrid(sp, b.d, sr.D)
-	_, dNew, err := feasopt.LineSearch(sp, b.d, sr.D, 0)
-	if err != nil {
-		return nil
-	}
-	return dNew
-}
-
-// warmConstraintProbes pre-simulates feasopt.Linearize's schedule at df —
-// the point itself plus one forward-difference probe per design
-// parameter (step 0.02 of the range, flipped at the upper bound) — in
-// parallel; the serial Linearize that follows then hits the cache.
-func warmConstraintProbes(sp *core.Problem, df []float64) {
-	points := [][]float64{df}
-	for k, prm := range sp.Design {
-		h := 0.02 * (prm.Hi - prm.Lo)
-		if h == 0 {
-			continue
-		}
-		if df[k]+h > prm.Hi {
-			h = -h
-		}
-		dd := append([]float64(nil), df...)
-		dd[k] = df[k] + h
-		points = append(points, dd)
-	}
-	warmPoints(sp, points)
-}
-
-// warmGammaGrid pre-simulates the first levels of the line search's
-// bisection lattice — γ ∈ {1, 1/2, 1/4, 3/4, ...} along df → dstar — in
-// parallel. The bisection visits one point per level, so most of the
-// grid is claimed whichever way the search branches; deeper levels are
-// left to the (cached, serial) replay.
-func warmGammaGrid(sp *core.Problem, df, dstar []float64) {
-	gammas := []float64{1, 0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875}
-	points := make([][]float64, 0, len(gammas))
-	for _, g := range gammas {
-		d := make([]float64, len(df))
-		for k := range d {
-			d[k] = df[k] + g*(dstar[k]-df[k])
-		}
-		points = append(points, sp.ClampDesign(d))
-	}
-	warmPoints(sp, points)
-}
-
-// warmPoints evaluates the constraint function at every point, ignoring
-// errors. The handle is ungated (Predict runs at foreground priority),
-// so the fan-out bounds itself like every other foreground pool: the
-// calling goroutine always works, and extras join only while the
-// process-wide compute scheduler has free foreground slots — the
-// authoritative goroutine never blocks on the scheduler.
-func warmPoints(sp *core.Problem, points [][]float64) {
-	if len(points) == 0 {
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(points) {
-				return
-			}
-			_, _ = sp.Constraints(points[i])
-		}
-	}
-	sch := sched.Default()
-	var wg sync.WaitGroup
-	for extra := 0; extra < len(points)-1 && sch.TryAcquire(); extra++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sch.Release()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// equalVec reports exact (bitwise) design-vector equality.
-func equalVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"specwise/internal/core"
+	"specwise/internal/problem"
 	"specwise/internal/testprob"
 )
 
@@ -211,10 +212,10 @@ func TestOptimizerDeterminism(t *testing.T) {
 // region must shrink after the first rejected step and the run must still
 // end near the optimum.
 func TestOptimizerTrustShrinkOnDeceptiveProblem(t *testing.T) {
-	p := &core.Problem{
+	p := &problem.Problem{
 		Name:  "deceptive",
-		Specs: []core.Spec{{Name: "m", Kind: core.GE, Bound: 0}},
-		Design: []core.Param{
+		Specs: []problem.Spec{{Name: "m", Kind: problem.GE, Bound: 0}},
+		Design: []problem.Param{
 			{Name: "d0", Init: 0, Lo: -1, Hi: 10},
 		},
 		StatNames: []string{"s0"},
@@ -295,14 +296,14 @@ func TestOptimizerLHSOption(t *testing.T) {
 // inside the range is judged at the refined point (a corner-only run
 // would overestimate the margin).
 func TestOptimizerRefineTheta(t *testing.T) {
-	p := &core.Problem{
+	p := &problem.Problem{
 		Name:  "interior-theta",
-		Specs: []core.Spec{{Name: "pm", Kind: core.GE, Bound: 0}},
-		Design: []core.Param{
+		Specs: []problem.Spec{{Name: "pm", Kind: problem.GE, Bound: 0}},
+		Design: []problem.Param{
 			{Name: "d0", Init: 0, Lo: -1, Hi: 1},
 		},
 		StatNames: []string{"s0"},
-		Theta:     []core.OpRange{{Name: "t", Nominal: 0, Lo: -1, Hi: 1}},
+		Theta:     []problem.OpRange{{Name: "t", Nominal: 0, Lo: -1, Hi: 1}},
 		Eval: func(d, s, th []float64) ([]float64, error) {
 			x := th[0] - 0.6
 			return []float64{2*x*x - 0.5 + d[0] + 0.1*s[0]}, nil

@@ -219,7 +219,7 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 	}
 	// Caller-runs pool gated by the process-wide compute scheduler: the
 	// calling goroutine always sweeps, and up to workers-1 extras (each
-	// with a cloned numeric workspace) join only while foreground slots
+	// with a cloned numeric workspace) join only while scheduler slots
 	// are free. Points are claimed off a shared index in ascending order
 	// and written by index, so the response is bit-identical however many
 	// extras actually join.

@@ -46,17 +46,6 @@ type Options struct {
 	// and assembled in index order, so the gradient — and every result
 	// derived from it — is identical for any worker count.
 	GradWorkers int
-	// Speculative marks a search running under the speculative pipeline:
-	// the gradient pool spawns its extra workers ungated instead of
-	// taking foreground scheduler slots. The margin function of a
-	// speculative search blocks on a speculation-class slot per simulator
-	// call, and an extra worker that sat on a foreground slot across that
-	// wait would pin foreground capacity in a blocked state (freezing
-	// speculation and degrading the authoritative run to serial). The
-	// ungated extras hold nothing — simulator concurrency stays bounded
-	// by the speculation gate inside the margin function. Results are
-	// identical either way; only scheduling changes.
-	Speculative bool
 }
 
 func (o *Options) defaults() {
@@ -150,20 +139,8 @@ func gradient(m MarginFunc, s []float64, f0 float64, opts Options) (linalg.Vecto
 	// Caller-runs pool gated by the process-wide compute scheduler:
 	// components are claimed off a shared index and written by index, so
 	// the gradient is bit-identical however many extras actually join.
-	// Speculative searches spawn their extras ungated instead (see
-	// Options.Speculative): a foreground slot held across the margin
-	// function's blocking speculation-gate wait would pin foreground
-	// capacity.
 	sch := sched.Default()
 	for extra := 0; extra < workers-1; extra++ {
-		if opts.Speculative {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				workFn()
-			}()
-			continue
-		}
 		if !sch.TryAcquire() {
 			break
 		}
@@ -576,15 +553,6 @@ func WorstCaseTheta(p *problem.Problem, d, s []float64) (*ThetaResult, error) {
 	}
 	_ = nTheta
 	return res, nil
-}
-
-// CornerThetas returns the exact evaluation points of WorstCaseTheta —
-// every vertex of the operating box plus the nominal point, in
-// enumeration order. The speculative pipeline uses it to pre-simulate
-// the (serial) corner sweep in parallel; the points are mutually
-// independent, so warming order cannot change any result.
-func CornerThetas(p *problem.Problem) [][]float64 {
-	return append(enumerateCorners(p.Theta), p.NominalTheta())
 }
 
 // enumerateCorners returns the 2^n vertices of the operating box.

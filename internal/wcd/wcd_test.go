@@ -2,13 +2,10 @@ package wcd
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"specwise/internal/problem"
-	"specwise/internal/sched"
 )
 
 // linear margin m(s) = m0 + g·s has its worst-case point at
@@ -334,44 +331,5 @@ func TestRefineThetaMonotone(t *testing.T) {
 	}
 	if res.Margins[0] > before {
 		t.Errorf("refinement worsened the worst case: %v -> %v", before, res.Margins[0])
-	}
-}
-
-// TestSpeculativeGradientHoldsNoForegroundSlots: a search marked
-// Options.Speculative must fan its gradient probes out without taking
-// foreground scheduler slots — a speculative extra that held one while
-// blocking on the speculation gate inside the margin function would pin
-// foreground capacity (the review-case freeze). The ungated extras must
-// still actually run in parallel.
-func TestSpeculativeGradientHoldsNoForegroundSlots(t *testing.T) {
-	g := []float64{1, 2, 3, 4, 5, 6}
-	var inFlight, maxInFlight, sawForeground atomic.Int64
-	m := func(s []float64) (float64, error) {
-		n := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			old := maxInFlight.Load()
-			if n <= old || maxInFlight.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		if fg := sched.Default().Stats().FgInUse; fg > 0 {
-			sawForeground.Store(int64(fg))
-		}
-		time.Sleep(200 * time.Microsecond) // let the probes overlap
-		v := 2.0
-		for i := range s {
-			v += g[i] * s[i]
-		}
-		return v, nil
-	}
-	if _, err := FindWorstCase(m, len(g), Options{GradWorkers: 4, Speculative: true}); err != nil {
-		t.Fatal(err)
-	}
-	if fg := sawForeground.Load(); fg != 0 {
-		t.Errorf("speculative gradient held %d foreground slots", fg)
-	}
-	if maxInFlight.Load() < 2 {
-		t.Errorf("ungated extras never ran concurrently (max in flight %d)", maxInFlight.Load())
 	}
 }

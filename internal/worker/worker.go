@@ -19,9 +19,9 @@ import (
 	"sync"
 	"time"
 
-	"specwise/internal/core"
 	"specwise/internal/evalcache"
 	"specwise/internal/jobs"
+	"specwise/internal/problem"
 )
 
 // Config parameterizes one worker process.
@@ -56,13 +56,6 @@ type Config struct {
 	// setting).
 	VerifyWorkers int
 	SweepWorkers  int
-	// Speculate turns on the predict-ahead evaluation pipeline for
-	// claimed optimize jobs that leave options.speculate unset (an
-	// explicit request value always wins); SpecWorkers bounds the
-	// per-job speculation pool (0 = GOMAXPROCS). Behaviour-preserving:
-	// results and simulation counts are bit-identical either way.
-	Speculate   bool
-	SpecWorkers int
 	// SharedEvalCache enables this worker's process-local shared
 	// evaluation cache: jobs claimed by this process on the same problem
 	// (the lease's problemHash) reuse each other's simulations, the
@@ -79,7 +72,7 @@ type Config struct {
 	// Resolve overrides problem resolution; tests inject synthetic
 	// problems. nil uses jobs.ResolveProblem — the same resolver the
 	// manager uses, which is what keeps the pools interchangeable.
-	Resolve func(*jobs.Request) (*core.Problem, error)
+	Resolve func(*jobs.Request) (*problem.Problem, error)
 }
 
 func (c *Config) defaults() error {
@@ -186,8 +179,6 @@ func runLease(ctx context.Context, cfg *Config, lease *jobs.Lease, shared *evalc
 		env := jobs.ExecEnv{
 			VerifyWorkers: cfg.VerifyWorkers,
 			SweepWorkers:  cfg.SweepWorkers,
-			Speculate:     cfg.Speculate,
-			SpecWorkers:   cfg.SpecWorkers,
 		}
 		if shared != nil && lease.ProblemHash != "" {
 			// This worker's local shard of the sweep: jobs claimed here on

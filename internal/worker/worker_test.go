@@ -11,25 +11,25 @@ import (
 	"testing"
 	"time"
 
-	"specwise/internal/core"
 	"specwise/internal/jobs"
+	"specwise/internal/problem"
 )
 
 // testProblem is the cheap analytic two-spec fixture; evalDelay slows
 // each evaluation so lease-loss tests have a run to interrupt.
-func testProblem(evalDelay time.Duration) *core.Problem {
-	return &core.Problem{
+func testProblem(evalDelay time.Duration) *problem.Problem {
+	return &problem.Problem{
 		Name: "analytic",
-		Specs: []core.Spec{
-			{Name: "f", Kind: core.GE, Bound: 0},
-			{Name: "g", Kind: core.GE, Bound: 0},
+		Specs: []problem.Spec{
+			{Name: "f", Kind: problem.GE, Bound: 0},
+			{Name: "g", Kind: problem.GE, Bound: 0},
 		},
-		Design: []core.Param{
+		Design: []problem.Param{
 			{Name: "d0", Init: 0, Lo: -1, Hi: 10},
 			{Name: "d1", Init: 0, Lo: -1, Hi: 10},
 		},
 		StatNames: []string{"s0", "s1"},
-		Theta:     []core.OpRange{{Name: "t", Nominal: 0, Lo: -1, Hi: 1}},
+		Theta:     []problem.OpRange{{Name: "t", Nominal: 0, Lo: -1, Hi: 1}},
 		Eval: func(d, s, th []float64) ([]float64, error) {
 			if evalDelay > 0 {
 				time.Sleep(evalDelay)
@@ -142,7 +142,7 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 		MaxJobs: 1,
 		Poll:    5 * time.Millisecond,
 		Backoff: 2 * time.Millisecond,
-		Resolve: func(*jobs.Request) (*core.Problem, error) { return testProblem(0), nil },
+		Resolve: func(*jobs.Request) (*problem.Problem, error) { return testProblem(0), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,98 +161,75 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 }
 
 // A heartbeat answered 409 means the lease is gone: the worker must
-// abandon the run promptly and post nothing.
+// abandon the run promptly, post nothing, and leak no goroutines. The
+// optimize case is the one that shows an abandoned run's nested pools
+// (Monte-Carlo verification, worst-case gradients, AC sweeps) drain.
 func TestWorkerAbandonsLostLease(t *testing.T) {
-	script := &scriptedServer{leaseTTL: 0.06, heartbeatCode: http.StatusConflict}
-	ts := httptest.NewServer(script.handler())
-	defer ts.Close()
-
-	start := time.Now()
-	err := Run(context.Background(), Config{
-		Server:  ts.URL,
-		Name:    "w1",
-		MaxJobs: 1,
-		Poll:    5 * time.Millisecond,
-		Backoff: 2 * time.Millisecond,
-		// Slow evaluations: the run far outlives the 60ms lease unless
+	for _, tc := range []struct {
+		name      string
+		kind      string
+		options   *jobs.RunOptions
+		evalDelay time.Duration
+	}{
+		// Slow evaluations: each run far outlives the 60ms lease unless
 		// the worker cancels it.
-		Resolve: func(*jobs.Request) (*core.Problem, error) { return testProblem(2 * time.Millisecond), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	script.mu.Lock()
-	defer script.mu.Unlock()
-	if script.heartbeats == 0 {
-		t.Error("worker never heartbeated")
-	}
-	if script.results != 0 || script.fails != 0 {
-		t.Errorf("abandoned run still reported (results %d, fails %d)", script.results, script.fails)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("abandoning the lease took %v", took)
-	}
-}
-
-// Lease expiry mid-speculation: a remote worker running an optimize job
-// with the predict-ahead pipeline loses its lease (heartbeat 409) and
-// must abandon promptly — cancelling the speculation pool along with the
-// authoritative run, posting nothing, and leaking no goroutines.
-func TestWorkerAbandonsLostLeaseWhileSpeculating(t *testing.T) {
-	script := &scriptedServer{
-		leaseTTL:      0.06,
-		heartbeatCode: http.StatusConflict,
-		kind:          jobs.KindOptimize,
-		options: &jobs.RunOptions{
+		{name: "verify", evalDelay: 2 * time.Millisecond},
+		{name: "optimize", kind: jobs.KindOptimize, options: &jobs.RunOptions{
 			ModelSamples:  2000,
 			VerifySamples: 100,
 			MaxIterations: 3,
 			Seed:          jobs.Seed(7),
-		},
-	}
-	ts := httptest.NewServer(script.handler())
-	defer ts.Close()
+		}, evalDelay: 500 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			script := &scriptedServer{
+				leaseTTL:      0.06,
+				heartbeatCode: http.StatusConflict,
+				kind:          tc.kind,
+				options:       tc.options,
+			}
+			ts := httptest.NewServer(script.handler())
+			defer ts.Close()
 
-	before := runtime.NumGoroutine()
-	start := time.Now()
-	err := Run(context.Background(), Config{
-		Server:      ts.URL,
-		Name:        "w1",
-		MaxJobs:     1,
-		Poll:        5 * time.Millisecond,
-		Backoff:     2 * time.Millisecond,
-		Speculate:   true,
-		SpecWorkers: 4,
-		// Slow evaluations keep both the authoritative run and the
-		// speculation pool busy well past the 60ms lease.
-		Resolve: func(*jobs.Request) (*core.Problem, error) { return testProblem(500 * time.Microsecond), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	script.mu.Lock()
-	if script.heartbeats == 0 {
-		t.Error("worker never heartbeated")
-	}
-	if script.results != 0 || script.fails != 0 {
-		t.Errorf("abandoned run still reported (results %d, fails %d)", script.results, script.fails)
-	}
-	script.mu.Unlock()
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("abandoning the lease took %v", took)
-	}
+			before := runtime.NumGoroutine()
+			start := time.Now()
+			err := Run(context.Background(), Config{
+				Server:  ts.URL,
+				Name:    "w1",
+				MaxJobs: 1,
+				Poll:    5 * time.Millisecond,
+				Backoff: 2 * time.Millisecond,
+				Resolve: func(*jobs.Request) (*problem.Problem, error) { return testProblem(tc.evalDelay), nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			script.mu.Lock()
+			if script.heartbeats == 0 {
+				t.Error("worker never heartbeated")
+			}
+			if script.results != 0 || script.fails != 0 {
+				t.Errorf("abandoned run still reported (results %d, fails %d)", script.results, script.fails)
+			}
+			script.mu.Unlock()
+			if took := time.Since(start); took > 5*time.Second {
+				t.Errorf("abandoning the lease took %v", took)
+			}
 
-	// The speculation pool must be fully drained once Run returns; poll
-	// briefly since runtime bookkeeping can lag the executor's WaitGroup.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
+			// Every pool of the abandoned run must be drained once Run
+			// returns; poll briefly since runtime bookkeeping can lag the
+			// pools' WaitGroups.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				if n := runtime.NumGoroutine(); n <= before+2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -286,7 +263,7 @@ func TestWorkerReportsExecutionFailure(t *testing.T) {
 		MaxJobs: 1,
 		Poll:    5 * time.Millisecond,
 		Backoff: 2 * time.Millisecond,
-		Resolve: func(*jobs.Request) (*core.Problem, error) { return p, nil },
+		Resolve: func(*jobs.Request) (*problem.Problem, error) { return p, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,6 +35,7 @@ import (
 	"specwise/internal/circuits"
 	"specwise/internal/core"
 	"specwise/internal/mismatch"
+	"specwise/internal/problem"
 	"specwise/internal/search"
 	"specwise/internal/wcd"
 )
@@ -42,13 +43,13 @@ import (
 // Re-exported problem-definition types.
 type (
 	// Problem is the black-box abstraction the optimizer works on.
-	Problem = core.Problem
+	Problem = problem.Problem
 	// Spec is one performance specification with its bound.
-	Spec = core.Spec
+	Spec = problem.Spec
 	// Param is a bounded design parameter.
-	Param = core.Param
+	Param = problem.Param
 	// OpRange is one operating parameter with its tolerance range.
-	OpRange = core.OpRange
+	OpRange = problem.OpRange
 	// Options configures the yield optimizer.
 	Options = core.Options
 	// Result is a full optimization run record.
@@ -65,9 +66,9 @@ type (
 // Spec-kind constants.
 const (
 	// GE marks specifications of the form f >= bound.
-	GE = core.GE
+	GE = problem.GE
 	// LE marks specifications of the form f <= bound.
-	LE = core.LE
+	LE = problem.LE
 )
 
 // FoldedCascode returns the folded-cascode opamp benchmark problem with
