@@ -78,12 +78,15 @@ test:
 # and the search backends join because the engine/backend split moved
 # the search loops there and they drive the parallel evaluators; sched
 # joins because every one of those pools now admits work through its
-# shared semaphore.
+# shared semaphore. The circuits oracle runs per-spec and full
+# evaluations concurrently over one problem's shared symbolic cache and
+# effort counters, as the parallel worst-case searches do.
 race:
 	$(GO) test -race ./internal/jobs/... ./internal/server/... ./internal/worker/... \
 		./internal/store/... ./internal/core/... ./internal/spice/... ./internal/wcd/... \
 		./internal/evalcache/... ./internal/coord/... ./internal/feasopt/... \
 		./internal/search/... ./internal/sched/...
+	$(GO) test -race -run 'TestEvalSpec' ./internal/circuits/
 
 # End-to-end smoke of the remote pull-worker binary path: one
 # remote-only manager behind httptest, one pull-worker, one verify job.

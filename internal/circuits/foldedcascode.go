@@ -178,13 +178,11 @@ func FoldedCascodeProblem() *problem.Problem {
 	tb0 := buildFoldedCascode(fcDecode([]float64{30, 1, 60, 2, 50, 100, 100, 100}), nil, []float64{27, 3.3})
 	h := newSimHarness(tb0)
 
-	eval := func(d, s, th []float64) ([]float64, error) {
+	fields := []perfField{fieldA0, fieldFt, fieldCMRR, fieldSR, fieldPower}
+	eval, evalSpec := evaluators(fields, 100, 1e9, func(d, s, th []float64) *testbench {
 		g := fcDecode(d)
-		deltas := model.Physical(s, g.geometry)
-		tb := h.arm(buildFoldedCascode(g, deltas, th))
-		p, _ := tb.evaluate(100, 1e9)
-		return []float64{p.A0dB, p.FtMHz, p.CMRRdB, p.SRVus, p.PowerMW}, nil
-	}
+		return h.arm(buildFoldedCascode(g, model.Physical(s, g.geometry), th))
+	})
 
 	zeroS := make([]float64, model.Dim())
 	constraints := func(d []float64) ([]float64, error) {
@@ -205,6 +203,7 @@ func FoldedCascodeProblem() *problem.Problem {
 		Theta:           theta,
 		ConstraintNames: mosConstraintNames(tb0.mosfets),
 		Eval:            eval,
+		EvalSpec:        evalSpec,
 		Constraints:     constraints,
 		SimStats:        h.counters,
 		SimConfigure:    h.configure,

@@ -128,13 +128,11 @@ func MillerProblem() *problem.Problem {
 	tb0 := buildMiller(mlDecode([]float64{20, 20, 115, 12, 4, 6}), nil, []float64{27, 3.3})
 	h := newSimHarness(tb0)
 
-	eval := func(d, s, th []float64) ([]float64, error) {
-		g := mlDecode(d)
+	fields := []perfField{fieldA0, fieldFt, fieldPM, fieldSR, fieldPower}
+	eval, evalSpec := evaluators(fields, 1, 1e9, func(d, s, th []float64) *testbench {
 		deltas := model.Physical(s, func(string) (float64, float64) { return 0, 0 })
-		tb := h.arm(buildMiller(g, deltas, th))
-		p, _ := tb.evaluate(1, 1e9)
-		return []float64{p.A0dB, p.FtMHz, p.PMdeg, p.SRVus, p.PowerMW}, nil
-	}
+		return h.arm(buildMiller(mlDecode(d), deltas, th))
+	})
 
 	zeroS := make([]float64, model.Dim())
 	constraints := func(d []float64) ([]float64, error) {
@@ -155,6 +153,7 @@ func MillerProblem() *problem.Problem {
 		Theta:           theta,
 		ConstraintNames: mosConstraintNames(tb0.mosfets),
 		Eval:            eval,
+		EvalSpec:        evalSpec,
 		Constraints:     constraints,
 		SimStats:        h.counters,
 		SimConfigure:    h.configure,

@@ -163,14 +163,82 @@ func failedPerf() Performances {
 	}
 }
 
-// evaluate runs the shared opamp measurement flow: DC bias with the
-// feedback loop closed, an open-loop differential AC sweep (gain, unity
-// frequency, phase margin), a single common-mode AC point (CMRR), and
-// operating-point bookkeeping (slew rate, power).
-func (tb *testbench) evaluate(fStart, fStop float64) (Performances, bool) {
+// measure selects how much of the opamp measurement flow evaluate runs.
+// Each level includes the analyses of the levels before it.
+type measure int
+
+const (
+	// measureDC runs the DC operating point alone: slew rate and power.
+	measureDC measure = iota
+	// measureGain adds the open-loop sweep's first point: A0.
+	measureGain
+	// measureCMRR adds the common-mode point: CMRR.
+	measureCMRR
+	// measureFull runs the whole sweep: ft and phase margin as well.
+	measureFull
+)
+
+// perfField is one reported performance: the measure level that
+// produces it and its Performances field.
+type perfField struct {
+	need measure
+	get  func(Performances) float64
+}
+
+var (
+	fieldA0    = perfField{measureGain, func(p Performances) float64 { return p.A0dB }}
+	fieldFt    = perfField{measureFull, func(p Performances) float64 { return p.FtMHz }}
+	fieldPM    = perfField{measureFull, func(p Performances) float64 { return p.PMdeg }}
+	fieldCMRR  = perfField{measureCMRR, func(p Performances) float64 { return p.CMRRdB }}
+	fieldSR    = perfField{measureDC, func(p Performances) float64 { return p.SRVus }}
+	fieldPower = perfField{measureDC, func(p Performances) float64 { return p.PowerMW }}
+)
+
+// evaluators returns a problem's Eval and EvalSpec: both build a fresh
+// bench per call and run evaluate, Eval at the full level and EvalSpec
+// at the level its spec's field needs. fields lists the reported
+// performances in spec order.
+func evaluators(fields []perfField, fStart, fStop float64, build func(d, s, theta []float64) *testbench) (problem.EvalFunc, problem.EvalSpecFunc) {
+	eval := func(d, s, theta []float64) ([]float64, error) {
+		p, _ := build(d, s, theta).evaluate(fStart, fStop, measureFull)
+		out := make([]float64, len(fields))
+		for i, f := range fields {
+			out[i] = f.get(p)
+		}
+		return out, nil
+	}
+	evalSpec := func(d, s, theta []float64, i int) (float64, error) {
+		f := fields[i]
+		p, _ := build(d, s, theta).evaluate(fStart, fStop, f.need)
+		return f.get(p), nil
+	}
+	return eval, evalSpec
+}
+
+// evaluate runs the shared opamp measurement flow up to level need: DC
+// bias with the feedback loop closed and operating-point bookkeeping
+// (slew rate, power); then an open-loop differential AC sweep (gain, and
+// at the full level unity frequency and phase margin); then a single
+// common-mode AC point (CMRR). Below the full level the sweep stops
+// after its first point, which ACSweepHead computes bit-identically to
+// the full sweep, so every measured field equals the full flow's value.
+// Fields above need are NaN.
+func (tb *testbench) evaluate(fStart, fStop float64, need measure) (Performances, bool) {
 	dc, err := tb.ckt.DC(tb.dcOpts)
 	if err != nil {
 		return failedPerf(), false
+	}
+	p := failedPerf()
+
+	// Slew rate: tail current into the slew-limiting capacitance.
+	itail := tb.tailI
+	if tb.tail != nil {
+		itail = tb.tail.Op(dc.X).ID
+	}
+	p.SRVus = itail / tb.slewCap / 1e6 // V/µs
+	p.PowerMW = math.Abs(dc.BranchCurrent(tb.vddSrc.Branch())) * tb.vdd * 1e3
+	if need == measureDC {
+		return p, true
 	}
 
 	// Open-loop differential response: drive the non-inverting input,
@@ -178,20 +246,31 @@ func (tb *testbench) evaluate(fStart, fStop float64) (Performances, bool) {
 	tb.drive.AC = 1
 	tb.fb.ACMode = spice.VCVSACFixed
 	tb.fb.ACValue = 0
-	bode, err := tb.ckt.ACSweep(dc, tb.out, fStart, fStop, 8)
+	points := 1
+	if need == measureFull {
+		points = 0 // the whole grid
+	}
+	bode, err := tb.ckt.ACSweepHead(dc, tb.out, fStart, fStop, 8, points)
 	if err != nil {
 		return failedPerf(), false
 	}
 	a0 := bode.DCGainDB()
-	ftHz, _, okFt := bode.UnityCrossing()
-	pm, okPM := bode.PhaseMarginDeg()
-	if !okFt || !okPM {
-		// No unity crossing: the gain is below 0 dB from the start. Keep
-		// the reported ft graded (→ 0 as the gain collapses, continuous
-		// at the 0 dB boundary) so optimizer gradients stay informative
-		// instead of hitting a hard cliff.
-		ftHz = fStart * math.Pow(10, math.Min(a0, 0)/20)
-		pm = 0
+	if need == measureFull {
+		ftHz, _, okFt := bode.UnityCrossing()
+		pm, okPM := bode.PhaseMarginDeg()
+		if !okFt || !okPM {
+			// No unity crossing: the gain is below 0 dB from the start.
+			// Keep the reported ft graded (→ 0 as the gain collapses,
+			// continuous at the 0 dB boundary) so optimizer gradients stay
+			// informative instead of hitting a hard cliff.
+			ftHz = fStart * math.Pow(10, math.Min(a0, 0)/20)
+			pm = 0
+		}
+		p.FtMHz, p.PMdeg = ftHz/1e6, pm
+	}
+	p.A0dB = a0
+	if need == measureGain {
+		return p, true
 	}
 
 	// Common-mode response at the lowest frequency: both inputs driven.
@@ -201,25 +280,8 @@ func (tb *testbench) evaluate(fStart, fStop float64) (Performances, bool) {
 		return failedPerf(), false
 	}
 	acmMag := cmplxAbs(acCM.Voltage(tb.out))
-	cmrr := a0 - 20*math.Log10(math.Max(acmMag, 1e-12))
-
-	// Slew rate: tail current into the slew-limiting capacitance.
-	itail := tb.tailI
-	if tb.tail != nil {
-		itail = tb.tail.Op(dc.X).ID
-	}
-	sr := itail / tb.slewCap // V/s
-
-	power := math.Abs(dc.BranchCurrent(tb.vddSrc.Branch())) * tb.vdd
-
-	return Performances{
-		A0dB:    a0,
-		FtMHz:   ftHz / 1e6,
-		PMdeg:   pm,
-		CMRRdB:  cmrr,
-		SRVus:   sr / 1e6,
-		PowerMW: power * 1e3,
-	}, true
+	p.CMRRdB = a0 - 20*math.Log10(math.Max(acmMag, 1e-12))
+	return p, true
 }
 
 func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }

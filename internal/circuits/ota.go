@@ -130,13 +130,11 @@ func OTAProblem() *problem.Problem {
 	tb0 := buildOTA(otaDecode([]float64{20, 30, 8}), nil, []float64{27, 3.3})
 	h := newSimHarness(tb0)
 
-	eval := func(d, s, th []float64) ([]float64, error) {
+	fields := []perfField{fieldA0, fieldFt, fieldCMRR, fieldPower}
+	eval, evalSpec := evaluators(fields, 100, 1e10, func(d, s, th []float64) *testbench {
 		g := otaDecode(d)
-		deltas := model.Physical(s, g.geometry)
-		tb := h.arm(buildOTA(g, deltas, th))
-		p, _ := tb.evaluate(100, 1e10)
-		return []float64{p.A0dB, p.FtMHz, p.CMRRdB, p.PowerMW}, nil
-	}
+		return h.arm(buildOTA(g, model.Physical(s, g.geometry), th))
+	})
 
 	zeroS := make([]float64, model.Dim())
 	constraints := func(d []float64) ([]float64, error) {
@@ -157,6 +155,7 @@ func OTAProblem() *problem.Problem {
 		Theta:           theta,
 		ConstraintNames: mosConstraintNames(tb0.mosfets),
 		Eval:            eval,
+		EvalSpec:        evalSpec,
 		Constraints:     constraints,
 		SimStats:        h.counters,
 		SimConfigure:    h.configure,

@@ -84,8 +84,8 @@ func checkSolverAgreement(t *testing.T, name string, build func() *testbench) {
 
 	// The derived performances must agree too (coarser: they stack
 	// interpolations on top of the raw solves).
-	pD, okD := tbD.evaluate(100, 1e9)
-	pS, okS := tbS.evaluate(100, 1e9)
+	pD, okD := tbD.evaluate(100, 1e9, measureFull)
+	pS, okS := tbS.evaluate(100, 1e9, measureFull)
 	if okD != okS {
 		t.Fatalf("%s: evaluate ok mismatch: dense %v sparse %v", name, okD, okS)
 	}

@@ -196,11 +196,11 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 				if err := ctx.Err(); err != nil {
 					return 0, err
 				}
-				vals, err := p.Eval(d, s, theta)
+				v, err := p.SpecValue(d, s, theta, i)
 				if err != nil {
 					return 0, err
 				}
-				return p.Specs[i].Margin(vals[i]), nil
+				return p.Specs[i].Margin(v), nil
 			}
 			wcOpts := opts.WC
 			if wcOpts.Seed == 0 {

@@ -59,12 +59,11 @@ func EstimateSpecFailureIS(p *problem.Problem, d []float64, spec int, theta, swc
 		}
 		w := math.Exp(mu2/2 - dot)
 
-		vals, err := p.Eval(d, s, theta)
+		v, err := p.SpecValue(d, s, theta, spec)
 		if err != nil {
 			return nil, err
 		}
 		res.Evals++
-		v := vals[spec]
 		if math.IsNaN(v) || !sp.Satisfied(v) {
 			sumW += w
 			sumW2 += w * w

@@ -171,8 +171,8 @@ type Result struct {
 	// per accepted linearize → search → line-search cycle).
 	Iterations  []Iteration
 	FinalDesign []float64
-	// Simulations totals the full performance evaluations that actually
-	// reached the simulator (cache hits are excluded).
+	// Simulations totals the performance evaluations, full and per-spec,
+	// that actually reached the simulator (cache hits are excluded).
 	Simulations int64
 	// ConstraintSims totals the DC-only constraint evaluations that
 	// reached the simulator.

@@ -3,11 +3,19 @@
 // most of them on points the run has already visited: every spec's
 // worst-case search re-evaluates the nominal point the corner enumeration
 // just simulated, specs sharing a worst-case operating corner probe
-// identical (d, s, θ) points during their finite-difference gradients, and
-// the full performance vector computed for one spec answers every other
-// spec at the same point for free. The cache keys on the exact bit
-// pattern of (d, s, θ), so a hit returns the same float64 values the
-// simulator would — results are bit-identical with the cache on or off.
+// identical (d, s, θ) points during their finite-difference gradients,
+// and a spec's model build revisits its own worst-case point. The cache
+// keys on the exact bit pattern of (d, s, θ), so a hit returns the same
+// float64 values the simulator would — results are bit-identical with
+// the cache on or off.
+//
+// Two kinds of entry are kept. A full entry holds the whole performance
+// vector from Eval and answers every spec at its point. A per-spec entry
+// holds one value from EvalSpec, keyed by (d, s, θ, i), and answers only
+// spec i. A per-spec request is answered by a full entry first, then by
+// its own per-spec entry. problem.SpecValue evaluates in full exactly
+// where several specs meet (statistical points with at most one nonzero
+// entry), so those points are simulated once whatever the call order.
 //
 // The cache is safe for concurrent use and deduplicates in-flight work
 // (singleflight): when several goroutines request the same unsimulated
@@ -65,10 +73,12 @@ type entry struct {
 	err  error
 }
 
-// Cache memoizes Problem.Eval and Problem.Constraints results.
+// Cache memoizes Problem.Eval, Problem.EvalSpec and Problem.Constraints
+// results.
 type Cache struct {
 	mu    sync.Mutex
-	evals map[string]*entry
+	evals map[string]*entry // full performance vectors
+	specs map[string]*entry // single performances, keyed by point and spec
 	cons  map[string]*entry
 	max   int
 
@@ -83,6 +93,7 @@ func New(maxEntries int) *Cache {
 	}
 	return &Cache{
 		evals: make(map[string]*entry),
+		specs: make(map[string]*entry),
 		cons:  make(map[string]*entry),
 		max:   maxEntries,
 	}
@@ -107,11 +118,11 @@ func (c *Cache) Len() int {
 	return len(c.evals)
 }
 
-// Wrap returns a shallow copy of p whose Eval — and Constraints, when
-// present — are memoized through c. The wrapped functions are safe for
-// concurrent use (assuming the underlying ones are, as the optimizer
-// already requires) and return defensive copies, so callers may not
-// corrupt each other through the cache.
+// Wrap returns a shallow copy of p whose Eval — and EvalSpec and
+// Constraints, when present — are memoized through c. The wrapped
+// functions are safe for concurrent use (assuming the underlying ones
+// are, as the optimizer already requires) and return defensive copies,
+// so callers may not corrupt each other through the cache.
 func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
@@ -119,6 +130,28 @@ func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
 		return c.do(c.evals, evalKey(d, s, theta), &c.hits, &c.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
+	}
+	if p.EvalSpec != nil {
+		innerS := p.EvalSpec
+		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
+			key := evalKey(d, s, theta)
+			c.mu.Lock()
+			if e, ok := c.evals[key]; ok {
+				vals, err := c.join(e, &c.hits)
+				if err != nil {
+					return 0, err
+				}
+				return vals[i], nil
+			}
+			vals, err := c.doLocked(c.specs, specKey(key, i), &c.hits, &c.misses, func() ([]float64, error) {
+				v, err := innerS(d, s, theta, i)
+				return []float64{v}, err
+			})
+			if err != nil {
+				return 0, err
+			}
+			return vals[0], nil
+		}
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints
@@ -135,19 +168,31 @@ func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
 // in-flight one, or run compute and publish the result.
 func (c *Cache) do(m map[string]*entry, key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
 	c.mu.Lock()
+	return c.doLocked(m, key, hits, misses, compute)
+}
+
+// join answers from an existing entry: it counts a dedup when the entry
+// is in flight or else a hit, waits for it and returns a copy of its
+// values. Called with c.mu held; it releases the lock.
+func (c *Cache) join(e *entry, hits *atomic.Int64) ([]float64, error) {
+	inflight := !closed(e.done)
+	c.mu.Unlock()
+	if inflight {
+		c.deduped.Add(1)
+	} else {
+		hits.Add(1)
+	}
+	<-e.done
+	if e.err != nil {
+		return nil, e.err
+	}
+	return append([]float64(nil), e.vals...), nil
+}
+
+// doLocked is do with c.mu already held; it releases the lock.
+func (c *Cache) doLocked(m map[string]*entry, key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
 	if e, ok := m[key]; ok {
-		inflight := !closed(e.done)
-		c.mu.Unlock()
-		if inflight {
-			c.deduped.Add(1)
-		} else {
-			hits.Add(1)
-		}
-		<-e.done
-		if e.err != nil {
-			return nil, e.err
-		}
-		return append([]float64(nil), e.vals...), nil
+		return c.join(e, hits)
 	}
 	store := len(m) < c.max
 	var e *entry
@@ -197,6 +242,13 @@ func evalKey(d, s, theta []float64) string {
 	buf = packFloatsBytes(buf, s)
 	buf = packFloatsBytes(buf, theta)
 	return string(buf)
+}
+
+// specKey extends a point's key with a spec index. Point keys are
+// self-delimiting, so per-spec keys of different points or specs never
+// collide.
+func specKey(pointKey string, i int) string {
+	return pointKey + string([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
 }
 
 // packFloats returns the packed key of a single vector.

@@ -204,3 +204,133 @@ func TestKeyDisambiguation(t *testing.T) {
 		t.Fatal("0.0 and -0.0 must key differently (bit-exact policy)")
 	}
 }
+
+// specProblem builds a two-spec problem whose Eval and EvalSpec tally
+// their real invocations separately. EvalSpec fails while *fail is set.
+func specProblem(full, perSpec *atomic.Int64, fail *atomic.Bool) *problem.Problem {
+	f := func(d, s []float64, i int) float64 {
+		if i == 0 {
+			return d[0] + 2*s[0]
+		}
+		return d[0] - 3*s[1]
+	}
+	return &problem.Problem{
+		Specs:     []problem.Spec{{Name: "f0"}, {Name: "f1"}},
+		StatNames: []string{"s0", "s1"},
+		Eval: func(d, s, theta []float64) ([]float64, error) {
+			full.Add(1)
+			return []float64{f(d, s, 0), f(d, s, 1)}, nil
+		},
+		EvalSpec: func(d, s, theta []float64, i int) (float64, error) {
+			perSpec.Add(1)
+			if fail != nil && fail.Load() {
+				return 0, errors.New("boom")
+			}
+			return f(d, s, i), nil
+		},
+	}
+}
+
+// A full entry answers a per-spec request for any spec, as a hit.
+func TestSpecAnsweredByFullEntry(t *testing.T) {
+	var full, perSpec atomic.Int64
+	c := New(0)
+	p := c.Wrap(specProblem(&full, &perSpec, nil))
+	d, s := []float64{1}, []float64{0.5, 0.25}
+	vals, err := p.Eval(d, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		v, err := p.EvalSpec(d, s, nil, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != vals[i] {
+			t.Errorf("spec %d: %v from the full entry, want %v", i, v, vals[i])
+		}
+	}
+	if full.Load() != 1 || perSpec.Load() != 0 {
+		t.Errorf("simulator ran %d full / %d per-spec, want 1 / 0", full.Load(), perSpec.Load())
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
+	}
+}
+
+// A spec-i entry answers spec i only: not spec j, and not a full request.
+func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
+	var full, perSpec atomic.Int64
+	c := New(0)
+	p := c.Wrap(specProblem(&full, &perSpec, nil))
+	d, s := []float64{1}, []float64{0.5, 0.25}
+	for _, i := range []int{0, 0, 1} {
+		if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perSpec.Load() != 2 {
+		t.Errorf("per-spec simulator ran %d times, want 2 (spec 0 once, spec 1 once)", perSpec.Load())
+	}
+	if _, err := p.Eval(d, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	if full.Load() != 1 {
+		t.Errorf("a per-spec entry answered a full request (full calls %d)", full.Load())
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || c.Len() != 1 {
+		t.Errorf("stats = %+v, len %d, want 1 hit / 3 misses, 1 full entry", st, c.Len())
+	}
+}
+
+// With the counter between cache and simulator, each per-spec miss is
+// one simulation and hits cost none.
+func TestSpecMissCountedOnce(t *testing.T) {
+	var full, perSpec atomic.Int64
+	var counter problem.Counter
+	c := New(0)
+	p := c.Wrap(counter.Instrument(specProblem(&full, &perSpec, nil)))
+	d := []float64{1}
+	for rep := 0; rep < 3; rep++ {
+		for _, s := range [][]float64{{0.5, 0.25}, {-1, 2}} {
+			for i := 0; i < 2; i++ {
+				if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if counter.Evals() != 4 || perSpec.Load() != 4 {
+		t.Errorf("counted %d simulations (%d ran), want 4: two points × two specs", counter.Evals(), perSpec.Load())
+	}
+	if st := c.Stats(); st.Misses != 4 || st.Hits != 8 {
+		t.Errorf("stats = %+v, want 4 misses / 8 hits", st)
+	}
+}
+
+func TestSpecErrorsAreNotMemoized(t *testing.T) {
+	var full, perSpec atomic.Int64
+	var fail atomic.Bool
+	fail.Store(true)
+	c := New(0)
+	p := c.Wrap(specProblem(&full, &perSpec, &fail))
+	d, s := []float64{1}, []float64{0.5, 0.25}
+	if _, err := p.EvalSpec(d, s, nil, 1); err == nil {
+		t.Fatal("EvalSpec error was swallowed")
+	}
+	fail.Store(false)
+	v, err := p.EvalSpec(d, s, nil, 1)
+	if err != nil {
+		t.Fatalf("retry after error failed: %v", err)
+	}
+	if v != 0.25 || perSpec.Load() != 2 {
+		t.Errorf("retry = %v after %d per-spec calls, want 0.25 after 2", v, perSpec.Load())
+	}
+}
+
+func TestNoEvalSpecStaysNil(t *testing.T) {
+	var calls atomic.Int64
+	if q := New(0).Wrap(countingProblem(&calls)); q.EvalSpec != nil {
+		t.Fatal("Wrap invented an EvalSpec function")
+	}
+}

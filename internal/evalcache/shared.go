@@ -191,9 +191,11 @@ func (v *View) Stats() Stats {
 	}
 }
 
-// Wrap returns a shallow copy of p whose Eval — and Constraints, when
-// present — are memoized through the shared cache under this view's
-// problem key. Returned slices are defensive copies.
+// Wrap returns a shallow copy of p whose Eval — and EvalSpec and
+// Constraints, when present — are memoized through the shared cache
+// under this view's problem key, with the per-run Cache's entry rules: a
+// full entry answers every spec at its point, a per-spec entry only its
+// own. Returned slices are defensive copies.
 func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
@@ -201,6 +203,27 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 		return v.do(v.key('e', d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
+	}
+	if p.EvalSpec != nil {
+		innerS := p.EvalSpec
+		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
+			v.shared.mu.Lock()
+			if el, ok := v.shared.entries[v.key('e', d, s, theta)]; ok {
+				vals, err := v.join(el, &v.hits)
+				if err != nil {
+					return 0, err
+				}
+				return vals[i], nil
+			}
+			vals, err := v.doLocked(specKey(v.key('s', d, s, theta), i), &v.hits, &v.misses, func() ([]float64, error) {
+				x, err := innerS(d, s, theta, i)
+				return []float64{x}, err
+			})
+			if err != nil {
+				return 0, err
+			}
+			return vals[0], nil
+		}
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints
@@ -233,30 +256,44 @@ func (v *View) key(kind byte, d, s, theta []float64) string {
 // completed entry (classifying same-view vs cross-view), join an
 // in-flight one, or run compute, publish and evict past the cap.
 func (v *View) do(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
+	v.shared.mu.Lock()
+	return v.doLocked(key, hits, misses, compute)
+}
+
+// join answers from an existing entry: it marks the entry recently
+// used, counts a dedup when it is in flight or else a hit (and a cross
+// hit when another view stored it), waits for it and returns a copy of
+// its values. Called with s.mu held; it releases the lock.
+func (v *View) join(el *list.Element, hits *atomic.Int64) ([]float64, error) {
 	s := v.shared
-	s.mu.Lock()
+	se := el.Value.(*sharedEntry)
+	s.lru.MoveToFront(el)
+	inflight := !closed(se.e.done)
+	cross := se.owner != v
+	s.mu.Unlock()
+	if inflight {
+		s.deduped.Add(1)
+		v.deduped.Add(1)
+	} else {
+		s.hits.Add(1)
+		hits.Add(1)
+		if cross {
+			s.crossHits.Add(1)
+			v.crossHits.Add(1)
+		}
+	}
+	<-se.e.done
+	if se.e.err != nil {
+		return nil, se.e.err
+	}
+	return append([]float64(nil), se.e.vals...), nil
+}
+
+// doLocked is do with s.mu already held; it releases the lock.
+func (v *View) doLocked(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
+	s := v.shared
 	if el, ok := s.entries[key]; ok {
-		se := el.Value.(*sharedEntry)
-		s.lru.MoveToFront(el)
-		inflight := !closed(se.e.done)
-		cross := se.owner != v
-		s.mu.Unlock()
-		if inflight {
-			s.deduped.Add(1)
-			v.deduped.Add(1)
-		} else {
-			s.hits.Add(1)
-			hits.Add(1)
-			if cross {
-				s.crossHits.Add(1)
-				v.crossHits.Add(1)
-			}
-		}
-		<-se.e.done
-		if se.e.err != nil {
-			return nil, se.e.err
-		}
-		return append([]float64(nil), se.e.vals...), nil
+		return v.join(el, hits)
 	}
 	se := &sharedEntry{key: key, problem: v.problem, owner: v, e: &entry{done: make(chan struct{})}}
 	s.entries[key] = s.lru.PushFront(se)

@@ -326,3 +326,70 @@ func TestSharedManyProblemsBounded(t *testing.T) {
 		t.Fatalf("evictions = %d, want %d", st.Evictions, 64-16)
 	}
 }
+
+// Per-spec requests through a view follow the per-run rules and keep
+// the cross-job classification: another view's full entry answers any
+// spec, another view's spec-i entry answers spec i only.
+func TestSharedCrossViewSpecHit(t *testing.T) {
+	var full, perSpec atomic.Int64
+	s := NewShared(0)
+	pA := s.View("prob").Wrap(specProblem(&full, &perSpec, nil))
+	vB := s.View("prob")
+	pB := vB.Wrap(specProblem(&full, &perSpec, nil))
+	d := []float64{1}
+	p, q := []float64{0.5, 0.25}, []float64{-1, 2}
+
+	vals, err := pA.Eval(d, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := pB.EvalSpec(d, p, nil, 1); err != nil || v != vals[1] {
+		t.Fatalf("cross-view spec from full entry = %v, %v; want %v", v, err, vals[1])
+	}
+	want, err := pA.EvalSpec(d, q, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := pB.EvalSpec(d, q, nil, 0); err != nil || v != want {
+		t.Fatalf("cross-view spec from spec entry = %v, %v; want %v", v, err, want)
+	}
+	if full.Load() != 1 || perSpec.Load() != 1 {
+		t.Fatalf("simulator ran %d full / %d per-spec, want 1 / 1", full.Load(), perSpec.Load())
+	}
+	if bs := vB.Stats(); bs.Hits != 2 || bs.CrossHits != 2 || bs.Misses != 0 {
+		t.Fatalf("view B stats = %+v, want 2 hits / 2 crossHits / 0 misses", bs)
+	}
+
+	// Spec 1 at q has no entry: a miss, owned by B.
+	if _, err := pB.EvalSpec(d, q, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if perSpec.Load() != 2 || vB.Stats().Misses != 1 {
+		t.Fatalf("spec-0 entry answered spec 1 (per-spec calls %d, B stats %+v)", perSpec.Load(), vB.Stats())
+	}
+	if ss := s.Stats(); ss.Entries != 3 || ss.Misses != 3 || ss.CrossHits != 2 {
+		t.Fatalf("shared stats = %+v, want 3 entries / 3 misses / 2 crossHits", ss)
+	}
+}
+
+func TestSharedSpecErrorsNotMemoized(t *testing.T) {
+	var full, perSpec atomic.Int64
+	var fail atomic.Bool
+	fail.Store(true)
+	s := NewShared(0)
+	p := s.View("p").Wrap(specProblem(&full, &perSpec, &fail))
+	d, st := []float64{1}, []float64{0.5, 0.25}
+	if _, err := p.EvalSpec(d, st, nil, 0); err == nil {
+		t.Fatal("EvalSpec error was swallowed")
+	}
+	if s.Len() != 0 {
+		t.Fatal("error entry left in cache")
+	}
+	fail.Store(false)
+	if v, err := p.EvalSpec(d, st, nil, 0); err != nil || v != 2 {
+		t.Fatalf("retry = %v, %v; want 2", v, err)
+	}
+	if perSpec.Load() != 2 {
+		t.Fatalf("error was memoized (per-spec calls %d)", perSpec.Load())
+	}
+}

@@ -201,22 +201,22 @@ func buildOne(p *problem.Problem, df []float64, i int, wc *wcd.WorstCase, theta 
 		// s = 0 must be measured fresh — for quadratic performances it
 		// differs drastically from the worst-case gradient.
 		s = linalg.NewVector(p.NumStat())
-		vals, err := p.Eval(df, s, theta)
+		v, err := p.SpecValue(df, s, theta, i)
 		if err != nil {
 			return nil, err
 		}
-		margin0 = spec.Margin(vals[i])
+		margin0 = spec.Margin(v)
 		gradS = linalg.NewVector(p.NumStat())
 		work := make([]float64, p.NumStat())
 		const h = 0.1
 		for j := 0; j < p.NumStat(); j++ {
 			work[j] = h
-			vj, err := p.Eval(df, work, theta)
+			vj, err := p.SpecValue(df, work, theta, i)
 			if err != nil {
 				return nil, err
 			}
 			work[j] = 0
-			gradS[j] = (spec.Margin(vj[i]) - margin0) / h
+			gradS[j] = (spec.Margin(vj) - margin0) / h
 		}
 	}
 
@@ -247,19 +247,19 @@ func designGradient(p *problem.Problem, df []float64, i int, s []float64, theta 
 			h = -h
 		}
 		work[k] = df[k] + h
-		vals, err := p.Eval(work, s, theta)
+		v, err := p.SpecValue(work, s, theta, i)
 		if err != nil {
 			return nil, err
 		}
-		mk := spec.Margin(vals[i])
+		mk := spec.Margin(v)
 		if math.IsNaN(mk) {
 			// Broken circuit at the probe: retry the other way.
 			work[k] = df[k] - h
-			vals, err = p.Eval(work, s, theta)
+			v, err = p.SpecValue(work, s, theta, i)
 			if err != nil {
 				return nil, err
 			}
-			if mb := spec.Margin(vals[i]); !math.IsNaN(mb) {
+			if mb := spec.Margin(v); !math.IsNaN(mb) {
 				mk = margin0 - (mb - margin0)
 			}
 		}
@@ -295,11 +295,11 @@ func maybeMirror(p *problem.Problem, df []float64, i int, base *SpecModel, wc *w
 		return nil, nil
 	}
 	mirrorS := base.S.Clone().Scale(-1)
-	vals, err := p.Eval(df, mirrorS, base.Theta)
+	v, err := p.SpecValue(df, mirrorS, base.Theta, i)
 	if err != nil {
 		return nil, err
 	}
-	measured := p.Specs[i].Margin(vals[i])
+	measured := p.Specs[i].Margin(v)
 	predicted := base.Margin(df, mirrorS)
 	if math.IsNaN(measured) {
 		// The mirrored point breaks the circuit outright: protect the

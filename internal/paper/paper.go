@@ -225,11 +225,11 @@ func Fig1(gridN int) (*Surface, error) {
 		row := make([]float64, 0, gridN)
 		for _, y := range sf.Y {
 			s[i3], s[i4] = x, y
-			vals, err := p.Eval(d, s, theta)
+			cmrr, err := p.SpecValue(d, s, theta, 2)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, vals[2]) // CMRR
+			row = append(row, cmrr)
 		}
 		sf.Z = append(sf.Z, row)
 	}
@@ -315,11 +315,11 @@ func Fig5(points, samples int) (*Curve, error) {
 		i := i
 		theta := thetaRes.PerSpec[i]
 		marginFn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
+			v, err := p.SpecValue(d, s, theta, i)
 			if err != nil {
 				return 0, err
 			}
-			return p.Specs[i].Margin(vals[i]), nil
+			return p.Specs[i].Margin(v), nil
 		}
 		wcs[i], err = wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed + uint64(i)})
 		if err != nil {
@@ -370,11 +370,11 @@ func analyzeMismatch(p *problem.Problem, d []float64) ([]reportVal, error) {
 		i := i
 		theta := thetaRes.PerSpec[i]
 		marginFn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
+			v, err := p.SpecValue(d, s, theta, i)
 			if err != nil {
 				return 0, err
 			}
-			return p.Specs[i].Margin(vals[i]), nil
+			return p.Specs[i].Margin(v), nil
 		}
 		wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed + uint64(i)})
 		if err != nil {

@@ -46,11 +46,11 @@ func RunQuadStudy(modelSamples, verifySamples int) (*QuadStudy, error) {
 	}
 	theta := thetaRes.PerSpec[specIdx]
 	marginFn := func(s []float64) (float64, error) {
-		vals, err := p.Eval(d, s, theta)
+		v, err := p.SpecValue(d, s, theta, specIdx)
 		if err != nil {
 			return 0, err
 		}
-		return p.Specs[specIdx].Margin(vals[specIdx]), nil
+		return p.Specs[specIdx].Margin(v), nil
 	}
 	wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed})
 	if err != nil {

@@ -68,8 +68,21 @@ type OpRange struct {
 
 // EvalFunc computes every performance at design point d, normalized
 // statistical point s (ŝ ~ N(0,I) in the transformed space of Eq. 11) and
-// operating point theta. One call corresponds to one circuit simulation.
+// operating point theta. One call corresponds to one run of the full
+// testbench, counted as one circuit simulation.
 type EvalFunc func(d, s, theta []float64) ([]float64, error)
+
+// EvalSpecFunc computes performance i alone at (d, s, θ), running only the
+// analyses that performance needs (for an opamp: DC alone for power, one
+// AC point more for the gain, the full sweep only for the unity
+// frequency). One call also counts as one circuit simulation, as in the
+// paper's per-spec effort accounting (Table 7).
+//
+// It must return exactly Eval(d, s, θ)[i], bit for bit, with one
+// deliberate exception: a performance that needs fewer analyses stays
+// finite where Eval goes NaN only because a later analysis it does not
+// need (an AC solve, for a DC-only spec) failed.
+type EvalSpecFunc func(d, s, theta []float64, i int) (float64, error)
 
 // ConstraintFunc evaluates the functional constraints c(d) >= 0 of
 // Sec. 5.1 at the nominal statistical and operating point. One call
@@ -149,7 +162,12 @@ type Problem struct {
 	Theta           []OpRange
 	ConstraintNames []string
 	Eval            EvalFunc
-	Constraints     ConstraintFunc
+	// EvalSpec, when non-nil, is the cheaper per-spec evaluator; nil
+	// falls back to Eval(...)[i]. Callers go through SpecValue. A wrapper
+	// that replaces Eval must wrap EvalSpec too (or clear it), or
+	// per-spec calls bypass it.
+	EvalSpec    EvalSpecFunc
+	Constraints ConstraintFunc
 	// SimStats, when non-nil, snapshots the simulator-side effort
 	// counters (DC warm starts, fallbacks, Newton iterations) so the
 	// optimizer can report them alongside the simulation counts.
@@ -167,6 +185,39 @@ type SimOptions struct {
 	// SweepWorkers bounds the per-frequency worker fan-out inside each
 	// AC sweep. 0 means the simulator default (GOMAXPROCS).
 	SweepWorkers int
+}
+
+// SpecValue returns performance i at (d, s, θ). It is the single entry
+// point for call sites that need one spec, such as a worst-case search,
+// a spec's design gradient or an importance sampler.
+//
+// Points where s has at most one nonzero entry are evaluated in full.
+// Several specs' searches visit those points: s = 0 at each operating
+// corner, and the ±h·e_k probes of the first gradient from it. One full
+// evaluation (memoized by an evaluation cache) then answers every spec
+// there. All other points go through EvalSpec when the problem has one.
+// The choice depends only on the point, never on call order, so
+// simulation counts stay deterministic.
+func (p *Problem) SpecValue(d, s, theta []float64, i int) (float64, error) {
+	if p.EvalSpec == nil || nonzeros(s) <= 1 {
+		vals, err := p.Eval(d, s, theta)
+		if err != nil {
+			return 0, err
+		}
+		return vals[i], nil
+	}
+	return p.EvalSpec(d, s, theta, i)
+}
+
+// nonzeros counts the nonzero entries of v.
+func nonzeros(v []float64) int {
+	n := 0
+	for _, x := range v {
+		if x != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // NumSpecs returns the number of performance specifications.
@@ -241,7 +292,8 @@ type Counter struct {
 	constraints atomic.Int64
 }
 
-// Evals returns the number of full performance simulations so far.
+// Evals returns the number of performance simulations so far: full
+// evaluations and per-spec evaluations, one each.
 func (c *Counter) Evals() int64 { return c.evals.Load() }
 
 // ConstraintEvals returns the number of constraint (DC-only) simulations.
@@ -264,6 +316,13 @@ func (c *Counter) Instrument(p *Problem) *Problem {
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
 		c.evals.Add(1)
 		return inner(d, s, theta)
+	}
+	if p.EvalSpec != nil {
+		innerS := p.EvalSpec
+		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
+			c.evals.Add(1)
+			return innerS(d, s, theta, i)
+		}
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints

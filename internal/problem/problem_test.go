@@ -171,3 +171,80 @@ func TestInstrumentNilConstraints(t *testing.T) {
 		t.Error("nil constraints must stay nil")
 	}
 }
+
+// specProblem has two specs, a full Eval and a per-spec EvalSpec that
+// tally their calls separately.
+func specProblem(full, perSpec *int) *Problem {
+	p := validProblem()
+	p.StatNames = []string{"s0", "s1"}
+	p.Eval = func(d, s, th []float64) ([]float64, error) {
+		*full++
+		return []float64{d[0] + s[0], d[0] - s[1]}, nil
+	}
+	p.EvalSpec = func(d, s, th []float64, i int) (float64, error) {
+		*perSpec++
+		if i == 0 {
+			return d[0] + s[0], nil
+		}
+		return d[0] - s[1], nil
+	}
+	return p
+}
+
+// SpecValue evaluates in full where s has at most one nonzero entry (the
+// points several specs share) and per spec everywhere else; without an
+// EvalSpec it always falls back to Eval.
+func TestSpecValueRouting(t *testing.T) {
+	var full, perSpec int
+	p := specProblem(&full, &perSpec)
+	d, th := []float64{1}, []float64{0}
+	for _, tc := range []struct {
+		s                 []float64
+		i                 int
+		want              float64
+		wantFull, wantPer int
+	}{
+		{[]float64{0, 0}, 1, 1, 1, 0},
+		{[]float64{0.5, 0}, 0, 1.5, 2, 0},
+		{[]float64{0, -0.5}, 1, 1.5, 3, 0},
+		{[]float64{0.5, 0.25}, 0, 1.5, 3, 1},
+		{[]float64{0.5, 0.25}, 1, 0.75, 3, 2},
+	} {
+		v, err := p.SpecValue(d, tc.s, th, tc.i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != tc.want || full != tc.wantFull || perSpec != tc.wantPer {
+			t.Errorf("s=%v i=%d: value %v (want %v), full %d (want %d), per-spec %d (want %d)",
+				tc.s, tc.i, v, tc.want, full, tc.wantFull, perSpec, tc.wantPer)
+		}
+	}
+
+	p.EvalSpec = nil
+	full, perSpec = 0, 0
+	if v, err := p.SpecValue(d, []float64{0.5, 0.25}, th, 1); err != nil || v != 0.75 || full != 1 {
+		t.Errorf("nil EvalSpec: value %v err %v full %d, want 0.75 from one Eval", v, err, full)
+	}
+}
+
+// The counter counts a per-spec evaluation as one simulation, and leaves
+// a nil EvalSpec nil.
+func TestInstrumentCountsEvalSpec(t *testing.T) {
+	var full, perSpec int
+	var c Counter
+	q := c.Instrument(specProblem(&full, &perSpec))
+	for i := 0; i < 3; i++ {
+		if _, err := q.EvalSpec([]float64{1}, []float64{1, 1}, nil, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Eval([]float64{1}, []float64{1, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.Evals() != 4 || perSpec != 3 || full != 1 {
+		t.Errorf("evals = %d (per-spec %d, full %d), want 4 (3, 1)", c.Evals(), perSpec, full)
+	}
+	if q := c.Instrument(validProblem()); q.EvalSpec != nil {
+		t.Error("Instrument invented an EvalSpec function")
+	}
+}

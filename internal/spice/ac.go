@@ -101,16 +101,29 @@ type Bode struct {
 // fStart to fStop (Hz) with pointsPerDecade samples per decade, observing
 // the voltage of the given node.
 func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsPerDecade int) (*Bode, error) {
+	return c.ACSweepHead(dc, node, fStart, fStop, pointsPerDecade, 0)
+}
+
+// ACSweepHead runs only the first n points of ACSweep's frequency grid
+// (the whole grid when n <= 0 or n exceeds it). Every returned sample is
+// bit-identical to the same sample of the full sweep: the grid, the
+// affine value reload and the per-point factor/solve sequence do not
+// depend on how many points run. A measurement that needs only the
+// low-frequency gain asks for one point.
+func (c *Circuit) ACSweepHead(dc *DCResult, node int, fStart, fStop float64, pointsPerDecade, n int) (*Bode, error) {
 	if fStart <= 0 || fStop <= fStart || pointsPerDecade < 1 {
 		return nil, fmt.Errorf("spice: invalid sweep [%g, %g] @ %d/dec", fStart, fStop, pointsPerDecade)
 	}
 	decades := math.Log10(fStop / fStart)
 	npts := int(math.Ceil(decades*float64(pointsPerDecade))) + 1
-	b := &Bode{Freq: make([]float64, npts), H: make([]complex128, npts)}
+	if n <= 0 || n > npts {
+		n = npts
+	}
+	b := &Bode{Freq: make([]float64, n), H: make([]complex128, n)}
 
 	c.finalize()
-	n := c.NumVars()
-	w := c.acScratch(n)
+	nv := c.NumVars()
+	w := c.acScratch(nv)
 	if st := c.SolverStats; st != nil {
 		start := time.Now()
 		defer func() { st.ACNanos.Add(time.Since(start).Nanoseconds()) }()
@@ -136,8 +149,8 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 			affOK = false // structure changed between probes; restamp per point
 		}
 	}
-	if len(w.acX) != n {
-		w.acX = make([]complex128, n)
+	if len(w.acX) != nv {
+		w.acX = make([]complex128, nv)
 	}
 	if affOK {
 		// Fast path: every point is LoadValues → refactor → solve over
@@ -145,13 +158,13 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 		// workspaces. Falls through to the serial loop when the backend
 		// lacks workspace support (dense).
 		if wsol, ok := sol.(workspaceCSolver); ok {
-			done, err := c.acSweepShared(w, wsol, b, node, fStart, decades, npts)
+			done, err := c.acSweepShared(w, wsol, b, node, fStart, decades, npts, n)
 			if done {
 				return b, err
 			}
 		}
 	}
-	for i := 0; i < npts; i++ {
+	for i := 0; i < n; i++ {
 		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
 		omega := 2 * math.Pi * f
 		if !affOK || !aff.LoadValues(w.affBase, w.affSlope, omega) {
@@ -169,14 +182,15 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 	return b, nil
 }
 
-// acSweepShared runs the sweep's frequency points through per-goroutine
-// numeric workspaces over one shared symbolic factorization. Every point
-// executes the identical LoadValues → refactor → solve sequence in its
-// own workspace and writes its result by index, so the Bode response is
-// bit-identical for any worker count (including the inline 1-worker
-// path). done reports whether the sweep was handled here; when false the
-// caller's serial loop takes over from scratch.
-func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode, node int, fStart, decades float64, npts int) (done bool, err error) {
+// acSweepShared runs the first n of the sweep's npts frequency points
+// through per-goroutine numeric workspaces over one shared symbolic
+// factorization. Every point executes the identical LoadValues →
+// refactor → solve sequence in its own workspace and writes its result
+// by index, so the Bode response is bit-identical for any worker count
+// (including the inline 1-worker path). done reports whether the sweep
+// was handled here; when false the caller's serial loop takes over from
+// scratch.
+func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode, node int, fStart, decades float64, npts, n int) (done bool, err error) {
 	// Factor at the first point to establish current factors for the
 	// workspaces to share.
 	omega0 := 2 * math.Pi * fStart
@@ -206,9 +220,9 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 		b.H[i] = cvolt(x, node)
 		return nil
 	}
-	workers := c.sweepWorkers(npts)
+	workers := c.sweepWorkers(n)
 	if workers == 1 {
-		for i := 0; i < npts; i++ {
+		for i := 0; i < n; i++ {
 			if err := sweepPoint(ws, w.acX, i); err != nil {
 				sol.Absorb(ws.Stats())
 				return true, err
@@ -225,11 +239,11 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 	// extras actually join.
 	var next atomic.Int64
 	var errMu sync.Mutex
-	firstErr, firstAt := error(nil), npts
+	firstErr, firstAt := error(nil), n
 	run := func(wsk *linalg.SparseComplexWorkspace, x []complex128) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= npts {
+			if i >= n {
 				return
 			}
 			if err := sweepPoint(wsk, x, i); err != nil {

@@ -44,6 +44,42 @@ func TestACSweepWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestACSweepHeadMatchesSweep pins the point-limited sweep's contract:
+// its samples are bit-identical to the leading samples of the full
+// sweep, on both backends, so a measurement reading only point 0 (the
+// low-frequency gain) gets the full sweep's value.
+func TestACSweepHeadMatchesSweep(t *testing.T) {
+	for _, kind := range []SolverKind{SolverSparse, SolverDense} {
+		c := buildTestAmp(kind)
+		dc, err := c.DC(DCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := c.Node("out")
+		full, err := c.ACSweep(dc, out, 10, 1e9, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 5, len(full.H), len(full.H) + 3} {
+			head, err := c.ACSweepHead(dc, out, 10, 1e9, 4, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(n, len(full.H)); len(head.H) != want {
+				t.Fatalf("%v n=%d: %d points, want %d", kind, n, len(head.H), want)
+			}
+			for i := range head.H {
+				if math.Float64bits(head.Freq[i]) != math.Float64bits(full.Freq[i]) ||
+					math.Float64bits(real(head.H[i])) != math.Float64bits(real(full.H[i])) ||
+					math.Float64bits(imag(head.H[i])) != math.Float64bits(imag(full.H[i])) {
+					t.Fatalf("%v n=%d: sample %d = (%g, %v), want bit-identical (%g, %v)",
+						kind, n, i, head.Freq[i], head.H[i], full.Freq[i], full.H[i])
+				}
+			}
+		}
+	}
+}
+
 // fickleCap is a capacitor whose AC stamp appears only above a cutover
 // frequency. Its matrix structure differs between the sweep's ω=0 and
 // ω=1 affine probes, so ACSweep must detect the mismatch and fall back

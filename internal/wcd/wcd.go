@@ -521,7 +521,6 @@ type ThetaResult struct {
 // costs 2^dim + 1 evaluations for all specs together, matching the
 // paper's effort bound N* ≤ N·2^dim(Θ).
 func WorstCaseTheta(p *problem.Problem, d, s []float64) (*ThetaResult, error) {
-	nTheta := len(p.Theta)
 	corners := enumerateCorners(p.Theta)
 	corners = append(corners, p.NominalTheta())
 
@@ -551,7 +550,6 @@ func WorstCaseTheta(p *problem.Problem, d, s []float64) (*ThetaResult, error) {
 			}
 		}
 	}
-	_ = nTheta
 	return res, nil
 }
 
@@ -626,12 +624,12 @@ func RefineTheta(p *problem.Problem, d, s []float64, res *ThetaResult, passes in
 		i := i
 		theta := append([]float64(nil), res.PerSpec[i]...)
 		margin := func(th []float64) (float64, error) {
-			vals, err := p.Eval(d, s, th)
+			v, err := p.SpecValue(d, s, th, i)
 			if err != nil {
 				return 0, err
 			}
 			res.Evals++
-			m := p.Specs[i].Margin(vals[i])
+			m := p.Specs[i].Margin(v)
 			if math.IsNaN(m) {
 				m = math.Inf(-1)
 			}

@@ -168,11 +168,11 @@ func AnalyzeMismatch(p *Problem, d []float64, seed uint64) ([]MismatchReport, er
 		i := i
 		theta := thetaRes.PerSpec[i]
 		marginFn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
+			v, err := p.SpecValue(d, s, theta, i)
 			if err != nil {
 				return 0, err
 			}
-			return p.Specs[i].Margin(vals[i]), nil
+			return p.Specs[i].Margin(v), nil
 		}
 		wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: seed + uint64(i)})
 		if err != nil {
@@ -311,11 +311,11 @@ func EstimateRareFailure(p *Problem, d []float64, specName string, n int, seed u
 	}
 	theta := thetaRes.PerSpec[specIdx]
 	marginFn := func(s []float64) (float64, error) {
-		vals, err := p.Eval(d, s, theta)
+		v, err := p.SpecValue(d, s, theta, specIdx)
 		if err != nil {
 			return 0, err
 		}
-		return p.Specs[specIdx].Margin(vals[specIdx]), nil
+		return p.Specs[specIdx].Margin(v), nil
 	}
 	wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: seed})
 	if err != nil {
