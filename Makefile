@@ -26,11 +26,13 @@ bench: build
 
 # Performance regression gate: re-run the hottest benchmark and fail
 # (exit nonzero) if it is more than 20% slower than the committed
-# BENCH_core.json. Run this before merging changes that touch the
-# simulation or optimization hot path; it is not part of `make check`
-# because a full Table-1 optimization takes minutes.
+# BENCH_core.json, allocates more than 20% more, or runs a different
+# number of simulations (a machine-invariant count that must match
+# exactly). Run this before merging changes that touch the simulation or
+# optimization hot path; it is not part of `make check` because a full
+# Table-1 optimization takes minutes.
 bench-check: build
-	$(GO) test -run xxx -bench 'Table1FoldedCascode$$' -benchtime 1x . \
+	$(GO) test -run xxx -bench 'Table1FoldedCascode$$' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchreport -o /dev/null -compare BENCH_core.json
 
 # One-iteration smoke of the hottest benchmark so `make check` notices a
@@ -78,15 +80,17 @@ test:
 # and the search backends join because the engine/backend split moved
 # the search loops there and they drive the parallel evaluators; sched
 # joins because every one of those pools now admits work through its
-# shared semaphore. The circuits oracle runs per-spec and full
-# evaluations concurrently over one problem's shared symbolic cache and
-# effort counters, as the parallel worst-case searches do.
+# shared semaphore. The circuits oracles run per-spec and full
+# evaluations and constraint solves concurrently over one problem's
+# shared symbolic cache, effort counters and pooled testbenches, which
+# move between the parallel gradient workers as they do under the
+# worst-case searches.
 race:
 	$(GO) test -race ./internal/jobs/... ./internal/server/... ./internal/worker/... \
 		./internal/store/... ./internal/core/... ./internal/spice/... ./internal/wcd/... \
 		./internal/evalcache/... ./internal/coord/... ./internal/feasopt/... \
 		./internal/search/... ./internal/sched/...
-	$(GO) test -race -run 'TestEvalSpec' ./internal/circuits/
+	$(GO) test -race -run 'TestEvalSpec|TestPooledBench' ./internal/circuits/
 
 # End-to-end smoke of the remote pull-worker binary path: one
 # remote-only manager behind httptest, one pull-worker, one verify job.

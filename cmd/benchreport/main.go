@@ -3,6 +3,8 @@
 // named by -o (default BENCH_core.json). It understands the standard
 // testing-package metrics (ns/op, B/op, allocs/op) and the custom
 // per-benchmark metrics this repo reports (simulations, final-yield-%).
+// With -compare it also gates the run against a reference: see
+// compareRuns.
 //
 // Usage:
 //
@@ -41,8 +43,8 @@ func main() {
 	out := flag.String("o", "BENCH_core.json", "output JSON file")
 	note := flag.String("note", "", "free-form context recorded in the report")
 	baseline := flag.String("baseline", "", "raw `go test -bench` output file parsed into the baseline section")
-	compare := flag.String("compare", "", "reference file (raw bench output or a benchreport JSON); exit nonzero when any shared benchmark regresses in ns/op beyond -threshold")
-	threshold := flag.Float64("threshold", 0.20, "allowed fractional ns/op regression for -compare (0.20 = 20%)")
+	compare := flag.String("compare", "", "reference file (raw bench output or a benchreport JSON); exit nonzero when any shared benchmark regresses in ns/op or allocs/op beyond -threshold, or its simulation count changes")
+	threshold := flag.Float64("threshold", 0.20, "allowed fractional ns/op and allocs/op regression for -compare (0.20 = 20%)")
 	flag.Parse()
 
 	rep := Report{Note: *note}
@@ -128,39 +130,49 @@ func benchKey(name string) string {
 	return name
 }
 
-// compareRuns checks every current benchmark that also appears in ref:
-// an ns/op increase beyond the threshold fraction is a regression. It
-// reports true when any benchmark regressed.
+// compareRuns checks every current benchmark that also appears in ref.
+// Wall time (ns/op) and allocations (allocs/op) regress when they rise
+// by more than the threshold fraction; the simulation count does not
+// depend on the machine, so any change to it is a regression. A metric
+// missing from either side is not compared. It reports true when any
+// benchmark regressed or none could be compared.
 func compareRuns(w io.Writer, cur, ref []Entry, threshold float64) bool {
-	refNs := make(map[string]float64, len(ref))
+	refBy := make(map[string]map[string]float64, len(ref))
 	for _, e := range ref {
-		if ns, ok := e.Metrics["ns/op"]; ok {
-			refNs[benchKey(e.Name)] = ns
-		}
+		refBy[benchKey(e.Name)] = e.Metrics
 	}
 	regressed := false
 	compared := 0
 	for _, e := range cur {
-		ns, ok := e.Metrics["ns/op"]
+		base, ok := refBy[benchKey(e.Name)]
 		if !ok {
 			continue
 		}
-		base, ok := refNs[benchKey(e.Name)]
-		if !ok || base <= 0 {
-			continue
+		for _, m := range []struct {
+			unit  string
+			exact bool
+		}{{"ns/op", false}, {"allocs/op", false}, {"simulations", true}} {
+			v, okCur := e.Metrics[m.unit]
+			b, okRef := base[m.unit]
+			if !okCur || !okRef || (!m.exact && b <= 0) {
+				continue
+			}
+			compared++
+			status := "ok"
+			if (m.exact && v != b) || (!m.exact && v/b-1 > threshold) {
+				status = "REGRESSION"
+				regressed = true
+			}
+			change := "  exact"
+			if !m.exact {
+				change = fmt.Sprintf("%+6.1f%%", (v/b-1)*100)
+			}
+			fmt.Fprintf(w, "benchreport: compare %-40s %12.0f -> %12.0f %-11s %s  %s\n",
+				benchKey(e.Name), b, v, m.unit, change, status)
 		}
-		compared++
-		delta := ns/base - 1
-		status := "ok"
-		if delta > threshold {
-			status = "REGRESSION"
-			regressed = true
-		}
-		fmt.Fprintf(w, "benchreport: compare %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-			benchKey(e.Name), base, ns, delta*100, status)
 	}
 	if compared == 0 {
-		fmt.Fprintln(w, "benchreport: compare found no overlapping benchmarks with ns/op")
+		fmt.Fprintln(w, "benchreport: compare found no overlapping benchmark metrics")
 		return true
 	}
 	return regressed

@@ -158,15 +158,15 @@ func TestFailedPerfIsNaN(t *testing.T) {
 
 func TestAdjustTemp(t *testing.T) {
 	base := spice.DefaultNMOS()
-	hot := adjustTemp(base, 125)
-	cold := adjustTemp(base, -40)
+	hot := base.AtTemp(125)
+	cold := base.AtTemp(-40)
 	if hot.VT0 >= base.VT0 || cold.VT0 <= base.VT0 {
 		t.Error("threshold temperature slope wrong")
 	}
 	if hot.KP >= base.KP || cold.KP <= base.KP {
 		t.Error("mobility temperature slope wrong")
 	}
-	nominal := adjustTemp(base, 27)
+	nominal := base.AtTemp(27)
 	if math.Abs(nominal.VT0-base.VT0) > 1e-9 || math.Abs(nominal.KP-base.KP)/base.KP > 1e-9 {
 		t.Error("27°C must be the reference point")
 	}

@@ -76,13 +76,9 @@ func FoldedCascodeVariations() *variation.Model {
 	return m
 }
 
-// buildFoldedCascode constructs the DC-closed-loop testbench at one
-// (design, statistical, operating) point. theta = [temperature °C, VDD V].
-func buildFoldedCascode(g fcDesign, deltas []variation.Delta, theta []float64) *testbench {
-	tempC, vdd := theta[0], theta[1]
-	nmos := adjustTemp(spice.DefaultNMOS(), tempC)
-	pmos := adjustTemp(spice.DefaultPMOS(), tempC)
-
+// newFoldedCascode builds the DC-closed-loop testbench topology; set
+// writes the point-dependent values.
+func newFoldedCascode() *testbench {
 	c := spice.New()
 	nVdd := c.Node("vdd")
 	nInp := c.Node("inp")
@@ -100,10 +96,9 @@ func buildFoldedCascode(g fcDesign, deltas []variation.Delta, theta []float64) *
 	nVbp := c.Node("vbp")
 
 	gnd := c.Node(spice.Ground)
-	vcm := vdd / 2
 
-	vddSrc := spice.NewVSource("VDD", nVdd, gnd, vdd, 0)
-	drive := spice.NewVSource("VINP", nInp, gnd, vcm, 0)
+	vddSrc := spice.NewVSource("VDD", nVdd, gnd, 0, 0)
+	drive := spice.NewVSource("VINP", nInp, gnd, 0, 0)
 	fb := spice.NewVCVS("EFB", nInn, gnd, nOut, gnd, 1)
 	c.Add(vddSrc)
 	c.Add(drive)
@@ -111,101 +106,86 @@ func buildFoldedCascode(g fcDesign, deltas []variation.Delta, theta []float64) *
 
 	// Bias rails referenced to the supplies (real bias generators track
 	// their rail, so the offsets stay fixed as VDD varies).
-	c.Add(spice.NewVSource("VBT", nVbt, gnd, vdd-1.1, 0))
+	vbt := spice.NewVSource("VBT", nVbt, gnd, 0, 0)
+	vbp := spice.NewVSource("VBP", nVbp, gnd, 0, 0)
+	c.Add(vbt)
 	c.Add(spice.NewVSource("VBN1", nVbn1, gnd, 1.0, 0))
 	c.Add(spice.NewVSource("VBN2", nVbn2, gnd, 1.6, 0))
-	c.Add(spice.NewVSource("VBP", nVbp, gnd, vdd-1.7, 0))
+	c.Add(vbp)
 
-	mk := func(name string, d, gt, s, b, pol int, w, l float64, p spice.MosParams) *spice.Mosfet {
-		m := spice.NewMosfet(name, d, gt, s, b, pol, w, l, p)
+	mk := func(name string, d, gt, s, b, pol int) *spice.Mosfet {
+		m := spice.NewMosfet(name, d, gt, s, b, pol, 0, 0, spice.MosParams{})
 		c.Add(m)
 		return m
 	}
+	mt := mk("MT", nTail, nVbt, nVdd, nVdd, -1)
+	m1 := mk("M1", nF1, nInp, nTail, nVdd, -1)
+	m2 := mk("M2", nF2, nInn, nTail, nVdd, -1)
+	m3 := mk("M3", nF1, nVbn1, gnd, gnd, +1)
+	m4 := mk("M4", nF2, nVbn1, gnd, gnd, +1)
+	m5 := mk("M5", nO1, nVbn2, nF1, gnd, +1)
+	m6 := mk("M6", nOut, nVbn2, nF2, gnd, +1)
+	m7 := mk("M7", nM1, nO1, nVdd, nVdd, -1)
+	m8 := mk("M8", nM2, nO1, nVdd, nVdd, -1)
+	m9 := mk("M9", nO1, nVbp, nM1, nVdd, -1)
+	m10 := mk("M10", nOut, nVbp, nM2, nVdd, -1)
 
-	mt := mk("MT", nTail, nVbt, nVdd, nVdd, -1, g.wt, fcLt, pmos)
-	m1 := mk("M1", nF1, nInp, nTail, nVdd, -1, g.w1, g.l1, pmos)
-	m2 := mk("M2", nF2, nInn, nTail, nVdd, -1, g.w1, g.l1, pmos)
-	m3 := mk("M3", nF1, nVbn1, gnd, gnd, +1, g.w3, g.l3, nmos)
-	m4 := mk("M4", nF2, nVbn1, gnd, gnd, +1, g.w3, g.l3, nmos)
-	m5 := mk("M5", nO1, nVbn2, nF1, gnd, +1, g.w5, fcL5, nmos)
-	m6 := mk("M6", nOut, nVbn2, nF2, gnd, +1, g.w5, fcL5, nmos)
-	m7 := mk("M7", nM1, nO1, nVdd, nVdd, -1, g.w7, fcL7, pmos)
-	m8 := mk("M8", nM2, nO1, nVdd, nVdd, -1, g.w7, fcL7, pmos)
-	m9 := mk("M9", nO1, nVbp, nM1, nVdd, -1, g.w9, fcL9, pmos)
-	m10 := mk("M10", nOut, nVbp, nM2, nVdd, -1, g.w9, fcL9, pmos)
+	cl := spice.NewCapacitor("CL", nOut, gnd, fcCL)
+	c.Add(cl)
 
-	c.Add(spice.NewCapacitor("CL", nOut, gnd, fcCL))
-
-	tb := &testbench{
-		ckt: c, out: nOut, drive: drive, fb: fb,
-		vddSrc: vddSrc, vdd: vdd,
-		tail: mt, slewCap: fcCL,
+	return &testbench{
+		ckt: c, out: nOut, drive: drive, fb: fb, vddSrc: vddSrc,
+		rails: []vddRail{{vbt, 1.1}, {vbp, 1.7}},
+		tail:  mt, slewCap: cl,
 		mosfets: []*spice.Mosfet{m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, mt},
 	}
-	applyDeltas(tb.mosfets, deltas)
-	return tb
+}
+
+// foldedCascodeProblem builds the folded-cascode problem and its harness.
+func foldedCascodeProblem() (*problem.Problem, *simHarness) {
+	model := FoldedCascodeVariations()
+	p := &problem.Problem{
+		Name: "folded-cascode",
+		Specs: []problem.Spec{
+			{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 40},
+			{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 40},
+			{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 80},
+			{Name: "SRp", Unit: "V/µs", Kind: problem.GE, Bound: 35},
+			{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 3.5},
+		},
+		Design: []problem.Param{
+			{Name: "W1", Unit: "µm", Init: 30, Lo: 5, Hi: 400, LogScale: true},
+			{Name: "L1", Unit: "µm", Init: 1.0, Lo: 0.6, Hi: 5},
+			{Name: "W3", Unit: "µm", Init: 60, Lo: 5, Hi: 400, LogScale: true},
+			{Name: "L3", Unit: "µm", Init: 2.0, Lo: 1.0, Hi: 8, LogScale: true},
+			{Name: "W5", Unit: "µm", Init: 50, Lo: 5, Hi: 400, LogScale: true},
+			{Name: "W7", Unit: "µm", Init: 100, Lo: 10, Hi: 600, LogScale: true},
+			{Name: "W9", Unit: "µm", Init: 100, Lo: 10, Hi: 600, LogScale: true},
+			{Name: "WT", Unit: "µm", Init: 100, Lo: 10, Hi: 800, LogScale: true},
+		},
+		StatNames: model.Names(),
+		Theta: []problem.OpRange{
+			{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
+			{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
+		},
+	}
+	h := newSimHarness(opamp{
+		build: newFoldedCascode,
+		set: func(tb *testbench, d, s, theta []float64) {
+			g := fcDecode(d)
+			tb.deltas = model.AppendPhysical(tb.deltas[:0], s, g.geometry)
+			tb.set(g.geometry, tb.deltas, theta)
+		},
+		fields: []perfField{fieldA0, fieldFt, fieldCMRR, fieldSR, fieldPower},
+		fStart: 100, fStop: 1e9,
+	}, p)
+	return p, h
 }
 
 // FoldedCascodeProblem builds the problem.Problem for the folded-cascode
 // opamp with both global and local (mismatch) variations — the circuit of
 // the paper's Tables 1–5.
 func FoldedCascodeProblem() *problem.Problem {
-	model := FoldedCascodeVariations()
-	specs := []problem.Spec{
-		{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 40},
-		{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 40},
-		{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 80},
-		{Name: "SRp", Unit: "V/µs", Kind: problem.GE, Bound: 35},
-		{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 3.5},
-	}
-	design := []problem.Param{
-		{Name: "W1", Unit: "µm", Init: 30, Lo: 5, Hi: 400, LogScale: true},
-		{Name: "L1", Unit: "µm", Init: 1.0, Lo: 0.6, Hi: 5},
-		{Name: "W3", Unit: "µm", Init: 60, Lo: 5, Hi: 400, LogScale: true},
-		{Name: "L3", Unit: "µm", Init: 2.0, Lo: 1.0, Hi: 8, LogScale: true},
-		{Name: "W5", Unit: "µm", Init: 50, Lo: 5, Hi: 400, LogScale: true},
-		{Name: "W7", Unit: "µm", Init: 100, Lo: 10, Hi: 600, LogScale: true},
-		{Name: "W9", Unit: "µm", Init: 100, Lo: 10, Hi: 600, LogScale: true},
-		{Name: "WT", Unit: "µm", Init: 100, Lo: 10, Hi: 800, LogScale: true},
-	}
-	theta := []problem.OpRange{
-		{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
-		{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
-	}
-
-	// The reference bench provides the constraint names and the fixed
-	// warm-start operating point every later solve starts from.
-	tb0 := buildFoldedCascode(fcDecode([]float64{30, 1, 60, 2, 50, 100, 100, 100}), nil, []float64{27, 3.3})
-	h := newSimHarness(tb0)
-
-	fields := []perfField{fieldA0, fieldFt, fieldCMRR, fieldSR, fieldPower}
-	eval, evalSpec := evaluators(fields, 100, 1e9, func(d, s, th []float64) *testbench {
-		g := fcDecode(d)
-		return h.arm(buildFoldedCascode(g, model.Physical(s, g.geometry), th))
-	})
-
-	zeroS := make([]float64, model.Dim())
-	constraints := func(d []float64) ([]float64, error) {
-		g := fcDecode(d)
-		tb := h.arm(buildFoldedCascode(g, model.Physical(zeroS, g.geometry), []float64{27, 3.3}))
-		dc, err := tb.ckt.DC(tb.dcOpts)
-		if err != nil {
-			return failedConstraints(2 * len(tb.mosfets)), nil
-		}
-		return mosConstraints(tb.mosfets, dc.X), nil
-	}
-
-	return &problem.Problem{
-		Name:            "folded-cascode",
-		Specs:           specs,
-		Design:          design,
-		StatNames:       model.Names(),
-		Theta:           theta,
-		ConstraintNames: mosConstraintNames(tb0.mosfets),
-		Eval:            eval,
-		EvalSpec:        evalSpec,
-		Constraints:     constraints,
-		SimStats:        h.counters,
-		SimConfigure:    h.configure,
-	}
+	p, _ := foldedCascodeProblem()
+	return p
 }

@@ -2,6 +2,7 @@ package circuits
 
 import (
 	"math"
+	"sync"
 
 	"specwise/internal/linalg"
 	"specwise/internal/problem"
@@ -19,7 +20,9 @@ type Performances struct {
 	PowerMW float64 // static supply power [mW]
 }
 
-// testbench is a built opamp circuit with the handles the evaluator needs.
+// testbench is an opamp circuit with the handles set and evaluate need.
+// A problem builds each bench's topology once and reuses it: set writes
+// every value that depends on the evaluation point.
 type testbench struct {
 	ckt     *spice.Circuit
 	out     int            // observed output node
@@ -27,23 +30,87 @@ type testbench struct {
 	fb      *spice.VCVS    // DC-closing feedback element at the inverting input
 	vddSrc  *spice.VSource
 	vdd     float64
-	tail    *spice.Mosfet // nil when the tail is an ideal source
-	tailI   float64       // ideal tail current when tail == nil
-	slewCap float64       // capacitance limiting the slew rate (CL or Cc)
+	rails   []vddRail        // bias sources referenced to the supply
+	tail    *spice.Mosfet    // tail device; its drain current sets the slew rate
+	slewCap *spice.Capacitor // capacitance limiting the slew rate (CL or Cc)
 	mosfets []*spice.Mosfet
+	deltas  []variation.Delta // the current point's physical deltas (reused buffer)
 	// dcOpts configures every DC solve of this bench (warm-start guess,
 	// shared effort counters). The zero value is a plain cold solve.
 	dcOpts spice.DCOptions
 }
 
-// simHarness carries the per-problem warm-start state shared by all
-// evaluation closures: one reference operating point, solved once at the
-// initial design, and the cumulative DC effort counters. Warm-starting
-// every solve from the same fixed reference (rather than from the
-// previous solve) keeps evaluations independent of call order, so
-// results stay deterministic under the optimizer's concurrency and the
+// vddRail is a bias source held a fixed offset below the supply, as a
+// real bias generator tracks its rail.
+type vddRail struct {
+	src   *spice.VSource
+	below float64 // [V]
+}
+
+// set writes one evaluation point into the bench: every transistor's
+// geometry and temperature-adjusted model card, its statistical deltas
+// (applied to nominal ΔVth = 0, β-scale = 1), the supply and the
+// sources referenced to it, and the AC settings evaluate mutates. Every
+// value that can differ between points or calls is written here, so a
+// reused bench holds exactly what a newly built one would. theta =
+// [temperature °C, VDD V].
+func (tb *testbench) set(geom variation.Geometry, deltas []variation.Delta, theta []float64) {
+	tempC, vdd := theta[0], theta[1]
+	nmos := spice.DefaultNMOS().AtTemp(tempC)
+	pmos := spice.DefaultPMOS().AtTemp(tempC)
+	for _, m := range tb.mosfets {
+		m.W, m.L = geom(m.Name())
+		m.P = nmos
+		if m.Polarity < 0 {
+			m.P = pmos
+		}
+		m.DVth, m.BetaScale = 0, 1
+	}
+	applyDeltas(tb.mosfets, deltas)
+	tb.vdd = vdd
+	tb.vddSrc.DC = vdd
+	tb.drive.DC = vdd / 2 // input common mode
+	tb.drive.AC = 0
+	tb.fb.ACMode, tb.fb.ACValue = spice.VCVSACNormal, 0
+	for _, r := range tb.rails {
+		r.src.DC = vdd - r.below
+	}
+}
+
+// opamp describes one opamp problem's testbench to its harness.
+type opamp struct {
+	// build constructs the topology and handles; set fills in the values.
+	build func() *testbench
+	// set writes the point (design d, normalized statistical s, operating
+	// theta) into a bench.
+	set func(tb *testbench, d, s, theta []float64)
+	// fields lists the reported performances in spec order.
+	fields []perfField
+	// fStart and fStop bound the open-loop AC sweep [Hz].
+	fStart, fStop float64
+}
+
+// simHarness evaluates one opamp problem. It carries the per-problem
+// warm-start state shared by every evaluation — one reference operating
+// point, solved once at the initial design, and the cumulative DC and
+// solver effort counters — and a free list of built benches. Every
+// Eval, EvalSpec and Constraints call takes a bench off the list (or
+// builds one when the list is empty), writes its point with set, resets
+// the circuit's solvers to a new circuit's state, evaluates and puts
+// the bench back; the list therefore holds at most as many benches as
+// evaluations ever ran at once. Warm-starting every solve from the same
+// fixed reference (rather than from the previous solve) and resetting
+// the solvers keep every result, simulation count and solver counter
+// independent of call order and of which bench a call gets, so results
+// stay deterministic under the optimizer's concurrency and the
 // evaluation cache.
 type simHarness struct {
+	opamp
+	// s0 and theta0 are the nominal statistical (all zero) and operating
+	// points: the reference bench is solved and the sizing constraints
+	// are checked there.
+	s0, theta0 []float64
+
 	stats  spice.DCStats
 	solver spice.SolverStats
 	refOP  linalg.Vector // nil when the reference solve failed
@@ -57,16 +124,28 @@ type simHarness struct {
 	// sim holds behaviour-preserving simulator tuning (worker fan-out),
 	// set once through configure before evaluations start.
 	sim problem.SimOptions
+
+	mu   sync.Mutex
+	free []*testbench
 }
 
-// newSimHarness solves tb0 cold and records its operating point as the
-// warm-start reference. tb0 must share the MNA layout of every bench the
-// problem will build (same topology, any parameter values). The solve
-// doubles as the symbolic-cache seeding pass: tb0's DC factorization
-// stores the Jacobian pattern, and one AC solve in the evaluation flow's
-// stamp configuration stores the (G + jωC) pattern.
-func newSimHarness(tb0 *testbench) *simHarness {
-	h := &simHarness{symCache: linalg.NewSymbolicCache()}
+// newSimHarness completes p, whose specs, parameters and ranges are
+// already filled in, with c's evaluators, constraints and effort
+// counters, and returns the harness behind them. It builds the
+// reference bench at p's initial design and the nominal point, solves
+// it cold and records its operating point as the warm-start reference.
+// The solve doubles as the symbolic-cache seeding pass: the reference
+// DC factorization stores the Jacobian pattern, and one AC solve in the
+// evaluation flow's stamp configuration stores the (G + jωC) pattern.
+func newSimHarness(c opamp, p *problem.Problem) *simHarness {
+	h := &simHarness{
+		opamp:    c,
+		s0:       make([]float64, p.NumStat()),
+		theta0:   p.NominalTheta(),
+		symCache: linalg.NewSymbolicCache(),
+	}
+	tb0 := c.build()
+	c.set(tb0, p.InitialDesign(), h.s0, h.theta0)
 	tb0.ckt.Opts.SymCache = h.symCache
 	// Count the seeding solves in the shared counters: they carry the
 	// problem's only symbolic factorizations once the cache is frozen.
@@ -74,15 +153,20 @@ func newSimHarness(tb0 *testbench) *simHarness {
 	if dc, err := tb0.ckt.DC(spice.DCOptions{}); err == nil {
 		h.refOP = dc.X
 		// Mirror evaluate's AC drive configuration so the seeded pattern
-		// matches the one every evaluation assembles, then restore.
-		driveAC, fbMode, fbVal := tb0.drive.AC, tb0.fb.ACMode, tb0.fb.ACValue
+		// matches the one every evaluation assembles.
 		tb0.drive.AC = 1
 		tb0.fb.ACMode = spice.VCVSACFixed
 		tb0.fb.ACValue = 0
 		_, _ = tb0.ckt.AC(dc, 2*math.Pi)
-		tb0.drive.AC, tb0.fb.ACMode, tb0.fb.ACValue = driveAC, fbMode, fbVal
 	}
 	h.symCache.Freeze()
+
+	p.Eval = h.eval
+	p.EvalSpec = h.evalSpec
+	p.Constraints = h.constraints
+	p.ConstraintNames = mosConstraintNames(tb0.mosfets)
+	p.SimStats = h.counters
+	p.SimConfigure = h.configure
 	return h
 }
 
@@ -91,9 +175,69 @@ func newSimHarness(tb0 *testbench) *simHarness {
 func (h *simHarness) arm(tb *testbench) *testbench {
 	tb.dcOpts = spice.DCOptions{InitialX: h.refOP, Stats: &h.stats}
 	tb.ckt.SolverStats = &h.solver
-	tb.ckt.Opts.SweepWorkers = h.sim.SweepWorkers
 	tb.ckt.Opts.SymCache = h.symCache
 	return tb
+}
+
+// bench takes a bench off the free list, or builds and arms a new one
+// when the list is empty, and readies it for the point (d, s, theta).
+// Hand it back with release.
+func (h *simHarness) bench(d, s, theta []float64) *testbench {
+	h.mu.Lock()
+	var tb *testbench
+	if n := len(h.free); n > 0 {
+		tb, h.free = h.free[n-1], h.free[:n-1]
+	}
+	h.mu.Unlock()
+	if tb == nil {
+		tb = h.arm(h.build())
+	}
+	h.set(tb, d, s, theta)
+	tb.ckt.ResetSolvers()
+	tb.ckt.Opts.SweepWorkers = h.sim.SweepWorkers
+	return tb
+}
+
+// release returns a bench taken with bench to the free list.
+func (h *simHarness) release(tb *testbench) {
+	h.mu.Lock()
+	h.free = append(h.free, tb)
+	h.mu.Unlock()
+}
+
+// eval implements problem.Problem.Eval: the full measurement flow.
+func (h *simHarness) eval(d, s, theta []float64) ([]float64, error) {
+	tb := h.bench(d, s, theta)
+	defer h.release(tb)
+	p, _ := tb.evaluate(h.fStart, h.fStop, measureFull)
+	return h.report(p), nil
+}
+
+// evalSpec implements problem.Problem.EvalSpec: the flow up to the
+// level spec i's field needs.
+func (h *simHarness) evalSpec(d, s, theta []float64, i int) (float64, error) {
+	tb := h.bench(d, s, theta)
+	defer h.release(tb)
+	f := h.fields[i]
+	p, _ := tb.evaluate(h.fStart, h.fStop, f.need)
+	return f.get(p), nil
+}
+
+// constraints implements problem.Problem.Constraints: the sizing rules
+// at the nominal statistical and operating point.
+func (h *simHarness) constraints(d []float64) ([]float64, error) {
+	tb := h.bench(d, h.s0, h.theta0)
+	defer h.release(tb)
+	return tb.constraints(), nil
+}
+
+// report lists p's reported performances in spec order.
+func (h *simHarness) report(p Performances) []float64 {
+	out := make([]float64, len(h.fields))
+	for i, f := range h.fields {
+		out[i] = f.get(p)
+	}
+	return out
 }
 
 // configure implements problem.Problem.SimConfigure. It must be called
@@ -118,11 +262,6 @@ func (h *simHarness) counters() problem.SimCounters {
 		ACSolveNanos:   h.solver.ACNanos.Load(),
 		TranSolveNanos: h.solver.TranNanos.Load(),
 	}
-}
-
-// adjustTemp applies first-order temperature dependence to a model card.
-func adjustTemp(p spice.MosParams, tempC float64) spice.MosParams {
-	return p.AtTemp(tempC)
 }
 
 // applyDeltas folds the physical statistical perturbations into the
@@ -194,27 +333,6 @@ var (
 	fieldPower = perfField{measureDC, func(p Performances) float64 { return p.PowerMW }}
 )
 
-// evaluators returns a problem's Eval and EvalSpec: both build a fresh
-// bench per call and run evaluate, Eval at the full level and EvalSpec
-// at the level its spec's field needs. fields lists the reported
-// performances in spec order.
-func evaluators(fields []perfField, fStart, fStop float64, build func(d, s, theta []float64) *testbench) (problem.EvalFunc, problem.EvalSpecFunc) {
-	eval := func(d, s, theta []float64) ([]float64, error) {
-		p, _ := build(d, s, theta).evaluate(fStart, fStop, measureFull)
-		out := make([]float64, len(fields))
-		for i, f := range fields {
-			out[i] = f.get(p)
-		}
-		return out, nil
-	}
-	evalSpec := func(d, s, theta []float64, i int) (float64, error) {
-		f := fields[i]
-		p, _ := build(d, s, theta).evaluate(fStart, fStop, f.need)
-		return f.get(p), nil
-	}
-	return eval, evalSpec
-}
-
 // evaluate runs the shared opamp measurement flow up to level need: DC
 // bias with the feedback loop closed and operating-point bookkeeping
 // (slew rate, power); then an open-loop differential AC sweep (gain, and
@@ -231,11 +349,7 @@ func (tb *testbench) evaluate(fStart, fStop float64, need measure) (Performances
 	p := failedPerf()
 
 	// Slew rate: tail current into the slew-limiting capacitance.
-	itail := tb.tailI
-	if tb.tail != nil {
-		itail = tb.tail.Op(dc.X).ID
-	}
-	p.SRVus = itail / tb.slewCap / 1e6 // V/µs
+	p.SRVus = tb.tail.Op(dc.X).ID / tb.slewCap.C / 1e6 // V/µs
 	p.PowerMW = math.Abs(dc.BranchCurrent(tb.vddSrc.Branch())) * tb.vdd * 1e3
 	if need == measureDC {
 		return p, true
@@ -285,6 +399,16 @@ func (tb *testbench) evaluate(fStart, fStop float64, need measure) (Performances
 }
 
 func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
+
+// constraints solves the bench's DC operating point and emits its sizing
+// constraints, or the failure penalty when the solve fails.
+func (tb *testbench) constraints() []float64 {
+	dc, err := tb.ckt.DC(tb.dcOpts)
+	if err != nil {
+		return failedConstraints(2 * len(tb.mosfets))
+	}
+	return mosConstraints(tb.mosfets, dc.X)
+}
 
 // mosConstraints emits the functional sizing constraints for a converged
 // DC point: every transistor saturated with margin and conducting with a

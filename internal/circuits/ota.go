@@ -54,13 +54,9 @@ func OTAVariations() *variation.Model {
 	return m
 }
 
-// buildOTA constructs the five-transistor OTA testbench with an ideal tail
-// current source. theta = [temperature °C, VDD V].
-func buildOTA(g otaDesign, deltas []variation.Delta, theta []float64) *testbench {
-	tempC, vdd := theta[0], theta[1]
-	nmos := adjustTemp(spice.DefaultNMOS(), tempC)
-	pmos := adjustTemp(spice.DefaultPMOS(), tempC)
-
+// newOTA builds the five-transistor OTA testbench topology; set writes
+// the point-dependent values.
+func newOTA() *testbench {
 	c := spice.New()
 	nVdd := c.Node("vdd")
 	nInp := c.Node("inp") // non-inverting input (AC drive, M1 gate)
@@ -70,10 +66,9 @@ func buildOTA(g otaDesign, deltas []variation.Delta, theta []float64) *testbench
 	nOut := c.Node("out")
 	nVbn := c.Node("vbn")
 	gnd := c.Node(spice.Ground)
-	vcm := vdd / 2
 
-	vddSrc := spice.NewVSource("VDD", nVdd, gnd, vdd, 0)
-	drive := spice.NewVSource("VINP", nInp, gnd, vcm, 0)
+	vddSrc := spice.NewVSource("VDD", nVdd, gnd, 0, 0)
+	drive := spice.NewVSource("VINP", nInp, gnd, 0, 0)
 	// The output is M2's drain, so M2's gate is the inverting input: the
 	// unity feedback must land there for the DC loop to be stable.
 	fb := spice.NewVCVS("EFB", nInn, gnd, nOut, gnd, 1)
@@ -82,82 +77,65 @@ func buildOTA(g otaDesign, deltas []variation.Delta, theta []float64) *testbench
 	c.Add(fb)
 	c.Add(spice.NewVSource("VBN", nVbn, gnd, 1.0, 0))
 
-	m1 := spice.NewMosfet("M1", nN1, nInp, nTail, gnd, +1, g.w1, otaL1, nmos)
-	m2 := spice.NewMosfet("M2", nOut, nInn, nTail, gnd, +1, g.w1, otaL1, nmos)
-	m3 := spice.NewMosfet("M3", nN1, nN1, nVdd, nVdd, -1, g.w3, otaL3, pmos)
-	m4 := spice.NewMosfet("M4", nOut, nN1, nVdd, nVdd, -1, g.w3, otaL3, pmos)
-	m5 := spice.NewMosfet("M5", nTail, nVbn, gnd, gnd, +1, g.wt, otaL5, nmos)
-	c.Add(m1)
-	c.Add(m2)
-	c.Add(m3)
-	c.Add(m4)
-	c.Add(m5)
-	c.Add(spice.NewCapacitor("CL", nOut, gnd, otaCL))
+	mk := func(name string, d, gt, s, b, pol int) *spice.Mosfet {
+		m := spice.NewMosfet(name, d, gt, s, b, pol, 0, 0, spice.MosParams{})
+		c.Add(m)
+		return m
+	}
+	m1 := mk("M1", nN1, nInp, nTail, gnd, +1)
+	m2 := mk("M2", nOut, nInn, nTail, gnd, +1)
+	m3 := mk("M3", nN1, nN1, nVdd, nVdd, -1)
+	m4 := mk("M4", nOut, nN1, nVdd, nVdd, -1)
+	m5 := mk("M5", nTail, nVbn, gnd, gnd, +1)
+	cl := spice.NewCapacitor("CL", nOut, gnd, otaCL)
+	c.Add(cl)
 
-	tb := &testbench{
-		ckt: c, out: nOut, drive: drive, fb: fb,
-		vddSrc: vddSrc, vdd: vdd,
-		tail: m5, slewCap: otaCL,
+	return &testbench{
+		ckt: c, out: nOut, drive: drive, fb: fb, vddSrc: vddSrc,
+		tail: m5, slewCap: cl,
 		mosfets: []*spice.Mosfet{m1, m2, m3, m4, m5},
 	}
-	applyDeltas(tb.mosfets, deltas)
-	return tb
+}
+
+// otaProblem builds the OTA problem and its harness.
+func otaProblem() (*problem.Problem, *simHarness) {
+	model := OTAVariations()
+	p := &problem.Problem{
+		Name: "ota5",
+		Specs: []problem.Spec{
+			{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 38},
+			{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 30},
+			{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 60},
+			{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 0.4},
+		},
+		Design: []problem.Param{
+			{Name: "W1", Unit: "µm", Init: 20, Lo: 2, Hi: 200, LogScale: true},
+			{Name: "W3", Unit: "µm", Init: 30, Lo: 2, Hi: 200, LogScale: true},
+			{Name: "WT", Unit: "µm", Init: 8, Lo: 2, Hi: 100, LogScale: true},
+		},
+		StatNames: model.Names(),
+		Theta: []problem.OpRange{
+			{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
+			{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
+		},
+	}
+	h := newSimHarness(opamp{
+		build: newOTA,
+		set: func(tb *testbench, d, s, theta []float64) {
+			g := otaDecode(d)
+			tb.deltas = model.AppendPhysical(tb.deltas[:0], s, g.geometry)
+			tb.set(g.geometry, tb.deltas, theta)
+		},
+		fields: []perfField{fieldA0, fieldFt, fieldCMRR, fieldPower},
+		fStart: 100, fStop: 1e10,
+	}, p)
+	return p, h
 }
 
 // OTAProblem builds the problem.Problem for the five-transistor OTA: a
 // three-parameter design space that exercises every part of the optimizer
 // quickly.
 func OTAProblem() *problem.Problem {
-	model := OTAVariations()
-	specs := []problem.Spec{
-		{Name: "A0", Unit: "dB", Kind: problem.GE, Bound: 38},
-		{Name: "ft", Unit: "MHz", Kind: problem.GE, Bound: 30},
-		{Name: "CMRR", Unit: "dB", Kind: problem.GE, Bound: 60},
-		{Name: "Power", Unit: "mW", Kind: problem.LE, Bound: 0.4},
-	}
-	design := []problem.Param{
-		{Name: "W1", Unit: "µm", Init: 20, Lo: 2, Hi: 200, LogScale: true},
-		{Name: "W3", Unit: "µm", Init: 30, Lo: 2, Hi: 200, LogScale: true},
-		{Name: "WT", Unit: "µm", Init: 8, Lo: 2, Hi: 100, LogScale: true},
-	}
-	theta := []problem.OpRange{
-		{Name: "T", Unit: "°C", Nominal: 27, Lo: -40, Hi: 125},
-		{Name: "VDD", Unit: "V", Nominal: 3.3, Lo: 3.0, Hi: 3.6},
-	}
-
-	// The reference bench provides the constraint names and the fixed
-	// warm-start operating point every later solve starts from.
-	tb0 := buildOTA(otaDecode([]float64{20, 30, 8}), nil, []float64{27, 3.3})
-	h := newSimHarness(tb0)
-
-	fields := []perfField{fieldA0, fieldFt, fieldCMRR, fieldPower}
-	eval, evalSpec := evaluators(fields, 100, 1e10, func(d, s, th []float64) *testbench {
-		g := otaDecode(d)
-		return h.arm(buildOTA(g, model.Physical(s, g.geometry), th))
-	})
-
-	zeroS := make([]float64, model.Dim())
-	constraints := func(d []float64) ([]float64, error) {
-		g := otaDecode(d)
-		tb := h.arm(buildOTA(g, model.Physical(zeroS, g.geometry), []float64{27, 3.3}))
-		dc, err := tb.ckt.DC(tb.dcOpts)
-		if err != nil {
-			return failedConstraints(2 * len(tb.mosfets)), nil
-		}
-		return mosConstraints(tb.mosfets, dc.X), nil
-	}
-
-	return &problem.Problem{
-		Name:            "ota5",
-		Specs:           specs,
-		Design:          design,
-		StatNames:       model.Names(),
-		Theta:           theta,
-		ConstraintNames: mosConstraintNames(tb0.mosfets),
-		Eval:            eval,
-		EvalSpec:        evalSpec,
-		Constraints:     constraints,
-		SimStats:        h.counters,
-		SimConfigure:    h.configure,
-	}
+	p, _ := otaProblem()
+	return p
 }

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"specwise/internal/problem"
 	"specwise/internal/spice"
 )
 
@@ -31,13 +32,15 @@ func crelDiff(a, b complex128) float64 {
 	return cmplx.Abs(a-b) / scale
 }
 
-// checkSolverAgreement builds the same testbench twice — once per
-// backend — and compares the full DC solution and the AC output response
-// at several frequencies.
-func checkSolverAgreement(t *testing.T, name string, build func() *testbench) {
+// checkSolverAgreement builds the problem's testbench twice at the
+// initial design and nominal point — once per backend — and compares the
+// full DC solution and the AC output response at several frequencies.
+func checkSolverAgreement(t *testing.T, name string, mkProblem func() (*problem.Problem, *simHarness)) {
 	t.Helper()
+	p, h := mkProblem()
 	mk := func(kind spice.SolverKind) (*testbench, *spice.DCResult) {
-		tb := build()
+		tb := h.build()
+		h.set(tb, p.InitialDesign(), h.s0, h.theta0)
 		tb.ckt.Opts.Solver = kind
 		dc, err := tb.ckt.DC(spice.DCOptions{})
 		if err != nil {
@@ -101,21 +104,15 @@ func checkSolverAgreement(t *testing.T, name string, build func() *testbench) {
 }
 
 func TestSolverAgreementOTA(t *testing.T) {
-	checkSolverAgreement(t, "ota5", func() *testbench {
-		return buildOTA(otaDecode([]float64{20, 30, 8}), nil, []float64{27, 3.3})
-	})
+	checkSolverAgreement(t, "ota5", otaProblem)
 }
 
 func TestSolverAgreementMiller(t *testing.T) {
-	checkSolverAgreement(t, "miller", func() *testbench {
-		return buildMiller(mlDecode([]float64{20, 20, 115, 12, 4, 6}), nil, []float64{27, 3.3})
-	})
+	checkSolverAgreement(t, "miller", millerProblem)
 }
 
 func TestSolverAgreementFoldedCascode(t *testing.T) {
-	checkSolverAgreement(t, "folded-cascode", func() *testbench {
-		return buildFoldedCascode(fcDecode([]float64{30, 1, 60, 2, 50, 100, 100, 100}), nil, []float64{27, 3.3})
-	})
+	checkSolverAgreement(t, "folded-cascode", foldedCascodeProblem)
 }
 
 // TestSolverStatsFlow checks that solver effort counters reach the

@@ -48,7 +48,7 @@ func TestSlewRateTransientCrossCheck(t *testing.T) {
 	c.Add(spice.NewCapacitor("CL", nOut, gnd, cl))
 
 	// The output node drives the M2 gate directly — the inverting input
-	// (see buildOTA), making this the classic 5T unity-gain buffer.
+	// (see newOTA), making this the classic 5T unity-gain buffer.
 	dc, err := c.DC(spice.DCOptions{})
 	if err != nil {
 		t.Fatal(err)

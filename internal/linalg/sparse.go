@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the sparse linear-solver backend: triplet (COO)
@@ -287,13 +288,13 @@ type spSymbolic struct {
 }
 
 // SymbolicCache shares immutable symbolic factorizations across solver
-// instances. The optimization hot path builds a fresh circuit — and
-// fresh sparse solvers — for every evaluation, yet every evaluation of a
-// problem factors the same two matrix patterns (the DC Jacobian and the
-// AC system); with a cache attached, each new solver adopts the stored
-// pattern analysis, fill-reducing order and recorded elimination and
-// goes straight to the numeric replay, skipping the ordering and
-// DFS-driven full factorization entirely.
+// instances. Every evaluation of a problem factors the same two matrix
+// patterns (the DC Jacobian and the AC system) on one of several pooled
+// circuits; with a cache attached, each solver — on construction and
+// again after every Restart — adopts the stored pattern analysis,
+// fill-reducing order and recorded elimination and goes straight to the
+// numeric replay, skipping the ordering and DFS-driven full
+// factorization entirely.
 //
 // A cache is seeded single-threaded (the harness factors one reference
 // circuit at construction) and then Frozen; lookups after Freeze are
@@ -307,8 +308,11 @@ type spSymbolic struct {
 // spSymbolic stores only index data (no scalar values), so one cache
 // serves both the real and complex backends.
 type SymbolicCache struct {
-	mu      sync.RWMutex
-	frozen  bool
+	mu sync.RWMutex
+	// frozen is read without the lock by store, which every successful
+	// factorization calls: once frozen, the hot path never takes the
+	// exclusive lock that would stall concurrent readers.
+	frozen  atomic.Bool
 	entries []symCacheEntry
 }
 
@@ -344,7 +348,7 @@ func NewSymbolicCache() *SymbolicCache {
 // concurrent evaluations.
 func (c *SymbolicCache) Freeze() {
 	c.mu.Lock()
-	c.frozen = true
+	c.frozen.Store(true)
 	c.mu.Unlock()
 }
 
@@ -388,9 +392,12 @@ func (c *SymbolicCache) lookup(n int, colp, rowi []int32) *spSymbolic {
 // the cache is frozen or when the pattern is already present (first
 // seeding wins, keeping results independent of store order).
 func (c *SymbolicCache) store(n int, flavor uint8, colp, rowi []int32, sym *spSymbolic) {
+	if c.frozen.Load() {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.frozen {
+	if c.frozen.Load() {
 		return
 	}
 	for i := range c.entries {
@@ -416,7 +423,7 @@ func (c *SymbolicCache) store(n int, flavor uint8, colp, rowi []int32, sym *spSy
 func (c *SymbolicCache) patternFor(n int, flavor uint8) (colp, rowi []int32) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if !c.frozen {
+	if !c.frozen.Load() {
 		return nil, nil
 	}
 	found := -1
@@ -1026,17 +1033,54 @@ func newSparseCore[T scalar](n int) sparseCore[T] {
 // misses the cache), so speculation never changes results.
 func (s *sparseCore[T]) SetSymbolicCache(c *SymbolicCache) {
 	s.cache = c
-	if c == nil || s.a.compiled || len(s.a.ti) > 0 {
+	if s.a.compiled || len(s.a.ti) > 0 {
 		return
 	}
-	colp, rowi := c.patternFor(s.a.n, flavorOf[T]())
+	s.adoptPattern()
+}
+
+// adoptPattern points an empty matrix at the frozen cache's compiled
+// pattern for this order and flavor, if there is one (see
+// SetSymbolicCache), reusing the value buffer's capacity.
+func (s *sparseCore[T]) adoptPattern() {
+	if s.cache == nil {
+		return
+	}
+	colp, rowi := s.cache.patternFor(s.a.n, flavorOf[T]())
 	if colp == nil {
 		return
 	}
 	s.a.colp, s.a.rowi = colp, rowi
-	s.a.vals = make([]T, len(rowi))
+	if cap(s.a.vals) < len(rowi) {
+		s.a.vals = make([]T, len(rowi))
+	}
+	s.a.vals = s.a.vals[:len(rowi)]
+	clear(s.a.vals)
 	s.a.compiled = true
 	s.stats.NNZ = len(rowi)
+}
+
+// Restart returns the solver to the state of a newly constructed one
+// with the same symbolic cache attached, keeping every buffer: the
+// assembly is emptied and re-adopts the frozen cache pattern, any
+// private symbolic factorization left by a repivot fallback is dropped,
+// and the next Factor adopts the cached symbolic again (or, without a
+// cache entry, analyzes the pattern afresh). Cumulative counters are
+// kept; the NNZ gauges read as a new solver's. A solver reused for an
+// unrelated system calls Restart first, so its factors never depend on
+// what it solved before.
+func (s *sparseCore[T]) Restart() {
+	a := s.a
+	a.compiled = false
+	a.ti, a.tj, a.tv = a.ti[:0], a.tj[:0], a.tv[:0]
+	a.colp, a.rowi = nil, nil
+	a.vals = a.vals[:0]
+	s.lu.valid = false
+	s.lu.q = nil
+	s.lu.sym = nil
+	s.lu.num.sym = nil
+	s.stats.NNZ, s.stats.FillNNZ = 0, 0
+	s.adoptPattern()
 }
 
 // ensureCompiled freezes the assembled structure: triplets are merged
@@ -1174,7 +1218,7 @@ func (s *SparseComplexSolver) SolveInto(x, b []complex128) error {
 func (s *SparseComplexSolver) Stats() SolverStats { return s.stats }
 
 // Absorb folds a workspace's counters into the parent solver's stats, so
-// work done on NumericWorkspace clones still shows up in the instrumented
+// work done on bound workspaces still shows up in the instrumented
 // totals. Gauges (NNZ, FillNNZ) keep the maximum seen.
 func (s *SparseComplexSolver) Absorb(st SolverStats) {
 	s.stats.Factorizations += st.Factorizations
@@ -1218,10 +1262,12 @@ func (s *SparseComplexSolver) LoadValues(base, slope []complex128, t float64) bo
 // distributed over workspaces; a point whose pivots degenerate falls
 // back to a private full factorization without touching the shared
 // state. Workspaces are invalidated by any structural change or symbolic
-// refactorization in the parent — create them fresh after Factor.
+// refactorization in the parent — rebind them with BindWorkspace after
+// Factor.
 type SparseComplexWorkspace struct {
 	a   spMatrix[complex128] // shares colp/rowi with the parent; vals only materialized for the fallback
-	num *spNumeric[complex128]
+	num spNumeric[complex128]
+	buf []complex128 // backing array of num's lx, ux, w and sx
 	// affBase/affSlope/affT record the last LoadValues call; Factor fuses
 	// the affine reload into the refactorization's scatter instead of
 	// materializing a value array per point.
@@ -1234,47 +1280,51 @@ type SparseComplexWorkspace struct {
 	stats             SolverStats
 }
 
-// newComplexWorkspace builds a workspace sharing the given pattern and
-// symbolic factorization; the numeric arrays come out of one backing
-// allocation and no value array is materialized until the fallback needs
-// one (the sweep creates a workspace per worker per sweep, so the
-// constructor is on a warm path).
-func newComplexWorkspace(n int, colp, rowi []int32, sym *spSymbolic) *SparseComplexWorkspace {
-	nl, nu := len(sym.li), len(sym.ui)
-	buf := make([]complex128, nl+nu+2*n)
-	return &SparseComplexWorkspace{
-		a: spMatrix[complex128]{
-			n:        n,
-			compiled: true,
-			colp:     colp,
-			rowi:     rowi,
-		},
-		num: &spNumeric[complex128]{
-			sym: sym,
-			lx:  buf[:nl:nl],
-			ux:  buf[nl : nl+nu : nl+nu],
-			pd:  make([]pivotDiv, n),
-			w:   buf[nl+nu : nl+nu+n : nl+nu+n],
-			sx:  buf[nl+nu+n:],
-		},
-		stats: SolverStats{Kind: "sparse", N: n, NNZ: len(rowi)},
-	}
-}
-
-// NumericWorkspace returns a workspace bound to the solver's current
-// symbolic factorization. The solver must have been factored
-// successfully first.
-func (s *SparseComplexSolver) NumericWorkspace() (*SparseComplexWorkspace, error) {
+// BindWorkspace binds ws to the solver's current pattern and symbolic
+// factorization and returns it; a nil ws allocates a new workspace. A
+// rebound workspace keeps its buffers but is otherwise indistinguishable
+// from a new one: no factors, no loaded values, zeroed counters. A sweep
+// that keeps its workspaces across calls therefore folds only the
+// current call's work back through Absorb. The solver must have been
+// factored successfully first.
+func (s *SparseComplexSolver) BindWorkspace(ws *SparseComplexWorkspace) (*SparseComplexWorkspace, error) {
 	if !s.lu.valid {
-		return nil, errors.New("linalg: NumericWorkspace before successful Factor")
+		return nil, errors.New("linalg: BindWorkspace before successful Factor")
 	}
-	return newComplexWorkspace(s.a.n, s.a.colp, s.a.rowi, s.lu.sym), nil
-}
-
-// Clone returns an independent workspace over the same shared symbolic
-// factorization.
-func (ws *SparseComplexWorkspace) Clone() *SparseComplexWorkspace {
-	return newComplexWorkspace(ws.a.n, ws.a.colp, ws.a.rowi, ws.num.sym)
+	if ws == nil {
+		ws = new(SparseComplexWorkspace)
+	}
+	n, sym := s.a.n, s.lu.sym
+	nl, nu := len(sym.li), len(sym.ui)
+	if cap(ws.buf) < nl+nu+2*n {
+		ws.buf = make([]complex128, nl+nu+2*n)
+	}
+	buf := ws.buf[:nl+nu+2*n]
+	w := buf[nl+nu : nl+nu+n : nl+nu+n]
+	clear(w) // the factorization needs it zeroed; it may overlap the old factors
+	pd := ws.num.pd
+	if cap(pd) < n {
+		pd = make([]pivotDiv, n)
+	}
+	ws.num = spNumeric[complex128]{
+		sym: sym,
+		lx:  buf[:nl:nl],
+		ux:  buf[nl : nl+nu : nl+nu],
+		pd:  pd[:n],
+		w:   w,
+		sx:  buf[nl+nu+n:],
+	}
+	ws.a = spMatrix[complex128]{
+		n:        n,
+		compiled: true,
+		colp:     s.a.colp,
+		rowi:     s.a.rowi,
+		vals:     ws.a.vals[:0],
+	}
+	ws.affBase, ws.affSlope, ws.affT, ws.affine = nil, nil, 0, false
+	ws.fullActive, ws.factored = false, false
+	ws.stats = SolverStats{Kind: "sparse", N: n, NNZ: len(s.a.rowi)}
+	return ws, nil
 }
 
 // LoadValues points the workspace at the affine snapshot member
@@ -1317,9 +1367,9 @@ func (ws *SparseComplexWorkspace) Factor() error {
 	ws.factored = false
 	var err error
 	if ws.affine {
-		err = crefactorAffineC(ws.num, &ws.a, ws.affBase, ws.affSlope, ws.affT)
+		err = crefactorAffineC(&ws.num, &ws.a, ws.affBase, ws.affSlope, ws.affT)
 	} else if len(ws.a.vals) == len(ws.a.rowi) {
-		err = crefactorC(ws.num, &ws.a)
+		err = crefactorC(&ws.num, &ws.a)
 	} else {
 		return errors.New("linalg: SparseComplexWorkspace.Factor before LoadValues")
 	}
@@ -1337,10 +1387,10 @@ func (ws *SparseComplexWorkspace) Factor() error {
 	if ws.affine {
 		ws.materialize()
 	}
-	if ws.full == nil {
+	if ws.full == nil || ws.full.n != ws.a.n {
 		ws.full = newSPLU[complex128](ws.a.n)
-		ws.full.q = ws.num.sym.q
 	}
+	ws.full.q = ws.num.sym.q
 	if err := ws.full.factor(&ws.a); err != nil {
 		return err
 	}
@@ -1363,7 +1413,7 @@ func (ws *SparseComplexWorkspace) SolveInto(x, b []complex128) error {
 	if ws.fullActive {
 		csolveIntoC(ws.full.num, x, b)
 	} else {
-		csolveIntoC(ws.num, x, b)
+		csolveIntoC(&ws.num, x, b)
 	}
 	ws.stats.Solves++
 	return nil

@@ -544,11 +544,14 @@ func TestSparseComplexWorkspace(t *testing.T) {
 	if err := sp.Factor(); err != nil {
 		t.Fatal(err)
 	}
-	ws0, err := sp.NumericWorkspace()
-	if err != nil {
-		t.Fatal(err)
+	var workers []*SparseComplexWorkspace
+	for range 3 {
+		ws, err := sp.BindWorkspace(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, ws)
 	}
-	workers := []*SparseComplexWorkspace{ws0, ws0.Clone(), ws0.Clone()}
 	got := make([][]complex128, len(ts))
 	errs := make([]error, len(workers))
 	done := make(chan int, len(workers))
@@ -621,7 +624,7 @@ func TestSparseComplexWorkspaceRepivot(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sp.CaptureValues(nil)
-	ws, err := sp.NumericWorkspace()
+	ws, err := sp.BindWorkspace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,3 +234,150 @@ func TestSymbolicCacheComplexFlavor(t *testing.T) {
 		t.Fatalf("complex adopting solver did symbolic work: %+v", st)
 	}
 }
+
+// TestRestartReadoptsCachedSymbolic forces a cache-adopting solver into
+// the repivot fallback, which leaves it on a private symbolic
+// factorization, then restarts it. The next Factor must adopt the
+// shared cached symbolic again, with no symbolic work of its own, and
+// produce factors and solutions bit-identical to a new solver's.
+func TestRestartReadoptsCachedSymbolic(t *testing.T) {
+	n := 2
+	cache := NewSymbolicCache()
+	seed := NewSparseSolver(n)
+	seed.SetSymbolicCache(cache)
+	stamp := func(s Stamper, a, b, c, d float64) {
+		s.Addto(0, 0, a)
+		s.Addto(0, 1, b)
+		s.Addto(1, 0, c)
+		s.Addto(1, 1, d)
+	}
+	stamp(seed, 10, 1, 1, 10)
+	if err := seed.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	cache.Freeze()
+	shared := seed.lu.sym
+
+	sp := NewSparseSolver(n)
+	sp.SetSymbolicCache(cache)
+	stamp(sp, 1e-12, 1, 1, 1e-12) // degenerates the cached pivot order
+	if err := sp.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sp.Stats(); st.Symbolic != 1 || sp.lu.sym == shared {
+		t.Fatalf("setup: want a private symbolic after the repivot fallback, got %+v", st)
+	}
+
+	sp.Restart()
+	stamp(sp, 7, 2, 3, 9)
+	if err := sp.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sp.Stats(); st.Symbolic != 1 || st.Factorizations != 2 {
+		t.Fatalf("restarted solver did symbolic work: %+v", st)
+	}
+	if sp.lu.sym != shared {
+		t.Fatal("restarted solver did not re-adopt the cached symbolic")
+	}
+
+	fresh := NewSparseSolver(n)
+	fresh.SetSymbolicCache(cache)
+	stamp(fresh, 7, 2, 3, 9)
+	if err := fresh.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, fresh solver %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	sameBits("L", sp.lu.num.lx, fresh.lu.num.lx)
+	sameBits("U", sp.lu.num.ux, fresh.lu.num.ux)
+	x, xf := NewVector(n), NewVector(n)
+	if err := sp.SolveInto(x, Vector{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.SolveInto(xf, Vector{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	sameBits("x", x, xf)
+	if got, want := sp.Stats(), fresh.Stats(); got.NNZ != want.NNZ || got.FillNNZ != want.FillNNZ {
+		t.Fatalf("gauges after restart %+v, fresh solver %+v", got, want)
+	}
+}
+
+// TestBindWorkspaceCountsOnlyCurrentSweep reuses one workspace across
+// two sweeps, the first of which hits the repivot fallback. Rebound for
+// the second sweep, it must report only that sweep's counters, so
+// Absorb never folds the first sweep in twice, and solve bit-identically
+// to a newly bound workspace.
+func TestBindWorkspaceCountsOnlyCurrentSweep(t *testing.T) {
+	n := 2
+	sp := NewSparseComplexSolver(n)
+	sp.Addto(0, 0, 10)
+	sp.Addto(0, 1, 1)
+	sp.Addto(1, 0, 1)
+	sp.Addto(1, 1, 10)
+	if err := sp.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	base := sp.CaptureValues(nil)
+	slope := []complex128{1i, 0, 0, 2i}
+	degen := []complex128{1e-12, 1, 1, 1e-12}
+	b := []complex128{1, 2}
+	sweep := func(ws *SparseComplexWorkspace, base []complex128, ts ...float64) [][]complex128 {
+		t.Helper()
+		var out [][]complex128
+		for _, tv := range ts {
+			if !ws.LoadValues(base, slope, tv) {
+				t.Fatal("LoadValues rejected")
+			}
+			if err := ws.Factor(); err != nil {
+				t.Fatal(err)
+			}
+			x := make([]complex128, n)
+			if err := ws.SolveInto(x, b); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, x)
+		}
+		return out
+	}
+
+	ws, err := sp.BindWorkspace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(ws, base, 1, 2)
+	sweep(ws, degen, 0)
+	if st := ws.Stats(); st.Factorizations != 3 || st.Solves != 3 || st.Symbolic != 1 {
+		t.Fatalf("first sweep counters %+v", st)
+	}
+
+	if again, err := sp.BindWorkspace(ws); err != nil || again != ws {
+		t.Fatalf("rebinding returned %p, %v; want the same workspace", again, err)
+	}
+	got := sweep(ws, base, 3, 4)
+	if st := ws.Stats(); st.Factorizations != 2 || st.Solves != 2 || st.Symbolic != 0 {
+		t.Fatalf("rebound workspace counters %+v, want only the second sweep's 2/2/0", st)
+	}
+	fresh, err := sp.BindWorkspace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweep(fresh, base, 3, 4)
+	for p := range want {
+		for i := range want[p] {
+			if math.Float64bits(real(got[p][i])) != math.Float64bits(real(want[p][i])) ||
+				math.Float64bits(imag(got[p][i])) != math.Float64bits(imag(want[p][i])) {
+				t.Fatalf("point %d entry %d: rebound %v, new workspace %v", p, i, got[p][i], want[p][i])
+			}
+		}
+	}
+}

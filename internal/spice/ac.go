@@ -84,7 +84,7 @@ type affineCSolver interface {
 type workspaceCSolver interface {
 	affineCSolver
 	Factor() error
-	NumericWorkspace() (*linalg.SparseComplexWorkspace, error)
+	BindWorkspace(*linalg.SparseComplexWorkspace) (*linalg.SparseComplexWorkspace, error)
 	Absorb(linalg.SolverStats)
 }
 
@@ -200,7 +200,18 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 	if err := sol.Factor(); err != nil {
 		return true, fmt.Errorf("spice: AC solve at ω=%g: %w", omega0, c.describeSolverErr(err))
 	}
-	ws, err := sol.NumericWorkspace()
+	// Bind the kept workspaces (the caller's and, below, the extras')
+	// to the current symbolic: their counters start from zero, so every
+	// Absorb folds in this sweep's work only.
+	bind := func(k int) (*linalg.SparseComplexWorkspace, error) {
+		if k == len(w.sweepWS) {
+			w.sweepWS = append(w.sweepWS, nil)
+		}
+		ws, err := sol.BindWorkspace(w.sweepWS[k])
+		w.sweepWS[k] = ws
+		return ws, err
+	}
+	ws, err := bind(0)
 	if err != nil {
 		return false, nil
 	}
@@ -262,21 +273,26 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 	}
 	sch := sched.Default()
 	var wg sync.WaitGroup
-	var clones []*linalg.SparseComplexWorkspace
-	for extra := 0; extra < workers-1 && sch.TryAcquire(); extra++ {
-		wsk := ws.Clone()
-		clones = append(clones, wsk)
+	extras := 0
+	for ; extras < workers-1 && sch.TryAcquire(); extras++ {
+		wsk, _ := bind(extras + 1) // cannot fail: bind(0) succeeded on the same factors
+		if extras == len(w.sweepX) {
+			w.sweepX = append(w.sweepX, nil)
+		}
+		if len(w.sweepX[extras]) != len(w.acX) {
+			w.sweepX[extras] = make([]complex128, len(w.acX))
+		}
+		x := w.sweepX[extras]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer sch.Release()
-			run(wsk, make([]complex128, c.NumVars()))
+			run(wsk, x)
 		}()
 	}
 	run(ws, w.acX)
 	wg.Wait()
-	sol.Absorb(ws.Stats())
-	for _, wsk := range clones {
+	for _, wsk := range w.sweepWS[:extras+1] {
 		sol.Absorb(wsk.Stats())
 	}
 	return true, firstErr

@@ -19,13 +19,14 @@ const Ground = "0"
 // groundIndex marks the ground node in device terminal lists.
 const groundIndex = -1
 
-// Circuit is a flat netlist plus the MNA variable layout. Circuits are
-// cheap to construct; the evaluation layer builds a fresh circuit for every
-// (design, statistical, operating) parameter set. A circuit carries solver
-// scratch buffers reused across Newton iterations and AC sweep points, so
-// a single Circuit must not run analyses from multiple goroutines
-// concurrently (constructing one circuit per goroutine, as the evaluation
-// layer does, is the supported pattern).
+// Circuit is a flat netlist plus the MNA variable layout. A circuit
+// carries solver scratch buffers reused across Newton iterations, AC
+// sweep points and analyses, so a single Circuit must not run analyses
+// from multiple goroutines concurrently. The evaluation layer keeps a
+// pool of circuits per problem: a call takes one, writes its
+// (design, statistical, operating) values into the devices, calls
+// ResetSolvers and hands it back after its analyses, so no two
+// goroutines hold the same circuit at once.
 type Circuit struct {
 	nodeIndex  map[string]int
 	nodeNames  []string
@@ -67,6 +68,30 @@ type solverScratch struct {
 	acX      []complex128
 	affBase  []complex128
 	affSlope []complex128
+	// sweepWS are the fanned-out sweep's numeric workspaces (the
+	// caller's first, then one per extra worker) and sweepX the extra
+	// workers' solution vectors, kept across sweeps and rebound to the
+	// current symbolic factorization at the start of each.
+	sweepWS []*linalg.SparseComplexWorkspace
+	sweepX  [][]complex128
+}
+
+// ResetSolvers returns the circuit's scratch solvers to the state of
+// freshly built ones while keeping every buffer (see
+// linalg.SparseSolver.Restart): no factorization choice of an earlier
+// analysis — in particular a private symbolic factorization left by a
+// repivot fallback — carries over into the next one. A circuit reused
+// for a new parameter set calls it before its first analysis, so its
+// results and solver counters are those of a newly built circuit. The
+// dense backends keep no state between factorizations.
+func (c *Circuit) ResetSolvers() {
+	type restarter interface{ Restart() }
+	if r, ok := c.scratch.solver.(restarter); ok {
+		r.Restart()
+	}
+	if r, ok := c.scratch.acSolver.(restarter); ok {
+		r.Restart()
+	}
 }
 
 // dcScratch returns the DC Newton workspace for an order-n system.

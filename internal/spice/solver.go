@@ -55,9 +55,10 @@ type Options struct {
 	// SymCache, when non-nil, shares symbolic LU factorizations across
 	// circuits with identical matrix structure (sparse backend only).
 	// The evaluation harness seeds one per problem from a reference
-	// circuit and freezes it, so the thousands of per-evaluation
-	// circuits skip pattern analysis and fill-reducing ordering. Set it
-	// before the first analysis.
+	// circuit and freezes it, so each of the problem's pooled circuits
+	// skips pattern analysis and fill-reducing ordering, on its first
+	// analysis and again after every ResetSolvers. Set it before the
+	// first analysis.
 	SymCache *linalg.SymbolicCache
 }
 

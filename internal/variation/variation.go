@@ -109,10 +109,17 @@ type Delta struct {
 // variations are spatially uncorrelated per Pelgrom, and globals are
 // modeled as independent normalized components).
 func (m *Model) Physical(shat []float64, geom Geometry) []Delta {
+	return m.AppendPhysical(make([]Delta, 0, m.Dim()), shat, geom)
+}
+
+// AppendPhysical appends Physical's deltas to dst and returns the
+// extended slice, so a caller evaluating many samples can reuse one
+// buffer.
+func (m *Model) AppendPhysical(dst []Delta, shat []float64, geom Geometry) []Delta {
 	if len(shat) != m.Dim() {
 		panic(fmt.Sprintf("variation: sample dim %d, model dim %d", len(shat), m.Dim()))
 	}
-	out := make([]Delta, 0, m.Dim())
+	out := dst
 	idx := 0
 	for _, g := range m.Globals {
 		out = append(out, Delta{

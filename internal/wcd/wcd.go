@@ -20,8 +20,8 @@ import (
 // MarginFunc evaluates one spec's normalized margin (>= 0 means pass) at a
 // point in the normalized statistical space. When Options.GradWorkers
 // enables parallel gradients, the function must be safe for concurrent
-// calls (the circuit evaluation layer builds a fresh circuit per call, so
-// its margins are).
+// calls (the circuit evaluation layer gives each concurrent call its own
+// pooled circuit, so its margins are).
 type MarginFunc func(s []float64) (float64, error)
 
 // Options tunes the worst-case distance search.
