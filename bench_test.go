@@ -363,7 +363,8 @@ func BenchmarkAblationIncrementalYield(b *testing.B) {
 	d := make([]float64, 8)
 
 	b.Run("incremental-coordinate", func(b *testing.B) {
-		cd := est.Coordinate(d, 3)
+		var cd linmodel.CoordinateData
+		est.Coordinate(&cd, d, 3)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			count := 0
@@ -388,6 +389,28 @@ func BenchmarkAblationIncrementalYield(b *testing.B) {
 			d[3] = 0
 		}
 	})
+}
+
+// BenchmarkCoordSearch times the Eq.-19 coordinate search alone at the
+// paper's Table-6 scale: N = 10,000 samples over the Miller shape of five
+// spec models and six design coordinates, the layer that sets the pace of
+// a Table-6 Miller job. The sample loops run in fixed blocks on the
+// calling goroutine plus any free scheduler slots.
+func BenchmarkCoordSearch(b *testing.B) {
+	const nStat, nDesign = 4, 6
+	est := linmodel.NewEstimator(syntheticModels(5, nStat, nDesign), nStat, 10000, rng.New(90417))
+	box := coord.Box{Lo: make([]float64, nDesign), Hi: make([]float64, nDesign)}
+	for k := range box.Lo {
+		box.Lo[k], box.Hi[k] = -2, 2
+	}
+	d0 := make([]float64, nDesign)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := coord.Search(box, est, nil, d0, coord.Options{})
+		b.ReportMetric(100*res.Yield, "model-yield-%")
+		b.ReportMetric(float64(res.Passes), "passes")
+	}
 }
 
 // BenchmarkWorstCaseSearch measures the Eq.-8 solver on an analytic

@@ -2,11 +2,13 @@ package coord
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"specwise/internal/linmodel"
 	"specwise/internal/rng"
+	"specwise/internal/sched"
 )
 
 // oneModelEstimator builds an estimator with a single linear model
@@ -120,7 +122,7 @@ func TestBestAlphaExactness(t *testing.T) {
 		G:     []float64{1},
 		Scale: []float64{1},
 	}
-	alpha, count := bestAlpha(cd, -10, 10, 3)
+	alpha, count := new(scratch).bestAlpha(cd, -10, 10, 3)
 	if count != 3 {
 		t.Fatalf("count = %d", count)
 	}
@@ -135,7 +137,7 @@ func TestBestAlphaExactness(t *testing.T) {
 		G:     []float64{-1},
 		Scale: []float64{1},
 	}
-	alpha2, count2 := bestAlpha(cd2, -10, 10, 3)
+	alpha2, count2 := new(scratch).bestAlpha(cd2, -10, 10, 3)
 	if count2 != 3 {
 		t.Fatalf("count2 = %d", count2)
 	}
@@ -150,7 +152,7 @@ func TestBestAlphaPrefersZeroInsidePlateau(t *testing.T) {
 		G:     []float64{0.1},
 		Scale: []float64{1},
 	}
-	alpha, count := bestAlpha(cd, -5, 5, 2)
+	alpha, count := new(scratch).bestAlpha(cd, -5, 5, 2)
 	if count != 2 || alpha != 0 {
 		t.Errorf("alpha = %v count = %d; zero move preferred", alpha, count)
 	}
@@ -170,7 +172,7 @@ func TestBestAlphaCountConsistency(t *testing.T) {
 			cd.C[0][j] = r.NormFloat64()
 			cd.C[1][j] = r.NormFloat64()
 		}
-		alpha, count := bestAlpha(cd, -3, 3, n)
+		alpha, count := new(scratch).bestAlpha(cd, -3, 3, n)
 		actual := countAt(cd, alpha, n)
 		// The sweep reports the plateau count; the sampled point must
 		// reach it (ties at boundaries may only help).
@@ -189,14 +191,14 @@ func TestTieBreakConcaveOptimum(t *testing.T) {
 		G:     []float64{-1, 1},
 		Scale: []float64{1, 1},
 	}
-	if alpha := tieBreakAlpha(cd, -2, 2, 1); alpha != 0 {
+	if alpha := new(scratch).tieBreakAlpha(cd, -2, 2, 1); alpha != 0 {
 		t.Errorf("alpha = %v want 0", alpha)
 	}
 	// Asymmetric: margins 1−0.5α and 1+2α peak where they cross:
 	// 1−0.5α = 1+2α only at 0… with bounds [0.5, 2] the optimum is the
 	// left edge; since obj(left) > obj(0)=1? min(1−0.25, 2)=0.75 < 1 →
 	// returns 0 (no improvement).
-	if alpha := tieBreakAlpha(cd, 0.5, 2, 1); alpha != 0 {
+	if alpha := new(scratch).tieBreakAlpha(cd, 0.5, 2, 1); alpha != 0 {
 		t.Errorf("alpha = %v want 0 (no improvement available)", alpha)
 	}
 }
@@ -318,7 +320,7 @@ func TestTieBreakExactMaximizer(t *testing.T) {
 			cd.Scale[m] = 0.1 + r.Float64()
 		}
 		lo, hi := -2.0, 3.0
-		alpha := tieBreakAlpha(cd, lo, hi, n)
+		alpha := new(scratch).tieBreakAlpha(cd, lo, hi, n)
 		obj := func(a float64) float64 {
 			total := 0.0
 			for j := 0; j < n; j++ {
@@ -349,4 +351,295 @@ func TestTieBreakExactMaximizer(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// holdSlots takes every free slot of the process-wide scheduler, so the
+// block loops run on the calling goroutine only, and returns the release.
+func holdSlots() func() {
+	sch := sched.Default()
+	held := 0
+	for sch.TryAcquire() {
+		held++
+	}
+	return func() {
+		for ; held > 0; held-- {
+			sch.Release()
+		}
+	}
+}
+
+// randomCoordinateData draws n samples over nM models with the shapes
+// that stress the sweep: margins on a coarse grid (so interval endpoints
+// and tie-break minima tie), zero and sub-threshold slopes, repeated
+// slopes, and optionally a zero-slope model every sample fails.
+func randomCoordinateData(r *rng.Rand, nM, n int, allFail bool) linmodel.CoordinateData {
+	cd := linmodel.CoordinateData{
+		C:     make([][]float64, nM),
+		G:     make([]float64, nM),
+		Scale: make([]float64, nM),
+	}
+	for m := 0; m < nM; m++ {
+		switch r.Intn(5) {
+		case 0:
+			cd.G[m] = 0
+		case 1:
+			cd.G[m] = 1e-16
+		case 2:
+			cd.G[m] = float64(r.Intn(5) - 2) // repeated integer slopes
+		default:
+			cd.G[m] = r.NormFloat64()
+		}
+		cd.Scale[m] = float64(1 + r.Intn(3))
+		cd.C[m] = make([]float64, n)
+		for j := range cd.C[m] {
+			cd.C[m][j] = float64(r.Intn(17)-6) / 4
+		}
+	}
+	if allFail && nM > 0 {
+		cd.G[0] = 0
+		for j := range cd.C[0] {
+			cd.C[0][j] = -1
+		}
+	}
+	return cd
+}
+
+// TestBlockParallelMatchesSerialOracle pins bestAlpha and tieBreakAlpha
+// to their single-threaded oracles, bit for bit, across sample counts
+// around the block size, with the scheduler's slots free and held.
+func TestBlockParallelMatchesSerialOracle(t *testing.T) {
+	r := rng.New(18)
+	for _, n := range []int{0, 1, block - 1, block, block + 1, 10000} {
+		for trial := 0; trial < 12; trial++ {
+			nM := 1 + r.Intn(5)
+			cd := randomCoordinateData(r, nM, n, trial%6 == 5)
+			lo := float64(r.Intn(9)-6) / 2
+			hi := lo + float64(r.Intn(9))/2 // includes lo == hi
+			wantA, wantC := serialBestAlpha(cd, lo, hi, n)
+			wantT := serialTieBreakAlpha(cd, lo, hi, n)
+			for _, held := range []bool{false, true} {
+				release := func() {}
+				if held {
+					release = holdSlots()
+				}
+				var w scratch
+				gotA, gotC := w.bestAlpha(cd, lo, hi, n)
+				gotT := w.tieBreakAlpha(cd, lo, hi, n)
+				// A second call on the warm workspace must not see stale data.
+				gotA2, gotC2 := w.bestAlpha(cd, lo, hi, n)
+				release()
+				if math.Float64bits(gotA) != math.Float64bits(wantA) || gotC != wantC ||
+					math.Float64bits(gotA2) != math.Float64bits(wantA) || gotC2 != wantC {
+					t.Fatalf("n=%d trial=%d held=%v: bestAlpha = (%v, %d), again (%v, %d); oracle (%v, %d)",
+						n, trial, held, gotA, gotC, gotA2, gotC2, wantA, wantC)
+				}
+				if math.Float64bits(gotT) != math.Float64bits(wantT) {
+					t.Fatalf("n=%d trial=%d held=%v: tieBreakAlpha = %v; oracle %v", n, trial, held, gotT, wantT)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchIndependentOfScheduler runs the full search on a five-model,
+// six-coordinate estimator at N = 10,000 with every scheduler slot held
+// (caller-runs only) and with the slots free: the results must be
+// identical to the bit.
+func TestSearchIndependentOfScheduler(t *testing.T) {
+	const nStat, nDesign = 8, 6
+	r := rng.New(90417)
+	models := make([]*linmodel.SpecModel, 5)
+	for m := range models {
+		gs := r.NormVector(make([]float64, nStat))
+		gd := r.NormVector(make([]float64, nDesign))
+		models[m] = &linmodel.SpecModel{
+			Spec: m, S: make([]float64, nStat), Df: make([]float64, nDesign),
+			Margin0: r.NormFloat64() - 1.5, GradS: gs, GradD: gd,
+		}
+	}
+	est := linmodel.NewEstimator(models, nStat, 10000, rng.New(7))
+	box := Box{Lo: make([]float64, nDesign), Hi: make([]float64, nDesign)}
+	for k := range box.Lo {
+		box.Lo[k], box.Hi[k] = -3, 3
+	}
+	d0 := make([]float64, nDesign)
+	release := holdSlots()
+	serial := Search(box, est, nil, d0, Options{})
+	release()
+	parallel := Search(box, est, nil, d0, Options{})
+	if !serial.Moved {
+		t.Fatal("search did not move; the test needs a moving trajectory")
+	}
+	same := serial.Passes == parallel.Passes && serial.Moved == parallel.Moved &&
+		math.Float64bits(serial.Yield) == math.Float64bits(parallel.Yield) &&
+		len(serial.History) == len(parallel.History)
+	for k := range serial.D {
+		same = same && math.Float64bits(serial.D[k]) == math.Float64bits(parallel.D[k])
+	}
+	for i := range serial.History {
+		same = same && i < len(parallel.History) &&
+			math.Float64bits(serial.History[i]) == math.Float64bits(parallel.History[i])
+	}
+	if !same {
+		t.Errorf("caller-runs only: %+v\nwith free slots: %+v", serial, parallel)
+	}
+}
+
+// serialBestAlpha is the single-threaded bestAlpha, kept verbatim as the
+// oracle the block-parallel version must match bit for bit. It finds the α in [lo, hi] maximizing the passing-sample count by
+// an event sweep: each sample passes on an interval [l_j, h_j] of α
+// (intersection of its per-model half-lines), and the best α lies on a
+// maximal overlap of those intervals. Ties prefer the smallest |α| and the
+// returned α is centered within its plateau for robustness.
+func serialBestAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) (float64, int) {
+	type event struct {
+		x     float64
+		delta int
+	}
+	events := make([]event, 0, 2*n)
+	for j := 0; j < n; j++ {
+		l, h, ok := sampleInterval(cd, j, lo, hi)
+		if !ok {
+			continue
+		}
+		events = append(events, event{l, +1}, event{h, -1})
+	}
+	if len(events) == 0 {
+		return 0, 0
+	}
+	sort.Slice(events, func(a, b int) bool {
+		if events[a].x != events[b].x {
+			return events[a].x < events[b].x
+		}
+		// Opens before closes at the same abscissa: intervals are closed.
+		return events[a].delta > events[b].delta
+	})
+	bestCount, cur := 0, 0
+	bestL, bestR := 0.0, 0.0
+	for i, ev := range events {
+		cur += ev.delta
+		if cur > bestCount {
+			bestCount = cur
+			bestL = ev.x
+			bestR = hi
+			if i+1 < len(events) {
+				bestR = events[i+1].x
+			}
+		}
+	}
+	// Prefer zero move if the best plateau contains it; otherwise take
+	// the nearest end of the plateau inset by a quarter width — far
+	// enough from the pass/fail cliff for robustness, close enough to
+	// the current point to keep the linearization local.
+	if bestL <= 0 && 0 <= bestR {
+		return 0, bestCount
+	}
+	if bestL > 0 {
+		return bestL + 0.25*(bestR-bestL), bestCount
+	}
+	return bestR - 0.25*(bestR-bestL), bestCount
+}
+
+// serialTieBreakAlpha is the single-threaded tieBreakAlpha, kept verbatim
+// as the oracle the block-parallel version must match bit for bit. It
+// maximizes the mean over samples of the minimum model
+// margin — a concave piecewise-linear function of α — exactly. Each
+// evaluation returns the one-sided derivatives alongside the value, and
+// a tangent-intersection search (Newton's method for piecewise-linear
+// concave functions, with a midpoint safeguard) closes in on the plateau
+// whose subgradient contains zero. Each step costs one O(n·m) pass,
+// versus the ~120 passes of the former 60-iteration ternary search, and
+// the returned α lies exactly inside the optimum plateau. On the paper's
+// Fig.-5 zero plateaus this pulls the design toward the acceptance
+// region even though the count objective is flat.
+func serialTieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) float64 {
+	if len(cd.G) == 0 || lo >= hi {
+		return 0
+	}
+	minM := make([]float64, n)
+	sLo := make([]float64, n)
+	sHi := make([]float64, n)
+	// eval computes F(α) = mean_j min_m (C[m][j] + G[m]·α)·Scale[m] with
+	// its one-sided derivatives: F'₊ averages the smallest slope tied at
+	// each sample's minimum, F'₋ the largest. The model loop is outermost
+	// so each C[m] row streams sequentially; the per-element arithmetic
+	// and the final left-to-right summation match the naive sample-major
+	// double loop exactly, so the maximizer is unchanged.
+	eval := func(alpha float64) (f, dMinus, dPlus float64) {
+		for j := range minM {
+			minM[j] = math.Inf(1)
+			sLo[j], sHi[j] = 0, 0
+		}
+		for m := range cd.G {
+			row := cd.C[m]
+			shift := cd.G[m] * alpha
+			scale := cd.Scale[m]
+			s := cd.G[m] * scale
+			for j := 0; j < n; j++ {
+				v := (row[j] + shift) * scale
+				if v < minM[j] {
+					minM[j], sLo[j], sHi[j] = v, s, s
+				} else if v == minM[j] {
+					if s < sLo[j] {
+						sLo[j] = s
+					}
+					if s > sHi[j] {
+						sHi[j] = s
+					}
+				}
+			}
+		}
+		var tf, tm, tp float64
+		for j := 0; j < n; j++ {
+			tf += minM[j]
+			tm += sHi[j]
+			tp += sLo[j]
+		}
+		fn := float64(n)
+		return tf / fn, tm / fn, tp / fn
+	}
+	a, b := lo, hi
+	fa, _, dpa := eval(a)
+	alpha, falpha := a, fa
+	if dpa > 0 {
+		fb, dmb, _ := eval(b)
+		if dmb >= 0 {
+			// Still non-decreasing at hi: hi is the maximum.
+			alpha, falpha = b, fb
+		} else {
+			// Invariant: F slopes up to the right of a and down to the
+			// left of b, so the maximum is interior. The supporting lines
+			// at a and b intersect at or above the maximum; evaluating
+			// there either lands on the optimal piece or discovers a new
+			// piece and shrinks the bracket, so the loop terminates after
+			// finitely many pieces (the cap is a float-degeneracy guard).
+			for iter := 0; iter < 64; iter++ {
+				x := (fb - fa + dpa*a - dmb*b) / (dpa - dmb)
+				if !(x > a && x < b) {
+					x = a + 0.5*(b-a)
+				}
+				if x <= a || x >= b {
+					break // bracket exhausted at float resolution
+				}
+				f, dm, dp := eval(x)
+				if f > falpha {
+					alpha, falpha = x, f
+				}
+				if dp <= 0 && dm >= 0 {
+					alpha, falpha = x, f // subgradient contains 0: maximizer
+					break
+				}
+				if dp > 0 {
+					a, fa, dpa = x, f, dp
+				} else {
+					b, fb, dmb = x, f, dm
+				}
+			}
+		}
+	}
+	f0, _, _ := eval(0)
+	if falpha <= f0 {
+		return 0
+	}
+	return alpha
 }

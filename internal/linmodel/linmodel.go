@@ -382,16 +382,25 @@ func (e *Estimator) Yield(d []float64) float64 {
 
 // Count returns the passing-sample count and the per-spec bad-sample
 // counts (a sample can be bad for several specs at once). Mirror models
-// are folded into their spec's tally.
+// are folded into their spec's tally: a sample failing both a spec's base
+// and mirror model counts once for that spec.
 func (e *Estimator) Count(d []float64) (pass int, badPerSpec map[int]int) {
 	off := e.offsets(d)
 	badPerSpec = make(map[int]int)
+	// lastBad[spec] is the last sample already counted bad for spec.
+	lastBad := make(map[int]int, len(e.Models))
+	for _, model := range e.Models {
+		lastBad[model.Spec] = -1
+	}
 	for j := 0; j < e.N; j++ {
 		ok := true
 		for m, model := range e.Models {
 			if e.base[m][j]+off[m] < 0 {
 				ok = false
-				badPerSpec[model.Spec]++
+				if lastBad[model.Spec] != j {
+					lastBad[model.Spec] = j
+					badPerSpec[model.Spec]++
+				}
 			}
 		}
 		if ok {
@@ -414,24 +423,28 @@ type CoordinateData struct {
 	Scale []float64
 }
 
-// Coordinate assembles the sweep data at the current design d for axis k.
-func (e *Estimator) Coordinate(d []float64, k int) CoordinateData {
+// Coordinate assembles the sweep data at the current design d for axis k
+// into cd, reusing cd's slices when they are already the right size, so
+// a search can fill one CoordinateData per coordinate without allocating.
+func (e *Estimator) Coordinate(cd *CoordinateData, d []float64, k int) {
 	off := e.offsets(d)
-	cd := CoordinateData{
-		C:     make([][]float64, len(e.Models)),
-		G:     make([]float64, len(e.Models)),
-		Scale: make([]float64, len(e.Models)),
+	nm := len(e.Models)
+	if len(cd.C) != nm {
+		cd.C = make([][]float64, nm)
+		cd.G = make([]float64, nm)
+		cd.Scale = make([]float64, nm)
 	}
 	for m, model := range e.Models {
 		cd.G[m] = model.GradD[k]
 		cd.Scale[m] = 1 / (model.GradS.Norm2() + 1e-12)
-		row := make([]float64, e.N)
-		for j := 0; j < e.N; j++ {
+		if len(cd.C[m]) != e.N {
+			cd.C[m] = make([]float64, e.N)
+		}
+		row := cd.C[m]
+		for j := range row {
 			row[j] = e.base[m][j] + off[m]
 		}
-		cd.C[m] = row
 	}
-	return cd
 }
 
 // NewEstimatorLHS is NewEstimator with Latin-hypercube sampling: each

@@ -170,6 +170,31 @@ func TestEstimatorCountsBadPerSpec(t *testing.T) {
 	}
 }
 
+// A sample failing both a spec's base and its mirror model is one bad
+// sample for that spec, so the per-spec rate never exceeds 1000‰.
+func TestEstimatorCountsMirrorPairOnce(t *testing.T) {
+	base := &SpecModel{Spec: 0, S: linalg.Vector{1}, Df: linalg.NewVector(1),
+		Margin0: 0, GradS: linalg.Vector{1}, GradD: linalg.Vector{0}}
+	mirror := &SpecModel{Spec: 0, Mirror: true, S: linalg.Vector{-1}, Df: linalg.NewVector(1),
+		Margin0: 0, GradS: linalg.Vector{-1}, GradD: linalg.Vector{0}}
+	other := &SpecModel{Spec: 1, S: linalg.NewVector(1), Df: linalg.NewVector(1),
+		Margin0: 1, GradS: linalg.Vector{0}, GradD: linalg.Vector{0}}
+	est := NewEstimator([]*SpecModel{base, other, mirror}, 1, 200, rng.New(3))
+	// At d = 5 every margin drops by 5 through the design term, so each
+	// sample fails both halves of the spec-0 pair (s − 1 − 5 and
+	// −s − 1 − 5 are both negative for |s| < 6) and spec 1 (1 − 5 < 0).
+	for _, m := range []*SpecModel{base, mirror, other} {
+		m.GradD[0] = -1
+	}
+	pass, bad := est.Count([]float64{5})
+	if pass != 0 {
+		t.Errorf("pass = %d want 0", pass)
+	}
+	if bad[0] != est.N || bad[1] != est.N {
+		t.Errorf("bad = %v want %d for each spec", bad, est.N)
+	}
+}
+
 // Property: Coordinate's α=0 data reproduces Count.
 func TestCoordinateConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -191,7 +216,8 @@ func TestCoordinateConsistencyProperty(t *testing.T) {
 		est := NewEstimator(models, nStat, 500, rng.New(seed^0xff))
 		d := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		pass, _ := est.Count(d)
-		cd := est.Coordinate(d, 1)
+		var cd CoordinateData
+		est.Coordinate(&cd, d, 1)
 		count := 0
 		for j := 0; j < est.N; j++ {
 			ok := true

@@ -1,6 +1,7 @@
 // Package sched is the process-wide compute scheduler: one semaphore
-// shared by every parallel evaluation pool — AC-sweep workers,
-// finite-difference gradient workers, Monte-Carlo verification workers.
+// shared by every parallel pool — AC-sweep workers, finite-difference
+// gradient workers, Monte-Carlo verification workers and the coordinate
+// search's sample blocks.
 // It exists so those pools, which nest freely (an AC sweep fans out
 // inside a gradient probe that fans out inside a worst-case search), can
 // together size themselves to the machine instead of multiplying worker
