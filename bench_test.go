@@ -36,6 +36,7 @@ func reportYields(b *testing.B, res *core.Result) {
 	b.ReportMetric(100*res.Iterations[0].MCYield, "initial-yield-%")
 	b.ReportMetric(100*res.Iterations[len(res.Iterations)-1].MCYield, "final-yield-%")
 	b.ReportMetric(float64(res.Simulations), "simulations")
+	b.ReportMetric(float64(res.Sim.Factorizations), "factorizations")
 }
 
 // BenchmarkTable1FoldedCascode: full yield optimization with functional

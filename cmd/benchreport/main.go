@@ -2,7 +2,8 @@
 // a machine-readable JSON summary, one record per benchmark, to the file
 // named by -o (default BENCH_core.json). It understands the standard
 // testing-package metrics (ns/op, B/op, allocs/op) and the custom
-// per-benchmark metrics this repo reports (simulations, final-yield-%).
+// per-benchmark metrics this repo reports (simulations, factorizations,
+// final-yield-%).
 // With -compare it also gates the run against a reference: see
 // compareRuns.
 //
@@ -132,8 +133,9 @@ func benchKey(name string) string {
 
 // compareRuns checks every current benchmark that also appears in ref.
 // Wall time (ns/op) and allocations (allocs/op) regress when they rise
-// by more than the threshold fraction; the simulation count does not
-// depend on the machine, so any change to it is a regression. A metric
+// by more than the threshold fraction; the simulation and factorization
+// counts do not depend on the machine, so any change to them is a
+// regression. A metric
 // missing from either side is not compared. It reports true when any
 // benchmark regressed or none could be compared.
 func compareRuns(w io.Writer, cur, ref []Entry, threshold float64) bool {
@@ -151,7 +153,7 @@ func compareRuns(w io.Writer, cur, ref []Entry, threshold float64) bool {
 		for _, m := range []struct {
 			unit  string
 			exact bool
-		}{{"ns/op", false}, {"allocs/op", false}, {"simulations", true}} {
+		}{{"ns/op", false}, {"allocs/op", false}, {"simulations", true}, {"factorizations", true}} {
 			v, okCur := e.Metrics[m.unit]
 			b, okRef := base[m.unit]
 			if !okCur || !okRef || (!m.exact && b <= 0) {

@@ -12,8 +12,7 @@
 // Usage:
 //
 //	specwise-worker -server http://daemon:8080 [-token T] [-name host-1] \
-//	    [-lane verify|optimize] [-poll 500ms] [-verify-workers N] \
-//	    [-sweep-workers N] [-max-jobs N]
+//	    [-lane verify|optimize] [-poll 500ms] [-max-jobs N]
 //
 // The worker exits on SIGINT/SIGTERM (in-flight leases are dropped and
 // requeue on the daemon after the lease TTL), after -max-jobs jobs, or
@@ -43,10 +42,6 @@ func main() {
 	lane := flag.String("lane", "",
 		"claim only this priority lane (verify|optimize; empty = any lane under the server's weighted round-robin)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between claim attempts")
-	verifyWorkers := flag.Int("verify-workers", 0,
-		"Monte-Carlo verification pool per job (0 = GOMAXPROCS; bit-identical results for any value)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"per-frequency AC-sweep fan-out per job (0 = GOMAXPROCS; bit-identical results for any value)")
 	maxJobs := flag.Int("max-jobs", 0, "exit after this many executed jobs (0 = run forever)")
 	sharedEvalCache := flag.Bool("shared-eval-cache", false,
 		"share one local evaluation cache across jobs claimed on the same problem (bit-identical results)")
@@ -86,8 +81,6 @@ func main() {
 		Name:            *name,
 		Lane:            *lane,
 		Poll:            *poll,
-		VerifyWorkers:   *verifyWorkers,
-		SweepWorkers:    *sweepWorkers,
 		MaxJobs:         *maxJobs,
 		SharedEvalCache: *sharedEvalCache,
 		EvalCacheSize:   *evalCacheSize,

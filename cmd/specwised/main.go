@@ -92,10 +92,6 @@ func main() {
 		"verify-lane share of the drain round-robin (relative to -optimize-weight)")
 	optimizeWeight := flag.Int("optimize-weight", 1,
 		"optimize-lane share of the drain round-robin (relative to -verify-weight)")
-	verifyWorkers := flag.Int("verify-workers", 0,
-		"default Monte-Carlo verification pool per job (0 = GOMAXPROCS; bit-identical results for any value)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"default per-frequency AC-sweep fan-out per job (0 = GOMAXPROCS; bit-identical results for any value)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this separate listen address (empty = disabled)")
 	workerToken := flag.String("worker-token", "",
@@ -151,8 +147,6 @@ func main() {
 			jobs.LaneVerify:   *verifyWeight,
 			jobs.LaneOptimize: *optimizeWeight,
 		},
-		VerifyWorkers:    *verifyWorkers,
-		SweepWorkers:     *sweepWorkers,
 		LeaseTTL:         *leaseTTL,
 		RetainJobs:       *retainJobs,
 		RetainFor:        *retainFor,

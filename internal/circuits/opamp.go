@@ -121,9 +121,6 @@ type simHarness struct {
 	// are a fixed function of the problem, independent of evaluation
 	// order and concurrency.
 	symCache *linalg.SymbolicCache
-	// sim holds behaviour-preserving simulator tuning (worker fan-out),
-	// set once through configure before evaluations start.
-	sim problem.SimOptions
 
 	mu   sync.Mutex
 	free []*testbench
@@ -166,7 +163,6 @@ func newSimHarness(c opamp, p *problem.Problem) *simHarness {
 	p.Constraints = h.constraints
 	p.ConstraintNames = mosConstraintNames(tb0.mosfets)
 	p.SimStats = h.counters
-	p.SimConfigure = h.configure
 	return h
 }
 
@@ -194,7 +190,6 @@ func (h *simHarness) bench(d, s, theta []float64) *testbench {
 	}
 	h.set(tb, d, s, theta)
 	tb.ckt.ResetSolvers()
-	tb.ckt.Opts.SweepWorkers = h.sim.SweepWorkers
 	return tb
 }
 
@@ -239,10 +234,6 @@ func (h *simHarness) report(p Performances) []float64 {
 	}
 	return out
 }
-
-// configure implements problem.Problem.SimConfigure. It must be called
-// before evaluations start (the optimizer calls it at construction).
-func (h *simHarness) configure(opts problem.SimOptions) { h.sim = opts }
 
 // counters snapshots the harness effort counters in problem-layer terms,
 // implementing problem.Problem.SimStats.

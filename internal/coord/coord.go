@@ -14,10 +14,7 @@ package coord
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"specwise/internal/linmodel"
 	"specwise/internal/sched"
@@ -199,42 +196,11 @@ func Search(box Box, est *linmodel.Estimator, lc *LinearConstraints, d0 []float6
 // not depend on how many workers join.
 const block = 1024
 
-// forBlocks calls fn(lo, hi) once for every contiguous block [lo, hi) of
-// [0, n). The caller runs blocks itself; extra workers join only while
-// the process-wide scheduler has free slots, and a single block runs
-// inline without starting a goroutine.
-func forBlocks(n int, fn func(lo, hi int)) {
-	nb := (n + block - 1) / block
-	if nb <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			b := int(next.Add(1)) - 1
-			if b >= nb {
-				return
-			}
-			lo := b * block
-			fn(lo, min(lo+block, n))
-		}
-	}
-	sch := sched.Default()
-	var wg sync.WaitGroup
-	for extra := 0; extra < min(nb, runtime.GOMAXPROCS(0))-1 && sch.TryAcquire(); extra++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sch.Release()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-}
+// blocks is the number of blocks covering n samples; block k spans
+// samples [k·block, min((k+1)·block, n)). The per-sample loops run the
+// blocks as the indices of the process-wide scheduler's caller-runs loop,
+// so a single block runs inline without starting a goroutine.
+func blocks(n int) int { return (n + block - 1) / block }
 
 // scratch is one search's reusable per-sample workspace: the coordinate
 // data, the tie-break's per-sample minima and slopes, and the event
@@ -266,7 +232,8 @@ func grow(buf []float64, n int) []float64 {
 // of one sort over (x, open-before-close) pairs.
 func (w *scratch) bestAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) (float64, int) {
 	w.l, w.h = grow(w.l, n), grow(w.h, n)
-	forBlocks(n, func(b0, b1 int) {
+	sched.Default().For(blocks(n), func(_, k int) bool {
+		b0, b1 := k*block, min((k+1)*block, n)
 		for j := b0; j < b1; j++ {
 			l, h, ok := sampleInterval(cd, j, lo, hi)
 			if !ok {
@@ -274,6 +241,7 @@ func (w *scratch) bestAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) (
 			}
 			w.l[j], w.h[j] = l, h
 		}
+		return true
 	})
 	opens, closes := grow(w.opens, n)[:0], grow(w.closes, n)[:0]
 	for j := 0; j < n; j++ {
@@ -393,7 +361,8 @@ func (w *scratch) tieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n in
 	// the naive sample-major double loop exactly, so the maximizer is
 	// unchanged.
 	eval := func(alpha float64) (f, dMinus, dPlus float64) {
-		forBlocks(n, func(b0, b1 int) {
+		sched.Default().For(blocks(n), func(_, k int) bool {
+			b0, b1 := k*block, min((k+1)*block, n)
 			minM, sLo, sHi := minM[b0:b1], sLo[b0:b1], sHi[b0:b1]
 			inf := math.Inf(1)
 			for j := range minM {
@@ -419,6 +388,7 @@ func (w *scratch) tieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n in
 					}
 				}
 			}
+			return true
 		})
 		var tf, tm, tp float64
 		for j := 0; j < n; j++ {

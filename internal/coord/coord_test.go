@@ -353,21 +353,6 @@ func TestTieBreakExactMaximizer(t *testing.T) {
 	}
 }
 
-// holdSlots takes every free slot of the process-wide scheduler, so the
-// block loops run on the calling goroutine only, and returns the release.
-func holdSlots() func() {
-	sch := sched.Default()
-	held := 0
-	for sch.TryAcquire() {
-		held++
-	}
-	return func() {
-		for ; held > 0; held-- {
-			sch.Release()
-		}
-	}
-}
-
 // randomCoordinateData draws n samples over nM models with the shapes
 // that stress the sweep: margins on a coarse grid (so interval endpoints
 // and tie-break minima tie), zero and sub-threshold slopes, repeated
@@ -420,7 +405,7 @@ func TestBlockParallelMatchesSerialOracle(t *testing.T) {
 			for _, held := range []bool{false, true} {
 				release := func() {}
 				if held {
-					release = holdSlots()
+					release = sched.Default().HoldAll()
 				}
 				var w scratch
 				gotA, gotC := w.bestAlpha(cd, lo, hi, n)
@@ -463,7 +448,7 @@ func TestSearchIndependentOfScheduler(t *testing.T) {
 		box.Lo[k], box.Hi[k] = -3, 3
 	}
 	d0 := make([]float64, nDesign)
-	release := holdSlots()
+	release := sched.Default().HoldAll()
 	serial := Search(box, est, nil, d0, Options{})
 	release()
 	parallel := Search(box, est, nil, d0, Options{})

@@ -43,9 +43,6 @@ func newEngine(prob *problem.Problem, opts Options) *Engine {
 	if opts.NoConstraints {
 		e.p.Constraints = nil
 	}
-	if prob.SimConfigure != nil {
-		prob.SimConfigure(problem.SimOptions{SweepWorkers: opts.SweepWorkers})
-	}
 	if prob.SimStats != nil {
 		e.sim0 = prob.SimStats()
 	}
@@ -261,7 +258,7 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 
 	iter.MCYield = -1
 	if !opts.SkipVerify {
-		mc, err := VerifyMCContext(ctx, p, d, thetaRes.PerSpec, opts.VerifySamples, seed^0xabcdef, opts.VerifyWorkers)
+		mc, err := VerifyMCContext(ctx, p, d, thetaRes.PerSpec, opts.VerifySamples, seed^0xabcdef, 0)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -77,15 +77,6 @@ type Options struct {
 	// EvalCacheSize caps the number of memoized evaluation points.
 	// 0 selects evalcache.DefaultMaxEntries.
 	EvalCacheSize int
-	// VerifyWorkers bounds the Monte-Carlo verification worker pool.
-	// 0 means GOMAXPROCS. Verification results are bit-identical for
-	// every setting.
-	VerifyWorkers int
-	// SweepWorkers bounds the per-frequency fan-out inside each AC
-	// sweep when the problem's simulator supports it (see
-	// problem.SimOptions). 0 means GOMAXPROCS; results are
-	// bit-identical for every setting.
-	SweepWorkers int
 	// WC tunes the worst-case distance searches.
 	WC wcd.Options
 	// Coord tunes the coordinate search.

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"specwise/internal/problem"
 	"specwise/internal/rng"
@@ -30,7 +27,7 @@ type MCResult struct {
 }
 
 // VerifyMC runs the Monte-Carlo verification without external
-// cancellation and with the default worker count; see VerifyMCContext.
+// cancellation; see VerifyMCContext.
 func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed uint64) (*MCResult, error) {
 	return VerifyMCContext(context.Background(), p, d, thetas, n, seed, 0)
 }
@@ -40,13 +37,12 @@ func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed u
 // operating point; specs sharing a corner share simulations, matching the
 // paper's observation that N* stays well below N·n_spec.
 //
-// Samples are evaluated on a caller-runs worker pool (the paper ran its
-// verification on a cluster of five machines; here the workers are
-// goroutines gated by the process-wide compute scheduler). The sample
-// stream is drawn up front and results are written by index, so the
-// result is bit-identical for any worker count. workers bounds the pool
-// including the calling goroutine; 0 or negative means GOMAXPROCS
-// (plumbed from Options.VerifyWorkers / the service config).
+// Samples are evaluated on the process-wide scheduler's caller-runs loop
+// (the paper ran its verification on a cluster of five machines; here
+// the workers are goroutines). The sample stream is drawn up front and
+// results are written by index, so the result is bit-identical however
+// many workers run. workers is ignored: the scheduler alone sizes the
+// pool, and the parameter stays only for existing callers.
 //
 // Cancelling ctx stops the pool between samples: every worker exits at
 // its next sample claim and the call returns ctx.Err() — no goroutine
@@ -65,59 +61,28 @@ func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, theta
 		samples[j] = r.NormVector(make([]float64, p.NumStat()))
 	}
 
-	// vals[j][u][i]: sample j, corner u, spec i. Samples are claimed off a
-	// shared atomic index and written back by index, so the result is
-	// independent of how many workers actually ran.
+	// vals[j][u][i]: sample j, corner u, spec i. Samples run on the
+	// process-wide scheduler's caller-runs loop and are written back by
+	// index, so the result is independent of how many workers ran; a
+	// nested pool (an AC sweep inside a sample) shares the same slots.
 	vals := make([][][]float64, n)
 	errs := make([]error, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= n || ctx.Err() != nil {
-				return
-			}
-			out := make([][]float64, len(unique))
-			for u, theta := range unique {
-				v, err := p.Eval(d, samples[j], theta)
-				if err != nil {
-					errs[j] = err
-					break
-				}
-				out[u] = v
-			}
-			vals[j] = out
+	sched.Default().For(n, func(_, j int) bool {
+		if ctx.Err() != nil {
+			return false
 		}
-	}
-	// Caller-runs pool: the calling goroutine always works; up to
-	// workers-1 extra goroutines join only while the process-wide compute
-	// scheduler has free slots, so nested pools (an AC sweep inside a
-	// verification sample) size themselves to the machine together
-	// instead of multiplying.
-	sch := sched.Default()
-	var wg sync.WaitGroup
-	for extra := 0; extra < workers-1; extra++ {
-		if !sch.TryAcquire() {
-			break
+		out := make([][]float64, len(unique))
+		for u, theta := range unique {
+			v, err := p.Eval(d, samples[j], theta)
+			if err != nil {
+				errs[j] = err
+				break
+			}
+			out[u] = v
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sch.Release()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		vals[j] = out
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -37,6 +37,14 @@ func TestNormalizeRejectsUnhonoredOptions(t *testing.T) {
 			"cannot honor"},
 		{"verify with wcSeed", Request{Kind: KindVerify, Circuit: "ota",
 			Options: RunOptions{WCSeed: Seed(7)}}, "wcSeed"},
+		{"verify negative verifySamples", Request{Kind: KindVerify, Circuit: "ota",
+			Options: RunOptions{VerifySamples: -1}}, "options.verifySamples must not be negative"},
+		{"optimize negative modelSamples", Request{Circuit: "ota",
+			Options: RunOptions{ModelSamples: -5}}, "options.modelSamples must not be negative"},
+		{"optimize negative maxIterations", Request{Circuit: "ota",
+			Options: RunOptions{MaxIterations: -1}}, "options.maxIterations must not be negative"},
+		{"optimize negative refineThetaPasses", Request{Circuit: "ota",
+			Options: RunOptions{RefineThetaPasses: -2}}, "options.refineThetaPasses must not be negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,10 +69,11 @@ func TestNormalizeRejectsUnhonoredOptions(t *testing.T) {
 // requests that omit the algorithm field hash byte-identically to the
 // encoding before the field existed, so journaled jobs and cached
 // results from earlier releases stay reachable. The constants were
-// captured from the pre-backend-split tree, except the last, which was
-// captured while options.speculate and options.specWorkers still
-// configured a pipeline: the retired, decode-only fields must keep the
-// hash of the requests that carry them.
+// captured from the pre-backend-split tree, except the last two, which
+// were captured while options.speculate and options.specWorkers still
+// configured a pipeline and while options.verifyWorkers and
+// options.sweepWorkers still sized worker pools: the retired,
+// decode-only fields must keep the hash of the requests that carry them.
 func TestRequestHashAlgorithmCompat(t *testing.T) {
 	on := true
 	cases := []struct {
@@ -80,6 +89,9 @@ func TestRequestHashAlgorithmCompat(t *testing.T) {
 		{Request{Circuit: "ota", Options: RunOptions{ModelSamples: 1500, VerifySamples: 80, MaxIterations: 2, Seed: Seed(7),
 			Speculate: &on, SpecWorkers: 4}},
 			"0264e04dea8e370e72e5ed90be714b049c052e994fd55a80d29cf61df93e0f33"},
+		{Request{Circuit: "ota", Options: RunOptions{ModelSamples: 1500, VerifySamples: 80, MaxIterations: 2, Seed: Seed(7),
+			VerifyWorkers: 2, SweepWorkers: 3}},
+			"a7c504a2d2d6e2899216175469ac6b6641c22cb6bfc73d455190872a1ca295b9"},
 	}
 	for i, tc := range cases {
 		if err := tc.req.Normalize(); err != nil {

@@ -15,18 +15,12 @@ import (
 	_ "specwise/internal/search"
 )
 
-// ExecEnv carries pool-level execution defaults. Every knob here is
+// ExecEnv carries pool-level execution hooks. Every field here is
 // behaviour-preserving: a request produces a bit-identical result
 // envelope whichever pool — the in-process goroutines or a remote
 // pull-worker with entirely different settings — executes it (the
 // wall-clock solver timings in the perf block aside).
 type ExecEnv struct {
-	// VerifyWorkers is the Monte-Carlo verification pool default for
-	// requests that do not set options.verifyWorkers (0 = GOMAXPROCS).
-	VerifyWorkers int
-	// SweepWorkers is the per-frequency AC-sweep fan-out default for
-	// requests that do not set options.sweepWorkers (0 = GOMAXPROCS).
-	SweepWorkers int
 	// Progress, when non-nil, receives optimizer milestones. Remote
 	// workers leave it nil — progress is not streamed back over the
 	// pull protocol.
@@ -70,11 +64,7 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		workers := req.Options.VerifyWorkers
-		if workers <= 0 {
-			workers = env.VerifyWorkers
-		}
-		mc, err := core.VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, req.Options.seed(), workers)
+		mc, err := core.VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, req.Options.seed(), 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -82,12 +72,6 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 
 	default: // KindOptimize
 		opts := req.Options.Core()
-		if opts.VerifyWorkers <= 0 {
-			opts.VerifyWorkers = env.VerifyWorkers
-		}
-		if opts.SweepWorkers <= 0 {
-			opts.SweepWorkers = env.SweepWorkers
-		}
 		opts.EvalCache = env.EvalCache
 		opts.Progress = env.Progress
 		opt, err := core.NewOptimizer(p, opts)

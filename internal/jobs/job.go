@@ -88,11 +88,13 @@ type RunOptions struct {
 	LHS                bool    `json:"lhs,omitempty"`
 	QuadraticSpecs     bool    `json:"quadraticSpecs,omitempty"`
 	RefineThetaPasses  int     `json:"refineThetaPasses,omitempty"`
-	// VerifyWorkers and SweepWorkers bound the Monte-Carlo verification
-	// pool and the per-frequency AC-sweep fan-out. Both are
-	// behaviour-preserving (results are bit-identical for any setting),
-	// so requests that omit them hash identically to pre-knob requests
-	// and keep hitting the result cache.
+	// VerifyWorkers and SweepWorkers are retired: they sized the
+	// Monte-Carlo verification pool and the AC-sweep fan-out, which the
+	// process-wide compute scheduler now sizes alone (results never
+	// depended on them). They still decode, and stay in the encoding so
+	// requests carrying them keep their content hash; Core and Execute
+	// ignore them. Verify jobs accept verifyWorkers, as they always did,
+	// and reject sweepWorkers like any other optimizer-only option.
 	VerifyWorkers int `json:"verifyWorkers,omitempty"`
 	SweepWorkers  int `json:"sweepWorkers,omitempty"`
 	// Speculate and SpecWorkers are retired: they configured a
@@ -153,8 +155,6 @@ func (o RunOptions) Core() core.Options {
 		LHS:                o.LHS,
 		QuadraticSpecs:     o.QuadraticSpecs,
 		RefineThetaPasses:  o.RefineThetaPasses,
-		VerifyWorkers:      o.VerifyWorkers,
-		SweepWorkers:       o.SweepWorkers,
 	}
 }
 
@@ -185,6 +185,19 @@ func (r *Request) Normalize() error {
 	if hasCircuit == hasSpec {
 		return fmt.Errorf("jobs: exactly one of circuit or spec is required")
 	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"modelSamples", r.Options.ModelSamples},
+		{"verifySamples", r.Options.VerifySamples},
+		{"maxIterations", r.Options.MaxIterations},
+		{"refineThetaPasses", r.Options.RefineThetaPasses},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("jobs: options.%s must not be negative (got %d)", c.name, c.v)
+		}
+	}
 	r.Options.Algorithm = strings.ToLower(strings.TrimSpace(r.Options.Algorithm))
 	r.Options.Lane = strings.ToLower(strings.TrimSpace(r.Options.Lane))
 	if r.Options.Lane != "" && !ValidLane(r.Options.Lane) {
@@ -198,8 +211,9 @@ func (r *Request) Normalize() error {
 		}
 	case KindVerify:
 		// A verify job runs the Monte-Carlo yield check at the initial
-		// design: only verifySamples, seed and verifyWorkers take effect.
-		// Every optimizer-only option is a request-level contradiction.
+		// design: only verifySamples and seed take effect (and the retired
+		// verifyWorkers is still accepted). Every optimizer-only option
+		// is a request-level contradiction.
 		if ignored := r.Options.verifyIgnored(); len(ignored) > 0 {
 			return fmt.Errorf("jobs: kind %q cannot honor option(s) %s (verify runs only the Monte-Carlo check; use kind %q)",
 				KindVerify, strings.Join(ignored, ", "), KindOptimize)

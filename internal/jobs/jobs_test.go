@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -602,5 +603,59 @@ func TestSpeculateTriState(t *testing.T) {
 		if opt != nil && (err == nil || !strings.Contains(err.Error(), "speculate")) {
 			t.Errorf("verify with speculate %s: got %v, want a rejection naming speculate", name, err)
 		}
+	}
+}
+
+// TestRetiredWorkerOptions: options.verifyWorkers and options.sweepWorkers
+// no longer size anything (the process-wide scheduler does), but they
+// stay in the encoding so requests carrying them keep their content hash.
+// Core and Execute ignore them; verify jobs still accept verifyWorkers
+// and still reject sweepWorkers like any other optimizer-only option.
+func TestRetiredWorkerOptions(t *testing.T) {
+	if blob, _ := json.Marshal(RunOptions{}); strings.Contains(string(blob), "Workers") {
+		t.Errorf("unset worker options leak into the encoding: %s", blob)
+	}
+	set := RunOptions{Seed: Seed(3), VerifyWorkers: 2, SweepWorkers: 3}
+	blob, _ := json.Marshal(set)
+	if !strings.Contains(string(blob), `"verifyWorkers":2`) || !strings.Contains(string(blob), `"sweepWorkers":3`) {
+		t.Errorf("retired worker options dropped from the encoding: %s", blob)
+	}
+	var back RunOptions
+	if err := json.Unmarshal(blob, &back); err != nil || back.VerifyWorkers != 2 || back.SweepWorkers != 3 {
+		t.Errorf("retired worker options do not decode: %+v, %v", back, err)
+	}
+	plain := RunOptions{Seed: Seed(3)}
+	if !reflect.DeepEqual(set.Core(), plain.Core()) {
+		t.Errorf("Core honors retired worker options:\n%+v\nvs\n%+v", set.Core(), plain.Core())
+	}
+	withOpt := Request{Circuit: "ota", Options: set}
+	withoutOpt := Request{Circuit: "ota", Options: plain}
+	h1, _ := withOpt.Hash()
+	h2, _ := withoutOpt.Hash()
+	if h1 == h2 {
+		t.Error("retired worker options fell out of the content hash")
+	}
+
+	// Execute ignores verifyWorkers on a verify job: the result envelope
+	// matches the same request without it.
+	verify := func(opts RunOptions) string {
+		req := Request{Kind: KindVerify, Circuit: "analytic", Options: opts}
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("verify %+v: Normalize: %v", opts, err)
+		}
+		res, _, err := Execute(context.Background(), testProblem(0), &req, ExecEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := json.Marshal(res)
+		return string(out)
+	}
+	if a, b := verify(RunOptions{VerifySamples: 50, Seed: Seed(3), VerifyWorkers: 2}),
+		verify(RunOptions{VerifySamples: 50, Seed: Seed(3)}); a != b {
+		t.Errorf("verifyWorkers changed a verify result:\n%s\nvs\n%s", a, b)
+	}
+	bad := Request{Kind: KindVerify, Circuit: "ota", Options: RunOptions{SweepWorkers: 3}}
+	if err := bad.Normalize(); err == nil || !strings.Contains(err.Error(), "sweepWorkers") {
+		t.Errorf("verify with sweepWorkers: got %v, want a rejection naming sweepWorkers", err)
 	}
 }

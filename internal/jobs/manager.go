@@ -89,14 +89,6 @@ type Config struct {
 	// job before it is marked failed (default 2, negative disables
 	// requeueing — the first expiry fails the job).
 	MaxRetries int
-	// VerifyWorkers is the default Monte-Carlo verification pool size for
-	// jobs that do not set options.verifyWorkers (0 means GOMAXPROCS).
-	// Results are bit-identical for every setting.
-	VerifyWorkers int
-	// SweepWorkers is the default per-frequency AC-sweep fan-out for jobs
-	// that do not set options.sweepWorkers (0 means GOMAXPROCS). Results
-	// are bit-identical for every setting.
-	SweepWorkers int
 	// SharedEvalCache turns on the manager-scoped shared evaluation
 	// cache: jobs on the same problem (same circuit or byte-identical
 	// spec) reuse each other's simulations, which is where a sweep's
@@ -1003,11 +995,7 @@ func (m *Manager) cacheStoreLocked(hash string, result *Result, jobID string) {
 // execute runs the job through the shared execution path and folds the
 // run's reuse counters into the service metrics.
 func (m *Manager) execute(ctx context.Context, job *Job) (*Result, error) {
-	env := ExecEnv{
-		VerifyWorkers: m.cfg.VerifyWorkers,
-		SweepWorkers:  m.cfg.SweepWorkers,
-		Progress:      job.addProgress,
-	}
+	env := ExecEnv{Progress: job.addProgress}
 	if m.evalShared != nil {
 		env.EvalCache = m.evalShared.View(job.problemHash)
 	}

@@ -172,19 +172,6 @@ type Problem struct {
 	// counters (DC warm starts, fallbacks, Newton iterations) so the
 	// optimizer can report them alongside the simulation counts.
 	SimStats func() SimCounters
-	// SimConfigure, when non-nil, applies runtime simulator tuning (e.g.
-	// the AC-sweep worker fan-out) before a run. Implementations must
-	// keep evaluation results bit-identical across settings.
-	SimConfigure func(SimOptions)
-}
-
-// SimOptions is runtime simulator tuning a problem may accept through
-// Problem.SimConfigure. Every option must be behaviour-preserving:
-// changing it may alter speed but never results.
-type SimOptions struct {
-	// SweepWorkers bounds the per-frequency worker fan-out inside each
-	// AC sweep. 0 means the simulator default (GOMAXPROCS).
-	SweepWorkers int
 }
 
 // SpecValue returns performance i at (d, s, θ). It is the single entry

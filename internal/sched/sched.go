@@ -7,16 +7,16 @@
 // together size themselves to the machine instead of multiplying worker
 // counts.
 //
-// Pools acquire extra-worker slots with the non-blocking TryAcquire. A
-// denied TryAcquire is never an error — every pool follows the
-// caller-runs pattern, where the requesting goroutine processes work
-// itself and extra workers are pure bonus — so no caller ever waits on
-// the scheduler and nested pools cannot deadlock.
+// Every pool is one call to For, the caller-runs index loop: the calling
+// goroutine works through the indices itself, and extra goroutines join
+// only while the non-blocking TryAcquire grants a slot. A denied slot is
+// never an error and no caller ever waits on the scheduler, so nested
+// loops cannot deadlock.
 //
 // Determinism is untouched by construction: the scheduler only decides
-// how many goroutines run concurrently, and every pool it gates writes
+// how many goroutines run concurrently, and every loop it runs writes
 // results by index (or through the bit-exact evaluation cache), so
-// results are identical for any capacity, including zero.
+// results are identical for any capacity, including every slot held.
 package sched
 
 import (
@@ -73,6 +73,7 @@ func Default() *Sched {
 // TryAcquire requests one extra-worker slot without blocking. Callers
 // must follow the caller-runs pattern: the requesting goroutine does
 // work itself regardless, extra workers only join while slots are free.
+// For is that pattern; pools use it rather than calling TryAcquire.
 func (s *Sched) TryAcquire() bool {
 	s.mu.Lock()
 	if s.inUse >= s.capacity {
@@ -91,6 +92,72 @@ func (s *Sched) Release() {
 	s.mu.Lock()
 	s.inUse--
 	s.mu.Unlock()
+}
+
+// For calls body(worker, i) once for every index i in [0, n), claiming
+// indices in ascending order. The calling goroutine runs as worker 0;
+// extra goroutines join as workers 1, 2, … only while TryAcquire grants
+// a slot, so worker indices are dense and below Workers(n), and a pool
+// can keep one scratch workspace per worker. When n ≤ 1 or no slot is
+// free, For starts no goroutine. A worker whose body returns false stops
+// claiming indices; the others carry on. For returns once every worker
+// has stopped.
+func (s *Sched) For(n int, body func(worker, i int) bool) {
+	if s.Workers(n) > 1 && s.TryAcquire() {
+		s.forShared(n, body)
+		return
+	}
+	// Inline, so a loop that gets no extra worker allocates nothing here.
+	for i := 0; i < n && body(0, i); i++ {
+	}
+}
+
+// forShared is For once the first extra slot is held: workers claim
+// indices off one shared counter.
+func (s *Sched) forShared(n int, body func(worker, i int) bool) {
+	var next atomic.Int64
+	run := func(worker int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || !body(worker, i) {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	start := func(worker int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Release()
+			run(worker)
+		}()
+	}
+	start(1)
+	for w := 2; w < s.Workers(n) && s.TryAcquire(); w++ {
+		start(w)
+	}
+	run(0)
+	wg.Wait()
+}
+
+// Workers bounds For(n, …)'s worker indices: they stay below
+// min(n, capacity).
+func (s *Sched) Workers(n int) int { return min(n, s.capacity) }
+
+// HoldAll takes every free slot, so For runs on the calling goroutine
+// alone until the returned release is called. Tests use it to compare a
+// pool against the same pool with slots free.
+func (s *Sched) HoldAll() (release func()) {
+	held := 0
+	for s.TryAcquire() {
+		held++
+	}
+	return func() {
+		for ; held > 0; held-- {
+			s.Release()
+		}
+	}
 }
 
 // Stats snapshots the gauges and counters.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTryAcquireCapacity(t *testing.T) {
@@ -60,5 +61,130 @@ func TestConcurrentStress(t *testing.T) {
 	st := s.Stats()
 	if st.InUse != 0 || st.Granted+st.Denied != 8*200 {
 		t.Fatalf("slots leaked or attempts lost: %+v", st)
+	}
+}
+
+// forCheck runs s.For over n indices and checks its contract: every
+// index runs exactly once, worker indices stay below min(n, capacity),
+// and no more than that many workers ever run at once. It returns the
+// set of worker indices seen.
+func forCheck(t *testing.T, s *Sched, n int) map[int]bool {
+	t.Helper()
+	limit := s.Workers(n)
+	runs := make([]atomic.Int32, n)
+	var active, peak atomic.Int32
+	var mu sync.Mutex
+	workers := map[int]bool{}
+	s.For(n, func(w, i int) bool {
+		a := active.Add(1)
+		for {
+			old := peak.Load()
+			if a <= old || peak.CompareAndSwap(old, a) {
+				break
+			}
+		}
+		mu.Lock()
+		workers[w] = true
+		mu.Unlock()
+		runs[i].Add(1)
+		time.Sleep(20 * time.Microsecond) // let the extras overlap
+		active.Add(-1)
+		return true
+	})
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+		}
+	}
+	if p := int(peak.Load()); p > limit {
+		t.Fatalf("n=%d: %d workers ran at once, want <= %d", n, p, limit)
+	}
+	for w := range workers {
+		if w < 0 || w >= limit {
+			t.Fatalf("n=%d: worker index %d outside [0, %d)", n, w, limit)
+		}
+	}
+	if st := s.Stats(); st.InUse != 0 {
+		t.Fatalf("n=%d: %d slots still held after For", n, st.InUse)
+	}
+	return workers
+}
+
+func TestForRunsEveryIndexOnce(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 8} {
+		s := New(k)
+		for _, n := range []int{0, 1, 2, 5, 64} {
+			forCheck(t, s, n)
+		}
+	}
+}
+
+func TestForCallerRunsWhenSlotsHeld(t *testing.T) {
+	s := New(4)
+	release := s.HoldAll()
+	before := s.Stats()
+	if before.InUse != 4 {
+		t.Fatalf("HoldAll took %d of 4 slots", before.InUse)
+	}
+	caller := 0
+	s.For(100, func(w, _ int) bool {
+		if w != 0 {
+			t.Errorf("worker %d ran while every slot was held", w)
+		}
+		caller++ // unsynchronized on purpose: the race detector flags a second goroutine
+		return true
+	})
+	if caller != 100 {
+		t.Fatalf("caller ran %d of 100 indices", caller)
+	}
+	if got := s.Stats().Granted; got != before.Granted {
+		t.Fatalf("For was granted %d slots while all were held", got-before.Granted)
+	}
+	release()
+	if st := s.Stats(); st.InUse != 0 {
+		t.Fatalf("release left %d slots held", st.InUse)
+	}
+}
+
+func TestForStopsWorkerOnFalse(t *testing.T) {
+	s := New(1)
+	ran := 0
+	s.For(10, func(_, i int) bool {
+		ran++
+		return i < 3
+	})
+	if ran != 4 {
+		t.Fatalf("single worker ran %d indices, want 4 (stop after index 3)", ran)
+	}
+}
+
+func TestForNested(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 8} {
+		s := New(k)
+		const outer, inner = 6, 7
+		var total atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.For(outer, func(_, _ int) bool {
+				s.For(inner, func(_, _ int) bool {
+					total.Add(1)
+					time.Sleep(10 * time.Microsecond)
+					return true
+				})
+				return true
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("capacity %d: nested For did not finish", k)
+		}
+		if got := total.Load(); got != outer*inner {
+			t.Fatalf("capacity %d: nested For ran %d inner bodies, want %d", k, got, outer*inner)
+		}
+		if st := s.Stats(); st.InUse != 0 {
+			t.Fatalf("capacity %d: %d slots still held", k, st.InUse)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"specwise/internal/linalg"
@@ -186,10 +185,9 @@ func (c *Circuit) ACSweepHead(dc *DCResult, node int, fStart, fStop float64, poi
 // through per-goroutine numeric workspaces over one shared symbolic
 // factorization. Every point executes the identical LoadValues →
 // refactor → solve sequence in its own workspace and writes its result
-// by index, so the Bode response is bit-identical for any worker count
-// (including the inline 1-worker path). done reports whether the sweep
-// was handled here; when false the caller's serial loop takes over from
-// scratch.
+// by index, so the Bode response is bit-identical however many workers
+// run. done reports whether the sweep was handled here; when false the
+// caller's serial loop takes over from scratch.
 func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode, node int, fStart, decades float64, npts, n int) (done bool, err error) {
 	// Factor at the first point to establish current factors for the
 	// workspaces to share.
@@ -200,102 +198,81 @@ func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode,
 	if err := sol.Factor(); err != nil {
 		return true, fmt.Errorf("spice: AC solve at ω=%g: %w", omega0, c.describeSolverErr(err))
 	}
-	// Bind the kept workspaces (the caller's and, below, the extras')
-	// to the current symbolic: their counters start from zero, so every
-	// Absorb folds in this sweep's work only.
-	bind := func(k int) (*linalg.SparseComplexWorkspace, error) {
-		if k == len(w.sweepWS) {
-			w.sweepWS = append(w.sweepWS, nil)
-		}
-		ws, err := sol.BindWorkspace(w.sweepWS[k])
-		w.sweepWS[k] = ws
-		return ws, err
+	// Each worker binds its kept slot to the current symbolic on its
+	// first point: the workspace counters start from zero, so every
+	// Absorb below folds in this sweep's work only.
+	sch := sched.Default()
+	for len(w.sweep) < sch.Workers(n) {
+		w.sweep = append(w.sweep, sweepSlot{})
 	}
-	ws, err := bind(0)
-	if err != nil {
+	slots := w.sweep[:sch.Workers(n)]
+	if slots[0].bind(sol, len(w.acX)) != nil {
 		return false, nil
 	}
-	sweepPoint := func(ws *linalg.SparseComplexWorkspace, x []complex128, i int) error {
+	// Points run on the process-wide scheduler's caller-runs loop, are
+	// claimed in ascending order and are written by index, so the
+	// response is bit-identical however many workers join.
+	var fail struct {
+		sync.Mutex
+		err error
+		at  int
+	}
+	sch.For(n, func(k, i int) bool {
+		sl := &slots[k]
+		if !sl.bound {
+			_ = sl.bind(sol, len(w.acX)) // cannot fail: slot 0 bound to the same factors
+		}
 		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
-		omega := 2 * math.Pi * f
-		if !ws.LoadValues(w.affBase, w.affSlope, omega) {
-			return fmt.Errorf("spice: AC sweep workspace rejected values at ω=%g", omega)
+		err := sl.solve(c, w, 2*math.Pi*f)
+		if err == nil {
+			b.Freq[i] = f
+			b.H[i] = cvolt(sl.x, node)
+			return true
 		}
-		if err := ws.Factor(); err != nil {
-			return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
+		// Keep the failure at the lowest point index, matching what a
+		// serial sweep would have surfaced first. Claims ascend, so the
+		// lowest failing point is always claimed before any worker could
+		// have stopped because of it.
+		fail.Lock()
+		if fail.err == nil || i < fail.at {
+			fail.err, fail.at = err, i
 		}
-		if err := ws.SolveInto(x, w.acB); err != nil {
-			return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
-		}
-		b.Freq[i] = f
-		b.H[i] = cvolt(x, node)
-		return nil
-	}
-	workers := c.sweepWorkers(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := sweepPoint(ws, w.acX, i); err != nil {
-				sol.Absorb(ws.Stats())
-				return true, err
-			}
-		}
-		sol.Absorb(ws.Stats())
-		return true, nil
-	}
-	// Caller-runs pool gated by the process-wide compute scheduler: the
-	// calling goroutine always sweeps, and up to workers-1 extras (each
-	// with a cloned numeric workspace) join only while scheduler slots
-	// are free. Points are claimed off a shared index in ascending order
-	// and written by index, so the response is bit-identical however many
-	// extras actually join.
-	var next atomic.Int64
-	var errMu sync.Mutex
-	firstErr, firstAt := error(nil), n
-	run := func(wsk *linalg.SparseComplexWorkspace, x []complex128) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := sweepPoint(wsk, x, i); err != nil {
-				// Keep the failure at the lowest point index, matching
-				// what the serial sweep would have surfaced first. Claims
-				// ascend, so the lowest failing point is always claimed
-				// before any worker could have stopped because of it.
-				errMu.Lock()
-				if i < firstAt {
-					firstErr, firstAt = err, i
-				}
-				errMu.Unlock()
-				return
-			}
+		fail.Unlock()
+		return false
+	})
+	for k := range slots {
+		if slots[k].bound {
+			sol.Absorb(slots[k].ws.Stats())
+			slots[k].bound = false
 		}
 	}
-	sch := sched.Default()
-	var wg sync.WaitGroup
-	extras := 0
-	for ; extras < workers-1 && sch.TryAcquire(); extras++ {
-		wsk, _ := bind(extras + 1) // cannot fail: bind(0) succeeded on the same factors
-		if extras == len(w.sweepX) {
-			w.sweepX = append(w.sweepX, nil)
-		}
-		if len(w.sweepX[extras]) != len(w.acX) {
-			w.sweepX[extras] = make([]complex128, len(w.acX))
-		}
-		x := w.sweepX[extras]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sch.Release()
-			run(wsk, x)
-		}()
+	return true, fail.err
+}
+
+// bind points the slot's workspace at sol's current factors, resetting
+// its counters, and sizes its solution vector to nx.
+func (sl *sweepSlot) bind(sol workspaceCSolver, nx int) error {
+	ws, err := sol.BindWorkspace(sl.ws)
+	sl.ws, sl.bound = ws, err == nil
+	if len(sl.x) != nx {
+		sl.x = make([]complex128, nx)
 	}
-	run(ws, w.acX)
-	wg.Wait()
-	for _, wsk := range w.sweepWS[:extras+1] {
-		sol.Absorb(wsk.Stats())
+	return err
+}
+
+// solve runs one sweep point at angular frequency omega through the
+// slot's workspace, leaving the solution in sl.x.
+func (sl *sweepSlot) solve(c *Circuit, w *solverScratch, omega float64) error {
+	if !sl.ws.LoadValues(w.affBase, w.affSlope, omega) {
+		return fmt.Errorf("spice: AC sweep workspace rejected values at ω=%g", omega)
 	}
-	return true, firstErr
+	if err := sl.ws.Factor(); err != nil {
+		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
+	}
+	if err := sl.ws.SolveInto(sl.x, w.acB); err != nil {
+		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
+	}
+	return nil
 }
 
 // mags returns the lazily built magnitude cache.

@@ -6,40 +6,49 @@ import (
 	"testing"
 
 	"specwise/internal/linalg"
+	"specwise/internal/sched"
 )
 
 // TestACSweepWorkerDeterminism pins the parallel sweep's contract: the
-// Bode response is bit-identical for every worker count, because each
-// point runs the identical LoadValues → refactor → solve sequence in a
-// workspace sharing one symbolic factorization.
+// Bode response and the factorization count are bit-identical however
+// many workers join, because each point runs the identical LoadValues →
+// refactor → solve sequence in a workspace sharing one symbolic
+// factorization. The reference sweep runs with every scheduler slot
+// held, so the caller sweeps every point alone.
 func TestACSweepWorkerDeterminism(t *testing.T) {
-	sweep := func(workers int) *Bode {
+	type counts struct{ factorizations, solves int64 }
+	sweep := func() (*Bode, counts) {
 		c := buildTestAmp(SolverSparse)
-		c.Opts.SweepWorkers = workers
 		dc, err := c.DC(DCOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.SolverStats = new(SolverStats)
 		b, err := c.ACSweep(dc, c.Node("out"), 10, 1e9, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return b, counts{c.SolverStats.Factorizations.Load(), c.SolverStats.Solves.Load()}
 	}
-	ref := sweep(1)
-	for _, workers := range []int{2, 3, 8, 64} {
-		got := sweep(workers)
+	release := sched.Default().HoldAll()
+	ref, refStats := sweep()
+	release()
+	for run := 0; run < 3; run++ {
+		got, gotStats := sweep()
 		if len(got.H) != len(ref.H) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got.H), len(ref.H))
+			t.Fatalf("run %d: %d points, want %d", run, len(got.H), len(ref.H))
 		}
 		for i := range ref.H {
 			if math.Float64bits(got.Freq[i]) != math.Float64bits(ref.Freq[i]) {
-				t.Fatalf("workers=%d: Freq[%d] = %x, want %x", workers, i, got.Freq[i], ref.Freq[i])
+				t.Fatalf("run %d: Freq[%d] = %x, want %x", run, i, got.Freq[i], ref.Freq[i])
 			}
 			if math.Float64bits(real(got.H[i])) != math.Float64bits(real(ref.H[i])) ||
 				math.Float64bits(imag(got.H[i])) != math.Float64bits(imag(ref.H[i])) {
-				t.Fatalf("workers=%d: H[%d] = %v, want bit-identical %v", workers, i, got.H[i], ref.H[i])
+				t.Fatalf("run %d: H[%d] = %v, want bit-identical %v", run, i, got.H[i], ref.H[i])
 			}
+		}
+		if gotStats != refStats {
+			t.Fatalf("run %d: %+v, want %+v as with slots held", run, gotStats, refStats)
 		}
 	}
 }

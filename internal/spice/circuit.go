@@ -68,12 +68,20 @@ type solverScratch struct {
 	acX      []complex128
 	affBase  []complex128
 	affSlope []complex128
-	// sweepWS are the fanned-out sweep's numeric workspaces (the
-	// caller's first, then one per extra worker) and sweepX the extra
-	// workers' solution vectors, kept across sweeps and rebound to the
-	// current symbolic factorization at the start of each.
-	sweepWS []*linalg.SparseComplexWorkspace
-	sweepX  [][]complex128
+	// sweep holds the fanned-out sweep's per-worker state (the caller's
+	// first), kept across sweeps and rebound to the current symbolic
+	// factorization by each worker on its first point of a sweep.
+	sweep []sweepSlot
+}
+
+// sweepSlot is one AC-sweep worker's kept numeric workspace and solution
+// vector.
+type sweepSlot struct {
+	ws *linalg.SparseComplexWorkspace
+	x  []complex128
+	// bound is set while the workspace is bound in the running sweep,
+	// whose end folds its counters into the solver's.
+	bound bool
 }
 
 // ResetSolvers returns the circuit's scratch solvers to the state of

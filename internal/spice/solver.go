@@ -3,7 +3,6 @@ package spice
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"specwise/internal/linalg"
@@ -41,17 +40,14 @@ func (k SolverKind) String() string {
 // solver on SolverAuto.
 var DefaultSolver = SolverSparse
 
-// Options carries per-circuit analysis configuration.
+// Options carries per-circuit analysis configuration. Parallelism is not
+// part of it: ACSweep fans frequency points out over the process-wide
+// scheduler (internal/sched), and the response is bit-identical however
+// many workers join.
 type Options struct {
 	// Solver selects the linear-solver backend; SolverAuto (the zero
 	// value) follows DefaultSolver.
 	Solver SolverKind
-	// SweepWorkers bounds the goroutines ACSweep fans frequency points
-	// over when the backend supports shared-structure numeric
-	// workspaces. 0 follows DefaultSweepWorkers; the effective count is
-	// clamped to the number of sweep points. Sweep results are
-	// bit-identical for every setting.
-	SweepWorkers int
 	// SymCache, when non-nil, shares symbolic LU factorizations across
 	// circuits with identical matrix structure (sparse backend only).
 	// The evaluation harness seeds one per problem from a reference
@@ -60,29 +56,6 @@ type Options struct {
 	// analysis and again after every ResetSolvers. Set it before the
 	// first analysis.
 	SymCache *linalg.SymbolicCache
-}
-
-// DefaultSweepWorkers is the AC-sweep worker count for circuits whose
-// Options leave SweepWorkers at 0; 0 or negative means GOMAXPROCS.
-var DefaultSweepWorkers = 0
-
-// sweepWorkers resolves the effective AC-sweep worker count for a sweep
-// of npts frequency points.
-func (c *Circuit) sweepWorkers(npts int) int {
-	w := c.Opts.SweepWorkers
-	if w <= 0 {
-		w = DefaultSweepWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > npts {
-		w = npts
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // solverKind resolves the effective backend for this circuit.

@@ -8,8 +8,7 @@ package wcd
 import (
 	"errors"
 	"math"
-	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"specwise/internal/linalg"
@@ -18,10 +17,10 @@ import (
 )
 
 // MarginFunc evaluates one spec's normalized margin (>= 0 means pass) at a
-// point in the normalized statistical space. When Options.GradWorkers
-// enables parallel gradients, the function must be safe for concurrent
-// calls (the circuit evaluation layer gives each concurrent call its own
-// pooled circuit, so its margins are).
+// point in the normalized statistical space. Gradient probes call it
+// concurrently, so it must be safe for concurrent calls (the circuit
+// evaluation layer gives each concurrent call its own pooled circuit, so
+// its margins are).
 type MarginFunc func(s []float64) (float64, error)
 
 // Options tunes the worst-case distance search.
@@ -40,12 +39,6 @@ type Options struct {
 	Starts int
 	// Seed drives the deterministic restart perturbations.
 	Seed uint64
-	// GradWorkers bounds the worker pool for finite-difference gradient
-	// probes: 0 picks min(dim, GOMAXPROCS), 1 forces serial probing, and
-	// larger values cap the pool explicitly. The probes are independent
-	// and assembled in index order, so the gradient — and every result
-	// derived from it — is identical for any worker count.
-	GradWorkers int
 }
 
 func (o *Options) defaults() {
@@ -92,90 +85,41 @@ type WorstCase struct {
 }
 
 // gradient computes a forward-difference margin gradient; f0 is the margin
-// at s, reused to save one evaluation per component (step opts.FDStep,
-// pool size opts.GradWorkers). A NaN probe (broken circuit) is retried in
-// the opposite direction; if both sides fail the component is treated as
-// locally insensitive rather than poisoning the whole gradient. With more
-// than one worker the independent probes fan out over a bounded pool;
-// each component's value lands at its own index and errors are reported
-// in index order, so the result is bit-identical to the serial path
-// regardless of scheduling.
+// at s, reused to save one evaluation per component (step opts.FDStep).
+// A NaN probe (broken circuit) is retried in the opposite direction; if
+// both sides fail the component is treated as locally insensitive rather
+// than poisoning the whole gradient. The independent probes run on the
+// process-wide scheduler's caller-runs loop; each component's value lands
+// at its own index and errors are reported in index order, so the result
+// is bit-identical however many workers join.
 func gradient(m MarginFunc, s []float64, f0 float64, opts Options) (linalg.Vector, int, error) {
 	dim := len(s)
 	h := opts.FDStep
-	workers := opts.GradWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > dim {
-		workers = dim
-	}
-	if workers <= 1 {
-		return gradientSerial(m, s, f0, h)
-	}
-
 	g := linalg.NewVector(dim)
 	errs := make([]error, dim)
 	var evals atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workFn := func() {
-		work := make([]float64, dim)
-		copy(work, s)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= dim {
-				return
-			}
-			fi, n, err := probe(m, work, s, i, f0, h)
-			evals.Add(int64(n))
-			if err != nil {
-				errs[i] = err
-				continue
-			}
+	sch := sched.Default()
+	// One scratch copy of s per worker, made on the worker's first probe.
+	work := make([][]float64, sch.Workers(dim))
+	sch.For(dim, func(k, i int) bool {
+		if work[k] == nil {
+			work[k] = slices.Clone(s)
+		}
+		fi, n, err := probe(m, work[k], s, i, f0, h)
+		evals.Add(int64(n))
+		if err != nil {
+			errs[i] = err
+		} else {
 			g[i] = fi
 		}
-	}
-	// Caller-runs pool gated by the process-wide compute scheduler:
-	// components are claimed off a shared index and written by index, so
-	// the gradient is bit-identical however many extras actually join.
-	sch := sched.Default()
-	for extra := 0; extra < workers-1; extra++ {
-		if !sch.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sch.Release()
-			workFn()
-		}()
-	}
-	workFn()
-	wg.Wait()
+		return true
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, int(evals.Load()), err
 		}
 	}
 	return g, int(evals.Load()), nil
-}
-
-// gradientSerial is the single-goroutine probe loop.
-func gradientSerial(m MarginFunc, s []float64, f0, h float64) (linalg.Vector, int, error) {
-	g := linalg.NewVector(len(s))
-	work := make([]float64, len(s))
-	copy(work, s)
-	evals := 0
-	for i := range s {
-		gi, n, err := probe(m, work, s, i, f0, h)
-		evals += n
-		if err != nil {
-			return nil, evals, err
-		}
-		g[i] = gi
-	}
-	return g, evals, nil
 }
 
 // probe computes one gradient component using work as scratch (restored

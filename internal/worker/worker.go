@@ -51,11 +51,6 @@ type Config struct {
 	// until the context is canceled). Used by smoke tests and batch
 	// machines.
 	MaxJobs int
-	// VerifyWorkers and SweepWorkers are this machine's pool defaults;
-	// both are behaviour-preserving (results are bit-identical for any
-	// setting).
-	VerifyWorkers int
-	SweepWorkers  int
 	// SharedEvalCache enables this worker's process-local shared
 	// evaluation cache: jobs claimed by this process on the same problem
 	// (the lease's problemHash) reuse each other's simulations, the
@@ -176,10 +171,7 @@ func runLease(ctx context.Context, cfg *Config, lease *jobs.Lease, shared *evalc
 	var res *jobs.Result
 	p, err := cfg.Resolve(&lease.Request)
 	if err == nil {
-		env := jobs.ExecEnv{
-			VerifyWorkers: cfg.VerifyWorkers,
-			SweepWorkers:  cfg.SweepWorkers,
-		}
+		var env jobs.ExecEnv
 		if shared != nil && lease.ProblemHash != "" {
 			// This worker's local shard of the sweep: jobs claimed here on
 			// the same problem reuse each other's simulations.
