@@ -17,23 +17,27 @@ all: check
 # >=30% of would-be simulator calls cross-job (it fails the bench
 # otherwise). BackendsOTA tracks the registered search backends side by
 # side on the same OTA task. CoordSearch is the Eq.-19 coordinate
-# search alone at the paper's Table-6 scale (N = 10,000).
-BENCH_PATTERN ?= 'Table[1-7]|SweepOTA16|BackendsOTA|CoordSearch'
+# search alone at the paper's Table-6 scale (N = 10,000). ACSweep is the
+# folded-cascode open-loop AC sweep (full grid plus one-point head), the
+# layer Monte-Carlo verification spends most of its time in.
+BENCH_PATTERN ?= 'Table[1-7]|SweepOTA16|BackendsOTA|CoordSearch|ACSweep'
 bench: build
 	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchreport -o BENCH_core.json \
 			-baseline BENCH_baseline.txt \
 			-note "make bench ($(BENCH_PATTERN), -benchtime 1x, single run); baseline = pre-memoization seed (commit 3e9f61b)"
 
-# Performance regression gate: re-run the hottest benchmark and the
-# Table-6-scale coordinate search and fail (exit nonzero) if either is
+# Performance regression gate: re-run the hottest benchmark, the
+# Table-6-scale coordinate search and the AC sweep and fail (exit
+# nonzero) if any is
 # more than 20% slower than the committed BENCH_core.json, allocates
 # more than 20% more, or runs a different number of simulations (a
-# machine-invariant count that must match exactly). Run this before merging changes that touch the simulation or
+# machine-invariant count that must match exactly, as must the
+# factorization count). Run this before merging changes that touch the simulation or
 # optimization hot path; it is not part of `make check` because a full
 # Table-1 optimization takes minutes.
 bench-check: build
-	$(GO) test -run xxx -bench 'Table1FoldedCascode$$|CoordSearch$$' -benchtime 1x -benchmem . \
+	$(GO) test -run xxx -bench 'Table1FoldedCascode$$|CoordSearch$$|ACSweep$$' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchreport -o /dev/null -compare BENCH_core.json
 
 # One-iteration smoke of the hottest benchmark so `make check` notices a

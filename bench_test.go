@@ -456,6 +456,39 @@ func BenchmarkSimulatorEval(b *testing.B) {
 	}
 }
 
+// BenchmarkACSweep measures the open-loop AC sweep, where Monte-Carlo
+// verification spends most of its time, through the folded-cascode
+// per-spec evaluators. One op is acSweepRounds rounds of an ft
+// evaluation (DC operating point plus the whole frequency grid) and an
+// A0 evaluation (DC plus the sweep's one-point head) at the initial
+// design; the DC solves warm-start from the reference operating point,
+// so the sweeps dominate. The factorizations per op are reported as a
+// machine-invariant count.
+func BenchmarkACSweep(b *testing.B) {
+	const acSweepRounds = 100
+	p := circuits.FoldedCascodeProblem()
+	d := p.InitialDesign()
+	s := make([]float64, p.NumStat())
+	th := p.NominalTheta()
+	specs := map[string]int{}
+	for i, sp := range p.Specs {
+		specs[sp.Name] = i
+	}
+	before := p.SimStats().Factorizations
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < acSweepRounds; r++ {
+			for _, name := range []string{"ft", "A0"} {
+				if _, err := p.EvalSpec(d, s, th, specs[name]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.SimStats().Factorizations-before)/float64(b.N), "factorizations")
+}
+
 // BenchmarkMonteCarloVerify measures the Sec.-2 verification loop.
 func BenchmarkMonteCarloVerify(b *testing.B) {
 	p := circuits.OTAProblem()

@@ -137,11 +137,20 @@ func benchKey(name string) string {
 // counts do not depend on the machine, so any change to them is a
 // regression. A metric
 // missing from either side is not compared. It reports true when any
-// benchmark regressed or none could be compared.
+// benchmark regressed, none could be compared, or the reference holds
+// two rows for one benchmark.
 func compareRuns(w io.Writer, cur, ref []Entry, threshold float64) bool {
 	refBy := make(map[string]map[string]float64, len(ref))
 	for _, e := range ref {
-		refBy[benchKey(e.Name)] = e.Metrics
+		k := benchKey(e.Name)
+		if _, dup := refBy[k]; dup {
+			// Two reference rows for one benchmark (say, -2 and -8
+			// GOMAXPROCS suffixes): which one gates would be an accident
+			// of row order, so the reference itself is rejected.
+			fmt.Fprintf(w, "benchreport: reference has more than one row for %s\n", k)
+			return true
+		}
+		refBy[k] = e.Metrics
 	}
 	regressed := false
 	compared := 0

@@ -52,4 +52,14 @@ func TestCompareRuns(t *testing.T) {
 	if !compareRuns(io.Discard, []Entry{{Name: "BenchmarkOther", Metrics: map[string]float64{"ns/op": 1}}}, ref, 0.20) {
 		t.Error("no overlapping benchmark must fail the gate")
 	}
+	// Two reference rows sharing a key fail the gate even when the run
+	// matches one of them: which row gates must not hang on row order.
+	refDup := []Entry{
+		{Name: "BenchmarkTable1-2", Metrics: map[string]float64{"ns/op": 1000, "simulations": 19556}},
+		{Name: "BenchmarkTable1-8", Metrics: map[string]float64{"ns/op": 1000, "simulations": 20000}},
+	}
+	cur := []Entry{{Name: "BenchmarkTable1-2", Metrics: map[string]float64{"ns/op": 1000, "simulations": 19556}}}
+	if !compareRuns(io.Discard, cur, refDup, 0.20) {
+		t.Error("duplicate reference rows must fail the gate")
+	}
 }

@@ -83,12 +83,11 @@ func TestEvalCacheDeterminismMiller(t *testing.T) {
 }
 
 // TestSchedulerDeterminism checks that the process-wide scheduler's
-// pools — finite-difference gradient probes, AC-sweep frequency points,
-// Monte-Carlo verification samples and the coordinate search's sample
-// blocks — cannot change a single bit of the optimizer's output: a run
+// pools — finite-difference gradient probes, Monte-Carlo verification
+// samples and the coordinate search's sample blocks — cannot change a single bit of the optimizer's output: a run
 // with every scheduler slot held (each pool on its calling goroutine
 // alone) must match a run with the slots free, because every probe,
-// point, sample and block writes its result by index.
+// sample and block writes its result by index.
 func TestSchedulerDeterminism(t *testing.T) {
 	release := sched.Default().HoldAll()
 	my0, mc0, d0 := runConfig(t, OTA(), determinismOpts)
@@ -136,10 +135,9 @@ func TestParallelGradientDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerKnobDeterminism checks the Monte-Carlo verification pool and
-// the per-frequency AC-sweep fan-out the same way: a verification run on
-// one goroutine must match one with the slots free, because every sample
-// and every frequency point writes its result by index.
+// TestWorkerKnobDeterminism checks the Monte-Carlo verification pool the
+// same way: a verification run on one goroutine must match one with the
+// slots free, because every sample writes its result by index.
 func TestWorkerKnobDeterminism(t *testing.T) {
 	p := OTA()
 	run := func() *MCResult {

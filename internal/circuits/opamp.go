@@ -380,11 +380,11 @@ func (tb *testbench) evaluate(fStart, fStop float64, need measure) (Performances
 
 	// Common-mode response at the lowest frequency: both inputs driven.
 	tb.fb.ACValue = 1
-	acCM, err := tb.ckt.AC(dc, 2*math.Pi*fStart)
+	acCM, err := tb.ckt.ACNode(dc, 2*math.Pi*fStart, tb.out)
 	if err != nil {
 		return failedPerf(), false
 	}
-	acmMag := cmplxAbs(acCM.Voltage(tb.out))
+	acmMag := cmplxAbs(acCM)
 	p.CMRRdB = a0 - 20*math.Log10(math.Max(acmMag, 1e-12))
 	return p, true
 }

@@ -63,8 +63,8 @@ func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, theta
 
 	// vals[j][u][i]: sample j, corner u, spec i. Samples run on the
 	// process-wide scheduler's caller-runs loop and are written back by
-	// index, so the result is independent of how many workers ran; a
-	// nested pool (an AC sweep inside a sample) shares the same slots.
+	// index, so the result is independent of how many workers ran; any
+	// pool nested inside a sample shares the same slots.
 	vals := make([][][]float64, n)
 	errs := make([]error, n)
 	sched.Default().For(n, func(_, j int) bool {

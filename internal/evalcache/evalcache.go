@@ -23,6 +23,7 @@
 package evalcache
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,6 +73,12 @@ type entry struct {
 	vals []float64
 	err  error
 }
+
+// errPanicked is what the waiters of an in-flight entry see when its
+// computation panicked. The panic itself goes on up the computing
+// goroutine; the entry is settled and dropped on the way, so waiters
+// wake and a later request recomputes instead of blocking forever.
+var errPanicked = errors.New("evalcache: evaluation panicked")
 
 // Cache memoizes Problem.Eval, Problem.EvalSpec and Problem.Constraints
 // results.
@@ -208,18 +215,33 @@ func (c *Cache) doLocked(m map[string]*entry, key string, hits, misses *atomic.I
 		return compute()
 	}
 
+	settled := false
+	defer func() {
+		if !settled {
+			c.settle(m, key, e, nil, errPanicked)
+		}
+	}()
 	vals, err := compute()
-	e.vals, e.err = vals, err
-	close(e.done)
+	settled = true
+	c.settle(m, key, e, vals, err)
 	if err != nil {
-		// Errors are not memoized: drop the entry so a later retry can
-		// run the simulator again (current waiters still see the error).
-		c.mu.Lock()
-		delete(m, key)
-		c.mu.Unlock()
 		return nil, err
 	}
 	return append([]float64(nil), vals...), nil
+}
+
+// settle publishes a computation's outcome on its entry and wakes the
+// waiters. Errors are not memoized: the entry is dropped so a later
+// retry can run the simulator again (current waiters still see the
+// error).
+func (c *Cache) settle(m map[string]*entry, key string, e *entry, vals []float64, err error) {
+	e.vals, e.err = vals, err
+	close(e.done)
+	if err != nil {
+		c.mu.Lock()
+		delete(m, key)
+		c.mu.Unlock()
+	}
 }
 
 // closed reports whether done has been closed, without blocking.

@@ -171,6 +171,53 @@ func TestErrorsAreNotMemoized(t *testing.T) {
 	}
 }
 
+// checkPanicSettles simulates a point whose first simulation panics
+// while a second caller waits on it: the panic must reach the caller
+// that ran the simulation, the waiter must get errPanicked instead of
+// blocking forever, and a retry must simulate the point again.
+func checkPanicSettles(t *testing.T, wrap func(*problem.Problem) *problem.Problem, deduped func() int64) {
+	t.Helper()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	p := wrap(&problem.Problem{Eval: func(d, s, theta []float64) ([]float64, error) {
+		if calls.Add(1) == 1 {
+			<-release
+			panic("simulator exploded")
+		}
+		return []float64{d[0]}, nil
+	}})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		p.Eval([]float64{7}, nil, nil) //nolint:errcheck // panics
+	}()
+	for calls.Load() == 0 {
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := p.Eval([]float64{7}, nil, nil)
+		waited <- err
+	}()
+	for deduped() < 1 {
+	}
+	close(release)
+	if r := <-panicked; r != "simulator exploded" {
+		t.Fatalf("computing caller recovered %v, want the simulator's panic", r)
+	}
+	if err := <-waited; !errors.Is(err, errPanicked) {
+		t.Fatalf("waiter got %v, want errPanicked", err)
+	}
+	v, err := p.Eval([]float64{7}, nil, nil)
+	if err != nil || v[0] != 7 || calls.Load() != 2 {
+		t.Fatalf("retry after the panic = %v, %v after %d simulations, want 7 after 2", v, err, calls.Load())
+	}
+}
+
+func TestPanicSettlesEntry(t *testing.T) {
+	c := New(0)
+	checkPanicSettles(t, c.Wrap, func() int64 { return c.Stats().Deduped })
+}
+
 func TestCapacityOverflowStillComputes(t *testing.T) {
 	var calls atomic.Int64
 	c := New(2)

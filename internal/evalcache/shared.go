@@ -303,22 +303,35 @@ func (v *View) doLocked(key string, hits, misses *atomic.Int64, compute func() (
 
 	s.misses.Add(1)
 	misses.Add(1)
-	vals, err := compute()
-	s.mu.Lock()
-	se.e.vals, se.e.err = vals, err
-	close(se.e.done)
-	if err != nil {
-		// Errors are not memoized: drop the entry so a later retry can
-		// run the simulator again (current waiters still see the error).
-		if el, ok := s.entries[key]; ok && el.Value.(*sharedEntry) == se {
-			s.dropLocked(el, se)
+	settled := false
+	defer func() {
+		if !settled {
+			s.settle(se, nil, errPanicked)
 		}
-	}
-	s.mu.Unlock()
+	}()
+	vals, err := compute()
+	settled = true
+	s.settle(se, vals, err)
 	if err != nil {
 		return nil, err
 	}
 	return append([]float64(nil), vals...), nil
+}
+
+// settle publishes a computation's outcome on its entry and wakes the
+// waiters. Errors are not memoized: the entry is dropped so a later
+// retry can run the simulator again (current waiters still see the
+// error).
+func (s *Shared) settle(se *sharedEntry, vals []float64, err error) {
+	s.mu.Lock()
+	se.e.vals, se.e.err = vals, err
+	close(se.e.done)
+	if err != nil {
+		if el, ok := s.entries[se.key]; ok && el.Value.(*sharedEntry) == se {
+			s.dropLocked(el, se)
+		}
+	}
+	s.mu.Unlock()
 }
 
 // evictLocked restores the LRU cap by dropping the least recently used

@@ -233,6 +233,11 @@ func TestSharedErrorsNotMemoized(t *testing.T) {
 	}
 }
 
+func TestSharedPanicSettlesEntry(t *testing.T) {
+	s := NewShared(0)
+	checkPanicSettles(t, s.View("p").Wrap, func() int64 { return s.Stats().Deduped })
+}
+
 func TestSharedDropProblem(t *testing.T) {
 	var calls atomic.Int64
 	s := NewShared(0)

@@ -45,6 +45,18 @@ func TestNormalizeRejectsUnhonoredOptions(t *testing.T) {
 			Options: RunOptions{MaxIterations: -1}}, "options.maxIterations must not be negative"},
 		{"optimize negative refineThetaPasses", Request{Circuit: "ota",
 			Options: RunOptions{RefineThetaPasses: -2}}, "options.refineThetaPasses must not be negative"},
+		{"verify verifySamples at cap", Request{Kind: KindVerify, Circuit: "ota",
+			Options: RunOptions{VerifySamples: 1_000_000}}, ""},
+		{"verify huge verifySamples", Request{Kind: KindVerify, Circuit: "ota",
+			Options: RunOptions{VerifySamples: 1 << 50}}, "options.verifySamples must be at most 1000000"},
+		{"optimize modelSamples above cap", Request{Circuit: "ota",
+			Options: RunOptions{ModelSamples: 1_000_001}}, "options.modelSamples must be at most 1000000"},
+		{"optimize verifySamples above cap", Request{Circuit: "ota",
+			Options: RunOptions{VerifySamples: 1_000_001}}, "options.verifySamples must be at most 1000000"},
+		{"optimize maxIterations above cap", Request{Circuit: "ota",
+			Options: RunOptions{MaxIterations: 1001}}, "options.maxIterations must be at most 1000"},
+		{"optimize refineThetaPasses above cap", Request{Circuit: "ota",
+			Options: RunOptions{RefineThetaPasses: 1001}}, "options.refineThetaPasses must be at most 1000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"fmt"
 
 	"specwise/internal/core"
 	"specwise/internal/evalcache"
@@ -33,6 +34,16 @@ type ExecEnv struct {
 	// the cache keys on exact (d, s, θ) bit patterns, so results are
 	// bit-identical with or without sharing.
 	EvalCache evalcache.Wrapper
+}
+
+// RecoverRun turns a panic in the deferring job run into *err, so a
+// request that crashes the optimizer fails its own job instead of the
+// process running it. Both job runners — the manager's local pool and
+// the remote pull-worker — defer RecoverRun(&err) around Execute.
+func RecoverRun(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("jobs: run panicked: %v", r)
+	}
 }
 
 // Execute runs one resolved request end to end. It is the single

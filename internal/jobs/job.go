@@ -89,9 +89,9 @@ type RunOptions struct {
 	QuadraticSpecs     bool    `json:"quadraticSpecs,omitempty"`
 	RefineThetaPasses  int     `json:"refineThetaPasses,omitempty"`
 	// VerifyWorkers and SweepWorkers are retired: they sized the
-	// Monte-Carlo verification pool and the AC-sweep fan-out, which the
-	// process-wide compute scheduler now sizes alone (results never
-	// depended on them). They still decode, and stay in the encoding so
+	// Monte-Carlo verification pool, which the process-wide compute
+	// scheduler now sizes alone, and the AC-sweep fan-out, which is gone
+	// (results never depended on them). They still decode, and stay in the encoding so
 	// requests carrying them keep their content hash; Core and Execute
 	// ignore them. Verify jobs accept verifyWorkers, as they always did,
 	// and reject sweepWorkers like any other optimizer-only option.
@@ -167,6 +167,12 @@ type Request struct {
 	Options RunOptions      `json:"options"`
 }
 
+// Request option caps enforced by Normalize.
+const (
+	maxSamples = 1_000_000 // modelSamples, verifySamples
+	maxPasses  = 1_000     // maxIterations, refineThetaPasses
+)
+
 // Normalize fills defaults and checks structural validity, including
 // that every set option is one the requested kind (and algorithm) can
 // honor — a verify job that names an optimizer knob is rejected up
@@ -185,17 +191,25 @@ func (r *Request) Normalize() error {
 	if hasCircuit == hasSpec {
 		return fmt.Errorf("jobs: exactly one of circuit or spec is required")
 	}
+	// The upper caps keep one request from asking for an allocation or a
+	// run no daemon could serve (a sample count near 1<<50 panics in
+	// makeslice). They sit far above anything the paper's experiments
+	// use (50,000 samples, 8 passes).
 	for _, c := range []struct {
 		name string
 		v    int
+		max  int
 	}{
-		{"modelSamples", r.Options.ModelSamples},
-		{"verifySamples", r.Options.VerifySamples},
-		{"maxIterations", r.Options.MaxIterations},
-		{"refineThetaPasses", r.Options.RefineThetaPasses},
+		{"modelSamples", r.Options.ModelSamples, maxSamples},
+		{"verifySamples", r.Options.VerifySamples, maxSamples},
+		{"maxIterations", r.Options.MaxIterations, maxPasses},
+		{"refineThetaPasses", r.Options.RefineThetaPasses, maxPasses},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("jobs: options.%s must not be negative (got %d)", c.name, c.v)
+		}
+		if c.v > c.max {
+			return fmt.Errorf("jobs: options.%s must be at most %d (got %d)", c.name, c.max, c.v)
 		}
 	}
 	r.Options.Algorithm = strings.ToLower(strings.TrimSpace(r.Options.Algorithm))

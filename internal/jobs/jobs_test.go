@@ -12,6 +12,7 @@ import (
 	"specwise/internal/core"
 	"specwise/internal/problem"
 	"specwise/internal/report"
+	"specwise/internal/sched"
 	"specwise/internal/wcd"
 )
 
@@ -101,6 +102,45 @@ func TestJobRunsToCompletion(t *testing.T) {
 	}
 	if got := m.Metrics().Done(); got != 1 {
 		t.Errorf("done counter = %d, want 1", got)
+	}
+}
+
+// TestRunPanicFailsJob checks that a run that panics fails its own job
+// with the panic in the error, and that the manager goes on serving.
+// The shared evaluation cache is on, and the panicking request is
+// submitted twice: the second run meets the cache entry the first
+// panic left behind and must fail too, not wait on it forever. Every
+// scheduler slot is held so the evaluations run on the job's own
+// goroutine, where the runner's recover sees the panic.
+func TestRunPanicFailsJob(t *testing.T) {
+	t.Cleanup(sched.Default().HoldAll())
+	m := testManager(t, Config{Workers: 1, SharedEvalCache: true, Resolve: func(req *Request) (*problem.Problem, error) {
+		p := testProblem(0)
+		if req.Options.Seed != nil && *req.Options.Seed == 13 {
+			p.Eval = func(d, s, th []float64) ([]float64, error) { panic("simulator exploded") }
+		}
+		return p, nil
+	}}, 0)
+	bad := quickOpts
+	bad.Seed = Seed(13)
+	for run := 1; run <= 2; run++ {
+		job, err := m.Submit(Request{Circuit: "analytic", Options: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitState(t, job, 10*time.Second); st != StateFailed {
+			t.Fatalf("run %d: state = %v, want failed", run, st)
+		}
+		if msg := job.Err(); !strings.Contains(msg, "panicked") || !strings.Contains(msg, "simulator exploded") {
+			t.Fatalf("run %d: job error %q does not report the panic", run, msg)
+		}
+	}
+	good, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, good, 10*time.Second); st != StateDone {
+		t.Fatalf("job after the panic: state %v (err %q), want done", st, good.Err())
 	}
 }
 

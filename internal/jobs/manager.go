@@ -994,7 +994,8 @@ func (m *Manager) cacheStoreLocked(hash string, result *Result, jobID string) {
 
 // execute runs the job through the shared execution path and folds the
 // run's reuse counters into the service metrics.
-func (m *Manager) execute(ctx context.Context, job *Job) (*Result, error) {
+func (m *Manager) execute(ctx context.Context, job *Job) (res *Result, err error) {
+	defer RecoverRun(&err)
 	env := ExecEnv{Progress: job.addProgress}
 	if m.evalShared != nil {
 		env.EvalCache = m.evalShared.View(job.problemHash)

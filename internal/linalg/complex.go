@@ -161,20 +161,22 @@ func sqmag(c complex128) float64 {
 // for complex128 division — out of the per-element call, producing
 // bit-identical quotients for finite inputs. The rare all-NaN outcome
 // falls back to the native division so special-value semantics match
-// the runtime exactly.
+// the runtime exactly. newPivotDiv and div are written to fit the
+// compiler's inlining budget, so the sweep kernel's per-lane divisions
+// are not calls.
 type pivotDiv struct {
 	ratio, denom float64
 	swapped      bool // |imag(pivot)| > |real(pivot)|
 }
 
-func newPivotDiv(pivot complex128) pivotDiv {
+func newPivotDiv(pivot complex128) (d pivotDiv) {
 	re, im := real(pivot), imag(pivot)
-	if math.Abs(re) >= math.Abs(im) {
-		r := im / re
-		return pivotDiv{ratio: r, denom: re + r*im}
+	if d.swapped = !(math.Abs(re) >= math.Abs(im)); d.swapped { // NaN swaps, as in the runtime
+		re, im = im, re
 	}
-	r := re / im
-	return pivotDiv{ratio: r, denom: im + r*re, swapped: true}
+	d.ratio = im / re
+	d.denom = re + d.ratio*im
+	return d
 }
 
 func (d pivotDiv) div(n, pivot complex128) complex128 {
@@ -186,7 +188,7 @@ func (d pivotDiv) div(n, pivot complex128) complex128 {
 		e = (real(n)*d.ratio + imag(n)) / d.denom
 		f = (imag(n)*d.ratio - real(n)) / d.denom
 	}
-	if math.IsNaN(e) && math.IsNaN(f) {
+	if e != e && f != f { // both NaN
 		return n / pivot
 	}
 	return complex(e, f)

@@ -24,7 +24,7 @@ import (
 // and spNumeric holds everything a refactorization mutates (factor
 // values, division constants, workspaces). Any number of spNumeric
 // workspaces can replay the same spSymbolic concurrently, which is what
-// SparseComplexWorkspace exposes for the parallel AC sweep.
+// SparseComplexWorkspace exposes; the AC sweep keeps one per circuit.
 //
 // The real and complex backends share one generic core; complex pivot
 // magnitudes use |·|² (monotone in |·|, no square root), matching the
@@ -637,103 +637,6 @@ func crefactorC(nm *spNumeric[complex128], a *spMatrix[complex128]) error {
 	return nil
 }
 
-// crefactorAffineC is crefactorC with the affine value reload fused into
-// the scatter: instead of first materializing vals[t] = base[t] + tt·slope[t]
-// into the matrix and then scattering, each entry is computed as it
-// scatters. The per-entry expression is identical to LoadValues', so the
-// factors are bit-identical to a materialize-then-refactor sequence while
-// the whole pass over the value array (and its memory traffic) is gone.
-// This is the AC sweep's per-frequency-point path.
-func crefactorAffineC(nm *spNumeric[complex128], a *spMatrix[complex128], base, slope []complex128, tt float64) error {
-	sym := nm.sym
-	n := sym.n
-	w := nm.w
-	lp, li := sym.lp, sym.li
-	up, ui := sym.up, sym.ui
-	lx, ux := nm.lx, nm.ux
-	pd := nm.pd
-	scat, q := sym.scat, sym.q
-	colp := a.colp
-	for k := 0; k < n; k++ {
-		for t := colp[q[k]]; t < colp[q[k]+1]; t++ {
-			sl := slope[t]
-			w[scat[t]] = base[t] + complex(real(sl)*tt, imag(sl)*tt)
-		}
-		for t := up[k]; t < up[k+1]-1; t++ {
-			j := int(ui[t])
-			xj := w[j]
-			ux[t] = xj
-			w[j] = 0
-			for s := lp[j]; s < lp[j+1]; s++ {
-				w[li[s]] -= lx[s] * xj
-			}
-		}
-		piv := w[k]
-		w[k] = 0
-		pm := sqmag(piv)
-		if pm == 0 || math.IsNaN(pm) {
-			nm.clearW()
-			return &PivotError{Index: int(q[k]), Err: ErrSingular}
-		}
-		d := newPivotDiv(piv)
-		colmax := pm
-		for s := lp[k]; s < lp[k+1]; s++ {
-			wv := w[li[s]]
-			w[li[s]] = 0
-			if v := sqmag(wv); v > colmax {
-				colmax = v
-			}
-			lx[s] = d.div(wv, piv)
-		}
-		if pm < refactorGuard2*colmax {
-			nm.clearW()
-			return errRepivot
-		}
-		ux[up[k+1]-1] = piv
-		pd[k] = d
-	}
-	return nil
-}
-
-// csolveIntoC is the complex triangular solve using the hoisted division
-// constants; zero right-hand-side entries (most of an MNA AC source
-// vector) skip their update loops.
-func csolveIntoC(nm *spNumeric[complex128], x, b []complex128) {
-	sym := nm.sym
-	n := sym.n
-	sx := nm.sx
-	pinv, q := sym.pinv, sym.q
-	lp, li := sym.lp, sym.li
-	up, ui := sym.up, sym.ui
-	lx, ux := nm.lx, nm.ux
-	pd := nm.pd
-	for i := 0; i < n; i++ {
-		sx[pinv[i]] = b[i]
-	}
-	for j := 0; j < n; j++ {
-		xj := sx[j]
-		if xj == 0 {
-			continue
-		}
-		for t := lp[j]; t < lp[j+1]; t++ {
-			sx[li[t]] -= lx[t] * xj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		xj := pd[j].div(sx[j], ux[up[j+1]-1])
-		sx[j] = xj
-		if xj == 0 {
-			continue
-		}
-		for t := up[j]; t < up[j+1]-1; t++ {
-			sx[ui[t]] -= ux[t] * xj
-		}
-	}
-	for j := 0; j < n; j++ {
-		x[q[j]] = sx[j]
-	}
-}
-
 // spLU is the sparse LU driver: it owns the DFS scratch for symbolic
 // factorizations, the current (immutable) spSymbolic, and its private
 // spNumeric. Each symbolic factorization builds a fresh spSymbolic so
@@ -1252,173 +1155,3 @@ func (s *SparseComplexSolver) LoadValues(base, slope []complex128, t float64) bo
 	}
 	return true
 }
-
-// SparseComplexWorkspace is a per-goroutine numeric companion to a
-// SparseComplexSolver: it shares the parent's immutable CSC pattern and
-// spSymbolic but owns its values, factors and scratch, so N workspaces
-// can LoadValues/Factor/SolveInto the same structure concurrently. Every
-// Factor replays the shared symbolic from scratch (no per-workspace
-// pivot history), so results are independent of how points are
-// distributed over workspaces; a point whose pivots degenerate falls
-// back to a private full factorization without touching the shared
-// state. Workspaces are invalidated by any structural change or symbolic
-// refactorization in the parent — rebind them with BindWorkspace after
-// Factor.
-type SparseComplexWorkspace struct {
-	a   spMatrix[complex128] // shares colp/rowi with the parent; vals only materialized for the fallback
-	num spNumeric[complex128]
-	buf []complex128 // backing array of num's lx, ux, w and sx
-	// affBase/affSlope/affT record the last LoadValues call; Factor fuses
-	// the affine reload into the refactorization's scatter instead of
-	// materializing a value array per point.
-	affBase, affSlope []complex128
-	affT              float64
-	affine            bool
-	full              *spLU[complex128] // lazy private fallback when pivots degenerate
-	fullActive        bool
-	factored          bool
-	stats             SolverStats
-}
-
-// BindWorkspace binds ws to the solver's current pattern and symbolic
-// factorization and returns it; a nil ws allocates a new workspace. A
-// rebound workspace keeps its buffers but is otherwise indistinguishable
-// from a new one: no factors, no loaded values, zeroed counters. A sweep
-// that keeps its workspaces across calls therefore folds only the
-// current call's work back through Absorb. The solver must have been
-// factored successfully first.
-func (s *SparseComplexSolver) BindWorkspace(ws *SparseComplexWorkspace) (*SparseComplexWorkspace, error) {
-	if !s.lu.valid {
-		return nil, errors.New("linalg: BindWorkspace before successful Factor")
-	}
-	if ws == nil {
-		ws = new(SparseComplexWorkspace)
-	}
-	n, sym := s.a.n, s.lu.sym
-	nl, nu := len(sym.li), len(sym.ui)
-	if cap(ws.buf) < nl+nu+2*n {
-		ws.buf = make([]complex128, nl+nu+2*n)
-	}
-	buf := ws.buf[:nl+nu+2*n]
-	w := buf[nl+nu : nl+nu+n : nl+nu+n]
-	clear(w) // the factorization needs it zeroed; it may overlap the old factors
-	pd := ws.num.pd
-	if cap(pd) < n {
-		pd = make([]pivotDiv, n)
-	}
-	ws.num = spNumeric[complex128]{
-		sym: sym,
-		lx:  buf[:nl:nl],
-		ux:  buf[nl : nl+nu : nl+nu],
-		pd:  pd[:n],
-		w:   w,
-		sx:  buf[nl+nu+n:],
-	}
-	ws.a = spMatrix[complex128]{
-		n:        n,
-		compiled: true,
-		colp:     s.a.colp,
-		rowi:     s.a.rowi,
-		vals:     ws.a.vals[:0],
-	}
-	ws.affBase, ws.affSlope, ws.affT, ws.affine = nil, nil, 0, false
-	ws.fullActive, ws.factored = false, false
-	ws.stats = SolverStats{Kind: "sparse", N: n, NNZ: len(s.a.rowi)}
-	return ws, nil
-}
-
-// LoadValues points the workspace at the affine snapshot member
-// base[k] + t·slope[k]. The values are not materialized here: Factor
-// fuses the reload into its scatter pass, producing factors bit-identical
-// to materializing first. The snapshot arrays must stay unmodified (they
-// are shared read-only across all workspaces of a sweep) until the next
-// LoadValues.
-func (ws *SparseComplexWorkspace) LoadValues(base, slope []complex128, t float64) bool {
-	if len(base) != len(ws.a.rowi) || len(slope) != len(ws.a.rowi) {
-		return false
-	}
-	ws.affBase, ws.affSlope, ws.affT = base, slope, t
-	ws.affine = true
-	return true
-}
-
-// materialize writes the affine member into the workspace's own value
-// array, for the full-factorization fallback (which needs a plain
-// assembled matrix).
-func (ws *SparseComplexWorkspace) materialize() {
-	nnz := len(ws.a.rowi)
-	if cap(ws.a.vals) < nnz {
-		ws.a.vals = make([]complex128, nnz)
-	}
-	ws.a.vals = ws.a.vals[:nnz]
-	t := ws.affT
-	for k, sl := range ws.affSlope {
-		ws.a.vals[k] = ws.affBase[k] + complex(real(sl)*t, imag(sl)*t)
-	}
-}
-
-// Factor refactors the workspace's values against the shared symbolic.
-// When the stored pivot order degenerates for these values it falls back
-// to a private full factorization (shared state untouched), so Factor
-// only fails on genuinely singular systems.
-func (ws *SparseComplexWorkspace) Factor() error {
-	ws.stats.Factorizations++
-	ws.fullActive = false
-	ws.factored = false
-	var err error
-	if ws.affine {
-		err = crefactorAffineC(&ws.num, &ws.a, ws.affBase, ws.affSlope, ws.affT)
-	} else if len(ws.a.vals) == len(ws.a.rowi) {
-		err = crefactorC(&ws.num, &ws.a)
-	} else {
-		return errors.New("linalg: SparseComplexWorkspace.Factor before LoadValues")
-	}
-	if err == nil {
-		ws.factored = true
-		if fill := len(ws.num.sym.li) + len(ws.num.sym.ui); fill > ws.stats.FillNNZ {
-			ws.stats.FillNNZ = fill
-		}
-		return nil
-	}
-	if !errors.Is(err, errRepivot) {
-		return err
-	}
-	ws.stats.Symbolic++
-	if ws.affine {
-		ws.materialize()
-	}
-	if ws.full == nil || ws.full.n != ws.a.n {
-		ws.full = newSPLU[complex128](ws.a.n)
-	}
-	ws.full.q = ws.num.sym.q
-	if err := ws.full.factor(&ws.a); err != nil {
-		return err
-	}
-	ws.fullActive = true
-	ws.factored = true
-	if fill := len(ws.full.sym.li) + len(ws.full.sym.ui); fill > ws.stats.FillNNZ {
-		ws.stats.FillNNZ = fill
-	}
-	return nil
-}
-
-// SolveInto solves with the workspace's current factors.
-func (ws *SparseComplexWorkspace) SolveInto(x, b []complex128) error {
-	if len(x) != ws.a.n || len(b) != ws.a.n {
-		return errDimension
-	}
-	if !ws.factored {
-		return errors.New("linalg: SparseComplexWorkspace.SolveInto before successful Factor")
-	}
-	if ws.fullActive {
-		csolveIntoC(ws.full.num, x, b)
-	} else {
-		csolveIntoC(&ws.num, x, b)
-	}
-	ws.stats.Solves++
-	return nil
-}
-
-// Stats reports the work done through this workspace; fold it back into
-// the parent with SparseComplexSolver.Absorb.
-func (ws *SparseComplexWorkspace) Stats() SolverStats { return ws.stats }

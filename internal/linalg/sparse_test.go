@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -488,9 +489,10 @@ func TestMinDegreeOrderProperties(t *testing.T) {
 }
 
 // TestSparseComplexWorkspace checks the symbolic/numeric split's sharing
-// contract: numeric workspaces cloned from one factored solver must
+// contract: numeric workspaces bound to one factored solver must
 // reproduce the parent's refactor-and-solve results bit-for-bit, for any
-// distribution of points over workspaces, including concurrent use.
+// grouping of points into blocks and of blocks over workspaces,
+// including concurrent use.
 func TestSparseComplexWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 13
@@ -537,51 +539,50 @@ func TestSparseComplexWorkspace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Workspaces: same points fanned over three concurrent clones.
+	// Workspaces: the same points in blocks of 1, 3 and 2 on three
+	// concurrent workspaces, each observing every node in turn.
 	if !sp.LoadValues(base, slope, ts[0]) {
 		t.Fatal("LoadValues rejected captured snapshot")
 	}
 	if err := sp.Factor(); err != nil {
 		t.Fatal(err)
 	}
-	var workers []*SparseComplexWorkspace
-	for range 3 {
+	blocks := [][2]int{{0, 1}, {1, 4}, {4, 6}}
+	got := make([][]complex128, len(ts))
+	for p := range got {
+		got[p] = make([]complex128, n)
+	}
+	stats := make([]SolverStats, len(blocks))
+	errs := make([]error, len(blocks))
+	done := make(chan struct{}, len(blocks))
+	for w, blk := range blocks {
 		ws, err := sp.BindWorkspace(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers = append(workers, ws)
-	}
-	got := make([][]complex128, len(ts))
-	errs := make([]error, len(workers))
-	done := make(chan int, len(workers))
-	for w, ws := range workers {
-		go func(w int, ws *SparseComplexWorkspace) {
-			defer func() { done <- w }()
-			for p := w; p < len(ts); p += len(workers) {
-				if !ws.LoadValues(base, slope, ts[p]) {
-					errs[w] = errors.New("workspace LoadValues rejected snapshot")
+		go func(w int, lo, hi int) {
+			defer func() { done <- struct{}{} }()
+			out := make([]complex128, hi-lo)
+			for node := 0; node < n; node++ {
+				solved, st, err := ws.SolveNodes(base, slope, ts[lo:hi], b, node, out)
+				if err != nil || solved != hi-lo {
+					errs[w] = fmt.Errorf("node %d: %d of %d lanes: %v", node, solved, hi-lo, err)
 					return
 				}
-				if err := ws.Factor(); err != nil {
-					errs[w] = err
-					return
+				for p := lo; p < hi; p++ {
+					got[p][node] = out[p-lo]
 				}
-				x := make([]complex128, n)
-				if err := ws.SolveInto(x, b); err != nil {
-					errs[w] = err
-					return
-				}
-				got[p] = x
+				stats[w].Factorizations += st.Factorizations
+				stats[w].Solves += st.Solves
 			}
-		}(w, ws)
+		}(w, blk[0], blk[1])
 	}
-	for range workers {
+	for range blocks {
 		<-done
 	}
 	for w, err := range errs {
 		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
+			t.Fatalf("workspace %d: %v", w, err)
 		}
 	}
 	for p := range ts {
@@ -595,14 +596,13 @@ func TestSparseComplexWorkspace(t *testing.T) {
 	// Counters flow back through Absorb.
 	before := sp.Stats()
 	var fact, solv int64
-	for _, ws := range workers {
-		st := ws.Stats()
+	for _, st := range stats {
 		fact += st.Factorizations
 		solv += st.Solves
 		sp.Absorb(st)
 	}
-	if fact != int64(len(ts)) || solv != int64(len(ts)) {
-		t.Fatalf("workspace counters = %d/%d, want %d/%d", fact, solv, len(ts), len(ts))
+	if want := int64(n * len(ts)); fact != want || solv != want {
+		t.Fatalf("workspace counters = %d/%d, want %d/%d", fact, solv, want, want)
 	}
 	after := sp.Stats()
 	if after.Factorizations != before.Factorizations+fact || after.Solves != before.Solves+solv {
@@ -610,9 +610,9 @@ func TestSparseComplexWorkspace(t *testing.T) {
 	}
 }
 
-// TestSparseComplexWorkspaceRepivot drives one workspace point into the
+// TestSparseComplexWorkspaceRepivot drives one lane of a block into the
 // repivot fallback and checks it solves correctly without corrupting the
-// shared symbolic used by other points.
+// shared symbolic its neighbours in the block use.
 func TestSparseComplexWorkspaceRepivot(t *testing.T) {
 	n := 2
 	sp := NewSparseComplexSolver(n)
@@ -624,47 +624,45 @@ func TestSparseComplexWorkspaceRepivot(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sp.CaptureValues(nil)
+	if len(base) != 4 {
+		t.Fatalf("unexpected nnz %d", len(base))
+	}
 	ws, err := sp.BindWorkspace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := make([]complex128, len(base))
-	// Degenerate values: diagonal collapses, forcing the private full
-	// factorization fallback.
-	degen := []complex128{1e-12, 1, 1, 1e-12}
-	if len(base) != 4 {
-		t.Fatalf("unexpected nnz %d", len(base))
+	// At t = 1 the diagonal collapses to ~1e-12, forcing the private
+	// full factorization fallback for that lane only.
+	slope := []complex128{1e-12 - 10, 0, 0, 1e-12 - 10}
+	ts := []float64{0, 1, 0}
+	b := []complex128{11, 11}
+	want := [][2]complex128{{1, 1}, {11, 11}, {1, 1}}
+	x := make([][2]complex128, len(ts))
+	var st SolverStats
+	for node := 0; node < n; node++ {
+		out := make([]complex128, len(ts))
+		solved, s, err := ws.SolveNodes(base, slope, ts, b, node, out)
+		if err != nil || solved != len(ts) {
+			t.Fatalf("node %d: %d lanes solved: %v", node, solved, err)
+		}
+		for p := range ts {
+			x[p][node] = out[p]
+		}
+		st = s
 	}
-	if !ws.LoadValues(degen, zero, 0) {
-		t.Fatal("LoadValues rejected")
+	for p := range ts {
+		for i := range want[p] {
+			if d := x[p][i] - want[p][i]; sqmag(d) > 1e-18*sqmag(want[p][i]) {
+				t.Fatalf("lane %d: x = %v, want ~%v", p, x[p], want[p])
+			}
+		}
 	}
-	if err := ws.Factor(); err != nil {
-		t.Fatalf("repivot fallback failed: %v", err)
+	if st.Symbolic != 1 || st.Factorizations != 3 || st.Solves != 3 {
+		t.Fatalf("expected one private symbolic fallback in 3 lanes, got %+v", st)
 	}
-	x := make([]complex128, n)
-	if err := ws.SolveInto(x, []complex128{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if sqmag(x[0]-2) > 1e-18 || sqmag(x[1]-1) > 1e-18 {
-		t.Fatalf("x = %v, want ~[2 1]", x)
-	}
-	if ws.Stats().Symbolic != 1 {
-		t.Fatalf("expected private symbolic fallback, got %+v", ws.Stats())
-	}
-	// The same workspace returns to the shared fast path on good values.
-	if !ws.LoadValues(base, zero, 0) {
-		t.Fatal("LoadValues rejected")
-	}
-	if err := ws.Factor(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.SolveInto(x, []complex128{11, 11}); err != nil {
-		t.Fatal(err)
-	}
-	if sqmag(x[0]-1) > 1e-18 || sqmag(x[1]-1) > 1e-18 {
-		t.Fatalf("x = %v, want ~[1 1]", x)
-	}
-	if ws.Stats().Symbolic != 1 {
-		t.Fatalf("good values should not refactor symbolically: %+v", ws.Stats())
+	// The same workspace stays on the shared fast path for good values.
+	out := make([]complex128, 2)
+	if _, st, err := ws.SolveNodes(base, slope, []float64{0, 0.5}, b, 0, out); err != nil || st.Symbolic != 0 {
+		t.Fatalf("good values: %+v, %v; want no symbolic refactorization", st, err)
 	}
 }

@@ -1,11 +1,11 @@
 // Package sched is the process-wide compute scheduler: one semaphore
-// shared by every parallel pool — AC-sweep workers, finite-difference
-// gradient workers, Monte-Carlo verification workers and the coordinate
-// search's sample blocks.
-// It exists so those pools, which nest freely (an AC sweep fans out
-// inside a gradient probe that fans out inside a worst-case search), can
-// together size themselves to the machine instead of multiplying worker
-// counts.
+// shared by every parallel pool — finite-difference gradient workers,
+// Monte-Carlo verification workers and the coordinate search's sample
+// blocks.
+// It exists so those pools, which overlap and nest freely (every spec's
+// worst-case search runs its own gradient pool, and service jobs run
+// side by side), can together size themselves to the machine instead of
+// multiplying worker counts.
 //
 // Every pool is one call to For, the caller-runs index loop: the calling
 // goroutine works through the indices itself, and extra goroutines join

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 	"time"
 
 	"specwise/internal/linalg"
-	"specwise/internal/sched"
 )
 
 // ACResult is the small-signal solution at one angular frequency.
@@ -28,24 +26,68 @@ func (r *ACResult) Voltage(node int) complex128 { return cvolt(r.X, node) }
 // The returned solution is freshly allocated and stays valid across
 // calls.
 func (c *Circuit) AC(dc *DCResult, omega float64) (*ACResult, error) {
+	var x []complex128
+	err := c.acPoint(dc, omega, func(sol linalg.ComplexSolver, b []complex128) error {
+		x = make([]complex128, len(b))
+		return sol.SolveInto(x, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ACResult{Omega: omega, X: x}, nil
+}
+
+// nodeCSolver is the optional backend capability ACNode exploits: a
+// solve that stops once one solution entry is known.
+type nodeCSolver interface {
+	SolveNode(b []complex128, node int) (complex128, error)
+}
+
+// ACNode is AC observing one node: it returns AC(dc, omega)'s voltage of
+// node, bit-identical and with the same solver counters, but allocates
+// no solution vector and, on the sparse backend, stops the backward
+// substitution once that voltage is known.
+func (c *Circuit) ACNode(dc *DCResult, omega float64, node int) (complex128, error) {
+	var v complex128
+	err := c.acPoint(dc, omega, func(sol linalg.ComplexSolver, b []complex128) error {
+		if ns, ok := sol.(nodeCSolver); ok && node != groundIndex {
+			var err error
+			v, err = ns.SolveNode(b, node)
+			return err
+		}
+		w := &c.scratch
+		if len(w.acX) != len(b) {
+			w.acX = make([]complex128, len(b))
+		}
+		if err := sol.SolveInto(w.acX, b); err != nil {
+			return err
+		}
+		v = cvolt(w.acX, node)
+		return nil
+	})
+	return v, err
+}
+
+// acPoint is one AC analysis at omega: it assembles and factors the
+// small-signal system in the circuit's scratch, then hands the factored
+// solver and the right-hand side to solve, under the analysis' timing
+// and solver-counter bookkeeping.
+func (c *Circuit) acPoint(dc *DCResult, omega float64, solve func(linalg.ComplexSolver, []complex128) error) error {
 	c.finalize()
-	n := c.NumVars()
-	w := c.acScratch(n)
+	w := c.acScratch(c.NumVars())
 	if st := c.SolverStats; st != nil {
 		start := time.Now()
 		defer func() { st.ACNanos.Add(time.Since(start).Nanoseconds()) }()
 	}
 	defer func() { c.flushSolverStats(w.acSolver.Stats(), &w.acPrev) }()
 	c.acAssemble(w, dc, omega)
-	sol := w.acSolver
-	if err := sol.Factor(); err != nil {
-		return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
+	if err := w.acSolver.Factor(); err != nil {
+		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
 	}
-	x := make([]complex128, n)
-	if err := sol.SolveInto(x, w.acB); err != nil {
-		return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
+	if err := solve(w.acSolver, w.acB); err != nil {
+		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
 	}
-	return &ACResult{Omega: omega, X: x}, nil
+	return nil
 }
 
 // acAssemble stamps the full small-signal system at omega into the AC
@@ -77,15 +119,20 @@ type affineCSolver interface {
 	LoadValues(base, slope []complex128, t float64) bool
 }
 
-// workspaceCSolver is the further capability the fanned-out sweep
-// needs: per-goroutine numeric workspaces sharing the solver's symbolic
-// factorization, plus a way to fold their effort counters back.
+// workspaceCSolver is the further capability the block sweep needs: a
+// numeric workspace sharing the solver's symbolic factorization, plus a
+// way to fold its effort counters back.
 type workspaceCSolver interface {
 	affineCSolver
 	Factor() error
 	BindWorkspace(*linalg.SparseComplexWorkspace) (*linalg.SparseComplexWorkspace, error)
 	Absorb(linalg.SolverStats)
 }
+
+// acBlock is the number of sweep points the workspace refactors and
+// solves together. No result depends on it, since every point's
+// arithmetic is its own.
+const acBlock = 8
 
 // Bode is a sampled frequency response H(f) of one observed node.
 type Bode struct {
@@ -103,24 +150,47 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 	return c.ACSweepHead(dc, node, fStart, fStop, pointsPerDecade, 0)
 }
 
+// sweepGrid returns the sweep's frequency grid in Hz and rad/s, cached
+// on the circuit scratch: an evaluation flow sweeps the same grid on
+// every call, so the logarithmic spacing is computed once per circuit.
+func (c *Circuit) sweepGrid(fStart, fStop float64, pointsPerDecade int) *freqGrid {
+	g := &c.scratch.grid
+	if g.freq != nil && g.fStart == fStart && g.fStop == fStop && g.perDecade == pointsPerDecade {
+		return g
+	}
+	decades := math.Log10(fStop / fStart)
+	npts := int(math.Ceil(decades*float64(pointsPerDecade))) + 1
+	*g = freqGrid{
+		fStart: fStart, fStop: fStop, perDecade: pointsPerDecade,
+		freq:  make([]float64, npts),
+		omega: make([]float64, npts),
+	}
+	for i := range g.freq {
+		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
+		g.freq[i], g.omega[i] = f, 2*math.Pi*f
+	}
+	return g
+}
+
 // ACSweepHead runs only the first n points of ACSweep's frequency grid
 // (the whole grid when n <= 0 or n exceeds it). Every returned sample is
 // bit-identical to the same sample of the full sweep: the grid, the
-// affine value reload and the per-point factor/solve sequence do not
+// affine value reload and each point's factor/solve arithmetic do not
 // depend on how many points run. A measurement that needs only the
 // low-frequency gain asks for one point.
 func (c *Circuit) ACSweepHead(dc *DCResult, node int, fStart, fStop float64, pointsPerDecade, n int) (*Bode, error) {
 	if fStart <= 0 || fStop <= fStart || pointsPerDecade < 1 {
 		return nil, fmt.Errorf("spice: invalid sweep [%g, %g] @ %d/dec", fStart, fStop, pointsPerDecade)
 	}
-	decades := math.Log10(fStop / fStart)
-	npts := int(math.Ceil(decades*float64(pointsPerDecade))) + 1
-	if n <= 0 || n > npts {
+	c.finalize()
+	grid := c.sweepGrid(fStart, fStop, pointsPerDecade)
+	if npts := len(grid.freq); n <= 0 || n > npts {
 		n = npts
 	}
 	b := &Bode{Freq: make([]float64, n), H: make([]complex128, n)}
+	copy(b.Freq, grid.freq)
+	omega := grid.omega[:n]
 
-	c.finalize()
 	nv := c.NumVars()
 	w := c.acScratch(nv)
 	if st := c.SolverStats; st != nil {
@@ -148,131 +218,69 @@ func (c *Circuit) ACSweepHead(dc *DCResult, node int, fStart, fStop float64, poi
 			affOK = false // structure changed between probes; restamp per point
 		}
 	}
+	if wsol, ok := sol.(workspaceCSolver); ok && affOK {
+		if done, err := c.acSweepBlocks(w, wsol, b, node, omega); done {
+			return b, err
+		}
+	}
+	// Backends without workspaces (dense), and systems that are not
+	// affine in ω, run the points one by one through the solver itself.
 	if len(w.acX) != nv {
 		w.acX = make([]complex128, nv)
 	}
-	if affOK {
-		// Fast path: every point is LoadValues → refactor → solve over
-		// one shared symbolic factorization, fanned over numeric
-		// workspaces. Falls through to the serial loop when the backend
-		// lacks workspace support (dense).
-		if wsol, ok := sol.(workspaceCSolver); ok {
-			done, err := c.acSweepShared(w, wsol, b, node, fStart, decades, npts, n)
-			if done {
-				return b, err
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
-		omega := 2 * math.Pi * f
-		if !affOK || !aff.LoadValues(w.affBase, w.affSlope, omega) {
-			c.acAssemble(w, dc, omega)
+	for i, om := range omega {
+		if !affOK || !aff.LoadValues(w.affBase, w.affSlope, om) {
+			c.acAssemble(w, dc, om)
 		}
 		if err := sol.Factor(); err != nil {
-			return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
+			return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", om, c.describeSolverErr(err))
 		}
 		if err := sol.SolveInto(w.acX, w.acB); err != nil {
-			return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
+			return nil, fmt.Errorf("spice: AC solve at ω=%g: %w", om, err)
 		}
-		b.Freq[i] = f
 		b.H[i] = cvolt(w.acX, node)
 	}
 	return b, nil
 }
 
-// acSweepShared runs the first n of the sweep's npts frequency points
-// through per-goroutine numeric workspaces over one shared symbolic
-// factorization. Every point executes the identical LoadValues →
-// refactor → solve sequence in its own workspace and writes its result
-// by index, so the Bode response is bit-identical however many workers
-// run. done reports whether the sweep was handled here; when false the
-// caller's serial loop takes over from scratch.
-func (c *Circuit) acSweepShared(w *solverScratch, sol workspaceCSolver, b *Bode, node int, fStart, decades float64, npts, n int) (done bool, err error) {
-	// Factor at the first point to establish current factors for the
-	// workspaces to share.
-	omega0 := 2 * math.Pi * fStart
-	if !sol.LoadValues(w.affBase, w.affSlope, omega0) {
+// acSweepBlocks runs the sweep points omega in blocks of acBlock
+// through the circuit's kept numeric workspace, bound to the solver's
+// symbolic factorization, writing only the observed node's response.
+// Every point executes its own refactor and solve arithmetic whatever
+// block it lands in, so the response and the solver counters are
+// bit-identical to a point-by-point sweep; a failing point ends the
+// sweep with the counters of the points up to it. done reports whether
+// the sweep was handled here; when false the caller's per-point loop
+// takes over from scratch.
+func (c *Circuit) acSweepBlocks(w *solverScratch, sol workspaceCSolver, b *Bode, node int, omega []float64) (done bool, err error) {
+	// Factor at the first point to establish the symbolic factorization
+	// the workspace replays.
+	if !sol.LoadValues(w.affBase, w.affSlope, omega[0]) {
 		return false, nil
 	}
 	if err := sol.Factor(); err != nil {
-		return true, fmt.Errorf("spice: AC solve at ω=%g: %w", omega0, c.describeSolverErr(err))
+		return true, fmt.Errorf("spice: AC solve at ω=%g: %w", omega[0], c.describeSolverErr(err))
 	}
-	// Each worker binds its kept slot to the current symbolic on its
-	// first point: the workspace counters start from zero, so every
-	// Absorb below folds in this sweep's work only.
-	sch := sched.Default()
-	for len(w.sweep) < sch.Workers(n) {
-		w.sweep = append(w.sweep, sweepSlot{})
-	}
-	slots := w.sweep[:sch.Workers(n)]
-	if slots[0].bind(sol, len(w.acX)) != nil {
+	ws, err := sol.BindWorkspace(w.sweepWS)
+	if err != nil {
 		return false, nil
 	}
-	// Points run on the process-wide scheduler's caller-runs loop, are
-	// claimed in ascending order and are written by index, so the
-	// response is bit-identical however many workers join.
-	var fail struct {
-		sync.Mutex
-		err error
-		at  int
-	}
-	sch.For(n, func(k, i int) bool {
-		sl := &slots[k]
-		if !sl.bound {
-			_ = sl.bind(sol, len(w.acX)) // cannot fail: slot 0 bound to the same factors
-		}
-		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
-		err := sl.solve(c, w, 2*math.Pi*f)
-		if err == nil {
-			b.Freq[i] = f
-			b.H[i] = cvolt(sl.x, node)
-			return true
-		}
-		// Keep the failure at the lowest point index, matching what a
-		// serial sweep would have surfaced first. Claims ascend, so the
-		// lowest failing point is always claimed before any worker could
-		// have stopped because of it.
-		fail.Lock()
-		if fail.err == nil || i < fail.at {
-			fail.err, fail.at = err, i
-		}
-		fail.Unlock()
-		return false
-	})
-	for k := range slots {
-		if slots[k].bound {
-			sol.Absorb(slots[k].ws.Stats())
-			slots[k].bound = false
+	w.sweepWS = ws
+	// The ground node reads 0; the workspace still solves (for node 0)
+	// so the counters match any other observed node's.
+	obs := max(node, 0)
+	for lo := 0; lo < len(omega); lo += acBlock {
+		hi := min(lo+acBlock, len(omega))
+		solved, st, err := ws.SolveNodes(w.affBase, w.affSlope, omega[lo:hi], w.acB, obs, b.H[lo:hi])
+		sol.Absorb(st)
+		if err != nil {
+			return true, fmt.Errorf("spice: AC solve at ω=%g: %w", omega[lo+solved], c.describeSolverErr(err))
 		}
 	}
-	return true, fail.err
-}
-
-// bind points the slot's workspace at sol's current factors, resetting
-// its counters, and sizes its solution vector to nx.
-func (sl *sweepSlot) bind(sol workspaceCSolver, nx int) error {
-	ws, err := sol.BindWorkspace(sl.ws)
-	sl.ws, sl.bound = ws, err == nil
-	if len(sl.x) != nx {
-		sl.x = make([]complex128, nx)
+	if node == groundIndex {
+		clear(b.H)
 	}
-	return err
-}
-
-// solve runs one sweep point at angular frequency omega through the
-// slot's workspace, leaving the solution in sl.x.
-func (sl *sweepSlot) solve(c *Circuit, w *solverScratch, omega float64) error {
-	if !sl.ws.LoadValues(w.affBase, w.affSlope, omega) {
-		return fmt.Errorf("spice: AC sweep workspace rejected values at ω=%g", omega)
-	}
-	if err := sl.ws.Factor(); err != nil {
-		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, c.describeSolverErr(err))
-	}
-	if err := sl.ws.SolveInto(sl.x, w.acB); err != nil {
-		return fmt.Errorf("spice: AC solve at ω=%g: %w", omega, err)
-	}
-	return nil
+	return true, nil
 }
 
 // mags returns the lazily built magnitude cache.

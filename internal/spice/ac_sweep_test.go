@@ -3,60 +3,102 @@ package spice
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"specwise/internal/linalg"
 	"specwise/internal/sched"
 )
 
-// TestACSweepWorkerDeterminism pins the parallel sweep's contract: the
-// Bode response and the factorization count are bit-identical however
-// many workers join, because each point runs the identical LoadValues →
-// refactor → solve sequence in a workspace sharing one symbolic
-// factorization. The reference sweep runs with every scheduler slot
-// held, so the caller sweeps every point alone.
-func TestACSweepWorkerDeterminism(t *testing.T) {
-	type counts struct{ factorizations, solves int64 }
-	sweep := func() (*Bode, counts) {
-		c := buildTestAmp(SolverSparse)
-		dc, err := c.DC(DCOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SolverStats = new(SolverStats)
-		b, err := c.ACSweep(dc, c.Node("out"), 10, 1e9, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, counts{c.SolverStats.Factorizations.Load(), c.SolverStats.Solves.Load()}
+// sweepCounts is the solver work one sweep adds to the shared counters.
+type sweepCounts struct{ factorizations, solves, symbolic int64 }
+
+// sweepRun runs one head of n points (0: the whole grid) over the test
+// amplifier's 10 Hz–1 GHz grid at perDecade points per decade on a
+// fresh circuit and returns the response and the solver work.
+func sweepRun(t *testing.T, kind SolverKind, perDecade, n int) (*Bode, sweepCounts) {
+	t.Helper()
+	c := buildTestAmp(kind)
+	dc, err := c.DC(DCOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	release := sched.Default().HoldAll()
-	ref, refStats := sweep()
-	release()
-	for run := 0; run < 3; run++ {
-		got, gotStats := sweep()
-		if len(got.H) != len(ref.H) {
-			t.Fatalf("run %d: %d points, want %d", run, len(got.H), len(ref.H))
+	c.SolverStats = new(SolverStats)
+	b, err := c.ACSweepHead(dc, c.Node("out"), 10, 1e9, perDecade, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.SolverStats
+	return b, sweepCounts{st.Factorizations.Load(), st.Solves.Load(), st.Symbolic.Load()}
+}
+
+// sameSamples reports the first sample where got differs in any bit
+// from the leading samples of want, or -1.
+func sameSamples(got, want *Bode) int {
+	for i := range got.H {
+		if math.Float64bits(got.Freq[i]) != math.Float64bits(want.Freq[i]) ||
+			math.Float64bits(real(got.H[i])) != math.Float64bits(real(want.H[i])) ||
+			math.Float64bits(imag(got.H[i])) != math.Float64bits(imag(want.H[i])) {
+			return i
 		}
-		for i := range ref.H {
-			if math.Float64bits(got.Freq[i]) != math.Float64bits(ref.Freq[i]) {
-				t.Fatalf("run %d: Freq[%d] = %x, want %x", run, i, got.Freq[i], ref.Freq[i])
-			}
-			if math.Float64bits(real(got.H[i])) != math.Float64bits(real(ref.H[i])) ||
-				math.Float64bits(imag(got.H[i])) != math.Float64bits(imag(ref.H[i])) {
-				t.Fatalf("run %d: H[%d] = %v, want bit-identical %v", run, i, got.H[i], ref.H[i])
-			}
+	}
+	return -1
+}
+
+// sweepHeads are the point counts the sweep tests cover: one point, a
+// block less one, a block, a block plus one, and whole grids of 57 and
+// 73 points (7 and 9 points per decade over eight decades), which end
+// in partial blocks of 1 point.
+var sweepHeads = []struct{ perDecade, n int }{
+	{9, 1}, {9, acBlock - 1}, {9, acBlock}, {9, acBlock + 1}, {7, 57}, {9, 73},
+}
+
+// TestACSweepWorkerDeterminism pins the block sweep's contract on fresh
+// circuits: the Bode response and the solver counters are the same on
+// every run and whether or not scheduler slots are free (a sweep runs
+// inside Monte-Carlo and gradient workers as well as alone), because
+// each point runs its own refactor and solve arithmetic in the
+// workspace, whichever block it lands in.
+func TestACSweepWorkerDeterminism(t *testing.T) {
+	for _, h := range sweepHeads {
+		release := sched.Default().HoldAll()
+		ref, refStats := sweepRun(t, SolverSparse, h.perDecade, h.n)
+		release()
+		if len(ref.H) != h.n {
+			t.Fatalf("%d/dec n=%d: %d points", h.perDecade, h.n, len(ref.H))
 		}
-		if gotStats != refStats {
-			t.Fatalf("run %d: %+v, want %+v as with slots held", run, gotStats, refStats)
+		// One factorization seeds the workspace (the circuit's first, so
+		// symbolic), then each point is one factorization and one solve.
+		if want := (sweepCounts{int64(h.n) + 1, int64(h.n), 1}); refStats != want {
+			t.Fatalf("%d/dec n=%d: counters %+v, want %+v",
+				h.perDecade, h.n, refStats, want)
+		}
+		for run := 0; run < 3; run++ {
+			got, gotStats := sweepRun(t, SolverSparse, h.perDecade, h.n)
+			if len(got.H) != len(ref.H) {
+				t.Fatalf("n=%d run %d: %d points, want %d", h.n, run, len(got.H), len(ref.H))
+			}
+			if i := sameSamples(got, ref); i >= 0 {
+				t.Fatalf("n=%d run %d: H[%d] = %v, want bit-identical %v", h.n, run, i, got.H[i], ref.H[i])
+			}
+			if gotStats != refStats {
+				t.Fatalf("n=%d run %d: %+v, want %+v as with slots held", h.n, run, gotStats, refStats)
+			}
 		}
 	}
 }
 
-// TestACSweepHeadMatchesSweep pins the point-limited sweep's contract:
-// its samples are bit-identical to the leading samples of the full
-// sweep, on both backends, so a measurement reading only point 0 (the
-// low-frequency gain) gets the full sweep's value.
+// TestACSweepHeadMatchesSweep pins the point-limited sweep's contract on
+// one reused circuit: after a full sweep, every head's samples are
+// bit-identical to the full sweep's leading samples, with the solver
+// counters of exactly its own points, on both backends and with
+// scheduler slots held or free, so a measurement reading only point 0
+// (the low-frequency gain) gets the full sweep's value. The circuit's
+// kept sweep state — the workspace rebound by every sweep, its lane
+// buffers resized between one and acBlock lanes, and the cached
+// frequency grid — must not leak from one sweep into the next: sweeps
+// over other grids must match fresh circuits, and a return to the first
+// grid must match the first full sweep.
 func TestACSweepHeadMatchesSweep(t *testing.T) {
 	for _, kind := range []SolverKind{SolverSparse, SolverDense} {
 		c := buildTestAmp(kind)
@@ -65,25 +107,127 @@ func TestACSweepHeadMatchesSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := c.Node("out")
-		full, err := c.ACSweep(dc, out, 10, 1e9, 4)
-		if err != nil {
-			t.Fatal(err)
+		c.SolverStats = new(SolverStats)
+		counts := func() sweepCounts {
+			st := c.SolverStats
+			return sweepCounts{st.Factorizations.Load(), st.Solves.Load(), st.Symbolic.Load()}
 		}
-		for _, n := range []int{1, 2, 5, len(full.H), len(full.H) + 3} {
-			head, err := c.ACSweepHead(dc, out, 10, 1e9, 4, n)
+		sweep := func(fStart float64, perDecade, n int) (*Bode, sweepCounts) {
+			t.Helper()
+			before := counts()
+			b, err := c.ACSweepHead(dc, out, fStart, 1e9, perDecade, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := min(n, len(full.H)); len(head.H) != want {
-				t.Fatalf("%v n=%d: %d points, want %d", kind, n, len(head.H), want)
-			}
-			for i := range head.H {
-				if math.Float64bits(head.Freq[i]) != math.Float64bits(full.Freq[i]) ||
-					math.Float64bits(real(head.H[i])) != math.Float64bits(real(full.H[i])) ||
-					math.Float64bits(imag(head.H[i])) != math.Float64bits(imag(full.H[i])) {
-					t.Fatalf("%v n=%d: sample %d = (%g, %v), want bit-identical (%g, %v)",
-						kind, n, i, head.Freq[i], head.H[i], full.Freq[i], full.H[i])
+			after := counts()
+			return b, sweepCounts{after.factorizations - before.factorizations,
+				after.solves - before.solves, after.symbolic - before.symbolic}
+		}
+		full, _ := sweep(10, 9, 0)
+		if len(full.H) != 73 {
+			t.Fatalf("%v: full grid has %d points, want 73", kind, len(full.H))
+		}
+		for _, held := range []bool{true, false} {
+			for _, n := range []int{1, 2, acBlock - 1, acBlock, acBlock + 1, 57, 73, 76} {
+				release := func() {}
+				if held {
+					release = sched.Default().HoldAll()
 				}
+				head, work := sweep(10, 9, n)
+				release()
+				want := min(n, len(full.H))
+				if len(head.H) != want {
+					t.Fatalf("%v n=%d: %d points, want %d", kind, n, len(head.H), want)
+				}
+				if i := sameSamples(head, full); i >= 0 {
+					t.Fatalf("%v n=%d held=%v: sample %d = (%g, %v), want bit-identical (%g, %v)",
+						kind, n, held, i, head.Freq[i], head.H[i], full.Freq[i], full.H[i])
+				}
+				// The sparse sweep factors once more to seed the workspace.
+				seed := int64(0)
+				if kind == SolverSparse {
+					seed = 1
+				}
+				if wantWork := (sweepCounts{int64(want) + seed, int64(want), 0}); work != wantWork {
+					t.Fatalf("%v n=%d held=%v: head did %+v, want %+v", kind, n, held, work, wantWork)
+				}
+			}
+		}
+		// Other grids rebuild the cached one; each must match a fresh
+		// circuit's sweep, and the first grid must come back unchanged.
+		for _, g := range []struct {
+			fStart    float64
+			perDecade int
+		}{{10, 7}, {100, 9}} {
+			got, _ := sweep(g.fStart, g.perDecade, 0)
+			fresh := buildTestAmp(kind)
+			fdc, err := fresh.DC(DCOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.ACSweep(fdc, fresh.Node("out"), g.fStart, 1e9, g.perDecade)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.H) != len(want.H) {
+				t.Fatalf("%v %g Hz @ %d/dec: %d points, fresh circuit %d", kind, g.fStart, g.perDecade, len(got.H), len(want.H))
+			}
+			if i := sameSamples(got, want); i >= 0 {
+				t.Fatalf("%v %g Hz @ %d/dec: sample %d = (%g, %v), fresh circuit (%g, %v)",
+					kind, g.fStart, g.perDecade, i, got.Freq[i], got.H[i], want.Freq[i], want.H[i])
+			}
+		}
+		back, _ := sweep(10, 9, 0)
+		if len(back.H) != len(full.H) {
+			t.Fatalf("%v: back on the first grid, %d points, want %d", kind, len(back.H), len(full.H))
+		}
+		if i := sameSamples(back, full); i >= 0 {
+			t.Fatalf("%v: back on the first grid, sample %d = (%g, %v), want bit-identical (%g, %v)",
+				kind, i, back.Freq[i], back.H[i], full.Freq[i], full.H[i])
+		}
+	}
+}
+
+// TestACNodeMatchesAC pins the node-only AC solve to AC: the observed
+// voltage is bit-identical, on both backends and for every node
+// (ground included), and the solver counters advance the same.
+func TestACNodeMatchesAC(t *testing.T) {
+	for _, kind := range []SolverKind{SolverSparse, SolverDense} {
+		c := buildTestAmp(kind)
+		dc, err := c.DC(DCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		omega := 2 * math.Pi * 1e4
+		if _, err := c.AC(dc, omega); err != nil { // the symbolic analysis
+			t.Fatal(err)
+		}
+		c.SolverStats = new(SolverStats)
+		counts := func() sweepCounts {
+			st := c.SolverStats
+			return sweepCounts{st.Factorizations.Load(), st.Solves.Load(), st.Symbolic.Load()}
+		}
+		for node := groundIndex; node < c.NumNodes(); node++ {
+			before := counts()
+			r, err := c.AC(dc, omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := counts()
+			v, err := c.ACNode(dc, omega, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := counts()
+			want := r.Voltage(node)
+			if math.Float64bits(real(v)) != math.Float64bits(real(want)) ||
+				math.Float64bits(imag(v)) != math.Float64bits(imag(want)) {
+				t.Fatalf("%v node %d: ACNode %v, AC %v", kind, node, v, want)
+			}
+			acWork := sweepCounts{mid.factorizations - before.factorizations, mid.solves - before.solves, mid.symbolic - before.symbolic}
+			nodeWork := sweepCounts{after.factorizations - mid.factorizations, after.solves - mid.solves, after.symbolic - mid.symbolic}
+			if acWork != nodeWork {
+				t.Fatalf("%v node %d: ACNode did %+v, AC %+v", kind, node, nodeWork, acWork)
 			}
 		}
 	}
@@ -141,6 +285,60 @@ func TestACSweepAffineFallback(t *testing.T) {
 			if mag/scale > 1e-9 {
 				t.Errorf("%v: fallback sweep H(%g Hz) = %v, direct %v", kind, f, bode.H[i], want)
 			}
+		}
+	}
+}
+
+// notchShunt is an admittance on an otherwise isolated node that, with
+// the gmin leak, vanishes exactly at one angular frequency w of the
+// sweep's affine family: its ω=0 and ω=1 probes stamp −gmin − jw and
+// −gmin + j(1 − w), so the sweep rebuilds the entry as exactly
+// −jw + jω·1 and the node's column is all zero at ω = w.
+type notchShunt struct {
+	node int
+	w    float64
+}
+
+func (d *notchShunt) Name() string { return "YNOTCH" }
+
+func (d *notchShunt) StampDC(linalg.Stamper, linalg.Vector, linalg.Vector, *stampCtx) {}
+
+func (d *notchShunt) StampAC(a linalg.CStamper, _ []complex128, omega float64, _ linalg.Vector) {
+	addAC(a, d.node, d.node, complex(-1e-12, omega-d.w))
+}
+
+// TestACSweepFailureStopsAtFirstPoint drives a sweep point into a
+// singular lane, at the start, in the middle and at the end of a block,
+// and checks the sweep fails as a point-by-point one would: the error
+// names the failing point's variable, and the counters cover exactly
+// the points up to it.
+func TestACSweepFailureStopsAtFirstPoint(t *testing.T) {
+	for _, at := range []int{0, 1, acBlock + 3, 2*acBlock - 1, 40} {
+		c := buildTestAmp(SolverSparse)
+		iso := c.Node("iso")
+		c.Add(&notchShunt{node: iso, w: c.sweepGrid(10, 1e9, 9).omega[at]})
+		dc, err := c.DC(DCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SolverStats = new(SolverStats)
+		_, err = c.ACSweep(dc, c.Node("out"), 10, 1e9, 9)
+		if err == nil {
+			t.Fatalf("point %d: sweep through a singular point succeeded", at)
+		}
+		if !strings.Contains(err.Error(), `"iso"`) || !strings.Contains(err.Error(), "singular") {
+			t.Fatalf("point %d: error %q does not name the singular variable", at, err)
+		}
+		st := c.SolverStats
+		got := sweepCounts{st.Factorizations.Load(), st.Solves.Load(), st.Symbolic.Load()}
+		// The seeding factorization fails itself when the first point is
+		// singular; otherwise it and points 0..at each factor once.
+		want := sweepCounts{int64(at) + 2, int64(at), 1}
+		if at == 0 {
+			want = sweepCounts{1, 0, 1}
+		}
+		if got != want {
+			t.Fatalf("point %d: counters %+v, want %+v", at, got, want)
 		}
 	}
 }

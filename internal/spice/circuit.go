@@ -63,25 +63,25 @@ type solverScratch struct {
 	acSolver linalg.ComplexSolver
 	acB      []complex128
 	acPrev   linalg.SolverStats
-	// acX is the reusable sweep solution buffer; affBase/affSlope hold
-	// the affine value snapshots ACSweep captures at ω=0 and ω=1.
+	// acX is the reusable solution buffer of the per-point sweep and
+	// ACNode; affBase/affSlope hold the affine value snapshots ACSweep
+	// captures at ω=0 and ω=1.
 	acX      []complex128
 	affBase  []complex128
 	affSlope []complex128
-	// sweep holds the fanned-out sweep's per-worker state (the caller's
-	// first), kept across sweeps and rebound to the current symbolic
-	// factorization by each worker on its first point of a sweep.
-	sweep []sweepSlot
+	// grid is the last sweep's frequency grid.
+	grid freqGrid
+	// sweepWS is the block sweep's numeric workspace, kept across sweeps
+	// and rebound to the current symbolic factorization by each sweep.
+	sweepWS *linalg.SparseComplexWorkspace
 }
 
-// sweepSlot is one AC-sweep worker's kept numeric workspace and solution
-// vector.
-type sweepSlot struct {
-	ws *linalg.SparseComplexWorkspace
-	x  []complex128
-	// bound is set while the workspace is bound in the running sweep,
-	// whose end folds its counters into the solver's.
-	bound bool
+// freqGrid is a sweep's logarithmic frequency grid, keyed by its
+// parameters.
+type freqGrid struct {
+	fStart, fStop float64
+	perDecade     int
+	freq, omega   []float64 // Hz and rad/s
 }
 
 // ResetSolvers returns the circuit's scratch solvers to the state of

@@ -41,9 +41,9 @@ func (k SolverKind) String() string {
 var DefaultSolver = SolverSparse
 
 // Options carries per-circuit analysis configuration. Parallelism is not
-// part of it: ACSweep fans frequency points out over the process-wide
-// scheduler (internal/sched), and the response is bit-identical however
-// many workers join.
+// part of it: analyses run on the calling goroutine, and callers fan
+// whole evaluations out over the process-wide scheduler
+// (internal/sched).
 type Options struct {
 	// Solver selects the linear-solver backend; SolverAuto (the zero
 	// value) follows DefaultSolver.

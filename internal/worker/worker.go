@@ -168,17 +168,7 @@ func runLease(ctx context.Context, cfg *Config, lease *jobs.Lease, shared *evalc
 		heartbeatLoop(jctx, cfg, lease, cancel)
 	}()
 
-	var res *jobs.Result
-	p, err := cfg.Resolve(&lease.Request)
-	if err == nil {
-		var env jobs.ExecEnv
-		if shared != nil && lease.ProblemHash != "" {
-			// This worker's local shard of the sweep: jobs claimed here on
-			// the same problem reuse each other's simulations.
-			env.EvalCache = shared.View(lease.ProblemHash)
-		}
-		res, _, err = jobs.Execute(jctx, p, &lease.Request, env)
-	}
+	res, err := execute(jctx, cfg, lease, shared)
 	interrupted := jctx.Err() != nil // read before cancel() taints it
 	cancel()                         // stop the heartbeats before reporting
 	hb.Wait()
@@ -197,6 +187,24 @@ func runLease(ctx context.Context, cfg *Config, lease *jobs.Lease, shared *evalc
 		return
 	}
 	report(ctx, cfg, lease, "result", leasePost{Lease: lease.LeaseID, Result: res})
+}
+
+// execute resolves and runs a claimed job; a panic in either fails the
+// job instead of the worker process.
+func execute(ctx context.Context, cfg *Config, lease *jobs.Lease, shared *evalcache.Shared) (res *jobs.Result, err error) {
+	defer jobs.RecoverRun(&err)
+	p, err := cfg.Resolve(&lease.Request)
+	if err != nil {
+		return nil, err
+	}
+	var env jobs.ExecEnv
+	if shared != nil && lease.ProblemHash != "" {
+		// This worker's local shard of the sweep: jobs claimed here on
+		// the same problem reuse each other's simulations.
+		env.EvalCache = shared.View(lease.ProblemHash)
+	}
+	res, _, err = jobs.Execute(ctx, p, &lease.Request, env)
+	return res, err
 }
 
 // heartbeatLoop extends the lease every TTL/3 until the job context

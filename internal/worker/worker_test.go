@@ -56,6 +56,7 @@ type scriptedServer struct {
 	heartbeats     int
 	results        int
 	fails          int
+	failError      string // error of the last failure post
 	granted        bool
 }
 
@@ -123,6 +124,9 @@ func (s *scriptedServer) handler() http.Handler {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.fails++
+		var body leasePost
+		json.NewDecoder(r.Body).Decode(&body) //nolint:errcheck
+		s.failError = body.Error
 		w.WriteHeader(http.StatusOK)
 	})
 	return mux
@@ -160,10 +164,37 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 	}
 }
 
+// A run that panics must fail its job with the panic reported, not
+// take the worker process down.
+func TestWorkerReportsPanicAsFailure(t *testing.T) {
+	script := &scriptedServer{leaseTTL: 5}
+	ts := httptest.NewServer(script.handler())
+	defer ts.Close()
+
+	err := Run(context.Background(), Config{
+		Server:  ts.URL,
+		Name:    "w1",
+		MaxJobs: 1,
+		Poll:    5 * time.Millisecond,
+		Resolve: func(*jobs.Request) (*problem.Problem, error) { panic("resolver exploded") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script.mu.Lock()
+	defer script.mu.Unlock()
+	if script.fails != 1 || script.results != 0 {
+		t.Fatalf("failure posts = %d, results = %d; want 1 and 0", script.fails, script.results)
+	}
+	if !strings.Contains(script.failError, "panicked") || !strings.Contains(script.failError, "resolver exploded") {
+		t.Fatalf("failure error %q does not report the panic", script.failError)
+	}
+}
+
 // A heartbeat answered 409 means the lease is gone: the worker must
 // abandon the run promptly, post nothing, and leak no goroutines. The
 // optimize case is the one that shows an abandoned run's nested pools
-// (Monte-Carlo verification, worst-case gradients, AC sweeps) drain.
+// (Monte-Carlo verification, worst-case gradients) drain.
 func TestWorkerAbandonsLostLease(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -608,11 +608,10 @@ func (ev *evaluator) measure(deck *netlist.Deck) (map[string]float64, error) {
 				return nil, fmt.Errorf("yieldspec: cmrr_db needs a feedback VCVS")
 			}
 			fb.ACValue = 1
-			acCM, err := deck.Circuit.AC(dc, 2*math.Pi*tb.ACStart)
+			cm, err := deck.Circuit.ACNode(dc, 2*math.Pi*tb.ACStart, deck.Nodes[tb.Out])
 			if err != nil {
 				return nil, err
 			}
-			cm := acCM.Voltage(deck.Nodes[tb.Out])
 			mag := math.Hypot(real(cm), imag(cm))
 			meas["cmrr_db"] = a0 - 20*math.Log10(math.Max(mag, 1e-12))
 		}
