@@ -203,13 +203,13 @@ const block = 1024
 func blocks(n int) int { return (n + block - 1) / block }
 
 // scratch is one search's reusable per-sample workspace: the coordinate
-// data, the tie-break's per-sample minima and slopes, and the event
-// sweep's intervals and endpoint lists.
+// data, the event sweep's intervals and endpoint lists, and the
+// tie-break's evaluator with its cache.
 type scratch struct {
-	cd             linmodel.CoordinateData
-	minM, sLo, sHi []float64
-	l, h           []float64
-	opens, closes  []float64
+	cd            linmodel.CoordinateData
+	l, h          []float64
+	opens, closes []float64
+	tie           tieEval
 }
 
 // grow returns buf resized to n, reallocating only when it is too short.
@@ -337,68 +337,20 @@ func countAt(cd linmodel.CoordinateData, alpha float64, n int) int {
 // evaluation returns the one-sided derivatives alongside the value, and
 // a tangent-intersection search (Newton's method for piecewise-linear
 // concave functions, with a midpoint safeguard) closes in on the plateau
-// whose subgradient contains zero. Each step costs one O(n·m) pass,
-// versus the ~120 passes of the former 60-iteration ternary search, and
-// the returned α lies exactly inside the optimum plateau. On the paper's
-// Fig.-5 zero plateaus this pulls the design toward the acceptance
-// region even though the count objective is flat.
+// whose subgradient contains zero. The returned α lies exactly inside the
+// optimum plateau. On the paper's Fig.-5 zero plateaus this pulls the
+// design toward the acceptance region even though the count objective
+// is flat.
 //
-// The per-sample minima and slopes are computed block-parallel, each block
-// writing only its own samples; the three sums stay one serial
-// left-to-right loop, so every evaluation is bit-identical to a
-// single-threaded one.
+// The evaluations go through tieEval, whose per-sample cache of binding
+// models makes most of a sample's evaluations one model line instead of
+// all of them while returning the bits a full scan would.
 func (w *scratch) tieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) float64 {
 	if len(cd.G) == 0 || lo >= hi {
 		return 0
 	}
-	minM, sLo, sHi := grow(w.minM, n), grow(w.sLo, n), grow(w.sHi, n)
-	w.minM, w.sLo, w.sHi = minM, sLo, sHi
-	// eval computes F(α) = mean_j min_m (C[m][j] + G[m]·α)·Scale[m] with
-	// its one-sided derivatives: F'₊ averages the smallest slope tied at
-	// each sample's minimum, F'₋ the largest. Within a block the model
-	// loop is outermost so each C[m] row streams sequentially; the
-	// per-element arithmetic and the final left-to-right summation match
-	// the naive sample-major double loop exactly, so the maximizer is
-	// unchanged.
-	eval := func(alpha float64) (f, dMinus, dPlus float64) {
-		sched.Default().For(blocks(n), func(_, k int) bool {
-			b0, b1 := k*block, min((k+1)*block, n)
-			minM, sLo, sHi := minM[b0:b1], sLo[b0:b1], sHi[b0:b1]
-			inf := math.Inf(1)
-			for j := range minM {
-				minM[j] = inf
-				sLo[j], sHi[j] = 0, 0
-			}
-			for m := range cd.G {
-				row := cd.C[m][b0:b1]
-				shift := cd.G[m] * alpha
-				scale := cd.Scale[m]
-				s := cd.G[m] * scale
-				for j, c := range row {
-					v := (c + shift) * scale
-					if v < minM[j] {
-						minM[j], sLo[j], sHi[j] = v, s, s
-					} else if v == minM[j] {
-						if s < sLo[j] {
-							sLo[j] = s
-						}
-						if s > sHi[j] {
-							sHi[j] = s
-						}
-					}
-				}
-			}
-			return true
-		})
-		var tf, tm, tp float64
-		for j := 0; j < n; j++ {
-			tf += minM[j]
-			tm += sHi[j]
-			tp += sLo[j]
-		}
-		fn := float64(n)
-		return tf / fn, tm / fn, tp / fn
-	}
+	w.tie.reset(cd, lo, hi, n)
+	eval := w.tie.eval
 	a, b := lo, hi
 	fa, _, dpa := eval(a)
 	alpha, falpha := a, fa
@@ -443,4 +395,235 @@ func (w *scratch) tieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n in
 		return 0
 	}
 	return alpha
+}
+
+// Margins of the certified intervals. For |α| <= X a model line's
+// computed value (C + G·α)·Scale differs from the exact one by at most
+// ~3.1u times its magnitude bound (|C| + |G|·X)·|Scale| (u = 2⁻⁵³), plus
+// underflow terms of a few 2⁻¹⁰⁷⁵ scaled by |Scale|, X or a slope
+// difference; computing a crossing adds errors of the same kinds. The
+// certified gap E exceeds all of them by a factor of about 10⁶ (certRel)
+// and 2⁷⁵ (certAbs). certMax keeps every intermediate below overflow.
+const (
+	certRel = 1e-9
+	certAbs = 0x1p-1000
+	certMax = 1e300
+)
+
+// tieEval evaluates the tie-break objective
+//
+//	F(α) = mean_j min_m (C[m][j] + G[m]·α)·Scale[m]
+//
+// with its one-sided derivatives: F'₊ averages the smallest slope
+// G[m]·Scale[m] tied at each sample's minimum, F'₋ the largest.
+//
+// Along one coordinate most samples keep the same minimal model over a
+// wide range of α, so each sample caches its binding model b and a
+// certified interval [ilo, ihi] ⊂ [−X, X], X = max(|lo|, |hi|), on which
+// every other model m lies above b by more than the margin
+//
+//	E = certRel·(B_m + B_b) + certAbs·(1 + X + |S_m| + |S_b| + |G_m·S_m − G_b·S_b|),
+//
+// where B_i = (max_j |C_i[j]| + |G_i|·X)·|S_i| bounds line i's magnitude
+// over the finite samples on [−X, X]. The interval is the intersection
+// of the half-lines where the difference line
+// (C_m·S_m − C_b·S_b) + (G_m·S_m − G_b·S_b)·α exceeds E. E dwarfs every
+// rounding error of the computed lines and crossings (see certRel), so
+// inside the interval the computed value of b is strictly below every
+// other computed value: the full scan's < and == comparisons would keep
+// b alone, with min = b's value and both slopes = b's slope. A query
+// inside the interval therefore computes only b's line, with the full
+// scan's expression. Any other query runs the full model loop, with its
+// exact tie and NaN semantics, and re-certifies the sample at the
+// binding model it found. A tie at α leaves an interval that excludes α
+// (duplicate lines leave it empty); a NaN or ±Inf margin, or a bound
+// above certMax, leaves the sample uncached.
+//
+// The per-sample work runs block-parallel, each block writing only its
+// own samples; the three sums stay one serial left-to-right loop. Every
+// evaluation is therefore bit-identical to the single-threaded full scan
+// whatever the cache holds and however the scheduler splits the blocks.
+type tieEval struct {
+	cd   linmodel.CoordinateData
+	n    int
+	x    float64
+	warm bool // the cache holds this reset's certificates
+
+	// Per model: the line's terms, and max_j |C[j]| over the finite
+	// samples (−1 when B exceeds certMax) with the bound B itself.
+	lines       []tieLine
+	cmax, bound []float64
+	// Per ordered pair (b, m), at b·len(G)+m: E and the reciprocal of
+	// the slope difference (0 for parallel lines). A pair whose E or
+	// reciprocal is out of range gets reciprocal 0 and E = +Inf, so it
+	// never certifies.
+	inv, e []float64
+	// Per sample: the value and slopes of the current query, the cached
+	// binding model, its C and its certified interval (empty when
+	// ilo > ihi).
+	minM, sLo, sHi []float64
+	best           []int32
+	cb, ilo, ihi   []float64
+}
+
+// tieLine is model m's line at the current query: its value at sample
+// j is (C[m][j] + shift)·scale, its slope in α is slope.
+type tieLine struct {
+	shift, scale, slope float64 // G·α, Scale, G·Scale
+}
+
+// reset binds the evaluator to one coordinate's data and bracket and
+// drops the previous certificates.
+func (t *tieEval) reset(cd linmodel.CoordinateData, lo, hi float64, n int) {
+	nm := len(cd.G)
+	t.cd, t.n, t.warm = cd, n, false
+	t.x = max(math.Abs(lo), math.Abs(hi))
+	if cap(t.lines) < nm {
+		t.lines = make([]tieLine, nm)
+	}
+	t.lines = t.lines[:nm]
+	t.cmax, t.bound = grow(t.cmax, nm), grow(t.bound, nm)
+	for m, g := range cd.G {
+		scale := cd.Scale[m]
+		t.lines[m] = tieLine{scale: scale, slope: g * scale}
+		cmax := 0.0
+		for _, c := range cd.C[m][:n] {
+			if a := math.Abs(c); a > cmax && a <= math.MaxFloat64 {
+				cmax = a
+			}
+		}
+		t.bound[m] = (cmax + math.Abs(g)*t.x) * math.Abs(scale)
+		if !(t.bound[m] <= certMax) {
+			cmax = -1
+		}
+		t.cmax[m] = cmax
+	}
+	t.inv, t.e = grow(t.inv, nm*nm), grow(t.e, nm*nm)
+	for b, lb := range t.lines {
+		for m, lm := range t.lines {
+			ds := lm.slope - lb.slope
+			e := certRel*(t.bound[m]+t.bound[b]) +
+				certAbs*(1+t.x+math.Abs(lm.scale)+math.Abs(lb.scale)+math.Abs(ds))
+			inv := 0.0
+			if ds != 0 {
+				inv = 1 / ds
+			}
+			if !(e <= certMax) || !(math.Abs(inv) <= math.MaxFloat64) {
+				inv, e = 0, math.Inf(1)
+			}
+			t.inv[b*nm+m], t.e[b*nm+m] = inv, e
+		}
+	}
+	t.minM, t.sLo, t.sHi = grow(t.minM, n), grow(t.sLo, n), grow(t.sHi, n)
+	t.cb, t.ilo, t.ihi = grow(t.cb, n), grow(t.ilo, n), grow(t.ihi, n)
+	if cap(t.best) < n {
+		t.best = make([]int32, n)
+	}
+	t.best = t.best[:n]
+}
+
+// eval returns F(α), F'₋(α) and F'₊(α).
+func (t *tieEval) eval(alpha float64) (f, dMinus, dPlus float64) {
+	for m, g := range t.cd.G {
+		t.lines[m].shift = g * alpha
+	}
+	warm, n := t.warm, t.n
+	sched.Default().For(blocks(n), func(_, k int) bool {
+		b0, b1 := k*block, min((k+1)*block, n)
+		if !warm {
+			for j := b0; j < b1; j++ {
+				t.scan(j)
+			}
+			return true
+		}
+		lines := t.lines
+		best, cb, ilo, ihi := t.best[b0:b1], t.cb[b0:b1], t.ilo[b0:b1], t.ihi[b0:b1]
+		minM, sLo, sHi := t.minM[b0:b1], t.sLo[b0:b1], t.sHi[b0:b1]
+		for i, l := range ilo {
+			if alpha >= l && alpha <= ihi[i] {
+				ln := &lines[best[i]]
+				minM[i] = (cb[i] + ln.shift) * ln.scale
+				sLo[i], sHi[i] = ln.slope, ln.slope
+			} else {
+				t.scan(b0 + i)
+			}
+		}
+		return true
+	})
+	t.warm = true
+	minM, sLo, sHi := t.minM[:n], t.sLo[:n], t.sHi[:n]
+	var tf, tm, tp float64
+	for j := range minM {
+		tf += minM[j]
+		tm += sHi[j]
+		tp += sLo[j]
+	}
+	fn := float64(n)
+	return tf / fn, tm / fn, tp / fn
+}
+
+// scan runs the full model loop for sample j at the current query and
+// re-certifies the sample at the binding model it finds.
+func (t *tieEval) scan(j int) {
+	C, lines := t.cd.C, t.lines
+	minV, lo, hi := math.Inf(1), 0.0, 0.0
+	b := -1
+	for m, row := range C {
+		ln := &lines[m]
+		v := (row[j] + ln.shift) * ln.scale
+		s := ln.slope
+		if v < minV {
+			minV, lo, hi, b = v, s, s, m
+		} else if v == minV {
+			if s < lo {
+				lo = s
+			}
+			if s > hi {
+				hi = s
+			}
+		}
+	}
+	t.minM[j], t.sLo[j], t.sHi[j] = minV, lo, hi
+	t.ilo[j], t.ihi[j] = 1, -1
+	if b < 0 {
+		return
+	}
+	t.best[j], t.cb[j] = int32(b), C[b][j]
+	t.ilo[j], t.ihi[j] = t.certify(j, b)
+}
+
+// certify returns the interval of α in [−X, X] on which model b is
+// certified to be sample j's strict computed minimum (see tieEval); it
+// is empty (lo > hi) when there is none.
+func (t *tieEval) certify(j, b int) (lo, hi float64) {
+	C, lines, cmax := t.cd.C, t.lines, t.cmax
+	nm := len(C)
+	inv, e := t.inv[b*nm:(b+1)*nm], t.e[b*nm:(b+1)*nm]
+	cb := C[b][j]
+	if !(math.Abs(cb) <= cmax[b]) {
+		return 1, -1
+	}
+	csb := cb * lines[b].scale
+	lo, hi = -t.x, t.x
+	for m, row := range C {
+		c := row[j]
+		if m == b {
+			continue
+		}
+		if !(math.Abs(c) <= cmax[m]) {
+			return 1, -1
+		}
+		// e, the intercept difference a and inv are finite, so the
+		// crossing is a number or ±Inf, never NaN.
+		a := c*lines[m].scale - csb
+		switch d := inv[m]; {
+		case d > 0:
+			lo = max(lo, (e[m]-a)*d)
+		case d < 0:
+			hi = min(hi, (e[m]-a)*d)
+		case !(a > e[m]):
+			return 1, -1
+		}
+	}
+	return lo, hi
 }

@@ -391,8 +391,11 @@ func randomCoordinateData(r *rng.Rand, nM, n int, allFail bool) linmodel.Coordin
 
 // TestBlockParallelMatchesSerialOracle pins bestAlpha and tieBreakAlpha
 // to their single-threaded oracles, bit for bit, across sample counts
-// around the block size, with the scheduler's slots free and held.
+// around the block size, with the scheduler's slots free and held. It
+// then pins every single tie-break evaluation to the former full scan
+// (checkTieEvalSequences).
 func TestBlockParallelMatchesSerialOracle(t *testing.T) {
+	checkTieEvalSequences(t)
 	r := rng.New(18)
 	for _, n := range []int{0, 1, block - 1, block, block + 1, 10000} {
 		for trial := 0; trial < 12; trial++ {
@@ -420,6 +423,156 @@ func TestBlockParallelMatchesSerialOracle(t *testing.T) {
 				}
 				if math.Float64bits(gotT) != math.Float64bits(wantT) {
 					t.Fatalf("n=%d trial=%d held=%v: tieBreakAlpha = %v; oracle %v", n, trial, held, gotT, wantT)
+				}
+			}
+		}
+	}
+}
+
+// tieEvalData draws coordinate data in the shapes that stress the
+// tie-break cache's certificates: exact ties on a coarse grid, duplicate
+// lines, ±0 and 1e-16 slopes, NaN and ±Inf margins, and magnitudes near
+// overflow or subnormal.
+func tieEvalData(r *rng.Rand, shape, nM, n int) linmodel.CoordinateData {
+	cd := randomCoordinateData(r, nM, n, false)
+	switch shape {
+	case 1: // duplicate lines: model 1 repeats model 0
+		if nM > 1 {
+			cd.G[1], cd.Scale[1] = cd.G[0], cd.Scale[0]
+			copy(cd.C[1], cd.C[0])
+		}
+	case 2: // signed-zero and tiny slopes
+		for m := range cd.G {
+			cd.G[m] = []float64{0, math.Copysign(0, -1), 1e-16, -1e-16, 1, -1}[r.Intn(6)]
+		}
+	case 3: // NaN and ±Inf margins at some samples
+		for m := range cd.C {
+			for j := range cd.C[m] {
+				if r.Intn(7) == 0 {
+					cd.C[m][j] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+				}
+			}
+		}
+	case 4: // near overflow: some certify, some exceed certMax
+		for m := range cd.C {
+			big := []float64{1e150, 1e290, 1e306}[r.Intn(3)]
+			cd.Scale[m] *= []float64{1, 1e5}[r.Intn(2)]
+			for j := range cd.C[m] {
+				cd.C[m][j] *= big
+			}
+			cd.G[m] *= big
+		}
+	case 5: // subnormal margins, slopes and scales
+		for m := range cd.C {
+			tiny := []float64{1e-300, 1e-310, 5e-324}[r.Intn(3)]
+			cd.Scale[m] = []float64{cd.Scale[m], 0.3, 1.7, 1e-10, 1e10}[r.Intn(5)]
+			for j := range cd.C[m] {
+				cd.C[m][j] *= tiny
+			}
+			cd.G[m] *= tiny
+		}
+	case 6: // smooth margins: long certified intervals, few crossings
+		for m := range cd.C {
+			cd.G[m] = r.NormFloat64()
+			cd.Scale[m] = 0.1 + r.Float64()
+			for j := range cd.C[m] {
+				cd.C[m][j] = r.NormFloat64() - 1
+			}
+		}
+	}
+	return cd
+}
+
+// liveCertificates counts the samples whose cached interval is not empty.
+func liveCertificates(te *tieEval) int {
+	live := 0
+	for j := range te.ilo {
+		if te.ilo[j] <= te.ihi[j] {
+			live++
+		}
+	}
+	return live
+}
+
+// checkTieEvalSequences drives tieEval through query sequences a search
+// makes and ones it does not, comparing every (f, F'₋, F'₊) bit for bit
+// with serialTieEval: the bracket ends, a shrinking bracket, repeated α,
+// queries outside the shrunk bracket and outside [lo, hi], and α exactly
+// at (and one ulp around) cached interval ends. Each sequence runs with
+// the scheduler's slots free and held. On smooth data most samples must
+// hold a certificate after the first evaluation, so a cache that never
+// certifies fails too.
+//
+// Mutant check: with the margin E dropped (e = 0 in reset) the cached
+// model is no longer strict at an interval end, and the ends of the
+// coarse-grid shapes, where the computed lines tie exactly, fail here.
+func checkTieEvalSequences(t *testing.T) {
+	t.Helper()
+	r := rng.New(21)
+	for _, n := range []int{1, 2, 37, block - 1, block, block + 1, 2*block + 3} {
+		for shape := 0; shape <= 6; shape++ {
+			for trial := 0; trial < 3; trial++ {
+				nM := 1 + r.Intn(6)
+				cd := tieEvalData(r, shape, nM, n)
+				lo := float64(r.Intn(9)-6) / 2
+				hi := lo + float64(1+r.Intn(8))/2
+				oracle := serialTieEval(cd, n)
+				for _, held := range []bool{false, true} {
+					release := func() {}
+					if held {
+						release = sched.Default().HoldAll()
+					}
+					var te tieEval
+					te.reset(cd, lo, hi, n)
+					check := func(alpha float64) {
+						f, dm, dp := te.eval(alpha)
+						wf, wdm, wdp := oracle(alpha)
+						if math.Float64bits(f) != math.Float64bits(wf) ||
+							math.Float64bits(dm) != math.Float64bits(wdm) ||
+							math.Float64bits(dp) != math.Float64bits(wdp) {
+							release()
+							t.Fatalf("n=%d shape=%d trial=%d held=%v α=%v: eval = (%v, %v, %v); full scan (%v, %v, %v)",
+								n, shape, trial, held, alpha, f, dm, dp, wf, wdm, wdp)
+						}
+					}
+					// A shrinking bracket, as the tangent iteration makes it.
+					a, b := lo, hi
+					check(a)
+					if live := liveCertificates(&te); shape == 6 && nM > 1 && 2*live < n {
+						release()
+						t.Fatalf("n=%d shape=%d trial=%d: only %d of %d smooth samples certified", n, shape, trial, live, n)
+					}
+					check(b)
+					for k := 0; k < 8; k++ {
+						x := a + (b-a)*float64(1+r.Intn(7))/8
+						check(x)
+						check(x) // repeated α
+						if r.Intn(2) == 0 {
+							a = x
+						} else {
+							b = x
+						}
+					}
+					// Outside the shrunk bracket and outside [lo, hi].
+					for _, x := range []float64{lo, hi, 0, lo - 1, hi + 0.5, -hi - 2, lo + (hi-lo)/3} {
+						check(x)
+					}
+					// Exactly at cached interval ends, and one ulp around
+					// them, for a few samples whose certificate is live.
+					for k := 0; k < 6; k++ {
+						j := r.Intn(n)
+						if !(te.ilo[j] <= te.ihi[j]) {
+							continue
+						}
+						end := te.ilo[j]
+						if k%2 == 1 {
+							end = te.ihi[j]
+						}
+						check(end)
+						check(math.Nextafter(end, math.Inf(1)))
+						check(math.Nextafter(end, math.Inf(-1)))
+					}
+					release()
 				}
 			}
 		}
@@ -541,48 +694,7 @@ func serialTieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) floa
 	if len(cd.G) == 0 || lo >= hi {
 		return 0
 	}
-	minM := make([]float64, n)
-	sLo := make([]float64, n)
-	sHi := make([]float64, n)
-	// eval computes F(α) = mean_j min_m (C[m][j] + G[m]·α)·Scale[m] with
-	// its one-sided derivatives: F'₊ averages the smallest slope tied at
-	// each sample's minimum, F'₋ the largest. The model loop is outermost
-	// so each C[m] row streams sequentially; the per-element arithmetic
-	// and the final left-to-right summation match the naive sample-major
-	// double loop exactly, so the maximizer is unchanged.
-	eval := func(alpha float64) (f, dMinus, dPlus float64) {
-		for j := range minM {
-			minM[j] = math.Inf(1)
-			sLo[j], sHi[j] = 0, 0
-		}
-		for m := range cd.G {
-			row := cd.C[m]
-			shift := cd.G[m] * alpha
-			scale := cd.Scale[m]
-			s := cd.G[m] * scale
-			for j := 0; j < n; j++ {
-				v := (row[j] + shift) * scale
-				if v < minM[j] {
-					minM[j], sLo[j], sHi[j] = v, s, s
-				} else if v == minM[j] {
-					if s < sLo[j] {
-						sLo[j] = s
-					}
-					if s > sHi[j] {
-						sHi[j] = s
-					}
-				}
-			}
-		}
-		var tf, tm, tp float64
-		for j := 0; j < n; j++ {
-			tf += minM[j]
-			tm += sHi[j]
-			tp += sLo[j]
-		}
-		fn := float64(n)
-		return tf / fn, tm / fn, tp / fn
-	}
+	eval := serialTieEval(cd, n)
 	a, b := lo, hi
 	fa, _, dpa := eval(a)
 	alpha, falpha := a, fa
@@ -627,4 +739,52 @@ func serialTieBreakAlpha(cd linmodel.CoordinateData, lo, hi float64, n int) floa
 		return 0
 	}
 	return alpha
+}
+
+// serialTieEval is the former single-threaded full-scan evaluation of the
+// tie-break objective, kept verbatim as the oracle every tieEval
+// evaluation must match bit for bit.
+func serialTieEval(cd linmodel.CoordinateData, n int) func(alpha float64) (f, dMinus, dPlus float64) {
+	minM := make([]float64, n)
+	sLo := make([]float64, n)
+	sHi := make([]float64, n)
+	// eval computes F(α) = mean_j min_m (C[m][j] + G[m]·α)·Scale[m] with
+	// its one-sided derivatives: F'₊ averages the smallest slope tied at
+	// each sample's minimum, F'₋ the largest. The model loop is outermost
+	// so each C[m] row streams sequentially; the per-element arithmetic
+	// and the final left-to-right summation match the naive sample-major
+	// double loop exactly, so the maximizer is unchanged.
+	return func(alpha float64) (f, dMinus, dPlus float64) {
+		for j := range minM {
+			minM[j] = math.Inf(1)
+			sLo[j], sHi[j] = 0, 0
+		}
+		for m := range cd.G {
+			row := cd.C[m]
+			shift := cd.G[m] * alpha
+			scale := cd.Scale[m]
+			s := cd.G[m] * scale
+			for j := 0; j < n; j++ {
+				v := (row[j] + shift) * scale
+				if v < minM[j] {
+					minM[j], sLo[j], sHi[j] = v, s, s
+				} else if v == minM[j] {
+					if s < sLo[j] {
+						sLo[j] = s
+					}
+					if s > sHi[j] {
+						sHi[j] = s
+					}
+				}
+			}
+		}
+		var tf, tm, tp float64
+		for j := 0; j < n; j++ {
+			tf += minM[j]
+			tm += sHi[j]
+			tp += sLo[j]
+		}
+		fn := float64(n)
+		return tf / fn, tm / fn, tp / fn
+	}
 }

@@ -179,15 +179,27 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 	// Worst-case statistical points (Eq. 8) per spec. The searches are
 	// independent, so they run concurrently (the paper used a machine
 	// cluster for the same reason); seeds are per-spec, so the result is
-	// identical to the serial run.
+	// identical to the serial run. A panicking search is re-raised here,
+	// on the caller's goroutine, once every search has returned, so the
+	// caller's recovery sees it instead of the process dying.
 	wcs := make([]*wcd.WorstCase, p.NumSpecs())
 	wcErrs := make([]error, p.NumSpecs())
 	var wg sync.WaitGroup
+	var panicked struct {
+		sync.Once
+		v   any
+		set bool
+	}
 	for i := range p.Specs {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { panicked.v, panicked.set = r, true })
+				}
+			}()
 			theta := thetaRes.PerSpec[i]
 			marginFn := func(s []float64) (float64, error) {
 				if err := ctx.Err(); err != nil {
@@ -213,6 +225,9 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		}()
 	}
 	wg.Wait()
+	if panicked.set {
+		panic(panicked.v)
+	}
 	for _, err := range wcErrs {
 		if err != nil {
 			return nil, nil, nil, err

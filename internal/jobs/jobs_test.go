@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,6 +142,50 @@ func TestRunPanicFailsJob(t *testing.T) {
 	}
 	if st := waitState(t, good, 10*time.Second); st != StateDone {
 		t.Fatalf("job after the panic: state %v (err %q), want done", st, good.Err())
+	}
+}
+
+// TestPooledPanicFailsJob panics on the Nth simulator call and every
+// later one, with the scheduler's slots free and held. Depending on N
+// the panic hits the job's own goroutine, one of Engine.Analyze's
+// per-spec worst-case searches or an extra sched.For gradient worker;
+// each must fail the job (not the test binary), and a resubmission of
+// the same request under the shared evaluation cache must fail again
+// rather than hang.
+func TestPooledPanicFailsJob(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		for _, n := range []int64{3, 10, 25} {
+			release := func() {}
+			if held {
+				release = sched.Default().HoldAll()
+			}
+			var calls atomic.Int64
+			m := testManager(t, Config{Workers: 1, SharedEvalCache: true, Resolve: func(req *Request) (*problem.Problem, error) {
+				p := testProblem(0)
+				eval := p.Eval
+				p.Eval = func(d, s, th []float64) ([]float64, error) {
+					if calls.Add(1) >= n {
+						panic("simulator exploded")
+					}
+					return eval(d, s, th)
+				}
+				return p, nil
+			}}, 0)
+			for run := 1; run <= 2; run++ {
+				job, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := waitState(t, job, 10*time.Second); st != StateFailed {
+					t.Fatalf("held=%v N=%d run %d: state = %v, want failed", held, n, run, st)
+				}
+				if msg := job.Err(); !strings.Contains(msg, "simulator exploded") {
+					t.Fatalf("held=%v N=%d run %d: job error %q does not report the panic", held, n, run, msg)
+				}
+			}
+			release()
+			m.Close()
+		}
 	}
 }
 

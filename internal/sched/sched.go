@@ -101,7 +101,9 @@ func (s *Sched) Release() {
 // can keep one scratch workspace per worker. When n ≤ 1 or no slot is
 // free, For starts no goroutine. A worker whose body returns false stops
 // claiming indices; the others carry on. For returns once every worker
-// has stopped.
+// has stopped. A panic in body, on any worker, ends the loop: the other
+// workers finish their current index and stop, and For panics with the
+// first value on the calling goroutine.
 func (s *Sched) For(n int, body func(worker, i int) bool) {
 	if s.Workers(n) > 1 && s.TryAcquire() {
 		s.forShared(n, body)
@@ -113,22 +115,37 @@ func (s *Sched) For(n int, body func(worker, i int) bool) {
 }
 
 // forShared is For once the first extra slot is held: workers claim
-// indices off one shared counter.
+// indices off one shared counter. A panicking body stops every worker
+// from claiming further indices; once all have returned, the first
+// panic value is raised again on the caller's goroutine, where the
+// caller's own recovery (such as a job runner's) can see it.
 func (s *Sched) forShared(n int, body func(worker, i int) bool) {
-	var next atomic.Int64
+	// Everything the workers share, in one allocation.
+	var sh struct {
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		first sync.Once
+		v     any
+		set   bool
+	}
 	run := func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				sh.first.Do(func() { sh.v, sh.set = r, true })
+				sh.next.Store(int64(n))
+			}
+		}()
 		for {
-			i := int(next.Add(1)) - 1
+			i := int(sh.next.Add(1)) - 1
 			if i >= n || !body(worker, i) {
 				return
 			}
 		}
 	}
-	var wg sync.WaitGroup
 	start := func(worker int) {
-		wg.Add(1)
+		sh.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sh.wg.Done()
 			defer s.Release()
 			run(worker)
 		}()
@@ -138,7 +155,10 @@ func (s *Sched) forShared(n int, body func(worker, i int) bool) {
 		start(w)
 	}
 	run(0)
-	wg.Wait()
+	sh.wg.Wait()
+	if sh.set {
+		panic(sh.v)
+	}
 }
 
 // Workers bounds For(n, …)'s worker indices: they stay below

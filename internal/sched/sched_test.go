@@ -188,3 +188,55 @@ func TestForNested(t *testing.T) {
 		}
 	}
 }
+
+// TestForPanicReachesCaller panics in the body, at index k or on the
+// first index an extra worker takes, with slots free and held: For must
+// raise the panic on the calling goroutine, only after every worker has
+// stopped (no body runs once For has returned), with every slot
+// released.
+func TestForPanicReachesCaller(t *testing.T) {
+	const n = 64
+	for _, held := range []bool{false, true} {
+		for _, k := range []int{0, 1, 31, n - 1, -1} { // -1: worker 1 panics
+			s := New(4)
+			release := func() {}
+			if held {
+				release = s.HoldAll()
+			}
+			var calls atomic.Int64
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				s.For(n, func(w, i int) bool {
+					calls.Add(1)
+					switch {
+					case k >= 0 && i == k:
+						panic(i)
+					case k < 0 && w == 1:
+						panic(-1)
+					case k < 0 && w == 0:
+						time.Sleep(time.Millisecond) // let worker 1 claim an index
+					}
+					time.Sleep(20 * time.Microsecond)
+					return true
+				})
+				return nil
+			}()
+			after := calls.Load()
+			time.Sleep(5 * time.Millisecond)
+			if calls.Load() != after {
+				t.Fatalf("held=%v k=%d: the body ran after For returned", held, k)
+			}
+			release()
+			want := any(k)
+			if k < 0 && held {
+				want = nil // no worker 1 runs while the slots are held
+			}
+			if got != want {
+				t.Fatalf("held=%v k=%d: For panicked with %v, want %v", held, k, got, want)
+			}
+			if st := s.Stats(); st.InUse != 0 {
+				t.Fatalf("held=%v k=%d: %d slots still held", held, k, st.InUse)
+			}
+		}
+	}
+}
