@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"specwise/internal/sched"
 )
 
 func TestVerifyMCContextCancel(t *testing.T) {
@@ -20,31 +22,25 @@ func TestVerifyMCContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// Mid-run cancellation: slow evaluations, cancel after the first few.
-	started := make(chan struct{})
-	var once sync.Once
+	// Mid-run cancellation: slow evaluations, the first of which cancels.
+	// Every worker may finish the sample it already started, but no new
+	// sample may begin: the call count stays far below n.
+	const n = 100000
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	var calls atomic.Int64
 	slow := *p
 	slow.Eval = func(d, s, th []float64) ([]float64, error) {
-		once.Do(func() { close(started) })
+		calls.Add(1)
+		cancel2()
 		time.Sleep(200 * time.Microsecond)
 		return p.Eval(d, s, th)
 	}
 	before := runtime.NumGoroutine()
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := VerifyMCContext(ctx2, &slow, p.InitialDesign(), thetas, 100000, 1, 0)
-		done <- err
-	}()
-	<-started
-	cancel2()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("VerifyMCContext did not return after cancellation")
+	if _, err := VerifyMCContext(ctx2, &slow, p.InitialDesign(), thetas, n, 1, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got, limit := calls.Load(), int64(sched.Default().Workers(n)*len(thetas)); got > limit {
+		t.Fatalf("%d evaluations ran after cancelling on the first, want at most %d (one sample per worker)", got, limit)
 	}
 	// Workers and feeder must all have exited; allow the scheduler a
 	// moment to reap them.

@@ -22,7 +22,7 @@ type Engine struct {
 	prob    *problem.Problem
 	opts    Options
 	counter problem.Counter
-	cache   evalcache.Wrapper   // nil when Options.NoEvalCache is set
+	cache   *evalcache.View     // nil when Options.NoEvalCache is set
 	sim0    problem.SimCounters // simulator counters at construction time
 	p       *problem.Problem    // instrumented (and possibly cached) copy
 	res     *Result             // assembled during run
@@ -36,7 +36,7 @@ func newEngine(prob *problem.Problem, opts Options) *Engine {
 		if opts.EvalCache != nil {
 			e.cache = opts.EvalCache
 		} else {
-			e.cache = evalcache.New(opts.EvalCacheSize)
+			e.cache = evalcache.New(0)
 		}
 		e.p = e.cache.Wrap(e.p)
 	}

@@ -73,10 +73,7 @@ type Options struct {
 	// cache — typically a problem-scoped evalcache.Shared view, so sweep
 	// members reuse each other's simulations. Ignored when NoEvalCache is
 	// set. Bit-exact keying keeps results identical either way.
-	EvalCache evalcache.Wrapper
-	// EvalCacheSize caps the number of memoized evaluation points.
-	// 0 selects evalcache.DefaultMaxEntries.
-	EvalCacheSize int
+	EvalCache *evalcache.View
 	// WC tunes the worst-case distance searches.
 	WC wcd.Options
 	// Coord tunes the coordinate search.

@@ -20,9 +20,34 @@
 // The cache is safe for concurrent use and deduplicates in-flight work
 // (singleflight): when several goroutines request the same unsimulated
 // point, one runs the simulator and the rest wait for its result.
+//
+// One implementation serves two scopes. A Shared cache is
+// manager-scoped: sweeps — seed sweeps for yield confidence, spec-bound
+// sweeps, corner sweeps — run many jobs over the same problem, and most
+// of their simulator calls probe points a sibling job has already
+// simulated (every member's iteration-0 worst-case analysis at the
+// shared initial design is identical, for one). Each job takes a View,
+// which scopes its lookups to a caller-supplied problem hash, so jobs
+// on the same problem reuse each other's simulations while jobs on
+// different problems can never collide: the evaluation is a pure
+// function of (problem, d, s, θ). New returns a private cache for one
+// optimization run: the only View on a Shared cache nothing else
+// reaches.
+//
+// There is one capacity policy: least-recently-used eviction of
+// completed entries under the cap. In-flight entries are never evicted,
+// so singleflight waiters always rendezvous. Eviction cannot change a
+// result, only whether a later request hits: keys are exact bit
+// patterns, so a recomputed value is the value the evicted entry held.
+// Which points stay resident is not deterministic, and was not under
+// the per-run cache's former rule of storing nothing more once full
+// either: the concurrent per-spec searches in core.Engine.Analyze fill
+// the cache in timing-dependent order. No paper table comes near the
+// default cap (Table 1 is 19,556 simulations against 2^19 entries).
 package evalcache
 
 import (
+	"container/list"
 	"errors"
 	"math"
 	"sync"
@@ -32,33 +57,31 @@ import (
 )
 
 // DefaultMaxEntries bounds the cache when no explicit capacity is given.
-// An optimizer run evaluates tens of thousands of points at most; the cap
-// only guards against pathological callers. When full, the per-run Cache
-// simulates new points but does not store them (counted in
-// Stats.Overflow): its memoized set is append-only, so which points are
-// memoized — and therefore every returned value — is deterministic for a
-// given evaluation order. The manager-scoped Shared cache (shared.go)
-// instead does true LRU eviction under the same default cap; it relies
-// only on bit-exact hits, not on a deterministic resident set, for its
-// determinism guarantee.
+// An optimizer run evaluates tens of thousands of points at most; the
+// cap guards a long-lived Shared cache across many sweeps and
+// pathological callers.
 const DefaultMaxEntries = 1 << 19
 
-// Stats is a snapshot of the cache counters.
+// Stats is a snapshot of one View's counters.
 type Stats struct {
 	// Hits counts evaluations answered from a completed cache entry.
 	Hits int64
 	// CrossHits is the subset of Hits answered from an entry another
-	// job stored — always zero for the per-run Cache, meaningful for a
-	// Shared cache's View (shared.go), where it measures cross-job
-	// simulation reuse inside a sweep.
+	// view (job) stored — always zero for a private cache, meaningful on
+	// a Shared cache, where it measures cross-job simulation reuse
+	// inside a sweep.
 	CrossHits int64
 	// Misses counts evaluations that ran the simulator.
 	Misses int64
 	// Deduped counts evaluations that joined another goroutine's
 	// in-flight simulation of the same point instead of starting their own.
 	Deduped int64
-	// Overflow counts evaluations simulated but not stored because the
-	// cache was at capacity.
+	// Evictions counts completed entries the LRU cap dropped to make room
+	// for this view's inserts.
+	Evictions int64
+	// Overflow counts this view's inserts that found the cache at
+	// capacity with nothing evictable (every candidate in flight), the
+	// same event SharedStats.Overflow counts.
 	Overflow int64
 	// ConstraintHits / ConstraintMisses are the same tallies for the
 	// (cheaper, DC-only) constraint evaluations, keyed by d alone.
@@ -66,12 +89,41 @@ type Stats struct {
 	ConstraintMisses int64
 }
 
-// entry is one memoized evaluation. done is closed once vals/err are
-// valid; waiters block on it (the singleflight rendezvous).
+// SharedStats snapshots the process-wide counters of a Shared cache.
+type SharedStats struct {
+	// Hits counts lookups answered from a completed entry; CrossHits is
+	// the subset answered from an entry a *different* view (job) stored.
+	Hits      int64
+	CrossHits int64
+	// Misses counts lookups that ran the simulator and stored the result.
+	Misses int64
+	// Deduped counts lookups that joined another goroutine's in-flight
+	// simulation of the same point.
+	Deduped int64
+	// Evictions counts entries dropped by the LRU cap.
+	Evictions int64
+	// Overflow counts inserts that found the cache at capacity with
+	// nothing evictable (every candidate in-flight); the insert proceeds
+	// over-cap and the next eviction restores the bound.
+	Overflow int64
+	// Entries and Problems are gauges: live entries and live problems.
+	Entries  int
+	Problems int
+}
+
+// entry is one memoized evaluation. owner is the view that stored it:
+// its problem key is the entry's, and hits are classified same-job vs
+// cross-job by it. ready is released once vals/err are valid; waiters
+// block on it (the singleflight rendezvous). It is a WaitGroup rather
+// than a channel: a channel is a second allocation of ~96 bytes, about
+// what the LRU links cost, and Table 1 stores ~19,000 entries per run.
 type entry struct {
-	done chan struct{}
-	vals []float64
-	err  error
+	key   string
+	owner *View
+	ready sync.WaitGroup
+	done  bool // ready released; guarded by Shared.mu
+	vals  []float64
+	err   error
 }
 
 // errPanicked is what the waiters of an in-flight entry see when its
@@ -80,79 +132,134 @@ type entry struct {
 // wake and a later request recomputes instead of blocking forever.
 var errPanicked = errors.New("evalcache: evaluation panicked")
 
-// Cache memoizes Problem.Eval, Problem.EvalSpec and Problem.Constraints
-// results.
-type Cache struct {
-	mu    sync.Mutex
-	evals map[string]*entry // full performance vectors
-	specs map[string]*entry // single performances, keyed by point and spec
-	cons  map[string]*entry
-	max   int
+// Shared is an evaluation cache keyed by (problem hash, kind, exact bit
+// pattern of the evaluation point): one per process (daemon or remote
+// worker), shared by every job that opts in, or one per run behind New.
+// Safe for concurrent use.
+type Shared struct {
+	mu      sync.Mutex
+	entries map[string]*list.Element
+	lru     *list.List     // of *entry, most recently used first
+	perProb map[string]int // problem key → live entry count
+	max     int
 
-	hits, misses, deduped, overflow atomic.Int64
-	consHits, consMisses            atomic.Int64
+	hits, crossHits, misses, deduped atomic.Int64
+	evictions, overflow              atomic.Int64
 }
 
-// New returns an empty cache. maxEntries <= 0 selects DefaultMaxEntries.
-func New(maxEntries int) *Cache {
+// NewShared returns an empty shared cache. maxEntries <= 0 selects
+// DefaultMaxEntries.
+func NewShared(maxEntries int) *Shared {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	return &Cache{
-		evals: make(map[string]*entry),
-		specs: make(map[string]*entry),
-		cons:  make(map[string]*entry),
-		max:   maxEntries,
+	return &Shared{
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
+		perProb: make(map[string]int),
+		max:     maxEntries,
 	}
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
+// New returns a private cache for one run. maxEntries <= 0 selects
+// DefaultMaxEntries.
+func New(maxEntries int) *View {
+	return NewShared(maxEntries).View("")
+}
+
+// Stats snapshots the process-wide counters.
+func (s *Shared) Stats() SharedStats {
+	s.mu.Lock()
+	entries, problems := s.lru.Len(), len(s.perProb)
+	s.mu.Unlock()
+	return SharedStats{
+		Hits:      s.hits.Load(),
+		CrossHits: s.crossHits.Load(),
+		Misses:    s.misses.Load(),
+		Deduped:   s.deduped.Load(),
+		Evictions: s.evictions.Load(),
+		Overflow:  s.overflow.Load(),
+		Entries:   entries,
+		Problems:  problems,
+	}
+}
+
+// PerProblem snapshots the live entry count of every problem.
+func (s *Shared) PerProblem() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int, len(s.perProb))
+	for k, n := range s.perProb {
+		out[k] = n
+	}
+	return out
+}
+
+// View returns the handle one job uses to access the shared cache: all
+// of its lookups are scoped to problemKey, and its Stats report that
+// job's own reuse (including how much came from sibling jobs'
+// entries). Views are cheap; take one per job execution.
+func (s *Shared) View(problemKey string) *View {
+	return &View{shared: s, problem: problemKey}
+}
+
+// View is one job's problem-scoped handle on a Shared cache: Wrap
+// memoizes a problem's evaluations through it, and Stats reports this
+// view's counters (Hits includes CrossHits; the shared totals live in
+// Shared.Stats).
+type View struct {
+	shared  *Shared
+	problem string
+
+	hits, crossHits, misses, deduped atomic.Int64
+	evictions, overflow              atomic.Int64
+	consHits, consMisses             atomic.Int64
+}
+
+// Stats snapshots this view's counters.
+func (v *View) Stats() Stats {
 	return Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Deduped:          c.deduped.Load(),
-		Overflow:         c.overflow.Load(),
-		ConstraintHits:   c.consHits.Load(),
-		ConstraintMisses: c.consMisses.Load(),
+		Hits:             v.hits.Load(),
+		CrossHits:        v.crossHits.Load(),
+		Misses:           v.misses.Load(),
+		Deduped:          v.deduped.Load(),
+		Evictions:        v.evictions.Load(),
+		Overflow:         v.overflow.Load(),
+		ConstraintHits:   v.consHits.Load(),
+		ConstraintMisses: v.consMisses.Load(),
 	}
-}
-
-// Len returns the number of stored full-evaluation entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.evals)
 }
 
 // Wrap returns a shallow copy of p whose Eval — and EvalSpec and
-// Constraints, when present — are memoized through c. The wrapped
-// functions are safe for concurrent use (assuming the underlying ones
-// are, as the optimizer already requires) and return defensive copies,
-// so callers may not corrupt each other through the cache.
-func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
+// Constraints, when present — are memoized through the cache under this
+// view's problem key: a full entry answers every spec at its point, a
+// per-spec entry only its own. The wrapped functions are safe for
+// concurrent use (assuming the underlying ones are, as the optimizer
+// already requires) and return defensive copies, so callers may not
+// corrupt each other through the cache.
+func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return c.do(c.evals, evalKey(d, s, theta), &c.hits, &c.misses, func() ([]float64, error) {
+		return v.do(v.key('e', d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
 	}
 	if p.EvalSpec != nil {
 		innerS := p.EvalSpec
 		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
-			key := evalKey(d, s, theta)
-			c.mu.Lock()
-			if e, ok := c.evals[key]; ok {
-				vals, err := c.join(e, &c.hits)
+			key := v.key('e', d, s, theta)
+			v.shared.mu.Lock()
+			if el, ok := v.shared.entries[key]; ok {
+				vals, err := v.join(el, &v.hits)
 				if err != nil {
 					return 0, err
 				}
 				return vals[i], nil
 			}
-			vals, err := c.doLocked(c.specs, specKey(key, i), &c.hits, &c.misses, func() ([]float64, error) {
-				v, err := innerS(d, s, theta, i)
-				return []float64{v}, err
+			vals, err := v.doLocked(specKey(key, i), &v.hits, &v.misses, func() ([]float64, error) {
+				x, err := innerS(d, s, theta, i)
+				return []float64{x}, err
 			})
 			if err != nil {
 				return 0, err
@@ -163,7 +270,7 @@ func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
 	if p.Constraints != nil {
 		innerC := p.Constraints
 		q.Constraints = func(d []float64) ([]float64, error) {
-			return c.do(c.cons, packFloats(nil, d), &c.consHits, &c.consMisses, func() ([]float64, error) {
+			return v.do(v.key('c', d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
 				return innerC(d)
 			})
 		}
@@ -171,59 +278,108 @@ func (c *Cache) Wrap(p *problem.Problem) *problem.Problem {
 	return &q
 }
 
-// do is the memoized call: answer from a completed entry, join an
-// in-flight one, or run compute and publish the result.
-func (c *Cache) do(m map[string]*entry, key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
-	c.mu.Lock()
-	return c.doLocked(m, key, hits, misses, compute)
+// key builds the full cache key: problem-key length + problem key +
+// kind byte ('e' evaluation, 'c' constraint) + packed evaluation point.
+// The explicit length keeps problem keys of different lengths from ever
+// aliasing into the float section.
+// The raw IEEE-754 bit patterns are packed, so distinct floats never
+// collide and equal floats always hit (0.0 and -0.0 are distinct keys,
+// which is the conservative choice).
+func (v *View) key(kind byte, d, s, theta []float64) string {
+	n := len(v.problem)
+	buf := make([]byte, 0, n+8*(len(d)+len(s)+len(theta))+17)
+	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	buf = append(buf, v.problem...)
+	buf = append(buf, kind)
+	buf = packFloats(buf, d)
+	buf = packFloats(buf, s)
+	buf = packFloats(buf, theta)
+	return string(buf)
 }
 
-// join answers from an existing entry: it counts a dedup when the entry
-// is in flight or else a hit, waits for it and returns a copy of its
-// values. Called with c.mu held; it releases the lock.
-func (c *Cache) join(e *entry, hits *atomic.Int64) ([]float64, error) {
-	inflight := !closed(e.done)
-	c.mu.Unlock()
-	if inflight {
-		c.deduped.Add(1)
-	} else {
-		hits.Add(1)
+// specKey extends a point's full-evaluation key with a spec index.
+// Point keys are self-delimiting, so per-spec keys of different points
+// or specs never collide with each other or with a full key.
+func specKey(pointKey string, i int) string {
+	return pointKey + string([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
+}
+
+// packFloats appends the length and raw float bits of v to buf.
+func packFloats(buf []byte, v []float64) []byte {
+	n := len(v)
+	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	for _, x := range v {
+		b := math.Float64bits(x)
+		buf = append(buf,
+			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
+			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
 	}
-	<-e.done
+	return buf
+}
+
+// do is the memoized call: answer from a completed entry (classifying
+// same-view vs cross-view), join an in-flight one, or run compute,
+// publish and evict past the cap.
+func (v *View) do(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
+	v.shared.mu.Lock()
+	return v.doLocked(key, hits, misses, compute)
+}
+
+// join answers from an existing entry: it marks the entry recently
+// used, counts a dedup when it is in flight or else a hit (and a cross
+// hit when another view stored it), waits for it and returns a copy of
+// its values. Called with s.mu held; it releases the lock.
+func (v *View) join(el *list.Element, hits *atomic.Int64) ([]float64, error) {
+	s := v.shared
+	e := el.Value.(*entry)
+	s.lru.MoveToFront(el)
+	inflight := !e.done
+	cross := e.owner != v
+	s.mu.Unlock()
+	if inflight {
+		s.deduped.Add(1)
+		v.deduped.Add(1)
+	} else {
+		s.hits.Add(1)
+		hits.Add(1)
+		if cross {
+			s.crossHits.Add(1)
+			v.crossHits.Add(1)
+		}
+	}
+	e.ready.Wait()
 	if e.err != nil {
 		return nil, e.err
 	}
 	return append([]float64(nil), e.vals...), nil
 }
 
-// doLocked is do with c.mu already held; it releases the lock.
-func (c *Cache) doLocked(m map[string]*entry, key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
-	if e, ok := m[key]; ok {
-		return c.join(e, hits)
+// doLocked is do with s.mu already held; it releases the lock.
+func (v *View) doLocked(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
+	s := v.shared
+	if el, ok := s.entries[key]; ok {
+		return v.join(el, hits)
 	}
-	store := len(m) < c.max
-	var e *entry
-	if store {
-		e = &entry{done: make(chan struct{})}
-		m[key] = e
+	e := &entry{key: key, owner: v}
+	e.ready.Add(1)
+	s.entries[key] = s.lru.PushFront(e)
+	s.perProb[v.problem]++
+	if s.lru.Len() > s.max {
+		s.evictLocked(v)
 	}
-	c.mu.Unlock()
+	s.mu.Unlock()
 
+	s.misses.Add(1)
 	misses.Add(1)
-	if !store {
-		c.overflow.Add(1)
-		return compute()
-	}
-
 	settled := false
 	defer func() {
 		if !settled {
-			c.settle(m, key, e, nil, errPanicked)
+			s.settle(e, nil, errPanicked)
 		}
 	}()
 	vals, err := compute()
 	settled = true
-	c.settle(m, key, e, vals, err)
+	s.settle(e, vals, err)
 	if err != nil {
 		return nil, err
 	}
@@ -234,59 +390,49 @@ func (c *Cache) doLocked(m map[string]*entry, key string, hits, misses *atomic.I
 // waiters. Errors are not memoized: the entry is dropped so a later
 // retry can run the simulator again (current waiters still see the
 // error).
-func (c *Cache) settle(m map[string]*entry, key string, e *entry, vals []float64, err error) {
+func (s *Shared) settle(e *entry, vals []float64, err error) {
+	s.mu.Lock()
 	e.vals, e.err = vals, err
-	close(e.done)
+	e.done = true
+	e.ready.Done()
 	if err != nil {
-		c.mu.Lock()
-		delete(m, key)
-		c.mu.Unlock()
+		if el, ok := s.entries[e.key]; ok && el.Value.(*entry) == e {
+			s.dropLocked(el, e)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// evictLocked restores the LRU cap after an insert through v by dropping
+// the least recently used completed entries. In-flight entries are
+// skipped — their waiters rendezvous on them — and if nothing is
+// evictable the cache runs over-cap until a computation settles (counted
+// as Overflow). Both the shared and v's counters record the outcome.
+// Caller holds s.mu.
+func (s *Shared) evictLocked(v *View) {
+	el := s.lru.Back()
+	for s.lru.Len() > s.max && el != nil {
+		prev := el.Prev()
+		if e := el.Value.(*entry); e.done {
+			s.dropLocked(el, e)
+			s.evictions.Add(1)
+			v.evictions.Add(1)
+		}
+		el = prev
+	}
+	if s.lru.Len() > s.max {
+		s.overflow.Add(1)
+		v.overflow.Add(1)
 	}
 }
 
-// closed reports whether done has been closed, without blocking.
-func closed(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
+// dropLocked unlinks one entry. Caller holds s.mu.
+func (s *Shared) dropLocked(el *list.Element, e *entry) {
+	s.lru.Remove(el)
+	delete(s.entries, e.key)
+	if n := s.perProb[e.owner.problem] - 1; n > 0 {
+		s.perProb[e.owner.problem] = n
+	} else {
+		delete(s.perProb, e.owner.problem)
 	}
-}
-
-// evalKey builds the exact content key of one evaluation point. The raw
-// IEEE-754 bit patterns are packed, so distinct floats never collide and
-// equal floats always hit (0.0 and -0.0 are distinct keys, which is the
-// conservative choice).
-func evalKey(d, s, theta []float64) string {
-	buf := make([]byte, 0, 8*(len(d)+len(s)+len(theta))+12)
-	buf = packFloatsBytes(buf, d)
-	buf = packFloatsBytes(buf, s)
-	buf = packFloatsBytes(buf, theta)
-	return string(buf)
-}
-
-// specKey extends a point's key with a spec index. Point keys are
-// self-delimiting, so per-spec keys of different points or specs never
-// collide.
-func specKey(pointKey string, i int) string {
-	return pointKey + string([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
-}
-
-// packFloats returns the packed key of a single vector.
-func packFloats(buf []byte, v []float64) string {
-	return string(packFloatsBytes(buf, v))
-}
-
-// packFloatsBytes appends the length and raw float bits of v to buf.
-func packFloatsBytes(buf []byte, v []float64) []byte {
-	n := len(v)
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	for _, x := range v {
-		b := math.Float64bits(x)
-		buf = append(buf,
-			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
-	}
-	return buf
 }

@@ -10,6 +10,21 @@ import (
 	"specwise/internal/problem"
 )
 
+// forEachCache runs a behaviour test against both uses of the one
+// implementation: a private cache (New) and a view of a Shared cache.
+func forEachCache(t *testing.T, maxEntries int, test func(t *testing.T, v *View)) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		new  func(maxEntries int) *View
+	}{
+		{"private", New},
+		{"shared", func(n int) *View { return NewShared(n).View("prob") }},
+	} {
+		t.Run(c.name, func(t *testing.T) { test(t, c.new(maxEntries)) })
+	}
+}
+
 // countingProblem builds a problem whose Eval tallies real invocations.
 func countingProblem(calls *atomic.Int64) *problem.Problem {
 	return &problem.Problem{
@@ -29,225 +44,277 @@ func countingProblem(calls *atomic.Int64) *problem.Problem {
 }
 
 func TestHitMissAndValues(t *testing.T) {
-	var calls atomic.Int64
-	c := New(0)
-	p := c.Wrap(countingProblem(&calls))
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		p := c.Wrap(countingProblem(&calls))
 
-	d, s, th := []float64{1}, []float64{0.5, -0.25}, []float64{27}
-	v1, err := p.Eval(d, s, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := p.Eval(d, s, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1[0] != v2[0] {
-		t.Fatalf("cached value %v != fresh value %v", v2[0], v1[0])
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("simulator ran %d times, want 1", calls.Load())
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-
-	// A returned slice is a defensive copy: corrupting it must not
-	// poison later hits.
-	v2[0] = math.NaN()
-	v3, _ := p.Eval(d, s, th)
-	if v3[0] != v1[0] {
-		t.Fatalf("cache poisoned through returned slice: %v", v3[0])
-	}
-
-	// Different point in any of the three coordinates misses.
-	if _, err := p.Eval([]float64{1.0000001}, s, th); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("distinct design point did not re-simulate (calls=%d)", calls.Load())
-	}
-}
-
-func TestConstraintMemoization(t *testing.T) {
-	var calls atomic.Int64
-	c := New(0)
-	p := c.Wrap(countingProblem(&calls))
-	for i := 0; i < 3; i++ {
-		if _, err := p.Constraints([]float64{1.25}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("constraint simulator ran %d times, want 1", calls.Load())
-	}
-	st := c.Stats()
-	if st.ConstraintHits != 2 || st.ConstraintMisses != 1 {
-		t.Fatalf("stats = %+v, want 2 constraint hits / 1 miss", st)
-	}
-}
-
-func TestNoConstraintsStaysNil(t *testing.T) {
-	var calls atomic.Int64
-	p := countingProblem(&calls)
-	p.Constraints = nil
-	if q := New(0).Wrap(p); q.Constraints != nil {
-		t.Fatal("Wrap invented a Constraints function")
-	}
-}
-
-func TestSingleflightDedup(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	c := New(0)
-	p := c.Wrap(&problem.Problem{
-		Eval: func(d, s, theta []float64) ([]float64, error) {
-			calls.Add(1)
-			<-release // hold every in-flight simulation open
-			return []float64{d[0]}, nil
-		},
-	})
-
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([]float64, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := p.Eval([]float64{7}, nil, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[w] = v[0]
-		}()
-	}
-	// Let the goroutines pile up on the same key, then release the one
-	// simulation they share.
-	for c.Stats().Deduped < workers-1 {
-	}
-	close(release)
-	wg.Wait()
-
-	if calls.Load() != 1 {
-		t.Fatalf("simulator ran %d times for one point, want 1", calls.Load())
-	}
-	for _, v := range results {
-		if v != 7 {
-			t.Fatalf("waiter got %v, want 7", v)
-		}
-	}
-	if st := c.Stats(); st.Deduped != workers-1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want %d deduped / 1 miss", st, workers-1)
-	}
-}
-
-func TestErrorsAreNotMemoized(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	fail := true
-	c := New(0)
-	p := c.Wrap(&problem.Problem{
-		Eval: func(d, s, theta []float64) ([]float64, error) {
-			calls.Add(1)
-			if fail {
-				return nil, boom
-			}
-			return []float64{1}, nil
-		},
-	})
-	if _, err := p.Eval([]float64{1}, nil, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	fail = false
-	if _, err := p.Eval([]float64{1}, nil, nil); err != nil {
-		t.Fatalf("retry after error failed: %v", err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("error was memoized (calls=%d)", calls.Load())
-	}
-}
-
-// checkPanicSettles simulates a point whose first simulation panics
-// while a second caller waits on it: the panic must reach the caller
-// that ran the simulation, the waiter must get errPanicked instead of
-// blocking forever, and a retry must simulate the point again.
-func checkPanicSettles(t *testing.T, wrap func(*problem.Problem) *problem.Problem, deduped func() int64) {
-	t.Helper()
-	release := make(chan struct{})
-	var calls atomic.Int64
-	p := wrap(&problem.Problem{Eval: func(d, s, theta []float64) ([]float64, error) {
-		if calls.Add(1) == 1 {
-			<-release
-			panic("simulator exploded")
-		}
-		return []float64{d[0]}, nil
-	}})
-	panicked := make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		p.Eval([]float64{7}, nil, nil) //nolint:errcheck // panics
-	}()
-	for calls.Load() == 0 {
-	}
-	waited := make(chan error, 1)
-	go func() {
-		_, err := p.Eval([]float64{7}, nil, nil)
-		waited <- err
-	}()
-	for deduped() < 1 {
-	}
-	close(release)
-	if r := <-panicked; r != "simulator exploded" {
-		t.Fatalf("computing caller recovered %v, want the simulator's panic", r)
-	}
-	if err := <-waited; !errors.Is(err, errPanicked) {
-		t.Fatalf("waiter got %v, want errPanicked", err)
-	}
-	v, err := p.Eval([]float64{7}, nil, nil)
-	if err != nil || v[0] != 7 || calls.Load() != 2 {
-		t.Fatalf("retry after the panic = %v, %v after %d simulations, want 7 after 2", v, err, calls.Load())
-	}
-}
-
-func TestPanicSettlesEntry(t *testing.T) {
-	c := New(0)
-	checkPanicSettles(t, c.Wrap, func() int64 { return c.Stats().Deduped })
-}
-
-func TestCapacityOverflowStillComputes(t *testing.T) {
-	var calls atomic.Int64
-	c := New(2)
-	p := c.Wrap(countingProblem(&calls))
-	for i := 0; i < 4; i++ {
-		v, err := p.Eval([]float64{float64(i)}, []float64{0, 0}, nil)
+		d, s, th := []float64{1}, []float64{0.5, -0.25}, []float64{27}
+		v1, err := p.Eval(d, s, th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v[0] != float64(i) {
-			t.Fatalf("overflowed eval returned %v, want %v", v[0], float64(i))
+		v2, err := p.Eval(d, s, th)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if c.Len() != 2 {
-		t.Fatalf("cache stored %d entries, capacity 2", c.Len())
-	}
-	if st := c.Stats(); st.Overflow != 2 {
-		t.Fatalf("stats = %+v, want 2 overflow", st)
-	}
+		if v1[0] != v2[0] {
+			t.Fatalf("cached value %v != fresh value %v", v2[0], v1[0])
+		}
+		if calls.Load() != 1 {
+			t.Fatalf("simulator ran %d times, want 1", calls.Load())
+		}
+		st := c.Stats()
+		if st.Hits != 1 || st.Misses != 1 || st.CrossHits != 0 {
+			t.Fatalf("stats = %+v, want 1 hit / 1 miss / 0 cross hits", st)
+		}
+
+		// A returned slice is a defensive copy: corrupting it must not
+		// poison later hits.
+		v2[0] = math.NaN()
+		v3, _ := p.Eval(d, s, th)
+		if v3[0] != v1[0] {
+			t.Fatalf("cache poisoned through returned slice: %v", v3[0])
+		}
+
+		// Different point in any of the three coordinates misses.
+		if _, err := p.Eval([]float64{1.0000001}, s, th); err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() != 2 {
+			t.Fatalf("distinct design point did not re-simulate (calls=%d)", calls.Load())
+		}
+	})
+}
+
+func TestConstraintMemoization(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		p := c.Wrap(countingProblem(&calls))
+		for i := 0; i < 3; i++ {
+			if _, err := p.Constraints([]float64{1.25}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if calls.Load() != 1 {
+			t.Fatalf("constraint simulator ran %d times, want 1", calls.Load())
+		}
+		st := c.Stats()
+		if st.ConstraintHits != 2 || st.ConstraintMisses != 1 {
+			t.Fatalf("stats = %+v, want 2 constraint hits / 1 miss", st)
+		}
+	})
+}
+
+func TestNoConstraintsStaysNil(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		p := countingProblem(&calls)
+		p.Constraints = nil
+		if q := c.Wrap(p); q.Constraints != nil {
+			t.Fatal("Wrap invented a Constraints function")
+		}
+	})
+}
+
+func TestSingleflightDedup(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		release := make(chan struct{})
+		p := c.Wrap(&problem.Problem{
+			Eval: func(d, s, theta []float64) ([]float64, error) {
+				calls.Add(1)
+				<-release // hold every in-flight simulation open
+				return []float64{d[0]}, nil
+			},
+		})
+
+		const workers = 8
+		var wg sync.WaitGroup
+		results := make([]float64, workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, err := p.Eval([]float64{7}, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[w] = v[0]
+			}()
+		}
+		// Let the goroutines pile up on the same key, then release the one
+		// simulation they share.
+		for c.Stats().Deduped < workers-1 {
+		}
+		close(release)
+		wg.Wait()
+
+		if calls.Load() != 1 {
+			t.Fatalf("simulator ran %d times for one point, want 1", calls.Load())
+		}
+		for _, v := range results {
+			if v != 7 {
+				t.Fatalf("waiter got %v, want 7", v)
+			}
+		}
+		if st := c.Stats(); st.Deduped != workers-1 || st.Misses != 1 {
+			t.Fatalf("stats = %+v, want %d deduped / 1 miss", st, workers-1)
+		}
+	})
+}
+
+func TestErrorsAreNotMemoized(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		boom := errors.New("boom")
+		fail := true
+		p := c.Wrap(&problem.Problem{
+			Eval: func(d, s, theta []float64) ([]float64, error) {
+				calls.Add(1)
+				if fail {
+					return nil, boom
+				}
+				return []float64{1}, nil
+			},
+		})
+		if _, err := p.Eval([]float64{1}, nil, nil); !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want boom", err)
+		}
+		if c.shared.Stats().Entries != 0 {
+			t.Fatal("error entry left in cache")
+		}
+		fail = false
+		if _, err := p.Eval([]float64{1}, nil, nil); err != nil {
+			t.Fatalf("retry after error failed: %v", err)
+		}
+		if calls.Load() != 2 {
+			t.Fatalf("error was memoized (calls=%d)", calls.Load())
+		}
+		// The retry's un-publish must not have counted as an LRU eviction.
+		if st := c.shared.Stats(); st.Evictions != 0 {
+			t.Fatalf("error un-publish counted as eviction: %+v", st)
+		}
+	})
+}
+
+// TestPanicSettlesEntry simulates a point whose first simulation panics
+// while a second caller waits on it: the panic must reach the caller
+// that ran the simulation, the waiter must get errPanicked instead of
+// blocking forever, and a retry must simulate the point again.
+func TestPanicSettlesEntry(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		release := make(chan struct{})
+		var calls atomic.Int64
+		p := c.Wrap(&problem.Problem{Eval: func(d, s, theta []float64) ([]float64, error) {
+			if calls.Add(1) == 1 {
+				<-release
+				panic("simulator exploded")
+			}
+			return []float64{d[0]}, nil
+		}})
+		panicked := make(chan any, 1)
+		go func() {
+			defer func() { panicked <- recover() }()
+			p.Eval([]float64{7}, nil, nil) //nolint:errcheck // panics
+		}()
+		for calls.Load() == 0 {
+		}
+		waited := make(chan error, 1)
+		go func() {
+			_, err := p.Eval([]float64{7}, nil, nil)
+			waited <- err
+		}()
+		for c.Stats().Deduped < 1 {
+		}
+		close(release)
+		if r := <-panicked; r != "simulator exploded" {
+			t.Fatalf("computing caller recovered %v, want the simulator's panic", r)
+		}
+		if err := <-waited; !errors.Is(err, errPanicked) {
+			t.Fatalf("waiter got %v, want errPanicked", err)
+		}
+		v, err := p.Eval([]float64{7}, nil, nil)
+		if err != nil || v[0] != 7 || calls.Load() != 2 {
+			t.Fatalf("retry after the panic = %v, %v after %d simulations, want 7 after 2", v, err, calls.Load())
+		}
+	})
+}
+
+// At capacity a new point still simulates and is stored; the least
+// recently used completed entry makes room. Values are bit-identical to
+// the simulator's whether they come from a resident, a re-simulated or
+// an evicted-and-recomputed point.
+func TestLRUEviction(t *testing.T) {
+	forEachCache(t, 2, func(t *testing.T, c *View) {
+		var calls, rawCalls atomic.Int64
+		p := c.Wrap(countingProblem(&calls))
+		raw := countingProblem(&rawCalls)
+
+		eval := func(x float64) {
+			t.Helper()
+			d, s := []float64{x}, []float64{0.1, 0.2}
+			v, err := p.Eval(d, s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := raw.Eval(d, s, nil)
+			if math.Float64bits(v[0]) != math.Float64bits(want[0]) {
+				t.Fatalf("eval(%v) = %v, want the simulator's %v bit for bit", x, v[0], want[0])
+			}
+		}
+		eval(0)
+		eval(1)
+		eval(2) // evicts 0; the new point is stored
+		if c.shared.Stats().Entries != 2 {
+			t.Fatalf("cache holds %d entries, cap 2", c.shared.Stats().Entries)
+		}
+		if st := c.shared.Stats(); st.Evictions != 1 || st.Overflow != 0 {
+			t.Fatalf("shared stats = %+v, want 1 eviction / 0 overflow", st)
+		}
+		if st := c.Stats(); st.Evictions != 1 || st.Overflow != 0 {
+			t.Fatalf("view stats = %+v, want 1 eviction / 0 overflow", st)
+		}
+
+		// The newest point is resident (a hit); the evicted oldest re-simulates.
+		before := calls.Load()
+		eval(2)
+		if calls.Load() != before {
+			t.Fatal("newest entry was not resident after eviction")
+		}
+		eval(0)
+		if calls.Load() != before+1 {
+			t.Fatal("evicted entry answered from cache")
+		}
+
+		// Touching an entry protects it: hit 2, insert 3 → 0 (LRU) evicted, 2 stays.
+		eval(2)
+		eval(3)
+		before = calls.Load()
+		eval(2)
+		if calls.Load() != before {
+			t.Fatal("recently used entry was evicted instead of the LRU one")
+		}
+		if st := c.shared.Stats(); st.Evictions != 3 {
+			t.Fatalf("shared stats = %+v, want 3 evictions", st)
+		}
+		if st := c.Stats(); st.Evictions != 3 {
+			t.Fatalf("view stats = %+v, want 3 evictions", st)
+		}
+	})
 }
 
 func TestKeyDisambiguation(t *testing.T) {
 	// The same multiset of floats split differently across (d, s, θ)
 	// must produce different keys.
-	a := evalKey([]float64{1, 2}, []float64{3}, nil)
-	b := evalKey([]float64{1}, []float64{2, 3}, nil)
+	v := New(0)
+	a := v.key('e', []float64{1, 2}, []float64{3}, nil)
+	b := v.key('e', []float64{1}, []float64{2, 3}, nil)
 	if a == b {
 		t.Fatal("key collision across segment boundaries")
 	}
-	if evalKey(nil, []float64{0}, nil) == evalKey(nil, []float64{math.Copysign(0, -1)}, nil) {
+	if v.key('e', nil, []float64{0}, nil) == v.key('e', nil, []float64{math.Copysign(0, -1)}, nil) {
 		t.Fatal("0.0 and -0.0 must key differently (bit-exact policy)")
 	}
 }
@@ -280,104 +347,113 @@ func specProblem(full, perSpec *atomic.Int64, fail *atomic.Bool) *problem.Proble
 
 // A full entry answers a per-spec request for any spec, as a hit.
 func TestSpecAnsweredByFullEntry(t *testing.T) {
-	var full, perSpec atomic.Int64
-	c := New(0)
-	p := c.Wrap(specProblem(&full, &perSpec, nil))
-	d, s := []float64{1}, []float64{0.5, 0.25}
-	vals, err := p.Eval(d, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		v, err := p.EvalSpec(d, s, nil, i)
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var full, perSpec atomic.Int64
+		p := c.Wrap(specProblem(&full, &perSpec, nil))
+		d, s := []float64{1}, []float64{0.5, 0.25}
+		vals, err := p.Eval(d, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != vals[i] {
-			t.Errorf("spec %d: %v from the full entry, want %v", i, v, vals[i])
+		for i := range vals {
+			v, err := p.EvalSpec(d, s, nil, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != vals[i] {
+				t.Errorf("spec %d: %v from the full entry, want %v", i, v, vals[i])
+			}
 		}
-	}
-	if full.Load() != 1 || perSpec.Load() != 0 {
-		t.Errorf("simulator ran %d full / %d per-spec, want 1 / 0", full.Load(), perSpec.Load())
-	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
-	}
+		if full.Load() != 1 || perSpec.Load() != 0 {
+			t.Errorf("simulator ran %d full / %d per-spec, want 1 / 0", full.Load(), perSpec.Load())
+		}
+		if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+			t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
+		}
+	})
 }
 
 // A spec-i entry answers spec i only: not spec j, and not a full request.
 func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
-	var full, perSpec atomic.Int64
-	c := New(0)
-	p := c.Wrap(specProblem(&full, &perSpec, nil))
-	d, s := []float64{1}, []float64{0.5, 0.25}
-	for _, i := range []int{0, 0, 1} {
-		if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var full, perSpec atomic.Int64
+		p := c.Wrap(specProblem(&full, &perSpec, nil))
+		d, s := []float64{1}, []float64{0.5, 0.25}
+		for _, i := range []int{0, 0, 1} {
+			if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if perSpec.Load() != 2 {
+			t.Errorf("per-spec simulator ran %d times, want 2 (spec 0 once, spec 1 once)", perSpec.Load())
+		}
+		if _, err := p.Eval(d, s, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if perSpec.Load() != 2 {
-		t.Errorf("per-spec simulator ran %d times, want 2 (spec 0 once, spec 1 once)", perSpec.Load())
-	}
-	if _, err := p.Eval(d, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	if full.Load() != 1 {
-		t.Errorf("a per-spec entry answered a full request (full calls %d)", full.Load())
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || c.Len() != 1 {
-		t.Errorf("stats = %+v, len %d, want 1 hit / 3 misses, 1 full entry", st, c.Len())
-	}
+		if full.Load() != 1 {
+			t.Errorf("a per-spec entry answered a full request (full calls %d)", full.Load())
+		}
+		if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || c.shared.Stats().Entries != 3 {
+			t.Errorf("stats = %+v, len %d, want 1 hit / 3 misses, 3 entries (2 per-spec, 1 full)", st, c.shared.Stats().Entries)
+		}
+	})
 }
 
 // With the counter between cache and simulator, each per-spec miss is
 // one simulation and hits cost none.
 func TestSpecMissCountedOnce(t *testing.T) {
-	var full, perSpec atomic.Int64
-	var counter problem.Counter
-	c := New(0)
-	p := c.Wrap(counter.Instrument(specProblem(&full, &perSpec, nil)))
-	d := []float64{1}
-	for rep := 0; rep < 3; rep++ {
-		for _, s := range [][]float64{{0.5, 0.25}, {-1, 2}} {
-			for i := 0; i < 2; i++ {
-				if _, err := p.EvalSpec(d, s, nil, i); err != nil {
-					t.Fatal(err)
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var full, perSpec atomic.Int64
+		var counter problem.Counter
+		p := c.Wrap(counter.Instrument(specProblem(&full, &perSpec, nil)))
+		d := []float64{1}
+		for rep := 0; rep < 3; rep++ {
+			for _, s := range [][]float64{{0.5, 0.25}, {-1, 2}} {
+				for i := 0; i < 2; i++ {
+					if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
-	}
-	if counter.Evals() != 4 || perSpec.Load() != 4 {
-		t.Errorf("counted %d simulations (%d ran), want 4: two points × two specs", counter.Evals(), perSpec.Load())
-	}
-	if st := c.Stats(); st.Misses != 4 || st.Hits != 8 {
-		t.Errorf("stats = %+v, want 4 misses / 8 hits", st)
-	}
+		if counter.Evals() != 4 || perSpec.Load() != 4 {
+			t.Errorf("counted %d simulations (%d ran), want 4: two points × two specs", counter.Evals(), perSpec.Load())
+		}
+		if st := c.Stats(); st.Misses != 4 || st.Hits != 8 {
+			t.Errorf("stats = %+v, want 4 misses / 8 hits", st)
+		}
+	})
 }
 
 func TestSpecErrorsAreNotMemoized(t *testing.T) {
-	var full, perSpec atomic.Int64
-	var fail atomic.Bool
-	fail.Store(true)
-	c := New(0)
-	p := c.Wrap(specProblem(&full, &perSpec, &fail))
-	d, s := []float64{1}, []float64{0.5, 0.25}
-	if _, err := p.EvalSpec(d, s, nil, 1); err == nil {
-		t.Fatal("EvalSpec error was swallowed")
-	}
-	fail.Store(false)
-	v, err := p.EvalSpec(d, s, nil, 1)
-	if err != nil {
-		t.Fatalf("retry after error failed: %v", err)
-	}
-	if v != 0.25 || perSpec.Load() != 2 {
-		t.Errorf("retry = %v after %d per-spec calls, want 0.25 after 2", v, perSpec.Load())
-	}
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var full, perSpec atomic.Int64
+		var fail atomic.Bool
+		fail.Store(true)
+		p := c.Wrap(specProblem(&full, &perSpec, &fail))
+		d, s := []float64{1}, []float64{0.5, 0.25}
+		if _, err := p.EvalSpec(d, s, nil, 1); err == nil {
+			t.Fatal("EvalSpec error was swallowed")
+		}
+		if c.shared.Stats().Entries != 0 {
+			t.Fatal("error entry left in cache")
+		}
+		fail.Store(false)
+		v, err := p.EvalSpec(d, s, nil, 1)
+		if err != nil {
+			t.Fatalf("retry after error failed: %v", err)
+		}
+		if v != 0.25 || perSpec.Load() != 2 {
+			t.Errorf("retry = %v after %d per-spec calls, want 0.25 after 2", v, perSpec.Load())
+		}
+	})
 }
 
 func TestNoEvalSpecStaysNil(t *testing.T) {
-	var calls atomic.Int64
-	if q := New(0).Wrap(countingProblem(&calls)); q.EvalSpec != nil {
-		t.Fatal("Wrap invented an EvalSpec function")
-	}
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		if q := c.Wrap(countingProblem(&calls)); q.EvalSpec != nil {
+			t.Fatal("Wrap invented an EvalSpec function")
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package evalcache
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -80,48 +79,6 @@ func TestSharedProblemIsolation(t *testing.T) {
 	}
 }
 
-func TestSharedLRUEviction(t *testing.T) {
-	var calls atomic.Int64
-	s := NewShared(2)
-	p := s.View("prob").Wrap(countingProblem(&calls))
-
-	eval := func(x float64) {
-		t.Helper()
-		if _, err := p.Eval([]float64{x}, []float64{0, 0}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eval(0)
-	eval(1)
-	eval(2) // evicts 0 — unlike the per-run cache, new points keep storing
-	if s.Len() != 2 {
-		t.Fatalf("cache holds %d entries, cap 2", s.Len())
-	}
-	if st := s.Stats(); st.Evictions != 1 || st.Overflow != 0 {
-		t.Fatalf("stats = %+v, want 1 eviction / 0 overflow", st)
-	}
-
-	// The newest point is resident (a hit); the evicted oldest re-simulates.
-	before := calls.Load()
-	eval(2)
-	if calls.Load() != before {
-		t.Fatal("newest entry was not resident after eviction")
-	}
-	eval(0)
-	if calls.Load() != before+1 {
-		t.Fatal("evicted entry answered from cache")
-	}
-
-	// Touching an entry protects it: hit 2, insert 3 → 0 (LRU) evicted, 2 stays.
-	eval(2)
-	eval(3)
-	before = calls.Load()
-	eval(2)
-	if calls.Load() != before {
-		t.Fatal("recently used entry was evicted instead of the LRU one")
-	}
-}
-
 func TestSharedInflightNotEvicted(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -135,7 +92,8 @@ func TestSharedInflightNotEvicted(t *testing.T) {
 			return []float64{d[0]}, nil
 		},
 	})
-	fast := s.View("p").Wrap(&problem.Problem{
+	fastView := s.View("p")
+	fast := fastView.Wrap(&problem.Problem{
 		Eval: func(d, s, theta []float64) ([]float64, error) {
 			calls.Add(1)
 			return []float64{d[0]}, nil
@@ -158,6 +116,9 @@ func TestSharedInflightNotEvicted(t *testing.T) {
 	}
 	if st := s.Stats(); st.Overflow == 0 {
 		t.Fatalf("expected overflow while sole entry in-flight, stats %+v", st)
+	}
+	if st := fastView.Stats(); st.Overflow != 1 || st.Evictions != 0 {
+		t.Fatalf("inserting view stats = %+v, want 1 overflow / 0 evictions", st)
 	}
 	close(release)
 	wg.Wait()
@@ -197,75 +158,6 @@ func TestSharedSingleflightAcrossViews(t *testing.T) {
 	wg.Wait()
 	if calls.Load() != 1 {
 		t.Fatalf("simulator ran %d times for one shared point, want 1", calls.Load())
-	}
-}
-
-func TestSharedErrorsNotMemoized(t *testing.T) {
-	boom := errors.New("boom")
-	fail := true
-	var calls atomic.Int64
-	s := NewShared(0)
-	p := s.View("p").Wrap(&problem.Problem{
-		Eval: func(d, sv, theta []float64) ([]float64, error) {
-			calls.Add(1)
-			if fail {
-				return nil, boom
-			}
-			return []float64{1}, nil
-		},
-	})
-	if _, err := p.Eval([]float64{1}, nil, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if s.Len() != 0 {
-		t.Fatal("error entry left in cache")
-	}
-	fail = false
-	if _, err := p.Eval([]float64{1}, nil, nil); err != nil {
-		t.Fatalf("retry after error: %v", err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("error was memoized (calls=%d)", calls.Load())
-	}
-	// The retry's un-publish must not have counted as an LRU eviction.
-	if st := s.Stats(); st.Evictions != 0 {
-		t.Fatalf("error un-publish counted as eviction: %+v", st)
-	}
-}
-
-func TestSharedPanicSettlesEntry(t *testing.T) {
-	s := NewShared(0)
-	checkPanicSettles(t, s.View("p").Wrap, func() int64 { return s.Stats().Deduped })
-}
-
-func TestSharedDropProblem(t *testing.T) {
-	var calls atomic.Int64
-	s := NewShared(0)
-	pA := s.View("keep").Wrap(countingProblem(&calls))
-	pB := s.View("drop").Wrap(countingProblem(&calls))
-	for i := 0; i < 3; i++ {
-		if _, err := pA.Eval([]float64{float64(i)}, []float64{0, 0}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pB.Eval([]float64{float64(i)}, []float64{0, 0}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.DropProblem("drop"); n != 3 {
-		t.Fatalf("DropProblem dropped %d, want 3", n)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d after drop, want 3 surviving", s.Len())
-	}
-	if pp := s.PerProblem(); pp["keep"] != 3 || pp["drop"] != 0 {
-		t.Fatalf("per-problem after drop = %v", pp)
-	}
-	before := calls.Load()
-	if _, err := pA.Eval([]float64{1}, []float64{0, 0}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != before {
-		t.Fatal("surviving problem's entries were dropped too")
 	}
 }
 
@@ -324,8 +216,8 @@ func TestSharedManyProblemsBounded(t *testing.T) {
 			}
 		}
 	}
-	if s.Len() > 16 {
-		t.Fatalf("cache exceeded its cap: %d > 16", s.Len())
+	if s.Stats().Entries > 16 {
+		t.Fatalf("cache exceeded its cap: %d > 16", s.Stats().Entries)
 	}
 	if st := s.Stats(); st.Evictions != 64-16 {
 		t.Fatalf("evictions = %d, want %d", st.Evictions, 64-16)
@@ -374,27 +266,5 @@ func TestSharedCrossViewSpecHit(t *testing.T) {
 	}
 	if ss := s.Stats(); ss.Entries != 3 || ss.Misses != 3 || ss.CrossHits != 2 {
 		t.Fatalf("shared stats = %+v, want 3 entries / 3 misses / 2 crossHits", ss)
-	}
-}
-
-func TestSharedSpecErrorsNotMemoized(t *testing.T) {
-	var full, perSpec atomic.Int64
-	var fail atomic.Bool
-	fail.Store(true)
-	s := NewShared(0)
-	p := s.View("p").Wrap(specProblem(&full, &perSpec, &fail))
-	d, st := []float64{1}, []float64{0.5, 0.25}
-	if _, err := p.EvalSpec(d, st, nil, 0); err == nil {
-		t.Fatal("EvalSpec error was swallowed")
-	}
-	if s.Len() != 0 {
-		t.Fatal("error entry left in cache")
-	}
-	fail.Store(false)
-	if v, err := p.EvalSpec(d, st, nil, 0); err != nil || v != 2 {
-		t.Fatalf("retry = %v, %v; want 2", v, err)
-	}
-	if perSpec.Load() != 2 {
-		t.Fatalf("error was memoized (per-spec calls %d)", perSpec.Load())
 	}
 }

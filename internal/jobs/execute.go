@@ -30,10 +30,10 @@ type ExecEnv struct {
 	// execution memoizes through — a problem-scoped handle on the
 	// manager's (or remote worker's) process-wide shard, so sweep
 	// members reuse each other's simulations. nil keeps the default
-	// per-run cache. Behaviour-preserving like every other ExecEnv knob:
+	// private cache. Behaviour-preserving like every other ExecEnv knob:
 	// the cache keys on exact (d, s, θ) bit patterns, so results are
 	// bit-identical with or without sharing.
-	EvalCache evalcache.Wrapper
+	EvalCache *evalcache.View
 }
 
 // RecoverRun turns a panic in the deferring job run into *err, so a

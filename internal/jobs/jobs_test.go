@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -381,6 +383,44 @@ func TestSubmitValidation(t *testing.T) {
 	for i, req := range cases {
 		if _, err := m.Submit(req); err == nil {
 			t.Errorf("case %d: invalid request accepted", i)
+		}
+	}
+}
+
+// An inline spec has no directory of its own: a netlistFile in one must
+// be refused before any file is opened, whether it climbs out of the
+// working directory or is absolute. The csamp paths name a real, valid
+// netlist, so a resolver that read the file would return a problem.
+func TestResolveProblemRefusesNetlistFile(t *testing.T) {
+	example, err := os.ReadFile("../../examples/netlistproblem/csamp.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec map[string]any
+	if err := json.Unmarshal(example, &spec); err != nil {
+		t.Fatal(err)
+	}
+	abs, err := filepath.Abs("../../examples/netlistproblem/csamp.cir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		"../../../../etc/passwd",
+		"/etc/passwd",
+		"../../examples/netlistproblem/csamp.cir",
+		abs,
+	} {
+		spec["netlistFile"] = path
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ResolveProblem(&Request{Spec: raw})
+		if err == nil || p != nil {
+			t.Fatalf("netlistFile %q: resolved %v, want an error", path, p)
+		}
+		if !strings.Contains(err.Error(), "inline specs must carry the netlist inline") {
+			t.Errorf("netlistFile %q: err = %v, want the inline-netlist refusal", path, err)
 		}
 	}
 }

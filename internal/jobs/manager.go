@@ -170,12 +170,13 @@ func (c *Config) defaults() {
 // ResolveProblem is the default problem resolver: a registered circuit
 // name (see circuits.Register) or an inline yieldspec document. Inline
 // specs must carry their netlist inline too — a service request has no
-// base directory to resolve file references against.
+// base directory to resolve file references against, so the spec is
+// parsed with none and a netlistFile is refused.
 func ResolveProblem(req *Request) (*problem.Problem, error) {
 	if req.Circuit != "" {
 		return circuits.Build(req.Circuit)
 	}
-	return yieldspec.Parse(bytes.NewReader(req.Spec), ".")
+	return yieldspec.Parse(bytes.NewReader(req.Spec), "")
 }
 
 // Manager owns the job store, the bounded queue, the worker pools (the

@@ -80,6 +80,7 @@ type Metrics struct {
 	evalCacheHits     atomic.Int64
 	evalCacheMisses   atomic.Int64
 	evalCacheDeduped  atomic.Int64
+	evalCacheEvicted  atomic.Int64
 	evalCacheOverflow atomic.Int64
 	warmStarts        atomic.Int64
 	warmConverged     atomic.Int64
@@ -112,6 +113,7 @@ func (m *Metrics) noteRun(res *core.Result) {
 	m.evalCacheHits.Add(res.EvalCache.Hits + res.EvalCache.ConstraintHits)
 	m.evalCacheMisses.Add(res.EvalCache.Misses + res.EvalCache.ConstraintMisses)
 	m.evalCacheDeduped.Add(res.EvalCache.Deduped)
+	m.evalCacheEvicted.Add(res.EvalCache.Evictions)
 	m.evalCacheOverflow.Add(res.EvalCache.Overflow)
 	m.warmStarts.Add(res.Sim.WarmStarts)
 	m.warmConverged.Add(res.Sim.WarmConverged)
@@ -400,7 +402,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "specwised_evalcache_misses_total %d\n", m.evalCacheMisses.Load())
 		fmt.Fprintf(w, "specwised_evalcache_deduped_total %d\n", m.evalCacheDeduped.Load())
 		fmt.Fprintf(w, "specwised_evalcache_overflow_total %d\n", m.evalCacheOverflow.Load())
-		fmt.Fprintf(w, "specwised_evalcache_evictions_total 0\n")
+		fmt.Fprintf(w, "specwised_evalcache_evictions_total %d\n", m.evalCacheEvicted.Load())
 	}
 	ss := sched.Default().Stats()
 	fmt.Fprintf(w, "specwised_sched_capacity %d\n", ss.Capacity)

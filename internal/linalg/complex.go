@@ -43,40 +43,8 @@ func (m *CMatrix) Zero() {
 	}
 }
 
-// CSolver is reusable workspace for solving complex dense systems of a
-// fixed order. The AC sweep solves one (G + jωC)·x = b system per
-// frequency point; reusing the elimination scratch and solution storage
-// across points removes the dominant allocation on that path. The
-// elimination is the same code CSolve runs, so a reused workspace yields
-// bit-identical solutions.
-type CSolver struct {
-	lu *CMatrix
-	x  []complex128
-}
-
-// NewCSolver returns workspace for order-n systems.
-func NewCSolver(n int) *CSolver {
-	return &CSolver{lu: NewCMatrix(n, n), x: make([]complex128, n)}
-}
-
-// SolveInto solves a x = b and returns x aliasing the workspace: the
-// slice is valid until the next SolveInto call. a and b are not modified.
-func (cs *CSolver) SolveInto(a *CMatrix, b []complex128) ([]complex128, error) {
-	n := cs.lu.Rows
-	if a.Rows != n || a.Cols != n {
-		return nil, errors.New("linalg: CSolver dimension mismatch")
-	}
-	if len(b) != n {
-		return nil, errors.New("linalg: CSolver dimension mismatch")
-	}
-	copy(cs.lu.Data, a.Data)
-	copy(cs.x, b)
-	return csolve(cs.lu, cs.x)
-}
-
 // CSolve solves a x = b in place of a copy of a using partially pivoted
-// Gaussian elimination and returns x. a and b are not modified. For
-// repeated solves of same-order systems, use a CSolver.
+// Gaussian elimination and returns x. a and b are not modified.
 func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: CSolve requires a square matrix")

@@ -6,92 +6,8 @@ import (
 	"testing"
 )
 
-// Edge-case coverage for the QR and Cholesky decompositions: degenerate
-// shapes, rank deficiency and non-SPD inputs.
-
-func TestQRRankDeficient(t *testing.T) {
-	// Column 1 lies in the span of column 0, with entries chosen so the
-	// reflected column is exactly zero below the diagonal (no rounding
-	// residue masking the rank deficiency).
-	a := FromRows([][]float64{
-		{1, 1},
-		{0, 0},
-		{0, 0},
-	})
-	if _, err := NewQR(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("rank-deficient QR: err = %v, want ErrSingular", err)
-	}
-	// A literal zero column fails on the very first reflector.
-	z := FromRows([][]float64{
-		{0, 1},
-		{0, 2},
-		{0, 3},
-	})
-	if _, err := NewQR(z); !errors.Is(err, ErrSingular) {
-		t.Fatalf("zero-column QR: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestQRWideRejected(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if _, err := NewQR(a); err == nil {
-		t.Fatal("QR of a wide (m < n) matrix should error")
-	}
-}
-
-func TestQRTinyShapes(t *testing.T) {
-	// 1×1: exact solve.
-	a := FromRows([][]float64{{3}})
-	x, err := LeastSquares(a, Vector{6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-15 {
-		t.Fatalf("1x1 least squares: x = %v, want [2]", x)
-	}
-	// 0-column: empty solution, no factorization failure.
-	e := NewMatrix(2, 0)
-	xe, err := LeastSquares(e, Vector{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xe) != 0 {
-		t.Fatalf("0-column least squares: x = %v, want empty", xe)
-	}
-	// Square full-rank: least squares must reproduce the exact solution.
-	s := FromRows([][]float64{{2, 1}, {1, 3}})
-	xs, err := LeastSquares(s, Vector{5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(xs[0]-1) > 1e-12 || math.Abs(xs[1]-3) > 1e-12 {
-		t.Fatalf("square least squares: x = %v, want [1 3]", xs)
-	}
-}
-
-func TestQRNegativeLeadingDiagonal(t *testing.T) {
-	// First pivot negative exercises the sign-flip branch of the
-	// Householder norm.
-	a := FromRows([][]float64{
-		{-2, 1},
-		{1, 1},
-		{0, 1},
-	})
-	b := Vector{1, 2, 3}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify the normal equations AᵀA x = Aᵀ b hold.
-	at := a.T()
-	lhs := at.Mul(a).MulVec(x)
-	rhs := at.MulVec(b)
-	for i := range lhs {
-		if math.Abs(lhs[i]-rhs[i]) > 1e-12 {
-			t.Fatalf("normal equations violated: %v vs %v", lhs, rhs)
-		}
-	}
-}
+// Edge-case coverage for the Cholesky decomposition: degenerate shapes
+// and non-SPD inputs.
 
 func TestCholeskyEdgeCases(t *testing.T) {
 	// 0×0 succeeds trivially.

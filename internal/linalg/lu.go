@@ -39,9 +39,8 @@ func (e *PivotError) Unwrap() error { return e.Err }
 // different matrices of the same order — which is how the circuit
 // simulator amortizes Newton iterations without reallocating.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int // +1 or -1, parity of the permutation
+	lu  *Matrix
+	piv []int
 }
 
 // NewLUWorkspace returns an LU with storage for order-n systems but no
@@ -73,7 +72,6 @@ func (f *LU) Factor(a *Matrix) error {
 		return errors.New("linalg: LU.Factor dimension mismatch")
 	}
 	copy(f.lu.Data, a.Data)
-	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -95,7 +93,6 @@ func (f *LU) Factor(a *Matrix) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -150,15 +147,6 @@ func (f *LU) SolveInto(x, b Vector) {
 	}
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve factors a and solves a single system a x = b. For repeated solves
 // against the same matrix, use NewLU once and call LU.Solve.
 func Solve(a *Matrix, b Vector) (Vector, error) {
@@ -167,24 +155,4 @@ func Solve(a *Matrix, b Vector) (Vector, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns the inverse of a, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := NewVector(n)
-	for j := 0; j < n; j++ {
-		e.Zero()
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -119,31 +118,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// Symmetrize replaces m with (m + mᵀ)/2. It panics if m is not square.
-func (m *Matrix) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("linalg: Symmetrize requires a square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			v := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders the matrix for debugging.

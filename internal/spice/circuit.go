@@ -107,7 +107,7 @@ func (c *Circuit) dcScratch(n int) *solverScratch {
 	s := &c.scratch
 	if s.n != n || s.solver == nil {
 		s.n = n
-		if c.solverKind() == SolverDense {
+		if c.Opts.Solver == SolverDense {
 			s.solver = linalg.NewDenseSolver(n)
 		} else {
 			sp := linalg.NewSparseSolver(n)
@@ -128,7 +128,7 @@ func (c *Circuit) acScratch(n int) *solverScratch {
 	s := &c.scratch
 	if s.acN != n || s.acSolver == nil {
 		s.acN = n
-		if c.solverKind() == SolverDense {
+		if c.Opts.Solver == SolverDense {
 			s.acSolver = linalg.NewDenseComplexSolver(n)
 		} else {
 			sp := linalg.NewSparseComplexSolver(n)

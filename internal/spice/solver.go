@@ -12,41 +12,32 @@ import (
 type SolverKind int
 
 const (
-	// SolverAuto defers to the package-level DefaultSolver.
-	SolverAuto SolverKind = iota
-	// SolverSparse uses the compressed-column LU with a symbolic/numeric
-	// factorization split — the production default: MNA systems here are
-	// ~80% structural zeros and every Newton iteration re-solves the same
-	// pattern.
-	SolverSparse
+	// SolverSparse (the zero value) uses the compressed-column LU with a
+	// symbolic/numeric factorization split — the production backend: MNA
+	// systems here are ~80% structural zeros and every Newton iteration
+	// re-solves the same pattern.
+	SolverSparse SolverKind = iota
 	// SolverDense uses the dense LU reference backend, bit-identical to
-	// the pre-interface dense path.
+	// the pre-interface dense path; the solver agreement tests compare
+	// the sparse backend against it.
 	SolverDense
 )
 
 // String returns the backend name used in reports and metrics.
 func (k SolverKind) String() string {
-	switch k {
-	case SolverSparse:
-		return "sparse"
-	case SolverDense:
+	if k == SolverDense {
 		return "dense"
-	default:
-		return "auto"
 	}
+	return "sparse"
 }
-
-// DefaultSolver is the backend used by circuits whose Options leave the
-// solver on SolverAuto.
-var DefaultSolver = SolverSparse
 
 // Options carries per-circuit analysis configuration. Parallelism is not
 // part of it: analyses run on the calling goroutine, and callers fan
 // whole evaluations out over the process-wide scheduler
 // (internal/sched).
 type Options struct {
-	// Solver selects the linear-solver backend; SolverAuto (the zero
-	// value) follows DefaultSolver.
+	// Solver selects the linear-solver backend; the zero value is
+	// SolverSparse.
 	Solver SolverKind
 	// SymCache, when non-nil, shares symbolic LU factorizations across
 	// circuits with identical matrix structure (sparse backend only).
@@ -56,18 +47,6 @@ type Options struct {
 	// analysis and again after every ResetSolvers. Set it before the
 	// first analysis.
 	SymCache *linalg.SymbolicCache
-}
-
-// solverKind resolves the effective backend for this circuit.
-func (c *Circuit) solverKind() SolverKind {
-	k := c.Opts.Solver
-	if k == SolverAuto {
-		k = DefaultSolver
-	}
-	if k == SolverAuto {
-		k = SolverSparse
-	}
-	return k
 }
 
 // SolverStats accumulates linear-solver effort across analyses. One
@@ -94,21 +73,19 @@ type SolverStats struct {
 	DCNanos   atomic.Int64
 	ACNanos   atomic.Int64
 	TranNanos atomic.Int64
-	// kind records the backend of the last flushing circuit.
+	// kind records the backend of the last flushing circuit plus one,
+	// so that zero means no analysis has run yet.
 	kind atomic.Int64
 }
 
 // Kind returns the backend name of the most recent analysis ("sparse",
 // "dense", or "" before any analysis ran).
 func (s *SolverStats) Kind() string {
-	switch SolverKind(s.kind.Load()) {
-	case SolverSparse:
-		return "sparse"
-	case SolverDense:
-		return "dense"
-	default:
+	k := s.kind.Load()
+	if k == 0 {
 		return ""
 	}
+	return SolverKind(k - 1).String()
 }
 
 // flushSolverStats folds the delta between a backend's cumulative
@@ -127,7 +104,7 @@ func (c *Circuit) flushSolverStats(cur linalg.SolverStats, prev *linalg.SolverSt
 	st.Symbolic.Add(cur.Symbolic - prev.Symbolic)
 	st.MatrixNNZ.Store(int64(cur.NNZ))
 	st.FactorNNZ.Store(int64(cur.FillNNZ))
-	st.kind.Store(int64(c.solverKind()))
+	st.kind.Store(int64(c.Opts.Solver) + 1)
 	*prev = cur
 }
 

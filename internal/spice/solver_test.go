@@ -205,8 +205,8 @@ func TestSingularDiagnosticsNameVariable(t *testing.T) {
 	}
 }
 
-// TestSolverKindSelection checks backend resolution: per-circuit Options
-// beat the package default.
+// TestSolverKindSelection checks backend resolution: an explicit dense
+// circuit runs dense, and the zero value runs sparse.
 func TestSolverKindSelection(t *testing.T) {
 	stats := &SolverStats{}
 	c := buildTestAmp(SolverDense)
@@ -218,13 +218,17 @@ func TestSolverKindSelection(t *testing.T) {
 		t.Fatalf("explicit dense circuit reported kind %q", got)
 	}
 	stats2 := &SolverStats{}
-	c2 := buildTestAmp(SolverAuto)
+	if got := stats2.Kind(); got != "" {
+		t.Fatalf("stats before any analysis reported kind %q, want none", got)
+	}
+	var zero SolverKind
+	c2 := buildTestAmp(zero)
 	c2.SolverStats = stats2
 	if _, err := c2.DC(DCOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats2.Kind(); got != DefaultSolver.String() {
-		t.Fatalf("auto circuit reported kind %q, want %q", got, DefaultSolver)
+	if got := stats2.Kind(); got != "sparse" {
+		t.Fatalf("zero-value solver circuit reported kind %q, want sparse", got)
 	}
 	if stats2.Factorizations.Load() == 0 || stats2.Solves.Load() == 0 {
 		t.Fatalf("solver stats did not flush: %d/%d",

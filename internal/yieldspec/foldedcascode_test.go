@@ -120,7 +120,7 @@ func jsonString(s string) string {
 // flagship circuit: the netlist-defined folded-cascode must reproduce the
 // native implementation's nominal performances closely.
 func TestFoldedCascodeNetlistPort(t *testing.T) {
-	p, err := FromReader(strings.NewReader(fcSpec()), ".")
+	p, err := Parse(strings.NewReader(fcSpec()), ".")
 	if err != nil {
 		t.Fatal(err)
 	}

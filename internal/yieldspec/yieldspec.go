@@ -168,23 +168,22 @@ func Load(path string) (*problem.Problem, error) {
 	return Parse(f, filepath.Dir(path))
 }
 
-// FromReader builds the problem from JSON on a reader.
-//
-// Deprecated: use Parse, which it aliases.
-func FromReader(r io.Reader, baseDir string) (*problem.Problem, error) {
-	return Parse(r, baseDir)
-}
-
 // Parse decodes a JSON configuration from r and builds the problem. It
 // is the core entry point: Load (files) and the job service (request
 // bodies) both funnel through it. A netlistFile reference resolves
 // against baseDir; an inline netlist needs no filesystem access at all.
+// An empty baseDir marks an inline spec (one from a request body, say):
+// it has no directory of its own, so a netlistFile is rejected rather
+// than read from wherever the process happens to run.
 func Parse(r io.Reader, baseDir string) (*problem.Problem, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var cfg Config
 	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("yieldspec: %w", err)
+	}
+	if baseDir == "" && cfg.NetlistFile != "" {
+		return nil, fmt.Errorf("yieldspec: netlistFile %q in an inline spec: inline specs must carry the netlist inline", cfg.NetlistFile)
 	}
 	if cfg.Netlist == "" {
 		if cfg.NetlistFile == "" {

@@ -51,7 +51,7 @@ const csAmpConfig = `{
 }`
 
 func TestBuildFromConfig(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBuildFromConfig(t *testing.T) {
 }
 
 func TestDesignTargetsApply(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDesignTargetsApply(t *testing.T) {
 }
 
 func TestStatisticalDeltasApply(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStatisticalDeltasApply(t *testing.T) {
 }
 
 func TestThetaApplies(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestThetaApplies(t *testing.T) {
 }
 
 func TestEndToEndOptimizeFromSpec(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestValidationErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := FromReader(strings.NewReader(c.mutate(csAmpConfig)), ".")
+			_, err := Parse(strings.NewReader(c.mutate(csAmpConfig)), ".")
 			if err == nil {
 				t.Fatal("expected error")
 			}
@@ -207,13 +207,13 @@ func TestValidationErrors(t *testing.T) {
 
 func TestUnknownJSONFieldRejected(t *testing.T) {
 	bad := strings.Replace(csAmpConfig, `"name": "cs-amp"`, `"name": "cs-amp", "typo": 1`, 1)
-	if _, err := FromReader(strings.NewReader(bad), "."); err == nil {
+	if _, err := Parse(strings.NewReader(bad), "."); err == nil {
 		t.Error("unknown JSON field accepted")
 	}
 }
 
 func TestConstraintsDeterministicOrder(t *testing.T) {
-	p, err := FromReader(strings.NewReader(csAmpConfig), ".")
+	p, err := Parse(strings.NewReader(csAmpConfig), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestMeasurePrerequisitesValidated(t *testing.T) {
 	cfg := strings.Replace(csAmpConfig,
 		`{"name": "A0", "measure": "a0_db", "kind": "ge", "bound": 17, "unit": "dB"}`,
 		`{"name": "SR", "measure": "sr_vus", "kind": "ge", "bound": 1, "unit": "V/us"}`, 1)
-	if _, err := FromReader(strings.NewReader(cfg), "."); err == nil ||
+	if _, err := Parse(strings.NewReader(cfg), "."); err == nil ||
 		!strings.Contains(err.Error(), "tail") {
 		t.Errorf("sr_vus without tail: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestMeasurePrerequisitesValidated(t *testing.T) {
 	cfg2 := strings.Replace(csAmpConfig,
 		`{"name": "A0", "measure": "a0_db", "kind": "ge", "bound": 17, "unit": "dB"}`,
 		`{"name": "CMRR", "measure": "cmrr_db", "kind": "ge", "bound": 60, "unit": "dB"}`, 1)
-	if _, err := FromReader(strings.NewReader(cfg2), "."); err == nil ||
+	if _, err := Parse(strings.NewReader(cfg2), "."); err == nil ||
 		!strings.Contains(err.Error(), "feedback") {
 		t.Errorf("cmrr_db without feedback: %v", err)
 	}
