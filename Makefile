@@ -89,12 +89,13 @@ test:
 # evaluations and constraint solves concurrently over one problem's
 # shared symbolic cache, effort counters and pooled testbenches, which
 # move between the parallel gradient workers as they do under the
-# worst-case searches.
+# worst-case searches. The mismatch analysis joins because it runs the
+# per-spec worst-case searches concurrently through wcd.SearchAll.
 race:
 	$(GO) test -race ./internal/jobs/... ./internal/server/... ./internal/worker/... \
 		./internal/store/... ./internal/core/... ./internal/spice/... ./internal/wcd/... \
 		./internal/evalcache/... ./internal/coord/... ./internal/feasopt/... \
-		./internal/search/... ./internal/sched/...
+		./internal/search/... ./internal/sched/... ./internal/mismatch/...
 	$(GO) test -race -run 'TestEvalSpec|TestPooledBench' ./internal/circuits/
 
 # End-to-end smoke of the remote pull-worker binary path: one

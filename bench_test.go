@@ -11,6 +11,7 @@
 package specwise
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -312,32 +313,28 @@ func BenchmarkSweepOTA16(b *testing.B) {
 	b.Run("shared", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationMirrorSpecs compares model construction with and
-// without the Eq. 21–22 mirror models on the quadratic CMRR spec.
-func BenchmarkAblationMirrorSpecs(b *testing.B) {
+// initialWorstCases runs the worst-case analysis the ablation benchmarks
+// start from: the folded cascode's initial design, its worst-case
+// corners, and every spec's Eq.-8 search with restart seed 3.
+func initialWorstCases(b *testing.B) (*problem.Problem, []float64, *wcd.ThetaResult, []*wcd.WorstCase) {
+	b.Helper()
 	p := circuits.FoldedCascodeProblem()
 	d := p.InitialDesign()
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	wcs := make([]*wcd.WorstCase, p.NumSpecs())
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		fn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(vals[i]), nil
-		}
-		wcs[i], err = wcd.FindWorstCase(fn, p.NumStat(), wcd.Options{Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
+	wcs, err := wcd.SearchAll(context.Background(), p, d, thetaRes.PerSpec, wcd.Options{}, func(int) uint64 { return 3 })
+	if err != nil {
+		b.Fatal(err)
 	}
+	return p, d, thetaRes, wcs
+}
+
+// BenchmarkAblationMirrorSpecs compares model construction with and
+// without the Eq. 21–22 mirror models on the quadratic CMRR spec.
+func BenchmarkAblationMirrorSpecs(b *testing.B) {
+	p, d, thetaRes, wcs := initialWorstCases(b)
 	for _, mirror := range []bool{true, false} {
 		name := "with-mirror"
 		if !mirror {
@@ -531,29 +528,7 @@ func syntheticModels(nSpec, nStat, nDesign int) []*linmodel.SpecModel {
 // near-zero plateau (Fig. 5): the gradient stalls, the coordinate search
 // escapes.
 func BenchmarkAblationCoordinateVsGradient(b *testing.B) {
-	p := circuits.FoldedCascodeProblem()
-	d := p.InitialDesign()
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wcs := make([]*wcd.WorstCase, p.NumSpecs())
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		fn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(vals[i]), nil
-		}
-		wcs[i], err = wcd.FindWorstCase(fn, p.NumStat(), wcd.Options{Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	p, d, thetaRes, wcs := initialWorstCases(b)
 	models, err := linmodel.Build(p, d, wcs, thetaRes.PerSpec, linmodel.BuildOptions{MirrorSpecs: true})
 	if err != nil {
 		b.Fatal(err)
@@ -655,29 +630,7 @@ func BenchmarkAblationQuadraticModel(b *testing.B) {
 // design centering (maximize min β, the paper's ref. [10]) on the
 // folded-cascode's initial linear models.
 func BenchmarkAblationYieldVsBetaCentering(b *testing.B) {
-	p := circuits.FoldedCascodeProblem()
-	d := p.InitialDesign()
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wcs := make([]*wcd.WorstCase, p.NumSpecs())
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		fn := func(s []float64) (float64, error) {
-			vals, err := p.Eval(d, s, theta)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(vals[i]), nil
-		}
-		wcs[i], err = wcd.FindWorstCase(fn, p.NumStat(), wcd.Options{Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	p, d, thetaRes, wcs := initialWorstCases(b)
 	models, err := linmodel.Build(p, d, wcs, thetaRes.PerSpec, linmodel.BuildOptions{MirrorSpecs: true})
 	if err != nil {
 		b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"specwise/internal/evalcache"
 	"specwise/internal/sched"
 )
 
@@ -19,8 +20,9 @@ var determinismOpts = Options{
 }
 
 // runConfig optimizes p under opts and returns the per-iteration yields
-// and final design for bitwise comparison.
-func runConfig(t *testing.T, p *Problem, opts Options) ([]float64, []float64, []float64) {
+// and final design for bitwise comparison, and the evaluation-cache
+// counters.
+func runConfig(t *testing.T, p *Problem, opts Options) ([]float64, []float64, []float64, evalcache.Stats) {
 	t.Helper()
 	res, err := Optimize(p, opts)
 	if err != nil {
@@ -31,7 +33,7 @@ func runConfig(t *testing.T, p *Problem, opts Options) ([]float64, []float64, []
 		my = append(my, it.ModelYield)
 		mc = append(mc, it.MCYield)
 	}
-	return my, mc, res.FinalDesign
+	return my, mc, res.FinalDesign, res.EvalCache
 }
 
 // sameBits compares float slices for exact bit equality (NaN == NaN).
@@ -47,10 +49,13 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-func checkIdentical(t *testing.T, label string, p *Problem, base, alt Options) {
+// checkIdentical runs p under base and alt and checks that the two
+// trajectories are bit-identical; it returns the base run's cache
+// counters.
+func checkIdentical(t *testing.T, label string, p *Problem, base, alt Options) evalcache.Stats {
 	t.Helper()
-	my0, mc0, d0 := runConfig(t, p, base)
-	my1, mc1, d1 := runConfig(t, p, alt)
+	my0, mc0, d0, stats := runConfig(t, p, base)
+	my1, mc1, d1, _ := runConfig(t, p, alt)
 	if !sameBits(my0, my1) {
 		t.Errorf("%s: model yields differ: %v vs %v", label, my0, my1)
 	}
@@ -59,6 +64,22 @@ func checkIdentical(t *testing.T, label string, p *Problem, base, alt Options) {
 	}
 	if !sameBits(d0, d1) {
 		t.Errorf("%s: final designs differ: %v vs %v", label, d0, d1)
+	}
+	return stats
+}
+
+// checkCacheCounts runs p under the cache-on determinismOpts once more
+// and compares its cache counters with a previous run's. Misses,
+// ConstraintMisses and Hits+Deduped must agree; the split of that sum
+// between Hits and Deduped is not compared, because which of two
+// concurrent lookups of one point simulates and which joins it depends
+// on goroutine timing.
+func checkCacheCounts(t *testing.T, label string, p *Problem, first evalcache.Stats) {
+	t.Helper()
+	_, _, _, second := runConfig(t, p, determinismOpts)
+	if first.Misses != second.Misses || first.ConstraintMisses != second.ConstraintMisses ||
+		first.Hits+first.Deduped != second.Hits+second.Deduped {
+		t.Errorf("%s: cache counters differ between identical runs:\n%+v\n%+v", label, first, second)
 	}
 }
 
@@ -70,7 +91,8 @@ func checkIdentical(t *testing.T, label string, p *Problem, base, alt Options) {
 func TestEvalCacheDeterminismOTA(t *testing.T) {
 	off := determinismOpts
 	off.NoEvalCache = true
-	checkIdentical(t, "ota cache on/off", OTA(), determinismOpts, off)
+	on := checkIdentical(t, "ota cache on/off", OTA(), determinismOpts, off)
+	checkCacheCounts(t, "ota", OTA(), on)
 }
 
 func TestEvalCacheDeterminismMiller(t *testing.T) {
@@ -79,7 +101,8 @@ func TestEvalCacheDeterminismMiller(t *testing.T) {
 	}
 	off := determinismOpts
 	off.NoEvalCache = true
-	checkIdentical(t, "miller cache on/off", Miller(), determinismOpts, off)
+	on := checkIdentical(t, "miller cache on/off", Miller(), determinismOpts, off)
+	checkCacheCounts(t, "miller", Miller(), on)
 }
 
 // TestSchedulerDeterminism checks that the process-wide scheduler's
@@ -90,9 +113,9 @@ func TestEvalCacheDeterminismMiller(t *testing.T) {
 // sample and block writes its result by index.
 func TestSchedulerDeterminism(t *testing.T) {
 	release := sched.Default().HoldAll()
-	my0, mc0, d0 := runConfig(t, OTA(), determinismOpts)
+	my0, mc0, d0, _ := runConfig(t, OTA(), determinismOpts)
 	release()
-	my1, mc1, d1 := runConfig(t, OTA(), determinismOpts)
+	my1, mc1, d1, _ := runConfig(t, OTA(), determinismOpts)
 	if !sameBits(my0, my1) {
 		t.Errorf("model yields differ: %v (slots held) vs %v (slots free)", my0, my1)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"specwise/internal/coord"
 	"specwise/internal/evalcache"
@@ -176,64 +175,19 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		return nil, nil, nil, err
 	}
 
-	// Worst-case statistical points (Eq. 8) per spec. The searches are
-	// independent, so they run concurrently (the paper used a machine
-	// cluster for the same reason); seeds are per-spec, so the result is
-	// identical to the serial run. A panicking search is re-raised here,
-	// on the caller's goroutine, once every search has returned, so the
-	// caller's recovery sees it instead of the process dying.
-	wcs := make([]*wcd.WorstCase, p.NumSpecs())
-	wcErrs := make([]error, p.NumSpecs())
-	var wg sync.WaitGroup
-	var panicked struct {
-		sync.Once
-		v   any
-		set bool
+	// Worst-case statistical points (Eq. 8) per spec, searched
+	// concurrently. A pinned WC seed (Options.WC.Seed) decouples the
+	// restart stream from the run seed: the search becomes a pure
+	// function of (d, spec), so seed sweeps vary only their sampling
+	// streams — and share the WC simulations.
+	wcSeed := seed
+	if opts.WC.Seed != 0 {
+		wcSeed = opts.WC.Seed
 	}
-	for i := range p.Specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.Do(func() { panicked.v, panicked.set = r, true })
-				}
-			}()
-			theta := thetaRes.PerSpec[i]
-			marginFn := func(s []float64) (float64, error) {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-				v, err := p.SpecValue(d, s, theta, i)
-				if err != nil {
-					return 0, err
-				}
-				return p.Specs[i].Margin(v), nil
-			}
-			wcOpts := opts.WC
-			if wcOpts.Seed == 0 {
-				wcOpts.Seed = seed + uint64(i)*1000003
-			} else {
-				// A pinned WC seed (Options.WC.Seed) decouples the restart
-				// stream from the run seed: the search becomes a pure
-				// function of (d, spec), so seed sweeps vary only their
-				// sampling streams — and share the WC simulations.
-				wcOpts.Seed = opts.WC.Seed + uint64(i)*1000003
-			}
-			wcs[i], wcErrs[i] = wcd.FindWorstCase(marginFn, p.NumStat(), wcOpts)
-		}()
-	}
-	wg.Wait()
-	if panicked.set {
-		panic(panicked.v)
-	}
-	for _, err := range wcErrs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	wcs, err := wcd.SearchAll(ctx, p, d, thetaRes.PerSpec, opts.WC, func(i int) uint64 {
+		return wcSeed + uint64(i)*1000003
+	})
+	if err != nil {
 		return nil, nil, nil, err
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"specwise/internal/problem"
@@ -38,6 +39,9 @@ func EstimateSpecFailureIS(p *problem.Problem, d []float64, spec int, theta, swc
 	}
 	if len(swc) != p.NumStat() {
 		return nil, errors.New("core: worst-case point dimension mismatch")
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("core: importance sampling needs at least one sample, got %d", n)
 	}
 	r := rng.New(seed)
 	sp := p.Specs[spec]

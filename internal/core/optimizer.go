@@ -166,7 +166,10 @@ type Result struct {
 	// reached the simulator.
 	ConstraintSims int64
 	// EvalCache reports the memoization-cache counters of the run
-	// (zero when Options.NoEvalCache disabled the cache).
+	// (zero when Options.NoEvalCache disabled the cache). Misses and
+	// Hits+Deduped are the same for identical runs; the split between
+	// Hits and Deduped depends on goroutine timing (see
+	// evalcache.Stats.Deduped).
 	EvalCache evalcache.Stats
 	// Sim reports the simulator-side effort counters (DC warm starts,
 	// homotopy fallbacks, Newton iterations) when the problem exposes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"specwise/internal/problem"
@@ -32,8 +33,22 @@ func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed u
 	return VerifyMCContext(context.Background(), p, d, thetas, n, seed, 0)
 }
 
+// VerifyDesign is the sign-off verification at design d: each spec's
+// worst-case operating corner (Eq. 2, at s = 0), then n Monte-Carlo
+// samples at those corners (VerifyMCContext).
+func VerifyDesign(ctx context.Context, p *problem.Problem, d []float64, n int, seed uint64) (*MCResult, error) {
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, seed, 0)
+}
+
 // VerifyMCContext runs the simulation-based Monte-Carlo analysis of
-// Sec. 2 at design d with n samples. thetas[i] is spec i's worst-case
+// Sec. 2 at design d with n ≥ 0 samples. thetas[i] is spec i's worst-case
 // operating point; specs sharing a corner share simulations, matching the
 // paper's observation that N* stays well below N·n_spec.
 //
@@ -48,6 +63,9 @@ func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed u
 // its next sample claim and the call returns ctx.Err() — no goroutine
 // outlives the call, even on early cancellation.
 func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, thetas [][]float64, n int, seed uint64, workers int) (*MCResult, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("core: negative Monte-Carlo sample count %d", n)
+	}
 	unique, specToUnique := wcd.DistinctThetas(thetas)
 	r := rng.New(seed)
 	res := &MCResult{

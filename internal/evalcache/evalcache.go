@@ -75,6 +75,10 @@ type Stats struct {
 	Misses int64
 	// Deduped counts evaluations that joined another goroutine's
 	// in-flight simulation of the same point instead of starting their own.
+	// Whether a repeated lookup finds the entry completed (a hit) or
+	// still in flight (a join) depends on goroutine timing, so identical
+	// runs may split Hits and Deduped differently; their sum, like
+	// Misses, is deterministic.
 	Deduped int64
 	// Evictions counts completed entries the LRU cap dropped to make room
 	// for this view's inserts.

@@ -8,7 +8,6 @@ import (
 	"specwise/internal/evalcache"
 	"specwise/internal/problem"
 	"specwise/internal/report"
-	"specwise/internal/wcd"
 
 	// Register the built-in search backends: any process that executes
 	// jobs — the daemon's local pool and the remote pull-workers alike —
@@ -66,16 +65,7 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 			// and feed the sweep's working set.
 			p = env.EvalCache.Wrap(p)
 		}
-		d := p.InitialDesign()
-		zeroS := make([]float64, p.NumStat())
-		thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		mc, err := core.VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, req.Options.seed(), 0)
+		mc, err := core.VerifyDesign(ctx, p, p.InitialDesign(), n, req.Options.seed())
 		if err != nil {
 			return nil, nil, err
 		}

@@ -12,12 +12,18 @@
 //     specs and grows it for endangered ones (Fig. 3).
 //
 // The measure requires only the worst-case points already computed for
-// yield optimization, so the analysis costs no extra simulations.
+// yield optimization, so it costs no extra simulations; Analyze runs the
+// worst-case analysis itself for a standalone report.
 package mismatch
 
 import (
+	"context"
 	"math"
 	"sort"
+	"strings"
+
+	"specwise/internal/problem"
+	"specwise/internal/wcd"
 )
 
 // Options holds the selector tolerances Δ1 and Δ2 (radians): Φ is 1
@@ -115,6 +121,66 @@ func AllPairs(indices []int) [][2]int {
 		for j := i + 1; j < len(indices); j++ {
 			out = append(out, [2]int{indices[i], indices[j]})
 		}
+	}
+	return out
+}
+
+// Report is one spec's mismatch analysis.
+type Report struct {
+	Beta float64 // signed worst-case distance of the spec
+	// Pairs holds every like-kind candidate pair, sorted by decreasing
+	// measure (Pairs' order).
+	Pairs []Measure
+}
+
+// Analyze performs the mismatch analysis at design d, one report per
+// spec in spec order: each spec's
+// worst-case operating point (Eq. 2) and worst-case statistical point
+// (Eq. 8, spec i's restarts seeded with seed+i), then the measure
+// (Eq. 9) over every like-kind local parameter pair. Parameters are
+// grouped by the suffix after the last '.', so "M1.dVth" pairs with
+// "M2.dVth" but not with "M2.dBeta"; global parameters ("g." prefix or
+// no '.') are excluded.
+func Analyze(p *problem.Problem, d []float64, seed uint64) ([]Report, error) {
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
+	if err != nil {
+		return nil, err
+	}
+	wcs, err := wcd.SearchAll(context.Background(), p, d, thetaRes.PerSpec, wcd.Options{}, func(i int) uint64 {
+		return seed + uint64(i)
+	})
+	if err != nil {
+		return nil, err
+	}
+	candidates := likeKindPairs(p.StatNames)
+	out := make([]Report, len(wcs))
+	for i, wc := range wcs {
+		out[i] = Report{Beta: wc.Beta, Pairs: Pairs(wc.S, wc.Beta, candidates, Options{})}
+	}
+	return out, nil
+}
+
+// likeKindPairs builds the index pairs of local statistical parameters
+// that share a kind suffix (".dVth" with ".dVth", etc.), kinds in sorted
+// order.
+func likeKindPairs(names []string) [][2]int {
+	byKind := make(map[string][]int)
+	var kinds []string
+	for i, n := range names {
+		dot := strings.LastIndex(n, ".")
+		if dot <= 0 || strings.HasPrefix(n, "g.") {
+			continue // global or unnamed parameter
+		}
+		kind := n[dot:]
+		if _, ok := byKind[kind]; !ok {
+			kinds = append(kinds, kind)
+		}
+		byKind[kind] = append(byKind[kind], i)
+	}
+	sort.Strings(kinds)
+	var out [][2]int
+	for _, k := range kinds {
+		out = append(out, AllPairs(byKind[k])...)
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"specwise/internal/problem"
 )
 
 func TestPhiShape(t *testing.T) {
@@ -180,5 +182,75 @@ func TestAllPairs(t *testing.T) {
 		if ps[i] != want[i] {
 			t.Errorf("pair %d = %v want %v", i, ps[i], want[i])
 		}
+	}
+}
+
+// TestAnalyzeAnalytic runs the whole analysis on a linear problem whose
+// worst-case points are known in closed form:
+//
+//   - "mm": 3 − (s_A.dVth − s_B.dVth) − T ≥ 0, worst at T = 1: the boundary
+//     lies on the dVth mismatch line at β = 2/√2;
+//   - "com": 2 + s_A.dVth + s_B.dVth ≥ 0: the neutral line, measure 0;
+//   - "bad": −1 + s_A.dBeta − s_B.dBeta ≥ 0 fails nominally: β = −1/√2 on
+//     the dBeta mismatch line.
+//
+// The global "g.x" is never paired and kinds never mix, so each spec
+// ranks exactly two pairs.
+func TestAnalyzeAnalytic(t *testing.T) {
+	p := &problem.Problem{
+		Name: "analytic",
+		Specs: []problem.Spec{
+			{Name: "mm", Kind: problem.GE},
+			{Name: "com", Kind: problem.GE},
+			{Name: "bad", Kind: problem.GE},
+		},
+		Theta:     []problem.OpRange{{Name: "T", Nominal: 0.5, Lo: 0, Hi: 1}},
+		StatNames: []string{"g.x", "A.dVth", "B.dVth", "A.dBeta", "B.dBeta"},
+		Eval: func(d, s, th []float64) ([]float64, error) {
+			return []float64{3 - (s[1] - s[2]) - th[0], 2 + s[1] + s[2], -1 + s[3] - s[4]}, nil
+		},
+	}
+	reports, err := Analyze(p, nil, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		beta    float64
+		k, l    int
+		measure float64
+	}{
+		{2 / math.Sqrt2, 1, 2, Eta(2 / math.Sqrt2)},
+		{2 / math.Sqrt2, 1, 2, 0},
+		{-1 / math.Sqrt2, 3, 4, Eta(-1 / math.Sqrt2)},
+	}
+	if len(reports) != len(want) {
+		t.Fatalf("reports = %d, want %d", len(reports), len(want))
+	}
+	for i, w := range want {
+		r := reports[i]
+		if math.Abs(r.Beta-w.beta) > 1e-3 {
+			t.Errorf("%s: beta = %v, want %v", p.Specs[i].Name, r.Beta, w.beta)
+		}
+		if len(r.Pairs) != 2 {
+			t.Fatalf("%s: pairs = %+v, want 2", p.Specs[i].Name, r.Pairs)
+		}
+		top := r.Pairs[0]
+		if w.measure > 0 && (top.K != w.k || top.L != w.l) {
+			t.Errorf("%s: top pair (%d, %d), want (%d, %d)", p.Specs[i].Name, top.K, top.L, w.k, w.l)
+		}
+		if math.Abs(top.Value-w.measure) > 1e-3 {
+			t.Errorf("%s: top measure = %v, want %v", p.Specs[i].Name, top.Value, w.measure)
+		}
+		if r.Pairs[1].Value > top.Value {
+			t.Errorf("%s: pairs not sorted: %+v", p.Specs[i].Name, r.Pairs)
+		}
+	}
+}
+
+func TestLikeKindPairsSortedKinds(t *testing.T) {
+	got := likeKindPairs([]string{"g.dVthN", "M1.dVth", "M2.dVth", "M1.dBeta", "M2.dBeta", "glob"})
+	want := [][2]int{{3, 4}, {1, 2}} // ".dBeta" sorts before ".dVth"
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("pairs = %v, want %v", got, want)
 	}
 }

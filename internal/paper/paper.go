@@ -9,9 +9,11 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"specwise/internal/circuits"
 	"specwise/internal/core"
@@ -134,22 +136,24 @@ type Table5Entry struct {
 // and returns the top pairs (the paper's Table 5 shows three, all CMRR).
 func Table5(n int) ([]Table5Entry, error) {
 	p := circuits.FoldedCascodeProblem()
-	reports, err := analyzeMismatch(p, p.InitialDesign())
+	reports, err := mismatch.Analyze(p, p.InitialDesign(), Seed)
 	if err != nil {
 		return nil, err
 	}
 	var out []Table5Entry
-	for _, r := range reports {
-		for _, pm := range r.pairs {
-			if pm.value <= 0 {
+	for i, r := range reports {
+		for _, m := range r.Pairs {
+			if m.Value <= 0 {
 				continue
 			}
 			out = append(out, Table5Entry{
-				Spec: r.spec, ParamK: pm.k, ParamL: pm.l, Measure: pm.value,
+				Spec:   p.Specs[i].Name,
+				ParamK: p.StatNames[m.K], ParamL: p.StatNames[m.L],
+				Measure: m.Value,
 			})
 		}
 	}
-	sortEntries(out)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Measure > out[j].Measure })
 	if len(out) > n {
 		out = out[:n]
 	}
@@ -305,26 +309,15 @@ func Fig5(points, samples int) (*Curve, error) {
 	p := circuits.FoldedCascodeProblem()
 	d := p.InitialDesign()
 
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
 	if err != nil {
 		return nil, err
 	}
-	wcs := make([]*wcd.WorstCase, p.NumSpecs())
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		marginFn := func(s []float64) (float64, error) {
-			v, err := p.SpecValue(d, s, theta, i)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(v), nil
-		}
-		wcs[i], err = wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed + uint64(i)})
-		if err != nil {
-			return nil, err
-		}
+	wcs, err := wcd.SearchAll(context.Background(), p, d, thetaRes.PerSpec, wcd.Options{}, func(i int) uint64 {
+		return Seed + uint64(i)
+	})
+	if err != nil {
+		return nil, err
 	}
 	models, err := linmodel.Build(p, d, wcs, thetaRes.PerSpec, linmodel.BuildOptions{MirrorSpecs: true})
 	if err != nil {
@@ -342,87 +335,4 @@ func Fig5(points, samples int) (*Curve, error) {
 		c.Y = append(c.Y, est.Yield(dd))
 	}
 	return c, nil
-}
-
-// --- internal helpers ---
-
-type pairVal struct {
-	k, l  string
-	value float64
-}
-
-type reportVal struct {
-	spec  string
-	pairs []pairVal
-}
-
-// analyzeMismatch mirrors the public specwise.AnalyzeMismatch without
-// importing the root package (internal packages cannot).
-func analyzeMismatch(p *problem.Problem, d []float64) ([]reportVal, error) {
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
-	if err != nil {
-		return nil, err
-	}
-	candidates := likeKindPairs(p.StatNames)
-	var out []reportVal
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		marginFn := func(s []float64) (float64, error) {
-			v, err := p.SpecValue(d, s, theta, i)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(v), nil
-		}
-		wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed + uint64(i)})
-		if err != nil {
-			return nil, err
-		}
-		ms := mismatch.Pairs(wc.S, wc.Beta, candidates, mismatch.Options{})
-		rv := reportVal{spec: p.Specs[i].Name}
-		for _, m := range ms {
-			rv.pairs = append(rv.pairs, pairVal{
-				k: p.StatNames[m.K], l: p.StatNames[m.L], value: m.Value,
-			})
-		}
-		out = append(out, rv)
-	}
-	return out, nil
-}
-
-func likeKindPairs(names []string) [][2]int {
-	byKind := make(map[string][]int)
-	var kinds []string
-	for i, n := range names {
-		dot := -1
-		for j := len(n) - 1; j >= 0; j-- {
-			if n[j] == '.' {
-				dot = j
-				break
-			}
-		}
-		if dot <= 0 || (len(n) >= 2 && n[:2] == "g.") {
-			continue
-		}
-		kind := n[dot:]
-		if _, ok := byKind[kind]; !ok {
-			kinds = append(kinds, kind)
-		}
-		byKind[kind] = append(byKind[kind], i)
-	}
-	var out [][2]int
-	for _, k := range kinds {
-		out = append(out, mismatch.AllPairs(byKind[k])...)
-	}
-	return out
-}
-
-func sortEntries(es []Table5Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Measure > es[j-1].Measure; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"math"
 
 	"specwise/internal/circuits"
@@ -39,20 +40,12 @@ func RunQuadStudy(modelSamples, verifySamples int) (*QuadStudy, error) {
 	p := circuits.FoldedCascodeProblem()
 	d := p.InitialDesign()
 	const specIdx = 2 // CMRR
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
 	if err != nil {
 		return nil, err
 	}
 	theta := thetaRes.PerSpec[specIdx]
-	marginFn := func(s []float64) (float64, error) {
-		v, err := p.SpecValue(d, s, theta, specIdx)
-		if err != nil {
-			return 0, err
-		}
-		return p.Specs[specIdx].Margin(v), nil
-	}
-	wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: Seed})
+	wc, err := wcd.SearchSpec(context.Background(), p, d, theta, specIdx, wcd.Options{Seed: Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +85,7 @@ func RunQuadStudy(modelSamples, verifySamples int) (*QuadStudy, error) {
 	u := wc.S.Clone().Scale(1 / r)
 	m0 := wc.MarginNominal
 	mirrorS := wc.S.Clone().Scale(-1)
-	mMirror, err := marginFn(mirrorS)
+	mMirror, err := wcd.SpecMargin(context.Background(), p, d, theta, specIdx)(mirrorS)
 	if err != nil {
 		return nil, err
 	}

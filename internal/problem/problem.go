@@ -247,6 +247,19 @@ func (p *Problem) ClampDesign(d []float64) []float64 {
 	return d
 }
 
+// CheckPoint reports an error unless d has one entry per design
+// parameter and s one per statistical parameter, so the analyses that
+// take them from callers fail cleanly instead of indexing out of range.
+func (p *Problem) CheckPoint(d, s []float64) error {
+	if len(d) != p.NumDesign() {
+		return fmt.Errorf("problem %q: design point has %d entries, want %d", p.Name, len(d), p.NumDesign())
+	}
+	if len(s) != p.NumStat() {
+		return fmt.Errorf("problem %q: statistical point has %d entries, want %d", p.Name, len(s), p.NumStat())
+	}
+	return nil
+}
+
 // Validate checks structural consistency of the problem definition.
 func (p *Problem) Validate() error {
 	if p.Eval == nil {

@@ -6,9 +6,11 @@
 package wcd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"specwise/internal/linalg"
@@ -199,6 +201,76 @@ func FindWorstCase(m MarginFunc, dim int, opts Options) (*WorstCase, error) {
 	best.MarginNominal = m0
 	best.Evals = evals
 	return best, nil
+}
+
+// SpecMargin returns spec i's normalized margin at design d and
+// operating point theta as a MarginFunc over the statistical space. It
+// checks ctx before each evaluation, so a cancelled search stops at its
+// next simulation.
+func SpecMargin(ctx context.Context, p *problem.Problem, d, theta []float64, i int) MarginFunc {
+	return func(s []float64) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		v, err := p.SpecValue(d, s, theta, i)
+		if err != nil {
+			return 0, err
+		}
+		return p.Specs[i].Margin(v), nil
+	}
+}
+
+// SearchSpec solves Eq. 8 for spec i of p at design d and operating
+// point theta (FindWorstCase over SpecMargin).
+func SearchSpec(ctx context.Context, p *problem.Problem, d, theta []float64, i int, opts Options) (*WorstCase, error) {
+	return FindWorstCase(SpecMargin(ctx, p, d, theta, i), p.NumStat(), opts)
+}
+
+// SearchAll solves Eq. 8 for every spec of p at design d, spec i at its
+// worst-case operating point thetas[i] with opts.Seed replaced by
+// seed(i). The searches are independent, so they run concurrently (the
+// paper used a machine cluster for the same reason); each writes its own
+// index and draws its own restart stream, so the result is identical to
+// the serial run. A panicking search is re-raised here, on the caller's
+// goroutine, once every search has returned, so the caller's recovery
+// sees it instead of the process dying. Errors are reported in spec
+// order; a cancelled ctx returns ctx.Err().
+func SearchAll(ctx context.Context, p *problem.Problem, d []float64, thetas [][]float64, opts Options, seed func(i int) uint64) ([]*WorstCase, error) {
+	wcs := make([]*WorstCase, p.NumSpecs())
+	errs := make([]error, p.NumSpecs())
+	var wg sync.WaitGroup
+	var panicked struct {
+		sync.Once
+		v   any
+		set bool
+	}
+	for i := range p.Specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { panicked.v, panicked.set = r, true })
+				}
+			}()
+			o := opts
+			o.Seed = seed(i)
+			wcs[i], errs[i] = SearchSpec(ctx, p, d, thetas[i], i, o)
+		}()
+	}
+	wg.Wait()
+	if panicked.set {
+		panic(panicked.v)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return wcs, nil
 }
 
 // better prefers converged boundary points of smaller norm.
@@ -465,7 +537,10 @@ type ThetaResult struct {
 // costs 2^dim + 1 evaluations for all specs together, matching the
 // paper's effort bound N* ≤ N·2^dim(Θ).
 func WorstCaseTheta(p *problem.Problem, d, s []float64) (*ThetaResult, error) {
-	corners := enumerateCorners(p.Theta)
+	if err := p.CheckPoint(d, s); err != nil {
+		return nil, err
+	}
+	corners := Corners(p.Theta)
 	corners = append(corners, p.NominalTheta())
 
 	res := &ThetaResult{
@@ -497,8 +572,9 @@ func WorstCaseTheta(p *problem.Problem, d, s []float64) (*ThetaResult, error) {
 	return res, nil
 }
 
-// enumerateCorners returns the 2^n vertices of the operating box.
-func enumerateCorners(ranges []problem.OpRange) [][]float64 {
+// Corners returns the 2^n vertices of the operating box, bit j of the
+// vertex index selecting Hi on axis j.
+func Corners(ranges []problem.OpRange) [][]float64 {
 	n := len(ranges)
 	if n == 0 {
 		return [][]float64{{}}

@@ -1,7 +1,11 @@
 package wcd
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -201,7 +205,7 @@ func TestDistinctThetas(t *testing.T) {
 }
 
 func TestEnumerateCornersEmpty(t *testing.T) {
-	c := enumerateCorners(nil)
+	c := Corners(nil)
 	if len(c) != 1 || len(c[0]) != 0 {
 		t.Errorf("empty enumeration = %v", c)
 	}
@@ -331,5 +335,94 @@ func TestRefineThetaMonotone(t *testing.T) {
 	}
 	if res.Margins[0] > before {
 		t.Errorf("refinement worsened the worst case: %v -> %v", before, res.Margins[0])
+	}
+}
+
+// searchProblem has three specs of different shape over two statistical
+// parameters and one operating parameter; spec 2 panics when panicAt is
+// reached along its first statistical axis.
+func searchProblem(panicAt float64) *problem.Problem {
+	return &problem.Problem{
+		Name: "search",
+		Specs: []problem.Spec{
+			{Name: "lin", Kind: problem.GE},
+			{Name: "quad", Kind: problem.GE},
+			{Name: "tilt", Kind: problem.LE, Bound: 1},
+		},
+		Theta:     []problem.OpRange{{Name: "t", Nominal: 0, Lo: -0.5, Hi: 0.5}},
+		StatNames: []string{"a", "b"},
+		Eval: func(d, s, th []float64) ([]float64, error) {
+			if s[0] >= panicAt {
+				panic("search: boom")
+			}
+			return []float64{
+				2 + s[0] - 0.5*s[1] + th[0],
+				3 - (s[0]-s[1])*(s[0]-s[1]),
+				0.3*s[0] + 0.4*s[1] - th[0],
+			}, nil
+		},
+	}
+}
+
+// SearchAll must return exactly what serial SearchSpec calls with the
+// same per-spec seeds return.
+func TestSearchAllMatchesSerial(t *testing.T) {
+	p := searchProblem(math.Inf(1))
+	thetas := [][]float64{{-0.5}, {0}, {0.5}}
+	seed := func(i int) uint64 { return 40 + uint64(i)*1000003 }
+	got, err := SearchAll(context.Background(), p, nil, thetas, Options{MaxIter: 20}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.Specs {
+		want, err := SearchSpec(context.Background(), p, nil, thetas[i], i, Options{MaxIter: 20, Seed: seed(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("spec %d: concurrent %+v, serial %+v", i, got[i], want)
+		}
+	}
+	if b := got[0].Beta; math.Abs(b-1.5/math.Sqrt(1.25)) > 1e-3 {
+		t.Errorf("lin beta = %v, want %v", b, 1.5/math.Sqrt(1.25))
+	}
+}
+
+// A panicking search is re-raised on the caller's goroutine, after every
+// search has returned, so a recover around SearchAll catches it.
+func TestSearchAllRelaysPanic(t *testing.T) {
+	p := searchProblem(0.5)
+	thetas := [][]float64{{0}, {0}, {0}}
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "boom") {
+			t.Fatalf("recovered %v, want the search's panic", r)
+		}
+	}()
+	SearchAll(context.Background(), p, nil, thetas, Options{}, func(i int) uint64 { return uint64(i) })
+	t.Fatal("SearchAll returned instead of panicking")
+}
+
+func TestSearchAllCancelled(t *testing.T) {
+	p := searchProblem(math.Inf(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := SearchAll(ctx, p, nil, [][]float64{{0}, {0}, {0}}, Options{}, func(i int) uint64 { return 1 })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestWorstCaseThetaRejectsBadPoint(t *testing.T) {
+	p := searchProblem(math.Inf(1))
+	p.Design = []problem.Param{{Name: "w", Init: 1, Lo: 0, Hi: 2}}
+	if _, err := WorstCaseTheta(p, nil, []float64{0, 0}); err == nil {
+		t.Error("short design vector accepted")
+	}
+	if _, err := WorstCaseTheta(p, []float64{1}, []float64{0}); err == nil {
+		t.Error("short statistical vector accepted")
+	}
+	if _, err := WorstCaseTheta(p, []float64{1}, []float64{0, 0}); err != nil {
+		t.Error(err)
 	}
 }

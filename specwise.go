@@ -125,12 +125,7 @@ func VerifyYield(p *Problem, d []float64, n int, seed uint64) (*MCResult, error)
 // VerifyYieldContext is VerifyYield with cancellation; the Monte-Carlo
 // worker pool drains and returns ctx.Err() when ctx is cancelled.
 func VerifyYieldContext(ctx context.Context, p *Problem, d []float64, n int, seed uint64) (*MCResult, error) {
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
-	if err != nil {
-		return nil, err
-	}
-	return core.VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, seed, 0)
+	return core.VerifyDesign(ctx, p, d, n, seed)
 }
 
 // PairMeasure is one ranked mismatch-pair entry.
@@ -156,64 +151,23 @@ type MismatchReport struct {
 // '.', so "M1.dVth" pairs with "M2.dVth" but not with "M2.dBeta"; global
 // parameters (no '.') are excluded. Reports are sorted by measure.
 func AnalyzeMismatch(p *Problem, d []float64, seed uint64) ([]MismatchReport, error) {
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
+	analyzed, err := mismatch.Analyze(p, d, seed)
 	if err != nil {
 		return nil, err
 	}
-
-	candidates := likeKindPairs(p.StatNames)
-	var reports []MismatchReport
-	for i := range p.Specs {
-		i := i
-		theta := thetaRes.PerSpec[i]
-		marginFn := func(s []float64) (float64, error) {
-			v, err := p.SpecValue(d, s, theta, i)
-			if err != nil {
-				return 0, err
-			}
-			return p.Specs[i].Margin(v), nil
-		}
-		wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: seed + uint64(i)})
-		if err != nil {
-			return nil, err
-		}
-		ms := mismatch.Pairs(wc.S, wc.Beta, candidates, mismatch.Options{})
-		rep := MismatchReport{Spec: p.Specs[i].Name, Beta: wc.Beta}
-		for _, m := range ms {
+	reports := make([]MismatchReport, len(analyzed))
+	for i, a := range analyzed {
+		rep := MismatchReport{Spec: p.Specs[i].Name, Beta: a.Beta}
+		for _, m := range a.Pairs {
 			rep.Pairs = append(rep.Pairs, PairMeasure{
 				ParamK: p.StatNames[m.K],
 				ParamL: p.StatNames[m.L],
 				Value:  m.Value,
 			})
 		}
-		reports = append(reports, rep)
+		reports[i] = rep
 	}
 	return reports, nil
-}
-
-// likeKindPairs builds index pairs of local statistical parameters that
-// share a kind suffix (".dVth" with ".dVth", etc.).
-func likeKindPairs(names []string) [][2]int {
-	byKind := make(map[string][]int)
-	var kinds []string
-	for i, n := range names {
-		dot := strings.LastIndex(n, ".")
-		if dot <= 0 || strings.HasPrefix(n, "g.") {
-			continue // global or unnamed parameter
-		}
-		kind := n[dot:]
-		if _, ok := byKind[kind]; !ok {
-			kinds = append(kinds, kind)
-		}
-		byKind[kind] = append(byKind[kind], i)
-	}
-	sort.Strings(kinds)
-	var out [][2]int
-	for _, k := range kinds {
-		out = append(out, mismatch.AllPairs(byKind[k])...)
-	}
-	return out
 }
 
 // TopPairs flattens the per-spec reports into the overall ranking the
@@ -222,15 +176,17 @@ func TopPairs(reports []MismatchReport, n int) []struct {
 	Spec string
 	PairMeasure
 } {
-	type flat struct {
+	var all []struct {
 		Spec string
 		PairMeasure
 	}
-	var all []flat
 	for _, r := range reports {
 		for _, pm := range r.Pairs {
 			if pm.Value > 0 {
-				all = append(all, flat{r.Spec, pm})
+				all = append(all, struct {
+					Spec string
+					PairMeasure
+				}{r.Spec, pm})
 			}
 		}
 	}
@@ -238,17 +194,7 @@ func TopPairs(reports []MismatchReport, n int) []struct {
 	if len(all) > n {
 		all = all[:n]
 	}
-	out := make([]struct {
-		Spec string
-		PairMeasure
-	}, len(all))
-	for i, f := range all {
-		out[i] = struct {
-			Spec string
-			PairMeasure
-		}{f.Spec, f.PairMeasure}
-	}
-	return out
+	return all
 }
 
 // DescribeProblem returns a human-readable summary of a problem's specs,
@@ -304,20 +250,12 @@ func EstimateRareFailure(p *Problem, d []float64, specName string, n int, seed u
 	if specIdx < 0 {
 		return nil, fmt.Errorf("specwise: unknown spec %q", specName)
 	}
-	zeroS := make([]float64, p.NumStat())
-	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
+	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
 	if err != nil {
 		return nil, err
 	}
 	theta := thetaRes.PerSpec[specIdx]
-	marginFn := func(s []float64) (float64, error) {
-		v, err := p.SpecValue(d, s, theta, specIdx)
-		if err != nil {
-			return 0, err
-		}
-		return p.Specs[specIdx].Margin(v), nil
-	}
-	wc, err := wcd.FindWorstCase(marginFn, p.NumStat(), wcd.Options{Seed: seed})
+	wc, err := wcd.SearchSpec(context.Background(), p, d, theta, specIdx, wcd.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -355,28 +293,22 @@ type CornerResult struct {
 // Global parameters are identified by the "g." name prefix used by the
 // built-in circuits and yieldspec.
 func AnalyzeCorners(p *Problem, d []float64, k float64) ([]CornerResult, error) {
+	s := make([]float64, p.NumStat())
+	if err := p.CheckPoint(d, s); err != nil {
+		return nil, err
+	}
+	if p.NumSpecs() == 0 {
+		return nil, fmt.Errorf("specwise: problem %q has no specs", p.Name)
+	}
 	var globals []int
 	for i, n := range p.StatNames {
 		if strings.HasPrefix(n, "g.") {
 			globals = append(globals, i)
 		}
 	}
-	thetas := [][]float64{p.NominalTheta()}
-	nTheta := len(p.Theta)
-	for mask := 0; mask < 1<<nTheta; mask++ {
-		th := make([]float64, nTheta)
-		for j, r := range p.Theta {
-			if mask&(1<<j) != 0 {
-				th[j] = r.Hi
-			} else {
-				th[j] = r.Lo
-			}
-		}
-		thetas = append(thetas, th)
-	}
+	thetas := append([][]float64{p.NominalTheta()}, wcd.Corners(p.Theta)...)
 
 	var out []CornerResult
-	s := make([]float64, p.NumStat())
 	for mask := 0; mask < 1<<len(globals); mask++ {
 		for i := range s {
 			s[i] = 0

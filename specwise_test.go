@@ -1,6 +1,7 @@
 package specwise
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -104,16 +105,34 @@ func TestAnalyzeMismatchPublicAPI(t *testing.T) {
 	}
 }
 
+// TestLikeKindPairsExcludesGlobals checks the candidate pairs of the
+// mismatch analysis on an analytic problem whose only failure direction
+// is the M1/M2 threshold mismatch: the global parameter is never paired,
+// kinds never mix, and two kinds of two members give exactly two pairs.
 func TestLikeKindPairsExcludesGlobals(t *testing.T) {
-	pairs := likeKindPairs([]string{"g.dVthN", "M1.dVth", "M2.dVth", "M1.dBeta", "M2.dBeta"})
-	for _, pr := range pairs {
-		if pr[0] == 0 || pr[1] == 0 {
-			t.Errorf("global parameter paired: %v", pr)
+	p := &Problem{
+		Name:      "pairs",
+		Specs:     []Spec{{Name: "f", Kind: GE, Bound: 0}},
+		StatNames: []string{"g.dVthN", "M1.dVth", "M2.dVth", "M1.dBeta", "M2.dBeta"},
+		Eval: func(d, s, th []float64) ([]float64, error) {
+			return []float64{2 + s[1] - s[2]}, nil
+		},
+	}
+	reports, err := AnalyzeMismatch(p, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := reports[0].Pairs
+	if len(pairs) != 2 {
+		t.Fatalf("pairs = %+v", pairs)
+	}
+	for _, pm := range pairs {
+		if pm.ParamK == "g.dVthN" || pm.ParamL == "g.dVthN" {
+			t.Errorf("global parameter paired: %+v", pm)
 		}
 	}
-	// Two kinds with two members each → exactly two pairs.
-	if len(pairs) != 2 {
-		t.Errorf("pairs = %v", pairs)
+	if top := pairs[0]; top.ParamK != "M1.dVth" || top.ParamL != "M2.dVth" || top.Value <= 0 {
+		t.Errorf("top pair = %+v, want M1.dVth/M2.dVth with a positive measure", top)
 	}
 }
 
@@ -173,5 +192,49 @@ func TestAnalyzeCorners(t *testing.T) {
 	// The marginal initial OTA must fail somewhere at ±3σ skew corners.
 	if !anyFail {
 		t.Error("no corner failures at 3-sigma skew; initial OTA should be marginal")
+	}
+}
+
+// TestBadInputsReturnErrors checks that the analyses refuse malformed
+// input with an error instead of panicking: a negative sample count, a
+// design vector of the wrong length, and a problem without specs.
+func TestBadInputsReturnErrors(t *testing.T) {
+	p := OTA()
+	d := p.InitialDesign()
+	short := d[:len(d)-1]
+	long := append(append([]float64(nil), d...), 1)
+	cases := map[string]func() error{
+		"VerifyYield n<0": func() error { _, err := VerifyYield(p, d, -1, 1); return err },
+		"EstimateRareFailure n<0": func() error {
+			_, err := EstimateRareFailure(p, d, "Power", -1, 1)
+			return err
+		},
+		"EstimateRareFailure n=0": func() error {
+			_, err := EstimateRareFailure(p, d, "Power", 0, 1)
+			return err
+		},
+		"AnalyzeCorners no specs": func() error {
+			q := *p
+			q.Specs = nil
+			_, err := AnalyzeCorners(&q, d, 3)
+			return err
+		},
+	}
+	for _, dd := range [][]float64{nil, short, long} {
+		n := len(dd)
+		cases[fmt.Sprintf("VerifyYield len(d)=%d", n)] = func() error { _, err := VerifyYield(p, dd, 10, 1); return err }
+		cases[fmt.Sprintf("AnalyzeMismatch len(d)=%d", n)] = func() error { _, err := AnalyzeMismatch(p, dd, 1); return err }
+		cases[fmt.Sprintf("EstimateRareFailure len(d)=%d", n)] = func() error {
+			_, err := EstimateRareFailure(p, dd, "Power", 10, 1)
+			return err
+		}
+		cases[fmt.Sprintf("AnalyzeCorners len(d)=%d", n)] = func() error { _, err := AnalyzeCorners(p, dd, 3); return err }
+	}
+	for name, f := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := f(); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
