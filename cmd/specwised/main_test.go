@@ -23,6 +23,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"specwise/internal/testprob"
 )
 
 func TestMain(m *testing.M) {
@@ -504,6 +506,9 @@ func TestLaneSmoke(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `specwised_lane_done{lane="verify"} 1`) {
 		t.Errorf("metrics missing verify-lane done counter:\n%s", metrics)
+	}
+	if err := testprob.CheckExposition(metrics); err != nil {
+		t.Errorf("metrics page: %v\n%s", err, metrics)
 	}
 
 	for _, id := range optimizeIDs {

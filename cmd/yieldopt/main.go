@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"specwise"
+	"specwise/internal/core"
 	"specwise/internal/report"
 	"specwise/internal/yieldspec"
 )
@@ -31,7 +32,7 @@ func main() {
 	algorithm := flag.String("algorithm", "", "search backend: "+strings.Join(specwise.Algorithms(), ", ")+" (default feasguided)")
 	iters := flag.Int("iters", 3, "maximum accepted optimization iterations")
 	samples := flag.Int("samples", 10000, "Monte-Carlo samples over the linear models")
-	verify := flag.Int("verify", 300, "simulation-based verification samples")
+	verify := flag.Int("verify", core.DefaultVerifySamples, "simulation-based verification samples")
 	seed := flag.Uint64("seed", 1, "random seed")
 	noConstraints := flag.Bool("no-constraints", false, "disable functional constraints (Table-3 ablation)")
 	nominal := flag.Bool("nominal", false, "linearize at the nominal point (Table-4 ablation)")

@@ -104,18 +104,25 @@ type ProgressEvent struct {
 	Design []float64
 }
 
+// The paper's defaults: its random stream (DAC 2001 opening day) and
+// its 300-sample Monte-Carlo verification.
+const (
+	DefaultSeed          = 20010618
+	DefaultVerifySamples = 300
+)
+
 func (o *Options) defaults() {
 	if o.ModelSamples == 0 {
 		o.ModelSamples = 10000
 	}
 	if o.VerifySamples == 0 {
-		o.VerifySamples = 300
+		o.VerifySamples = DefaultVerifySamples
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 2
 	}
 	if o.Seed == 0 && !o.HasSeed {
-		o.Seed = 20010618 // DAC 2001 opening day
+		o.Seed = DefaultSeed
 	}
 }
 

@@ -236,7 +236,6 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 			m.finishLocked(job, StateCanceled, "canceled: batch submission failed")
 			job.mu.Unlock()
 		}
-		m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 		m.mu.Unlock()
 		return nil, fmt.Errorf("jobs: journaling batch: %w", journalErr)
 	}
@@ -266,7 +265,6 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 			m.enqueueLocked(job, false)
 		}
 	}
-	m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 	m.mu.Unlock()
 
 	m.metrics.submitted.Add(int64(len(uniq)))
@@ -275,7 +273,6 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 	m.metrics.batchDeduped.Add(int64(dedup))
 	m.metrics.cacheHits.Add(int64(cachedHits))
 	m.metrics.cacheWarmHits.Add(int64(warmHits))
-	m.metrics.queued.Add(int64(len(fresh)))
 	if len(fresh) > 0 {
 		m.wakeOne()
 	}
@@ -444,5 +441,4 @@ func (m *Manager) evictBatchesLocked(now time.Time) {
 		m.journal(&Record{Kind: RecBatchEvict, Batch: r.batch.id}) //nolint:errcheck // degraded store: logged once
 		m.metrics.batchesEvicted.Add(1)
 	}
-	m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 }

@@ -80,8 +80,8 @@ func TestBatchMemberDedupe(t *testing.T) {
 	}
 	// One execution per distinct request: the folded members never
 	// reached a worker (and stored no extra cache entries).
-	if got := m.Metrics().Done(); got != 2 {
-		t.Errorf("done counter = %d, want 2 (one execution per distinct request)", got)
+	if got := metricValue(t, m, "specwised_jobs_done_total"); got != 2 {
+		t.Errorf("done counter = %v, want 2 (one execution per distinct request)", got)
 	}
 	j0, _ := m.Get(st.Members[0].ID)
 	j1, _ := m.Get(st.Members[2].ID)

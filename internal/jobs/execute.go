@@ -56,7 +56,7 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 	case KindVerify:
 		n := req.Options.VerifySamples
 		if n == 0 {
-			n = 300
+			n = core.DefaultVerifySamples
 		}
 		if env.EvalCache != nil {
 			// Memoize the verification through the shared cache: the

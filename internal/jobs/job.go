@@ -118,17 +118,13 @@ type RunOptions struct {
 // Seed returns a pointer to v, for building RunOptions literals.
 func Seed(v uint64) *uint64 { return &v }
 
-// defaultSeed is the optimizer's default random stream (DAC 2001
-// opening day), used when a request leaves the seed unset.
-const defaultSeed = 20010618
-
-// seed resolves the request seed: nil means the default stream, any
-// explicit value — including zero — is honored as-is.
+// seed resolves the request seed: nil means the optimizer's default
+// stream, any explicit value — including zero — is honored as-is.
 func (o RunOptions) seed() uint64 {
 	if o.Seed != nil {
 		return *o.Seed
 	}
-	return defaultSeed
+	return core.DefaultSeed
 }
 
 // Core converts the wire options into optimizer options.

@@ -103,8 +103,8 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if st.WallSeconds <= 0 {
 		t.Error("wall time not recorded")
 	}
-	if got := m.Metrics().Done(); got != 1 {
-		t.Errorf("done counter = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_jobs_done_total"); got != 1 {
+		t.Errorf("done counter = %v, want 1", got)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestIdenticalResubmissionHitsCache(t *testing.T) {
 	if st := waitState(t, first, 10*time.Second); st != StateDone {
 		t.Fatalf("first job: state %v, err %q", st, first.Err())
 	}
-	if m.Metrics().CacheHits() != 0 {
+	if metricValue(t, m, "specwised_cache_hits_total") != 0 {
 		t.Fatal("cache hit before any resubmission")
 	}
 
@@ -216,8 +216,8 @@ func TestIdenticalResubmissionHitsCache(t *testing.T) {
 	if !second.Status().Cached {
 		t.Error("resubmission not flagged as cached")
 	}
-	if got := m.Metrics().CacheHits(); got != 1 {
-		t.Errorf("cache-hit counter = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_cache_hits_total"); got != 1 {
+		t.Errorf("cache-hit counter = %v, want 1", got)
 	}
 	r1, _ := first.Result()
 	r2, _ := second.Result()
@@ -258,8 +258,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 	submit(1)
 	submit(2)
-	if got := m.Metrics().CacheEvictions(); got != 0 {
-		t.Fatalf("evictions = %d before the cap was reached", got)
+	if got := metricValue(t, m, "specwised_cache_evictions_total"); got != 0 {
+		t.Fatalf("evictions = %v before the cap was reached", got)
 	}
 	// Touch seed 1 so it is the most recently used, then overflow: the
 	// third distinct result must push out seed 2, not seed 1.
@@ -267,8 +267,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Fatal("resubmission of seed 1 missed the cache")
 	}
 	submit(3)
-	if got := m.Metrics().CacheEvictions(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_cache_evictions_total"); got != 1 {
+		t.Fatalf("evictions = %v, want 1", got)
 	}
 	if j := submit(1); !j.Status().Cached {
 		t.Error("seed 1 was evicted despite being recently used")
@@ -305,8 +305,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if took := time.Since(start); took > 3*time.Second {
 		t.Errorf("cancellation took %v", took)
 	}
-	if got := m.Metrics().Canceled(); got != 1 {
-		t.Errorf("canceled counter = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_jobs_canceled_total"); got != 1 {
+		t.Errorf("canceled counter = %v, want 1", got)
 	}
 }
 
@@ -513,14 +513,14 @@ func TestQueueFullRollback(t *testing.T) {
 	if _, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts}); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Metrics().JobsTracked()
+	before := metricValue(t, m, "specwised_jobs_tracked")
 	over := quickOpts
 	over.Seed = Seed(2)
 	if _, err := m.Submit(Request{Circuit: "analytic", Options: over}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if got := m.Metrics().JobsTracked(); got != before {
-		t.Errorf("jobs tracked after rejection = %d, want %d", got, before)
+	if got := metricValue(t, m, "specwised_jobs_tracked"); got != before {
+		t.Errorf("jobs tracked after rejection = %v, want %v", got, before)
 	}
 	if got := len(m.Jobs()); got != 1 {
 		t.Errorf("job list has %d entries after rejection, want 1", got)
@@ -547,8 +547,8 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 			t.Errorf("job %s after Close: state %v, want canceled", j.ID(), st)
 		}
 	}
-	if got := m.Metrics().Canceled(); got != 3 {
-		t.Errorf("canceled counter = %d, want 3", got)
+	if got := metricValue(t, m, "specwised_jobs_canceled_total"); got != 3 {
+		t.Errorf("canceled counter = %v, want 3", got)
 	}
 	if _, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after Close: err = %v, want ErrClosed", err)
@@ -572,11 +572,11 @@ func TestRetentionCapEvictsTerminalJobs(t *testing.T) {
 		}
 		ids = append(ids, j.ID())
 	}
-	if got := m.Metrics().JobsTracked(); got != 2 {
-		t.Errorf("jobs tracked = %d, want 2", got)
+	if got := metricValue(t, m, "specwised_jobs_tracked"); got != 2 {
+		t.Errorf("jobs tracked = %v, want 2", got)
 	}
-	if got := m.Metrics().JobsEvicted(); got != 2 {
-		t.Errorf("jobs evicted = %d, want 2", got)
+	if got := metricValue(t, m, "specwised_jobs_evicted_total"); got != 2 {
+		t.Errorf("jobs evicted = %v, want 2", got)
 	}
 	for _, id := range ids[:2] {
 		if _, ok := m.Get(id); ok {
@@ -608,16 +608,16 @@ func TestRetentionTTLSweep(t *testing.T) {
 		}
 	}
 	m.sweep(clk.Now())
-	if got := m.Metrics().JobsTracked(); got != 2 {
-		t.Fatalf("fresh terminal jobs evicted early (tracked = %d)", got)
+	if got := metricValue(t, m, "specwised_jobs_tracked"); got != 2 {
+		t.Fatalf("fresh terminal jobs evicted early (tracked = %v)", got)
 	}
 	clk.Advance(2 * time.Hour)
 	m.sweep(clk.Now())
-	if got := m.Metrics().JobsTracked(); got != 0 {
-		t.Errorf("jobs tracked after TTL sweep = %d, want 0", got)
+	if got := metricValue(t, m, "specwised_jobs_tracked"); got != 0 {
+		t.Errorf("jobs tracked after TTL sweep = %v, want 0", got)
 	}
-	if got := m.Metrics().JobsEvicted(); got != 2 {
-		t.Errorf("jobs evicted = %d, want 2", got)
+	if got := metricValue(t, m, "specwised_jobs_evicted_total"); got != 2 {
+		t.Errorf("jobs evicted = %v, want 2", got)
 	}
 }
 

@@ -11,8 +11,14 @@ package jobs
 
 import (
 	"fmt"
+	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
+
+// maxWorkerName bounds a remote worker's name in bytes.
+const maxWorkerName = 128
 
 // Lease is one granted claim: everything a remote worker needs to run
 // the job (the original request; the worker resolves the problem with
@@ -54,6 +60,11 @@ func (m *Manager) ClaimLane(worker, lane string) (*Lease, error) {
 	}
 	if worker == "" {
 		return nil, fmt.Errorf("jobs: worker name required")
+	}
+	// The name is journaled in every lease record and stays a metrics
+	// label for the life of the process.
+	if len(worker) > maxWorkerName || !utf8.ValidString(worker) || strings.IndexFunc(worker, unicode.IsControl) >= 0 {
+		return nil, fmt.Errorf("jobs: worker name must be at most %d bytes of UTF-8 without control characters", maxWorkerName)
 	}
 	if lane != "" && !ValidLane(lane) {
 		return nil, fmt.Errorf("jobs: unknown lane %q (want %q or %q)", lane, LaneVerify, LaneOptimize)
@@ -97,11 +108,8 @@ func (m *Manager) ClaimLane(worker, lane string) (*Lease, error) {
 		}
 		job.notifyLocked()
 		job.mu.Unlock()
-		m.metrics.queued.Add(-1)
-		m.metrics.running.Add(1)
 		m.metrics.claims.Add(1)
-		m.metrics.leasesActive.Add(1)
-		m.metrics.workerStat(worker).Claims.Add(1)
+		m.metrics.workers.add(worker, workerClaims, 1)
 		return lease, nil
 	}
 }
@@ -145,11 +153,7 @@ func (m *Manager) Complete(jobID, leaseID string, res *Result) error {
 	busy := m.now().Sub(j.started)
 	j.result = res
 	m.finishLocked(j, StateDone, "")
-	m.metrics.leasesActive.Add(-1)
-	m.metrics.wallNanos.Add(int64(busy))
-	ws := m.metrics.workerStat(j.worker)
-	ws.Done.Add(1)
-	ws.BusyNanos.Add(int64(busy))
+	m.metrics.noteRemote(j.worker, workerDone, busy)
 	return nil
 }
 
@@ -170,10 +174,6 @@ func (m *Manager) Fail(jobID, leaseID, msg string) error {
 	}
 	busy := m.now().Sub(j.started)
 	m.finishLocked(j, StateFailed, fmt.Sprintf("worker %q: %s", j.worker, msg))
-	m.metrics.leasesActive.Add(-1)
-	m.metrics.wallNanos.Add(int64(busy))
-	ws := m.metrics.workerStat(j.worker)
-	ws.Failed.Add(1)
-	ws.BusyNanos.Add(int64(busy))
+	m.metrics.noteRemote(j.worker, workerFailed, busy)
 	return nil
 }

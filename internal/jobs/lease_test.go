@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"specwise/internal/testprob"
 )
 
 // fakeClock is a mutex-guarded manual time source; the manager's
@@ -106,12 +108,13 @@ func TestClaimHeartbeatComplete(t *testing.T) {
 	if _, err := m.Heartbeat("job-999999", "lease-000001"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("heartbeat on unknown job: err = %v, want ErrNotFound", err)
 	}
-	if got := m.Metrics().Claims(); got != 1 {
-		t.Errorf("claims = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_claims_total"); got != 1 {
+		t.Errorf("claims = %v, want 1", got)
 	}
-	ws := m.Metrics().WorkerStats()["w1"]
-	if ws == nil || ws.Claims.Load() != 1 || ws.Done.Load() != 1 {
-		t.Errorf("per-worker shard = %+v", ws)
+	claims := metricValue(t, m, `specwised_remote_worker_claims_total{worker="w1"}`)
+	done := metricValue(t, m, `specwised_remote_worker_jobs_done_total{worker="w1"}`)
+	if claims != 1 || done != 1 {
+		t.Errorf("per-worker claims/done = %v/%v, want 1/1", claims, done)
 	}
 }
 
@@ -139,11 +142,11 @@ func TestLeaseExpiryRequeuesWithFakeClock(t *testing.T) {
 	if st := job.State(); st != StateQueued {
 		t.Fatalf("state after expiry = %v, want queued", st)
 	}
-	if got := m.Metrics().LeaseExpiries(); got != 1 {
-		t.Errorf("lease expiries = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_lease_expiries_total"); got != 1 {
+		t.Errorf("lease expiries = %v, want 1", got)
 	}
-	if got := m.Metrics().Requeued(); got != 1 {
-		t.Errorf("requeued = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_jobs_requeued_total"); got != 1 {
+		t.Errorf("requeued = %v, want 1", got)
 	}
 
 	// A live worker picks it up and completes it.
@@ -168,8 +171,8 @@ func TestLeaseExpiryRequeuesWithFakeClock(t *testing.T) {
 	if _, err := m.Heartbeat(job.ID(), dead.LeaseID); !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("stale heartbeat: err = %v, want ErrLeaseLost", err)
 	}
-	if got := m.Metrics().Done(); got != 1 {
-		t.Errorf("done = %d, want exactly 1", got)
+	if got := metricValue(t, m, "specwised_jobs_done_total"); got != 1 {
+		t.Errorf("done = %v, want exactly 1", got)
 	}
 }
 
@@ -193,11 +196,11 @@ func TestLeaseExpiryExhaustsRetries(t *testing.T) {
 	if msg := job.Err(); !strings.Contains(msg, "lease expired") {
 		t.Errorf("failure message = %q", msg)
 	}
-	if got := m.Metrics().Requeued(); got != 1 {
-		t.Errorf("requeued = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_jobs_requeued_total"); got != 1 {
+		t.Errorf("requeued = %v, want 1", got)
 	}
-	if got := m.Metrics().LeaseExpiries(); got != 2 {
-		t.Errorf("lease expiries = %d, want 2", got)
+	if got := metricValue(t, m, "specwised_lease_expiries_total"); got != 2 {
+		t.Errorf("lease expiries = %v, want 2", got)
 	}
 }
 
@@ -243,5 +246,29 @@ func TestCloseCancelsLeasedJobs(t *testing.T) {
 	}
 	if err := m.Complete(job.ID(), lease.LeaseID, &Result{Kind: KindVerify}); !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("complete after Close: err = %v, want ErrLeaseLost", err)
+	}
+}
+
+// Worker names are bounded: they are journaled in every lease and stay
+// metrics labels for the life of the process.
+func TestClaimRefusesBadWorkerNames(t *testing.T) {
+	clk := newFakeClock()
+	m := leaseManager(t, clk, Config{LeaseTTL: 30 * time.Second})
+	for _, name := range []string{"a\tb", "a\x00b", "\xff", strings.Repeat("w", 129)} {
+		if _, err := m.Claim(name); err == nil {
+			t.Errorf("claim as %q accepted", name)
+		}
+	}
+	for _, name := range []string{strings.Repeat("w", 128), `a"b\c`} {
+		submitQuick(t, m, uint64(len(name)))
+		if lease, err := m.Claim(name); err != nil || lease == nil {
+			t.Errorf("claim as %q = %+v, %v", name, lease, err)
+		}
+	}
+	if got := metricValue(t, m, `specwised_remote_worker_claims_total{worker="a\"b\\c"}`); got != 1 {
+		t.Errorf("escaped worker label: claims = %v, want 1", got)
+	}
+	if err := testprob.CheckExposition(metricsPage(m)); err != nil {
+		t.Error(err)
 	}
 }

@@ -345,7 +345,6 @@ func Open(cfg Config) (*Manager, error) {
 			limit = v
 		}
 		m.lanes[name] = &laneQueue{name: name, pending: list.New(), limit: limit, weight: w}
-		m.metrics.laneStat(name) // pre-create so /metrics always shows every lane
 	}
 	for remaining := true; remaining; {
 		remaining = false
@@ -369,13 +368,7 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.SharedEvalCache {
 		m.evalShared = evalcache.NewShared(cfg.EvalCacheSize)
 	}
-	m.metrics.start = time.Now()
-	m.metrics.workers = cfg.Workers
-	m.metrics.storeStats = m.store.Stats
-	if m.evalShared != nil {
-		m.metrics.sharedEval = m.evalShared.Stats
-		m.metrics.sharedEvalPerProblem = m.evalShared.PerProblem
-	}
+	m.registerMetrics()
 	if m.persistent {
 		if err := m.recover(); err != nil {
 			stop()
@@ -485,7 +478,6 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		job.mu.Lock()
 		m.finishLocked(job, StateDone, "")
 		job.mu.Unlock()
-		m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 		m.mu.Unlock()
 		m.metrics.submitted.Add(1)
 		m.metrics.cacheHits.Add(1)
@@ -497,11 +489,9 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	job.state = StateQueued
 	m.enqueueLocked(job, false)
 	m.jobs[job.id] = job
-	m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 	m.mu.Unlock()
 
 	m.metrics.submitted.Add(1)
-	m.metrics.queued.Add(1)
 	m.wakeOne()
 	return job, nil
 }
@@ -551,8 +541,8 @@ func (m *Manager) takeLocked(lane string) *Job {
 	return nil
 }
 
-// popLocked removes a lane's oldest queued job, settling the lane
-// gauges and the drain history. Caller holds m.mu.
+// popLocked removes a lane's oldest queued job, settling its lane wait
+// and the drain history. Caller holds m.mu.
 func (m *Manager) popLocked(lq *laneQueue) *Job {
 	if lq == nil {
 		return nil
@@ -566,10 +556,8 @@ func (m *Manager) popLocked(lq *laneQueue) *Job {
 	job.queueEl = nil
 	now := m.now()
 	lq.noteDrain(now)
-	ls := m.metrics.laneStat(lq.name)
-	ls.Queued.Store(int64(lq.pending.Len()))
 	if !job.queuedAt.IsZero() {
-		ls.WaitNanos.Add(int64(now.Sub(job.queuedAt)))
+		m.metrics.lanes.add(lq.name, laneWaitNanos, int64(now.Sub(job.queuedAt)))
 		job.queuedAt = time.Time{}
 	}
 	return job
@@ -586,7 +574,6 @@ func (m *Manager) enqueueLocked(j *Job, front bool) {
 		j.queueEl = lq.pending.PushBack(j)
 	}
 	j.queuedAt = m.now()
-	m.metrics.laneStat(j.lane).Queued.Store(int64(lq.pending.Len()))
 }
 
 // pendingLenLocked sums the lane queue depths. Caller holds m.mu.
@@ -663,7 +650,6 @@ func (m *Manager) cancelLocked(j *Job) {
 			j.userCanceled = true
 			j.cancel()
 		} else if j.leaseID != "" {
-			m.metrics.leasesActive.Add(-1)
 			m.finishLocked(j, StateCanceled, "canceled")
 		}
 	}
@@ -686,13 +672,7 @@ func (m *Manager) Close() {
 	m.mu.Lock()
 	for _, j := range m.jobs {
 		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			m.finishLocked(j, StateCanceled, "canceled: manager closed")
-		case StateRunning:
-			if j.leaseID != "" {
-				m.metrics.leasesActive.Add(-1)
-			}
+		if !j.state.Terminal() {
 			m.finishLocked(j, StateCanceled, "canceled: manager closed")
 		}
 		j.mu.Unlock()
@@ -795,8 +775,7 @@ func (m *Manager) sweep(now time.Time) {
 		j.mu.Lock()
 		worker := j.worker
 		m.metrics.leaseExpiries.Add(1)
-		m.metrics.leasesActive.Add(-1)
-		m.metrics.workerStat(worker).Expiries.Add(1)
+		m.metrics.workers.add(worker, workerExpiries, 1)
 		if j.requeues < m.cfg.MaxRetries {
 			j.requeues++
 			j.leaseID = ""
@@ -804,8 +783,6 @@ func (m *Manager) sweep(now time.Time) {
 			j.state = StateQueued
 			// Requeue at the front: the job has waited longest.
 			m.enqueueLocked(j, true)
-			m.metrics.running.Add(-1)
-			m.metrics.queued.Add(1)
 			m.metrics.requeued.Add(1)
 			m.journal(&Record{Kind: RecRequeue, Job: j.id, Requeues: j.requeues, Attempts: j.attempts, Time: now}) //nolint:errcheck // degraded store: logged once
 			j.notifyLocked()
@@ -824,11 +801,10 @@ func (m *Manager) sweep(now time.Time) {
 }
 
 // finishLocked moves a job to a terminal state: it frees the queue
-// slot, settles the gauges and counters, stores a done result in the
-// cache, and enrolls the job in the retention queue. Both m.mu and
-// j.mu must be held.
+// slot, settles the counters, stores a done result in the cache, and
+// enrolls the job in the retention queue. Both m.mu and j.mu must be
+// held.
 func (m *Manager) finishLocked(j *Job, state State, errMsg string) {
-	prev := j.state
 	j.state = state
 	j.err = errMsg
 	j.cancel = nil
@@ -840,7 +816,6 @@ func (m *Manager) finishLocked(j *Job, state State, errMsg string) {
 	if j.queueEl != nil {
 		if lq := m.lanes[j.lane]; lq != nil {
 			lq.pending.Remove(j.queueEl)
-			m.metrics.laneStat(j.lane).Queued.Store(int64(lq.pending.Len()))
 		}
 		j.queueEl = nil
 		j.queuedAt = time.Time{}
@@ -848,20 +823,10 @@ func (m *Manager) finishLocked(j *Job, state State, errMsg string) {
 	// Journal the settlement before the cache record it may cause, so
 	// replay settles the job first and the cache entry can reference it.
 	m.journal(settleRecord(j, state, j.worker, errMsg)) //nolint:errcheck // degraded store: logged once
-	switch prev {
-	case StateQueued:
-		m.metrics.queued.Add(-1)
-	case StateRunning:
-		m.metrics.running.Add(-1)
-	}
 	switch state {
 	case StateDone:
-		m.metrics.done.Add(1)
-		m.metrics.laneStat(j.lane).Done.Add(1)
+		m.metrics.noteDone(j.lane, j.result)
 		if j.result != nil {
-			if j.result.Optimization != nil {
-				m.metrics.noteAlgoDone(j.result.Optimization)
-			}
 			m.cacheStoreLocked(j.hash, j.result, j.id)
 		}
 	case StateCanceled:
@@ -897,7 +862,6 @@ func (m *Manager) evictLocked(now time.Time) {
 		m.metrics.jobsEvicted.Add(1)
 	}
 	m.evictBatchesLocked(now)
-	m.metrics.jobsTracked.Store(int64(len(m.jobs)))
 }
 
 // run executes one job end to end on the local pool.
@@ -922,8 +886,6 @@ func (m *Manager) run(job *Job) {
 	job.notifyLocked()
 	job.mu.Unlock()
 	m.mu.Unlock()
-	m.metrics.queued.Add(-1)
-	m.metrics.running.Add(1)
 
 	result, err := m.execute(ctx, job)
 
@@ -943,8 +905,6 @@ func (m *Manager) run(job *Job) {
 			job.cancel = nil
 			job.started = time.Time{}
 			m.enqueueLocked(job, true)
-			m.metrics.running.Add(-1)
-			m.metrics.queued.Add(1)
 			m.journal(&Record{Kind: RecRequeue, Job: job.id, Requeues: job.requeues, Attempts: job.attempts, Time: m.now()}) //nolint:errcheck // degraded store: logged once
 			job.notifyLocked()
 		} else {
@@ -990,7 +950,6 @@ func (m *Manager) cacheStoreLocked(hash string, result *Result, jobID string) {
 			m.metrics.cacheEvictions.Add(1)
 		}
 	}
-	m.metrics.cacheEntries.Store(int64(m.lru.Len()))
 }
 
 // execute runs the job through the shared execution path and folds the

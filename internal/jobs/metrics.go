@@ -1,449 +1,357 @@
 package jobs
 
 import (
-	"fmt"
+	"bytes"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"specwise/internal/core"
 	"specwise/internal/evalcache"
-	"specwise/internal/report"
+	"specwise/internal/problem"
 	"specwise/internal/sched"
 )
 
-// Metrics holds the service counters exported on GET /metrics. All
-// fields are safe for concurrent use; the text rendering follows the
-// Prometheus exposition format (plain counters and gauges, no labels)
-// so any scraper — or a human with curl — can read it.
+// Metrics is the registry behind GET /metrics. Every family on the page
+// is declared once, in registerMetrics, in the order the page lists
+// them. Counters are event-driven handles the manager bumps as things
+// happen; gauges are functions of state the manager already holds,
+// evaluated at scrape time, so they cannot drift from it. The page
+// follows the Prometheus text exposition format.
 type Metrics struct {
-	start   time.Time
-	workers int
+	families []family
+	start    time.Time
+	// state is the manager's lock, held across a render so the gauges
+	// read from the job table, the lanes and the cache agree.
+	state *sync.Mutex
 
-	submitted      atomic.Int64 // every accepted Submit, cache hits included
-	queued         atomic.Int64 // gauge: waiting in the queue
-	running        atomic.Int64 // gauge: executing on a worker
-	done           atomic.Int64
-	failed         atomic.Int64
-	canceled       atomic.Int64
-	cacheHits      atomic.Int64
-	cacheWarmHits  atomic.Int64 // cache hits on entries restored by recovery
-	cacheEvictions atomic.Int64 // result-cache LRU evictions
-	cacheEntries   atomic.Int64 // gauge: results currently cached
-	busyNanos      atomic.Int64 // total local-pool worker-occupied time
-	wallNanos      atomic.Int64 // total per-job wall time, local and remote
+	submitted, done, failed, canceled        *atomic.Int64
+	requeued, jobsEvicted                    *atomic.Int64
+	batches, batchMembers, batchDeduped      *atomic.Int64
+	batchesEvicted, claims, leaseExpiries    *atomic.Int64
+	cacheHits, cacheWarmHits, cacheEvictions *atomic.Int64
+	busyNanos, wallNanos                     *atomic.Int64 // local-pool busy time; per-job wall time
+	lanes, workers, algorithms               counterSet
 
-	// Job-store retention (terminal jobs kept for status queries).
-	jobsTracked atomic.Int64 // gauge: jobs currently in the store
-	jobsEvicted atomic.Int64 // terminal jobs dropped by the retention policy
+	// Evaluation-reuse and solver effort summed over completed local
+	// runs (see noteRun).
+	runMu    sync.Mutex
+	runCache evalcache.Stats
+	runSim   problem.SimCounters
 
-	// Batch submissions (POST /v1/batches).
-	batches        atomic.Int64 // batches accepted
-	batchMembers   atomic.Int64 // member requests across all batches
-	batchDeduped   atomic.Int64 // members folded into an in-batch sibling
-	batchesEvicted atomic.Int64 // terminal batches dropped by retention
-
-	// Remote worker-pull protocol: claims granted, leases currently
-	// outstanding, silent-lease expiries and the requeues they caused.
-	claims        atomic.Int64
-	leasesActive  atomic.Int64 // gauge
-	leaseExpiries atomic.Int64
-	requeued      atomic.Int64
-
-	// Persistence: live store counters come from the store itself via
-	// storeStats (set once before any concurrency); the recovery figures
-	// are recorded by the boot-time replay.
-	storeStats         func() StoreStats
-	storeRecovered     atomic.Int64 // jobs restored by the last recovery
-	storeRecoveryNanos atomic.Int64 // wall time of the last recovery
-
-	// Per-shard (per remote worker) counters, keyed by worker name.
-	wmu         sync.Mutex
-	workerStats map[string]*WorkerStat
-
-	// Per-lane (priority queue) counters, keyed by lane name.
-	lnmu      sync.Mutex
-	laneStats map[string]*LaneStat
-
-	// Per-algorithm (search backend) counters over done optimize jobs,
-	// keyed by backend name; wherever a job ran — local pool, remote
-	// worker or the result cache — its settlement is attributed to the
-	// backend stamped on the result.
-	amu       sync.Mutex
-	algoStats map[string]*AlgoStat
-
-	// Per-evaluation reuse counters aggregated over completed
-	// optimization runs: the in-run memoization cache and the DC
-	// warm-start machinery (see internal/evalcache, internal/spice).
-	evalCacheHits     atomic.Int64
-	evalCacheMisses   atomic.Int64
-	evalCacheDeduped  atomic.Int64
-	evalCacheEvicted  atomic.Int64
-	evalCacheOverflow atomic.Int64
-	warmStarts        atomic.Int64
-	warmConverged     atomic.Int64
-	dcFallbacks       atomic.Int64
-
-	// Manager-scoped shared evaluation cache, when configured: live
-	// snapshot hooks installed once before any concurrency. The shared
-	// counters supersede the per-run aggregates above in the exposition —
-	// with sharing on, every job's lookups flow through the shared cache,
-	// and these hooks see them live instead of only at job completion.
-	sharedEval           func() evalcache.SharedStats
-	sharedEvalPerProblem func() map[string]int
-
-	// Linear-solver effort underneath the Newton iterations, aggregated
-	// over completed runs; the NNZ gauges describe the last observed MNA
-	// system and its factors.
-	solverFactorizations atomic.Int64
-	solverSolves         atomic.Int64
-	solverSymbolic       atomic.Int64
-	solverMatrixNNZ      atomic.Int64
-	solverFactorNNZ      atomic.Int64
-	solverDCNanos        atomic.Int64 // solver wall time by analysis type
-	solverACNanos        atomic.Int64
-	solverTranNanos      atomic.Int64
+	// Set once by the boot-time recovery, before any concurrency.
+	recovered    int64
+	recoveryTime time.Duration
 }
 
-// noteRun folds one finished optimization's evaluation-reuse counters
-// into the service totals.
-func (m *Metrics) noteRun(res *core.Result) {
-	m.evalCacheHits.Add(res.EvalCache.Hits + res.EvalCache.ConstraintHits)
-	m.evalCacheMisses.Add(res.EvalCache.Misses + res.EvalCache.ConstraintMisses)
-	m.evalCacheDeduped.Add(res.EvalCache.Deduped)
-	m.evalCacheEvicted.Add(res.EvalCache.Evictions)
-	m.evalCacheOverflow.Add(res.EvalCache.Overflow)
-	m.warmStarts.Add(res.Sim.WarmStarts)
-	m.warmConverged.Add(res.Sim.WarmConverged)
-	m.dcFallbacks.Add(res.Sim.Fallbacks)
-	m.solverFactorizations.Add(res.Sim.Factorizations)
-	m.solverSolves.Add(res.Sim.Solves)
-	m.solverSymbolic.Add(res.Sim.SymbolicFacts)
-	m.solverDCNanos.Add(res.Sim.DCSolveNanos)
-	m.solverACNanos.Add(res.Sim.ACSolveNanos)
-	m.solverTranNanos.Add(res.Sim.TranSolveNanos)
-	if res.Sim.MatrixNNZ != 0 {
-		m.solverMatrixNNZ.Store(res.Sim.MatrixNNZ)
+// family is one metric on the page: its name, its type, the name of its
+// label, the precision its values print with (strconv.FormatFloat: -1
+// for counts, 6 for seconds) and the function that produces its samples.
+// A sample with an empty label value is the family's unlabelled sample.
+type family struct {
+	name, typ, label string
+	prec             int
+	samples          func(add func(label string, v float64))
+}
+
+// Column indices of the labelled counter sets.
+const (
+	laneDone, laneWaitNanos = 0, 1
+
+	workerClaims, workerDone, workerFailed, workerExpiries, workerBusyNanos = 0, 1, 2, 3, 4
+
+	algoDone, algoIterations, algoSimulations = 0, 1, 2
+)
+
+// counterSet holds counters that share one label (per lane, per remote
+// worker or per algorithm) as one row per label value, so every family
+// of the set lists every label value any of them has seen, zeros
+// included. A row has five columns, the widest group's (a remote
+// worker's) count.
+type counterSet struct {
+	mu   sync.Mutex
+	rows map[string]*[5]int64
+}
+
+func (s *counterSet) add(label string, col int, n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rows == nil {
+		s.rows = make(map[string]*[5]int64)
 	}
-	if res.Sim.FactorNNZ != 0 {
-		m.solverFactorNNZ.Store(res.Sim.FactorNNZ)
+	row := s.rows[label]
+	if row == nil {
+		row = new([5]int64)
+		s.rows[label] = row
+	}
+	row[col] += n
+}
+
+// column returns the samples of one column in label order, scaled.
+func (s *counterSet) column(col int, scale float64) func(add func(string, float64)) {
+	return func(add func(string, float64)) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		labels := make([]string, 0, len(s.rows))
+		for l := range s.rows {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		for _, l := range labels {
+			add(l, float64(s.rows[l][col])*scale)
+		}
 	}
 }
 
-// AlgoStat aggregates one search backend's shard of the optimize
-// traffic: jobs settled done, accepted iterations and circuit
-// simulations across their results.
-type AlgoStat struct {
-	Done        atomic.Int64
-	Iterations  atomic.Int64
-	Simulations atomic.Int64
+// declare appends a family to the page.
+func (r *Metrics) declare(name, typ, label string, prec int, samples func(add func(string, float64))) {
+	r.families = append(r.families, family{name, typ, label, prec, samples})
 }
 
-// algoStat returns (creating on first use) the named backend's shard.
-func (m *Metrics) algoStat(name string) *AlgoStat {
-	m.amu.Lock()
-	defer m.amu.Unlock()
-	if m.algoStats == nil {
-		m.algoStats = make(map[string]*AlgoStat)
-	}
-	as := m.algoStats[name]
-	if as == nil {
-		as = &AlgoStat{}
-		m.algoStats[name] = as
-	}
-	return as
+// counter declares an unlabelled counter and returns its handle.
+func (r *Metrics) counter(name string) *atomic.Int64 {
+	c := new(atomic.Int64)
+	r.declare(name, "counter", "", -1, func(add func(string, float64)) { add("", float64(c.Load())) })
+	return c
 }
 
-// AlgoStats snapshots the per-backend shards, keyed by algorithm name.
-func (m *Metrics) AlgoStats() map[string]*AlgoStat {
-	m.amu.Lock()
-	defer m.amu.Unlock()
-	out := make(map[string]*AlgoStat, len(m.algoStats))
-	for name, as := range m.algoStats {
-		out[name] = as
-	}
-	return out
+// value declares an unlabelled family whose one sample is v().
+func (r *Metrics) value(name, typ string, prec int, v func() float64) {
+	r.declare(name, typ, "", prec, func(add func(string, float64)) { add("", v()) })
 }
 
-// noteAlgoDone attributes one done optimize job to its search backend.
-// Results written before the algorithm field existed count under the
-// default backend, which is what produced them.
-func (m *Metrics) noteAlgoDone(opt *report.Result) {
-	name := opt.Algorithm
-	if name == "" {
-		name = core.DefaultAlgorithm
-	}
-	as := m.algoStat(name)
-	as.Done.Add(1)
-	as.Iterations.Add(int64(len(opt.Iterations)))
-	as.Simulations.Add(opt.Simulations)
+// seconds converts a nanosecond counter to seconds.
+func seconds(c *atomic.Int64) func() float64 {
+	return func() float64 { return time.Duration(c.Load()).Seconds() }
 }
 
-// LaneStat aggregates one priority lane's traffic: current queue depth,
-// jobs settled done, and the cumulative time jobs spent waiting in the
-// lane (total nanoseconds from enqueue to dequeue — divided by done
-// counts it yields the mean lane latency, the number the weighted
-// round-robin exists to keep low for the verify lane).
-type LaneStat struct {
-	Queued    atomic.Int64 // gauge
-	Done      atomic.Int64
-	WaitNanos atomic.Int64
-}
-
-// laneStat returns (creating on first use) the named lane's shard.
-func (m *Metrics) laneStat(name string) *LaneStat {
-	m.lnmu.Lock()
-	defer m.lnmu.Unlock()
-	if m.laneStats == nil {
-		m.laneStats = make(map[string]*LaneStat)
+// registerMetrics declares every family of the page, in page order.
+func (m *Manager) registerMetrics() {
+	r := &m.metrics
+	r.start, r.state = time.Now(), &m.mu
+	for _, name := range Lanes() {
+		r.lanes.add(name, laneDone, 0) // every lane is listed from boot
 	}
-	ls := m.laneStats[name]
-	if ls == nil {
-		ls = &LaneStat{}
-		m.laneStats[name] = ls
+	// jobs counts the tracked jobs matching pred. The render holds m.mu
+	// and this takes each j.mu after it, the order sweep uses.
+	jobs := func(pred func(j *Job) bool) func() float64 {
+		return func() float64 {
+			n := 0
+			for _, j := range m.jobs {
+				j.mu.Lock()
+				if pred(j) {
+					n++
+				}
+				j.mu.Unlock()
+			}
+			return float64(n)
+		}
 	}
-	return ls
-}
 
-// LaneStats snapshots the per-lane shards, keyed by lane name.
-func (m *Metrics) LaneStats() map[string]*LaneStat {
-	m.lnmu.Lock()
-	defer m.lnmu.Unlock()
-	out := make(map[string]*LaneStat, len(m.laneStats))
-	for name, ls := range m.laneStats {
-		out[name] = ls
+	r.submitted = r.counter("specwised_jobs_submitted_total")
+	r.value("specwised_jobs_queued", "gauge", -1, jobs(func(j *Job) bool { return j.state == StateQueued }))
+	r.value("specwised_jobs_running", "gauge", -1, jobs(func(j *Job) bool { return j.state == StateRunning }))
+	r.done = new(atomic.Int64)
+	r.declare("specwised_jobs_done_total", "counter", "algorithm", -1, func(add func(string, float64)) {
+		add("", float64(r.done.Load()))
+		r.algorithms.column(algoDone, 1)(add)
+	})
+	r.failed = r.counter("specwised_jobs_failed_total")
+	r.canceled = r.counter("specwised_jobs_canceled_total")
+	r.value("specwised_jobs_tracked", "gauge", -1, func() float64 { return float64(len(m.jobs)) })
+	r.jobsEvicted = r.counter("specwised_jobs_evicted_total")
+	r.requeued = r.counter("specwised_jobs_requeued_total")
+	r.declare("specwised_lane_queued", "gauge", "lane", -1, func(add func(string, float64)) {
+		names := Lanes()
+		sort.Strings(names)
+		for _, name := range names {
+			add(name, float64(m.lanes[name].pending.Len()))
+		}
+	})
+	r.declare("specwised_lane_done", "counter", "lane", -1, r.lanes.column(laneDone, 1))
+	r.declare("specwised_lane_wait_seconds_total", "counter", "lane", 6, r.lanes.column(laneWaitNanos, 1e-9))
+	r.batches = r.counter("specwised_batches_total")
+	r.batchMembers = r.counter("specwised_batch_members_total")
+	r.batchDeduped = r.counter("specwised_batch_members_deduped_total")
+	r.batchesEvicted = r.counter("specwised_batches_evicted_total")
+	r.claims = r.counter("specwised_claims_total")
+	r.value("specwised_leases_active", "gauge", -1, jobs(func(j *Job) bool { return j.state == StateRunning && j.leaseID != "" }))
+	r.leaseExpiries = r.counter("specwised_lease_expiries_total")
+	r.declare("specwised_algorithm_iterations_total", "counter", "algorithm", -1, r.algorithms.column(algoIterations, 1))
+	r.declare("specwised_algorithm_simulations_total", "counter", "algorithm", -1, r.algorithms.column(algoSimulations, 1))
+	r.cacheHits = r.counter("specwised_cache_hits_total")
+	r.cacheWarmHits = r.counter("specwised_cache_warm_hits_total")
+	r.cacheEvictions = r.counter("specwised_cache_evictions_total")
+	r.value("specwised_cache_entries", "gauge", -1, func() float64 { return float64(m.lru.Len()) })
+
+	store := func(v func(StoreStats) int64) func() float64 {
+		return func() float64 { return float64(v(m.store.Stats())) }
 	}
-	return out
-}
+	r.value("specwised_store_records_appended", "counter", -1, store(func(s StoreStats) int64 { return s.Records }))
+	r.value("specwised_store_bytes", "counter", -1, store(func(s StoreStats) int64 { return s.Bytes }))
+	r.value("specwised_store_snapshots", "counter", -1, store(func(s StoreStats) int64 { return s.Snapshots }))
+	r.value("specwised_store_recovered_jobs", "gauge", -1, func() float64 { return float64(r.recovered) })
+	r.value("specwised_store_recovery_seconds", "gauge", 6, func() float64 { return r.recoveryTime.Seconds() })
 
-// WorkerStat aggregates one remote worker's shard of the pull protocol.
-type WorkerStat struct {
-	Claims    atomic.Int64
-	Done      atomic.Int64
-	Failed    atomic.Int64
-	Expiries  atomic.Int64
-	BusyNanos atomic.Int64
-}
-
-// workerStat returns (creating on first use) the named worker's shard.
-func (m *Metrics) workerStat(name string) *WorkerStat {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	if m.workerStats == nil {
-		m.workerStats = make(map[string]*WorkerStat)
+	// With the shared cache on, every job's lookups flow through it, so
+	// its live counters are the evalcache series; without it the series
+	// sum the finished runs' private caches.
+	eval := func(v func(evalcache.Stats) int64) func() float64 {
+		return func() float64 {
+			if m.evalShared == nil {
+				r.runMu.Lock()
+				defer r.runMu.Unlock()
+				return float64(v(r.runCache))
+			}
+			s := m.evalShared.Stats()
+			return float64(v(evalcache.Stats{Hits: s.Hits, CrossHits: s.CrossHits, Misses: s.Misses,
+				Deduped: s.Deduped, Overflow: s.Overflow, Evictions: s.Evictions}))
+		}
 	}
-	ws := m.workerStats[name]
-	if ws == nil {
-		ws = &WorkerStat{}
-		m.workerStats[name] = ws
-	}
-	return ws
-}
-
-// WorkerStats snapshots the per-worker shards, keyed by worker name.
-func (m *Metrics) WorkerStats() map[string]*WorkerStat {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	out := make(map[string]*WorkerStat, len(m.workerStats))
-	for name, ws := range m.workerStats {
-		out[name] = ws
-	}
-	return out
-}
-
-// Claims returns the number of leases granted to remote workers.
-func (m *Metrics) Claims() int64 { return m.claims.Load() }
-
-// LeaseExpiries returns the number of silent leases expired.
-func (m *Metrics) LeaseExpiries() int64 { return m.leaseExpiries.Load() }
-
-// Requeued returns the number of jobs sent back to the queue by lease
-// expiry.
-func (m *Metrics) Requeued() int64 { return m.requeued.Load() }
-
-// JobsTracked returns the number of jobs currently in the store.
-func (m *Metrics) JobsTracked() int64 { return m.jobsTracked.Load() }
-
-// JobsEvicted returns the number of terminal jobs dropped by retention.
-func (m *Metrics) JobsEvicted() int64 { return m.jobsEvicted.Load() }
-
-// CacheEvictions returns the number of results dropped by the LRU cap.
-func (m *Metrics) CacheEvictions() int64 { return m.cacheEvictions.Load() }
-
-// CacheHits returns the number of submissions answered from the cache.
-func (m *Metrics) CacheHits() int64 { return m.cacheHits.Load() }
-
-// CacheWarmHits returns the number of cache hits served by entries the
-// boot-time recovery restored from the journal.
-func (m *Metrics) CacheWarmHits() int64 { return m.cacheWarmHits.Load() }
-
-// RecoveredJobs returns the number of jobs the last boot restored from
-// the persistent store.
-func (m *Metrics) RecoveredJobs() int64 { return m.storeRecovered.Load() }
-
-// Done returns the number of jobs finished successfully.
-func (m *Metrics) Done() int64 { return m.done.Load() }
-
-// Failed returns the number of jobs that ended in error.
-func (m *Metrics) Failed() int64 { return m.failed.Load() }
-
-// Canceled returns the number of jobs canceled before completion.
-func (m *Metrics) Canceled() int64 { return m.canceled.Load() }
-
-// Utilization returns the busy fraction of the worker pool since start.
-func (m *Metrics) Utilization() float64 {
-	up := time.Since(m.start)
-	if up <= 0 || m.workers == 0 {
-		return 0
-	}
-	return float64(m.busyNanos.Load()) / (float64(up) * float64(m.workers))
-}
-
-// WriteText renders the counters in Prometheus exposition format.
-func (m *Metrics) WriteText(w io.Writer) {
-	finished := m.done.Load() + m.failed.Load() + m.canceled.Load()
-	wall := time.Duration(m.wallNanos.Load()).Seconds()
-	avg := 0.0
-	if finished > 0 {
-		avg = wall / float64(finished)
-	}
-	fmt.Fprintf(w, "specwised_jobs_submitted_total %d\n", m.submitted.Load())
-	fmt.Fprintf(w, "specwised_jobs_queued %d\n", m.queued.Load())
-	fmt.Fprintf(w, "specwised_jobs_running %d\n", m.running.Load())
-	fmt.Fprintf(w, "specwised_jobs_done_total %d\n", m.done.Load())
-	m.amu.Lock()
-	algos := make([]string, 0, len(m.algoStats))
-	for name := range m.algoStats {
-		algos = append(algos, name)
-	}
-	sort.Strings(algos)
-	for _, name := range algos {
-		fmt.Fprintf(w, "specwised_jobs_done_total{algorithm=%q} %d\n", name, m.algoStats[name].Done.Load())
-	}
-	fmt.Fprintf(w, "specwised_jobs_failed_total %d\n", m.failed.Load())
-	fmt.Fprintf(w, "specwised_jobs_canceled_total %d\n", m.canceled.Load())
-	fmt.Fprintf(w, "specwised_jobs_tracked %d\n", m.jobsTracked.Load())
-	fmt.Fprintf(w, "specwised_jobs_evicted_total %d\n", m.jobsEvicted.Load())
-	fmt.Fprintf(w, "specwised_jobs_requeued_total %d\n", m.requeued.Load())
-	m.lnmu.Lock()
-	laneNames := make([]string, 0, len(m.laneStats))
-	for name := range m.laneStats {
-		laneNames = append(laneNames, name)
-	}
-	sort.Strings(laneNames)
-	for _, name := range laneNames {
-		ls := m.laneStats[name]
-		fmt.Fprintf(w, "specwised_lane_queued{lane=%q} %d\n", name, ls.Queued.Load())
-		fmt.Fprintf(w, "specwised_lane_done{lane=%q} %d\n", name, ls.Done.Load())
-		fmt.Fprintf(w, "specwised_lane_wait_seconds_total{lane=%q} %.6f\n", name,
-			time.Duration(ls.WaitNanos.Load()).Seconds())
-	}
-	m.lnmu.Unlock()
-	fmt.Fprintf(w, "specwised_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "specwised_batch_members_total %d\n", m.batchMembers.Load())
-	fmt.Fprintf(w, "specwised_batch_members_deduped_total %d\n", m.batchDeduped.Load())
-	fmt.Fprintf(w, "specwised_batches_evicted_total %d\n", m.batchesEvicted.Load())
-	fmt.Fprintf(w, "specwised_claims_total %d\n", m.claims.Load())
-	fmt.Fprintf(w, "specwised_leases_active %d\n", m.leasesActive.Load())
-	fmt.Fprintf(w, "specwised_lease_expiries_total %d\n", m.leaseExpiries.Load())
-	for _, name := range algos {
-		as := m.algoStats[name]
-		fmt.Fprintf(w, "specwised_algorithm_iterations_total{algorithm=%q} %d\n", name, as.Iterations.Load())
-		fmt.Fprintf(w, "specwised_algorithm_simulations_total{algorithm=%q} %d\n", name, as.Simulations.Load())
-	}
-	m.amu.Unlock()
-	fmt.Fprintf(w, "specwised_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintf(w, "specwised_cache_warm_hits_total %d\n", m.cacheWarmHits.Load())
-	fmt.Fprintf(w, "specwised_cache_evictions_total %d\n", m.cacheEvictions.Load())
-	fmt.Fprintf(w, "specwised_cache_entries %d\n", m.cacheEntries.Load())
-	var st StoreStats
-	if m.storeStats != nil {
-		st = m.storeStats()
-	}
-	fmt.Fprintf(w, "specwised_store_records_appended %d\n", st.Records)
-	fmt.Fprintf(w, "specwised_store_bytes %d\n", st.Bytes)
-	fmt.Fprintf(w, "specwised_store_snapshots %d\n", st.Snapshots)
-	fmt.Fprintf(w, "specwised_store_recovered_jobs %d\n", m.storeRecovered.Load())
-	fmt.Fprintf(w, "specwised_store_recovery_seconds %.6f\n",
-		time.Duration(m.storeRecoveryNanos.Load()).Seconds())
-	if m.sharedEval != nil {
-		// Shared cache on: every job's lookups flow through the shared
-		// shard, so its live counters are the authoritative evalcache
-		// series (the per-run aggregates would lag until job completion).
-		es := m.sharedEval()
-		fmt.Fprintf(w, "specwised_evalcache_hits_total %d\n", es.Hits)
-		fmt.Fprintf(w, "specwised_evalcache_cross_hits_total %d\n", es.CrossHits)
-		fmt.Fprintf(w, "specwised_evalcache_misses_total %d\n", es.Misses)
-		fmt.Fprintf(w, "specwised_evalcache_deduped_total %d\n", es.Deduped)
-		fmt.Fprintf(w, "specwised_evalcache_overflow_total %d\n", es.Overflow)
-		fmt.Fprintf(w, "specwised_evalcache_evictions_total %d\n", es.Evictions)
-		fmt.Fprintf(w, "specwised_evalcache_entries %d\n", es.Entries)
-		fmt.Fprintf(w, "specwised_evalcache_problems %d\n", es.Problems)
-		if m.sharedEvalPerProblem != nil {
-			per := m.sharedEvalPerProblem()
+	r.value("specwised_evalcache_hits_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.Hits }))
+	r.value("specwised_evalcache_cross_hits_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.CrossHits }))
+	r.value("specwised_evalcache_misses_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.Misses }))
+	r.value("specwised_evalcache_deduped_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.Deduped }))
+	r.value("specwised_evalcache_overflow_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.Overflow }))
+	r.value("specwised_evalcache_evictions_total", "counter", -1, eval(func(s evalcache.Stats) int64 { return s.Evictions }))
+	if sh := m.evalShared; sh != nil {
+		r.value("specwised_evalcache_entries", "gauge", -1, func() float64 { return float64(sh.Stats().Entries) })
+		r.value("specwised_evalcache_problems", "gauge", -1, func() float64 { return float64(sh.Stats().Problems) })
+		r.declare("specwised_evalcache_problem_entries", "gauge", "problem", -1, func(add func(string, float64)) {
+			per := sh.PerProblem()
 			probs := make([]string, 0, len(per))
 			for p := range per {
 				probs = append(probs, p)
 			}
 			sort.Strings(probs)
 			for _, p := range probs {
-				label := p
-				if len(label) > 12 {
-					label = label[:12]
-				}
-				fmt.Fprintf(w, "specwised_evalcache_problem_entries{problem=%q} %d\n", label, per[p])
+				add(p[:min(len(p), 12)], float64(per[p]))
 			}
+		})
+	}
+
+	sch := func(v func(sched.Stats) int64) func() float64 {
+		return func() float64 { return float64(v(sched.Default().Stats())) }
+	}
+	r.value("specwised_sched_capacity", "gauge", -1, sch(func(s sched.Stats) int64 { return int64(s.Capacity) }))
+	r.value("specwised_sched_fg_in_use", "gauge", -1, sch(func(s sched.Stats) int64 { return int64(s.InUse) }))
+	r.value("specwised_sched_fg_granted_total", "counter", -1, sch(func(s sched.Stats) int64 { return s.Granted }))
+	r.value("specwised_sched_fg_denied_total", "counter", -1, sch(func(s sched.Stats) int64 { return s.Denied }))
+
+	sim := func(v func(problem.SimCounters) int64, scale float64) func() float64 {
+		return func() float64 {
+			r.runMu.Lock()
+			defer r.runMu.Unlock()
+			return float64(v(r.runSim)) * scale
 		}
-	} else {
-		fmt.Fprintf(w, "specwised_evalcache_hits_total %d\n", m.evalCacheHits.Load())
-		fmt.Fprintf(w, "specwised_evalcache_cross_hits_total 0\n")
-		fmt.Fprintf(w, "specwised_evalcache_misses_total %d\n", m.evalCacheMisses.Load())
-		fmt.Fprintf(w, "specwised_evalcache_deduped_total %d\n", m.evalCacheDeduped.Load())
-		fmt.Fprintf(w, "specwised_evalcache_overflow_total %d\n", m.evalCacheOverflow.Load())
-		fmt.Fprintf(w, "specwised_evalcache_evictions_total %d\n", m.evalCacheEvicted.Load())
 	}
-	ss := sched.Default().Stats()
-	fmt.Fprintf(w, "specwised_sched_capacity %d\n", ss.Capacity)
-	fmt.Fprintf(w, "specwised_sched_fg_in_use %d\n", ss.InUse)
-	fmt.Fprintf(w, "specwised_sched_fg_granted_total %d\n", ss.Granted)
-	fmt.Fprintf(w, "specwised_sched_fg_denied_total %d\n", ss.Denied)
-	fmt.Fprintf(w, "specwised_dc_warm_starts_total %d\n", m.warmStarts.Load())
-	fmt.Fprintf(w, "specwised_dc_warm_converged_total %d\n", m.warmConverged.Load())
-	fmt.Fprintf(w, "specwised_dc_fallbacks_total %d\n", m.dcFallbacks.Load())
-	fmt.Fprintf(w, "specwised_solver_factorizations_total %d\n", m.solverFactorizations.Load())
-	fmt.Fprintf(w, "specwised_solver_solves_total %d\n", m.solverSolves.Load())
-	fmt.Fprintf(w, "specwised_solver_symbolic_factorizations_total %d\n", m.solverSymbolic.Load())
-	fmt.Fprintf(w, "specwised_solver_matrix_nnz %d\n", m.solverMatrixNNZ.Load())
-	fmt.Fprintf(w, "specwised_solver_factor_nnz %d\n", m.solverFactorNNZ.Load())
-	fmt.Fprintf(w, "specwised_solver_dc_seconds_total %.6f\n",
-		time.Duration(m.solverDCNanos.Load()).Seconds())
-	fmt.Fprintf(w, "specwised_solver_ac_seconds_total %.6f\n",
-		time.Duration(m.solverACNanos.Load()).Seconds())
-	fmt.Fprintf(w, "specwised_solver_tran_seconds_total %.6f\n",
-		time.Duration(m.solverTranNanos.Load()).Seconds())
-	fmt.Fprintf(w, "specwised_workers %d\n", m.workers)
-	fmt.Fprintf(w, "specwised_worker_busy_seconds_total %.6f\n",
-		time.Duration(m.busyNanos.Load()).Seconds())
-	fmt.Fprintf(w, "specwised_worker_utilization %.6f\n", m.Utilization())
-	fmt.Fprintf(w, "specwised_job_wall_seconds_total %.6f\n", wall)
-	fmt.Fprintf(w, "specwised_job_wall_seconds_avg %.6f\n", avg)
-	m.wmu.Lock()
-	names := make([]string, 0, len(m.workerStats))
-	for name := range m.workerStats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws := m.workerStats[name]
-		fmt.Fprintf(w, "specwised_remote_worker_claims_total{worker=%q} %d\n", name, ws.Claims.Load())
-		fmt.Fprintf(w, "specwised_remote_worker_jobs_done_total{worker=%q} %d\n", name, ws.Done.Load())
-		fmt.Fprintf(w, "specwised_remote_worker_jobs_failed_total{worker=%q} %d\n", name, ws.Failed.Load())
-		fmt.Fprintf(w, "specwised_remote_worker_lease_expiries_total{worker=%q} %d\n", name, ws.Expiries.Load())
-		fmt.Fprintf(w, "specwised_remote_worker_busy_seconds_total{worker=%q} %.6f\n", name,
-			time.Duration(ws.BusyNanos.Load()).Seconds())
-	}
-	m.wmu.Unlock()
-	fmt.Fprintf(w, "specwised_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
+	r.value("specwised_dc_warm_starts_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.WarmStarts }, 1))
+	r.value("specwised_dc_warm_converged_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.WarmConverged }, 1))
+	r.value("specwised_dc_fallbacks_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.Fallbacks }, 1))
+	r.value("specwised_solver_factorizations_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.Factorizations }, 1))
+	r.value("specwised_solver_solves_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.Solves }, 1))
+	r.value("specwised_solver_symbolic_factorizations_total", "counter", -1, sim(func(s problem.SimCounters) int64 { return s.SymbolicFacts }, 1))
+	r.value("specwised_solver_matrix_nnz", "gauge", -1, sim(func(s problem.SimCounters) int64 { return s.MatrixNNZ }, 1))
+	r.value("specwised_solver_factor_nnz", "gauge", -1, sim(func(s problem.SimCounters) int64 { return s.FactorNNZ }, 1))
+	r.value("specwised_solver_dc_seconds_total", "counter", 6, sim(func(s problem.SimCounters) int64 { return s.DCSolveNanos }, 1e-9))
+	r.value("specwised_solver_ac_seconds_total", "counter", 6, sim(func(s problem.SimCounters) int64 { return s.ACSolveNanos }, 1e-9))
+	r.value("specwised_solver_tran_seconds_total", "counter", 6, sim(func(s problem.SimCounters) int64 { return s.TranSolveNanos }, 1e-9))
+
+	r.value("specwised_workers", "gauge", -1, func() float64 { return float64(m.cfg.Workers) })
+	r.busyNanos, r.wallNanos = new(atomic.Int64), new(atomic.Int64)
+	r.value("specwised_worker_busy_seconds_total", "counter", 6, seconds(r.busyNanos))
+	r.value("specwised_worker_utilization", "gauge", 6, func() float64 {
+		up := time.Since(r.start)
+		if up <= 0 || m.cfg.Workers == 0 {
+			return 0
+		}
+		return float64(r.busyNanos.Load()) / (float64(up) * float64(m.cfg.Workers))
+	})
+	r.value("specwised_job_wall_seconds_total", "counter", 6, seconds(r.wallNanos))
+	r.value("specwised_job_wall_seconds_avg", "gauge", 6, func() float64 {
+		finished := r.done.Load() + r.failed.Load() + r.canceled.Load()
+		if finished == 0 {
+			return 0
+		}
+		return seconds(r.wallNanos)() / float64(finished)
+	})
+	r.declare("specwised_remote_worker_claims_total", "counter", "worker", -1, r.workers.column(workerClaims, 1))
+	r.declare("specwised_remote_worker_jobs_done_total", "counter", "worker", -1, r.workers.column(workerDone, 1))
+	r.declare("specwised_remote_worker_jobs_failed_total", "counter", "worker", -1, r.workers.column(workerFailed, 1))
+	r.declare("specwised_remote_worker_lease_expiries_total", "counter", "worker", -1, r.workers.column(workerExpiries, 1))
+	r.declare("specwised_remote_worker_busy_seconds_total", "counter", "worker", 6, r.workers.column(workerBusyNanos, 1e-9))
+	r.value("specwised_uptime_seconds", "gauge", 3, func() float64 { return time.Since(r.start).Seconds() })
 }
+
+// labelEscaper applies the exposition format's three label-value
+// escapes; nothing else is escaped.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// WriteText renders the page: for each family in declaration order one
+// # TYPE line, then all of its samples.
+func (r *Metrics) WriteText(w io.Writer) {
+	var b bytes.Buffer
+	r.state.Lock()
+	for _, f := range r.families {
+		b.WriteString("# TYPE " + f.name + " " + f.typ + "\n")
+		f.samples(func(label string, v float64) {
+			b.WriteString(f.name)
+			if label != "" {
+				b.WriteString("{" + f.label + `="` + labelEscaper.Replace(label) + `"}`)
+			}
+			b.WriteString(" " + strconv.FormatFloat(v, 'f', f.prec, 64) + "\n")
+		})
+	}
+	r.state.Unlock()
+	w.Write(b.Bytes()) //nolint:errcheck // a scraper that hung up needs no answer
+}
+
+// noteRun folds one finished optimization's evaluation-reuse and solver
+// counters into the service totals.
+func (r *Metrics) noteRun(res *core.Result) {
+	r.runMu.Lock()
+	defer r.runMu.Unlock()
+	ec := &r.runCache
+	ec.Hits += res.EvalCache.Hits + res.EvalCache.ConstraintHits
+	ec.Misses += res.EvalCache.Misses + res.EvalCache.ConstraintMisses
+	ec.Deduped += res.EvalCache.Deduped
+	ec.Evictions += res.EvalCache.Evictions
+	ec.Overflow += res.EvalCache.Overflow
+	r.runSim.Add(res.Sim)
+}
+
+// noteDone counts one job settled done in its lane and, for an optimize
+// result, under its search backend (results written before the
+// algorithm field existed count under the default backend, which is
+// what produced them).
+func (r *Metrics) noteDone(lane string, res *Result) {
+	r.done.Add(1)
+	r.lanes.add(lane, laneDone, 1)
+	if res == nil || res.Optimization == nil {
+		return
+	}
+	opt := res.Optimization
+	name := opt.Algorithm
+	if name == "" {
+		name = core.DefaultAlgorithm
+	}
+	r.algorithms.add(name, algoDone, 1)
+	r.algorithms.add(name, algoIterations, int64(len(opt.Iterations)))
+	r.algorithms.add(name, algoSimulations, opt.Simulations)
+}
+
+// noteRemote settles a remote worker's finished lease: its wall time and
+// its done or failed column.
+func (r *Metrics) noteRemote(worker string, col int, busy time.Duration) {
+	r.wallNanos.Add(int64(busy))
+	r.workers.add(worker, col, 1)
+	r.workers.add(worker, workerBusyNanos, int64(busy))
+}
+
+// RecoveredJobs returns the number of jobs the last boot restored from
+// the persistent store.
+func (r *Metrics) RecoveredJobs() int64 { return r.recovered }

@@ -76,8 +76,8 @@ func settleRecord(j *Job, state State, worker, errMsg string) *Record {
 // applyRecord folds one journal record into the manager during
 // recovery. It runs strictly before the worker pool and the sweeper
 // start, single-threaded, so no locks are taken. It rebuilds only the
-// job map, the cache and the sequence counters; queue membership,
-// retention order and gauges are derived afterwards by recover.
+// job map, the cache and the sequence counters; queue membership
+// and retention order are derived afterwards by recover.
 // Records referencing unknown jobs (evicted before the record was
 // written against a pre-eviction snapshot — impossible in a healthy
 // journal, but cheap to tolerate) are skipped.
@@ -247,24 +247,6 @@ func (m *Manager) recover() error {
 
 	m.mu.Lock()
 
-	// Gauges first, from the replayed states, so the fixups below adjust
-	// them exactly as the live transitions would have.
-	var queued, running, leased int64
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-			if j.leaseID != "" {
-				leased++
-			}
-		}
-	}
-	m.metrics.queued.Store(queued)
-	m.metrics.running.Store(running)
-	m.metrics.leasesActive.Store(leased)
-
 	// Re-link batches to their member jobs (the journal stores member
 	// IDs; a batch evicted with RecBatchEvict is already gone). Jobs
 	// carrying a batch tag whose RecBatch never made the journal are
@@ -368,11 +350,6 @@ func (m *Manager) recover() error {
 		p, err := m.cfg.Resolve(&j.req)
 		if err != nil {
 			j.mu.Lock()
-			if j.state == StateRunning {
-				if j.leaseID != "" {
-					m.metrics.leasesActive.Add(-1)
-				}
-			}
 			m.finishLocked(j, StateFailed, fmt.Sprintf("recovery: %v", err))
 			j.mu.Unlock()
 			continue
@@ -400,8 +377,6 @@ func (m *Manager) recover() error {
 			// budget untouched (the daemon died, not the job).
 			j.state = StateQueued
 			j.started = time.Time{}
-			m.metrics.running.Add(-1)
-			m.metrics.queued.Add(1)
 			m.metrics.requeued.Add(1)
 			m.journal(&Record{Kind: RecRequeue, Job: j.id, Requeues: j.requeues, Attempts: j.attempts, Time: now})
 			pend = append(pend, j)
@@ -410,16 +385,13 @@ func (m *Manager) recover() error {
 			// sweeper would have applied.
 			worker := j.worker
 			m.metrics.leaseExpiries.Add(1)
-			m.metrics.leasesActive.Add(-1)
-			m.metrics.workerStat(worker).Expiries.Add(1)
+			m.metrics.workers.add(worker, workerExpiries, 1)
 			if j.requeues < m.cfg.MaxRetries {
 				j.requeues++
 				j.leaseID = ""
 				j.worker = ""
 				j.state = StateQueued
 				j.started = time.Time{}
-				m.metrics.running.Add(-1)
-				m.metrics.queued.Add(1)
 				m.metrics.requeued.Add(1)
 				m.journal(&Record{Kind: RecRequeue, Job: j.id, Requeues: j.requeues, Attempts: j.attempts, Time: now})
 				pend = append(pend, j)
@@ -462,9 +434,7 @@ func (m *Manager) recover() error {
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		el.Value.(*cacheEntry).warm = true
 	}
-	m.metrics.cacheEntries.Store(int64(m.lru.Len()))
-	m.metrics.jobsTracked.Store(int64(len(m.jobs)))
-	m.metrics.storeRecovered.Store(int64(len(m.jobs)))
+	m.metrics.recovered = int64(len(m.jobs))
 
 	// Compact immediately: boot-time is the cheapest moment (no traffic)
 	// and it bounds the next recovery's replay to the snapshot plus one
@@ -478,7 +448,7 @@ func (m *Manager) recover() error {
 	if err != nil {
 		return fmt.Errorf("jobs: compacting after recovery: %w", err)
 	}
-	m.metrics.storeRecoveryNanos.Store(int64(time.Since(begin)))
+	m.metrics.recoveryTime = time.Since(begin)
 	return nil
 }
 

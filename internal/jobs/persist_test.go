@@ -150,8 +150,8 @@ func TestRecoveryRestoresTerminalJobsAndWarmsCache(t *testing.T) {
 	}
 
 	m2 := persistManager(t, Config{Workers: 1}, st.crashCopy(), 0)
-	if got := m2.Metrics().RecoveredJobs(); got != 2 {
-		t.Fatalf("recovered jobs = %d, want 2", got)
+	if got := metricValue(t, m2, "specwised_store_recovered_jobs"); got != 2 {
+		t.Fatalf("recovered jobs = %v, want 2", got)
 	}
 	for _, id := range []string{job.ID(), hit.ID()} {
 		rj, ok := m2.Get(id)
@@ -184,8 +184,8 @@ func TestRecoveryRestoresTerminalJobsAndWarmsCache(t *testing.T) {
 	if got := resultJSON(t, mustResult(t, warm)); got != want {
 		t.Errorf("warm-cache result differs:\n got %s\nwant %s", got, want)
 	}
-	if got := m2.Metrics().CacheWarmHits(); got != 1 {
-		t.Errorf("warm hits = %d, want 1", got)
+	if got := metricValue(t, m2, "specwised_cache_warm_hits_total"); got != 1 {
+		t.Errorf("warm hits = %v, want 1", got)
 	}
 	// The ID sequence resumes past the recovered jobs: no reuse.
 	if warm.ID() != "job-000003" {
@@ -257,8 +257,8 @@ func TestRecoveryRequeuesInterruptedLocalRun(t *testing.T) {
 	if got := j.Status().Attempts; got != 2 {
 		t.Errorf("attempts = %d, want 2 (1 interrupted + 1 reclaim)", got)
 	}
-	if got := m.Metrics().Requeued(); got != 1 {
-		t.Errorf("requeued = %d, want 1", got)
+	if got := metricValue(t, m, "specwised_jobs_requeued_total"); got != 1 {
+		t.Errorf("requeued = %v, want 1", got)
 	}
 }
 
@@ -302,8 +302,8 @@ func TestRecoveryReattachesLiveLease(t *testing.T) {
 	}
 	// Reattachment, not re-execution: the restarted daemon granted no
 	// new lease and the job still counts one attempt.
-	if got := m2.Metrics().Claims(); got != 0 {
-		t.Errorf("claims after recovery = %d, want 0", got)
+	if got := metricValue(t, m2, "specwised_claims_total"); got != 0 {
+		t.Errorf("claims after recovery = %v, want 0", got)
 	}
 	if got := rj.Status().Attempts; got != 1 {
 		t.Errorf("attempts = %d, want 1 (no re-execution)", got)
@@ -331,8 +331,8 @@ func TestRecoveryExpiresDeadLease(t *testing.T) {
 	if got := rj.State(); got != StateQueued {
 		t.Fatalf("expired-lease job recovered as %v, want queued", got)
 	}
-	if got := m2.Metrics().LeaseExpiries(); got != 1 {
-		t.Errorf("lease expiries = %d, want 1", got)
+	if got := metricValue(t, m2, "specwised_lease_expiries_total"); got != 1 {
+		t.Errorf("lease expiries = %v, want 1", got)
 	}
 	// The stale worker's posts are refused.
 	if err := m2.Complete(lease.JobID, lease.LeaseID, &Result{Kind: KindOptimize}); !errors.Is(err, ErrLeaseLost) {
@@ -366,8 +366,8 @@ func TestRecoveryDoesNotResurrectEvictedCacheEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, b, 10*time.Second)
-	if got := m1.Metrics().CacheEvictions(); got != 1 {
-		t.Fatalf("evictions pre-crash = %d, want 1 (cap 1)", got)
+	if got := metricValue(t, m1, "specwised_cache_evictions_total"); got != 1 {
+		t.Fatalf("evictions pre-crash = %v, want 1 (cap 1)", got)
 	}
 
 	// Cap 2 on the restarted manager so re-running A below does not

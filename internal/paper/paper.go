@@ -26,7 +26,7 @@ import (
 )
 
 // Seed fixes all randomness so the tables regenerate identically.
-const Seed = 20010618
+const Seed = core.DefaultSeed
 
 // RunConfig scales the experiments: Full matches the paper's sample sizes;
 // Quick keeps CI fast.

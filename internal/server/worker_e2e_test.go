@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -164,7 +165,7 @@ func TestRemotePoolMatchesLocalPool(t *testing.T) {
 // the job is requeued, a live worker completes it exactly once, and the
 // dead worker's late post is refused with 409.
 func TestKilledWorkerLeaseExpiresAndRequeues(t *testing.T) {
-	ts, m := newRemoteServer(t, jobs.Config{LeaseTTL: 200 * time.Millisecond, MaxRetries: 3})
+	ts, _ := newRemoteServer(t, jobs.Config{LeaseTTL: 200 * time.Millisecond, MaxRetries: 3})
 
 	code, ack := postJob(t, ts, `{"kind": "verify", "circuit": "ota",
 	  "options": {"verifySamples": 40, "seed": 3}}`)
@@ -205,15 +206,37 @@ func TestKilledWorkerLeaseExpiresAndRequeues(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Errorf("stale result post: code %d, want 409", code)
 	}
-	if got := m.Metrics().Done(); got != 1 {
-		t.Errorf("done counter = %d, want exactly 1", got)
+	if got := metricValue(t, ts, "specwised_jobs_done_total"); got != 1 {
+		t.Errorf("done counter = %v, want exactly 1", got)
 	}
-	if got := m.Metrics().LeaseExpiries(); got < 1 {
-		t.Errorf("lease expiries = %d, want >= 1", got)
+	if got := metricValue(t, ts, "specwised_lease_expiries_total"); got < 1 {
+		t.Errorf("lease expiries = %v, want >= 1", got)
 	}
-	if got := m.Metrics().Requeued(); got < 1 {
-		t.Errorf("requeued = %d, want >= 1", got)
+	if got := metricValue(t, ts, "specwised_jobs_requeued_total"); got < 1 {
+		t.Errorf("requeued = %v, want >= 1", got)
 	}
+}
+
+// metricValue reads one unlabelled sample off the server's /metrics page.
+func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics page has no %s", name)
+	return 0
 }
 
 // The /v1/worker endpoints are gated by the bearer token; the client
@@ -233,9 +256,12 @@ func TestWorkerEndpointsRequireToken(t *testing.T) {
 	if code := workerPost(t, ts, "/v1/worker/claim", testToken, `{"worker":"w"}`, nil); code != http.StatusNoContent {
 		t.Errorf("authorized claim on empty queue: code %d, want 204", code)
 	}
-	// A claim without a worker name is a 400, not a silent lease.
-	if code := workerPost(t, ts, "/v1/worker/claim", testToken, `{}`, nil); code != http.StatusBadRequest {
-		t.Errorf("claim without name: code %d, want 400", code)
+	// A claim without a worker name, or with one the manager refuses, is
+	// a 400, not a silent lease.
+	for _, body := range []string{`{}`, `{"worker":"a\tb"}`} {
+		if code := workerPost(t, ts, "/v1/worker/claim", testToken, body, nil); code != http.StatusBadRequest {
+			t.Errorf("claim %s: code %d, want 400", body, code)
+		}
 	}
 	// The client API needs no token.
 	resp, err := http.Get(ts.URL + "/healthz")
