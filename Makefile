@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-check benchsmoke workersmoke storesmoke batchsmoke lanesmoke profile check serve
+.PHONY: all build test race vet fmt fuzz bench bench-check benchsmoke workersmoke storesmoke batchsmoke lanesmoke profile check serve
 
 all: check
 
@@ -123,6 +123,20 @@ batchsmoke: build
 # to the terminal state.
 lanesmoke: build
 	$(GO) test -run TestLaneSmoke ./cmd/specwised
+
+# A short fuzzing pass: each fuzz target runs alone for a fixed 10 s
+# (`-fuzz` takes one target per run, so the two store targets run one
+# after the other). A failing input lands in the target's
+# testdata/fuzz directory and fails the pass. Not part of `make check`,
+# whose test step already runs every seed corpus as plain tests.
+FUZZ = $(GO) test -run XXX -fuzztime 10s -fuzz
+fuzz:
+	$(FUZZ) '^FuzzNetlistParse$$' ./internal/netlist
+	$(FUZZ) '^FuzzYieldspecParse$$' ./internal/yieldspec
+	$(FUZZ) '^FuzzYieldspecEval$$' ./internal/yieldspec
+	$(FUZZ) '^FuzzRequestNormalize$$' ./internal/jobs
+	$(FUZZ) '^FuzzScanFrames$$' ./internal/store
+	$(FUZZ) '^FuzzFrameRoundTrip$$' ./internal/store
 
 vet:
 	$(GO) vet ./...

@@ -24,6 +24,7 @@ type Engine struct {
 	cache   *evalcache.View     // nil when Options.NoEvalCache is set
 	sim0    problem.SimCounters // simulator counters at construction time
 	p       *problem.Problem    // instrumented (and possibly cached) copy
+	mc      *problem.Problem    // counted, never cached: the MC samples' path
 	res     *Result             // assembled during run
 }
 
@@ -31,12 +32,14 @@ type Engine struct {
 func newEngine(prob *problem.Problem, opts Options) *Engine {
 	e := &Engine{prob: prob, opts: opts}
 	e.p = e.counter.Instrument(prob)
+	e.mc = e.p
 	if !opts.NoEvalCache {
 		if opts.EvalCache != nil {
 			e.cache = opts.EvalCache
 		} else {
 			e.cache = evalcache.New(0)
 		}
+		e.mc = e.cache.PassThrough(e.p)
 		e.p = e.cache.Wrap(e.p)
 	}
 	if opts.NoConstraints {
@@ -227,7 +230,9 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 
 	iter.MCYield = -1
 	if !opts.SkipVerify {
-		mc, err := VerifyMCContext(ctx, p, d, thetaRes.PerSpec, opts.VerifySamples, seed^0xabcdef, 0)
+		// The samples are fresh random points nothing else revisits, so
+		// they are counted but not memoized (see evalcache.PassThrough).
+		mc, err := VerifyMCContext(ctx, e.mc, d, thetaRes.PerSpec, opts.VerifySamples, seed^0xabcdef, 0)
 		if err != nil {
 			return nil, nil, nil, err
 		}

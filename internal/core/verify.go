@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"specwise/internal/evalcache"
 	"specwise/internal/problem"
 	"specwise/internal/rng"
 	"specwise/internal/sched"
@@ -35,16 +36,23 @@ func VerifyMC(p *problem.Problem, d []float64, thetas [][]float64, n int, seed u
 
 // VerifyDesign is the sign-off verification at design d: each spec's
 // worst-case operating corner (Eq. 2, at s = 0), then n Monte-Carlo
-// samples at those corners (VerifyMCContext).
-func VerifyDesign(ctx context.Context, p *problem.Problem, d []float64, n int, seed uint64) (*MCResult, error) {
-	thetaRes, err := wcd.WorstCaseTheta(p, d, make([]float64, p.NumStat()))
+// samples at those corners (VerifyMCContext). With a non-nil cache the
+// corner analysis is memoized through it and the samples, fresh random
+// points no other request repeats, pass through it uncached but counted
+// (evalcache.View.PassThrough).
+func VerifyDesign(ctx context.Context, p *problem.Problem, d []float64, n int, seed uint64, cache *evalcache.View) (*MCResult, error) {
+	corners, samples := p, p
+	if cache != nil {
+		corners, samples = cache.Wrap(p), cache.PassThrough(p)
+	}
+	thetaRes, err := wcd.WorstCaseTheta(corners, d, make([]float64, p.NumStat()))
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return VerifyMCContext(ctx, p, d, thetaRes.PerSpec, n, seed, 0)
+	return VerifyMCContext(ctx, samples, d, thetaRes.PerSpec, n, seed, 0)
 }
 
 // VerifyMCContext runs the simulation-based Monte-Carlo analysis of

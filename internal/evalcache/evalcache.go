@@ -17,6 +17,18 @@
 // where several specs meet (statistical points with at most one nonzero
 // entry), so those points are simulated once whatever the call order.
 //
+// Monte-Carlo verification samples are not memoized. The sign-off of
+// the paper's Sec. 2 draws fresh random statistical points that no other
+// request repeats: not one of the 4,050 sample lookups in the Table-1
+// folded-cascode and Table-6 Miller benchmarks hit, while the stored
+// samples were most of a service sweep's live heap. They go through
+// PassThrough, which runs the simulator with no lookup and no insert and
+// counts each call as one miss, so every counter reads as if they had
+// been looked up and missed. Everything else the optimizer evaluates is
+// memoized: the worst-case operating corners at s = 0, the per-spec
+// worst-case searches (Eq. 8) and their gradients, the model builds, and
+// the repeated common-sample evaluations of the cross-entropy search.
+//
 // The cache is safe for concurrent use and deduplicates in-flight work
 // (singleflight): when several goroutines request the same unsimulated
 // point, one runs the simulator and the rest wait for its result.
@@ -99,7 +111,8 @@ type SharedStats struct {
 	// the subset answered from an entry a *different* view (job) stored.
 	Hits      int64
 	CrossHits int64
-	// Misses counts lookups that ran the simulator and stored the result.
+	// Misses counts evaluations that ran the simulator: lookups that
+	// stored their result, and PassThrough calls.
 	Misses int64
 	// Deduped counts lookups that joined another goroutine's in-flight
 	// simulation of the same point.
@@ -282,6 +295,31 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	return &q
 }
 
+// PassThrough returns a shallow copy of p whose Eval runs p.Eval with no
+// cache lookup and no insert. Each call counts as one miss in this
+// view's Stats and in the shared cache's Misses, since it does run the
+// simulator; values, errors and panics are p.Eval's, unchanged. It
+// serves evaluations no other request repeats, the Monte-Carlo
+// verification samples, which call Eval alone: the copy has no EvalSpec
+// (per-spec requests fall back to the counted Eval, see
+// problem.SpecValue) and no Constraints.
+func (v *View) PassThrough(p *problem.Problem) *problem.Problem {
+	q := *p
+	inner := p.Eval
+	q.Eval = func(d, s, theta []float64) ([]float64, error) {
+		v.miss(&v.misses)
+		return inner(d, s, theta)
+	}
+	q.EvalSpec, q.Constraints = nil, nil
+	return &q
+}
+
+// miss counts one simulator run in the shared cache and in the view.
+func (v *View) miss(misses *atomic.Int64) {
+	v.shared.misses.Add(1)
+	misses.Add(1)
+}
+
 // key builds the full cache key: problem-key length + problem key +
 // kind byte ('e' evaluation, 'c' constraint) + packed evaluation point.
 // The explicit length keeps problem keys of different lengths from ever
@@ -373,8 +411,7 @@ func (v *View) doLocked(key string, hits, misses *atomic.Int64, compute func() (
 	}
 	s.mu.Unlock()
 
-	s.misses.Add(1)
-	misses.Add(1)
+	v.miss(misses)
 	settled := false
 	defer func() {
 		if !settled {

@@ -457,3 +457,58 @@ func TestNoEvalSpecStaysNil(t *testing.T) {
 		}
 	})
 }
+
+// PassThrough runs every call, stores nothing and counts each call as
+// one miss in the view and in the shared totals; errors and panics come
+// back as the underlying Eval raised them.
+func TestPassThroughCountsWithoutStoring(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		base := countingProblem(&calls)
+		p := c.PassThrough(base)
+		if p.EvalSpec != nil || p.Constraints != nil {
+			t.Fatal("the pass-through copy kept an EvalSpec or Constraints function")
+		}
+		d, s := []float64{1}, []float64{0.5, 0.25}
+		for rep := 0; rep < 3; rep++ {
+			if v, err := p.Eval(d, s, nil); err != nil || v[0] != 2.75 {
+				t.Fatalf("Eval = %v, %v; want [2.75]", v, err)
+			}
+		}
+		if calls.Load() != 3 {
+			t.Errorf("underlying calls = %d, want 3", calls.Load())
+		}
+		if st := c.Stats(); st != (Stats{Misses: 3}) {
+			t.Errorf("view stats = %+v, want 3 misses", st)
+		}
+		if sh := c.shared.Stats(); sh != (SharedStats{Misses: 3}) {
+			t.Errorf("shared stats = %+v, want 3 misses and no entries", sh)
+		}
+
+		// A memoized lookup of the same point still simulates.
+		if _, err := c.Wrap(base).Eval(d, s, nil); err != nil || calls.Load() != 4 {
+			t.Fatalf("memoized lookup after pass-through: %d calls, err %v; want a miss", calls.Load(), err)
+		}
+
+		fail := c.PassThrough(&problem.Problem{Eval: func(d, s, theta []float64) ([]float64, error) {
+			return nil, errors.New("simulator failure")
+		}})
+		if _, err := fail.Eval(d, s, nil); err == nil || err.Error() != "simulator failure" {
+			t.Errorf("Eval error = %v, want the underlying error", err)
+		}
+		boom := c.PassThrough(&problem.Problem{Eval: func(d, s, theta []float64) ([]float64, error) {
+			panic("boom")
+		}})
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("recovered %v, want the underlying panic", r)
+				}
+			}()
+			_, _ = boom.Eval(d, s, nil)
+		}()
+		if st, sh := c.Stats(), c.shared.Stats(); st.Misses != 6 || sh.Misses != 6 || sh.Entries != 1 {
+			t.Errorf("after errors: view %+v, shared %+v; want 6 misses each, 1 entry", st, sh)
+		}
+	})
+}

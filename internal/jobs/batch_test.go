@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"specwise/internal/evalcache"
 	"specwise/internal/problem"
+	"specwise/internal/wcd"
 )
 
 // batchReqs builds n analytic requests with seeds 1..n.
@@ -422,11 +424,11 @@ func TestSharedEvalCacheBitIdentity(t *testing.T) {
 // re-running a sibling's points reports them as cross hits, and the
 // rollup surfaces them.
 func TestBatchCrossHitAccounting(t *testing.T) {
-	// Identical (d, s, θ) trajectories across members need identical
-	// optimizer inputs; the analytic problem with one seed per member
-	// diverges, so run the same seed twice with distinct verify sample
-	// counts — prefix reuse is not guaranteed, so instead use two
-	// verify jobs, which evaluate the same worst-case grid.
+	// Two verify members at the same design evaluate the same
+	// worst-case operating-corner grid at s = 0, so the second answers
+	// its corner analysis from the first one's entries. Their
+	// Monte-Carlo samples are never stored: the sample prefix the
+	// same-seed members share is simulated by each of them.
 	cfg := Config{Workers: 1, SharedEvalCache: true}
 	cfg.Resolve = func(req *Request) (*problem.Problem, error) { return testProblem(0), nil }
 	m := New(cfg)
@@ -449,5 +451,37 @@ func TestBatchCrossHitAccounting(t *testing.T) {
 	}
 	if shared.Problems != 1 {
 		t.Errorf("problems = %d, want 1 (same circuit)", shared.Problems)
+	}
+}
+
+// TestVerifyJobStoresOnlyCornerAnalysis checks that a verify job under
+// the shared evaluation cache leaves only its worst-case corner analysis
+// behind: its Monte-Carlo samples pass through the cache, counted as
+// misses but never stored.
+func TestVerifyJobStoresOnlyCornerAnalysis(t *testing.T) {
+	p := testProblem(0)
+	corners := evalcache.New(0)
+	if _, err := wcd.WorstCaseTheta(corners.Wrap(p), p.InitialDesign(), make([]float64, p.NumStat())); err != nil {
+		t.Fatal(err)
+	}
+	want := corners.Stats().Misses
+
+	m := testManager(t, Config{Workers: 1, SharedEvalCache: true}, 0)
+	job, err := m.Submit(Request{Kind: KindVerify, Circuit: "analytic",
+		Options: RunOptions{VerifySamples: 50, Seed: Seed(5)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, job, 10*time.Second); st != StateDone {
+		t.Fatalf("verify job state = %v (%s)", st, job.Err())
+	}
+	res, _ := job.Result()
+	samples := int64(res.Verification.Evals)
+	sh := m.SharedEvalCache().Stats()
+	if int64(sh.Entries) != want {
+		t.Errorf("entries = %d, want the %d corner-analysis points", sh.Entries, want)
+	}
+	if samples == 0 || sh.Misses != want+samples {
+		t.Errorf("misses = %d, want %d corner points + %d sample evaluations", sh.Misses, want, samples)
 	}
 }

@@ -58,14 +58,13 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 		if n == 0 {
 			n = core.DefaultVerifySamples
 		}
-		if env.EvalCache != nil {
-			// Memoize the verification through the shared cache: the
-			// worst-case analysis and the Monte-Carlo samples are keyed the
-			// same way the optimizer's are, so verify jobs both profit from
-			// and feed the sweep's working set.
-			p = env.EvalCache.Wrap(p)
-		}
-		mc, err := core.VerifyDesign(ctx, p, p.InitialDesign(), n, req.Options.seed())
+		// With a shared cache, the worst-case corner analysis at s = 0 is
+		// keyed the way the optimizer's is, so verify jobs both profit
+		// from and feed the sweep's working set. The Monte-Carlo samples
+		// are fresh random points no other job repeats: they are counted
+		// as misses but never stored, so a verify job leaves only its
+		// corner entries behind.
+		mc, err := core.VerifyDesign(ctx, p, p.InitialDesign(), n, req.Options.seed(), env.EvalCache)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -393,7 +393,10 @@ type Job struct {
 	lane string
 	req  Request
 
-	problem *problem.Problem // resolved at submit time (or on recovery)
+	// problem is resolved at submit time (or on recovery) and released
+	// once the job settles terminal; guarded by mu once the job is
+	// visible to the workers.
+	problem *problem.Problem
 
 	mu     sync.Mutex
 	state  State

@@ -335,6 +335,52 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitState(t, blocker, 5*time.Second)
 }
 
+// TestSettledJobReleasesProblem: a job drops its resolved problem (the
+// harness with its pooled testbenches) when it settles terminal, done
+// or canceled, running or queued, not when retention evicts it.
+func TestSettledJobReleasesProblem(t *testing.T) {
+	m := testManager(t, Config{Workers: 1}, 500*time.Microsecond)
+	problemOf := func(j *Job) *problem.Problem {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.problem
+	}
+	running, err := m.Submit(Request{Circuit: "analytic", Options: RunOptions{
+		ModelSamples: 500, VerifySamples: 5000, MaxIterations: 8, Seed: Seed(1),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problemOf(queued) == nil {
+		t.Fatal("queued job holds no problem")
+	}
+	if _, err := m.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(running.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, running, 5*time.Second); st != StateCanceled {
+		t.Fatalf("running job state after cancel = %v", st)
+	}
+	done, err := m.Submit(Request{Circuit: "analytic", Options: quickOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, done, 10*time.Second); st != StateDone {
+		t.Fatalf("job state = %v (%s)", st, done.Err())
+	}
+	for _, j := range []*Job{queued, running, done} {
+		if st := j.State(); !st.Terminal() || problemOf(j) != nil {
+			t.Errorf("job %s (%v) still references its problem", j.ID(), st)
+		}
+	}
+}
+
 func TestQueueFull(t *testing.T) {
 	m := testManager(t, Config{Workers: 1, QueueSize: 1}, 500*time.Microsecond)
 	slow := RunOptions{ModelSamples: 500, VerifySamples: 5000, MaxIterations: 8, Seed: Seed(1)}

@@ -809,6 +809,11 @@ func (m *Manager) finishLocked(j *Job, state State, errMsg string) {
 	j.err = errMsg
 	j.cancel = nil
 	j.leaseID = ""
+	// Only a run reads the problem, and a terminal job never runs again
+	// (recovery re-resolves every job it requeues): release the harness,
+	// its pooled testbenches and sweep workspaces now rather than when
+	// retention evicts the job.
+	j.problem = nil
 	j.finished = m.now()
 	if j.started.IsZero() {
 		j.started = j.finished
@@ -884,10 +889,11 @@ func (m *Manager) run(job *Job) {
 	job.started = m.now()
 	m.journal(&Record{Kind: RecStart, Job: job.id, Attempts: job.attempts, Time: job.started}) //nolint:errcheck // degraded store: logged once
 	job.notifyLocked()
+	p := job.problem // finishLocked clears it under job.mu
 	job.mu.Unlock()
 	m.mu.Unlock()
 
-	result, err := m.execute(ctx, job)
+	result, err := m.execute(ctx, job, p)
 
 	m.mu.Lock()
 	job.mu.Lock()
@@ -952,15 +958,16 @@ func (m *Manager) cacheStoreLocked(hash string, result *Result, jobID string) {
 	}
 }
 
-// execute runs the job through the shared execution path and folds the
-// run's reuse counters into the service metrics.
-func (m *Manager) execute(ctx context.Context, job *Job) (res *Result, err error) {
+// execute runs the job on its resolved problem p through the shared
+// execution path and folds the run's reuse counters into the service
+// metrics.
+func (m *Manager) execute(ctx context.Context, job *Job, p *problem.Problem) (res *Result, err error) {
 	defer RecoverRun(&err)
 	env := ExecEnv{Progress: job.addProgress}
 	if m.evalShared != nil {
 		env.EvalCache = m.evalShared.View(job.problemHash)
 	}
-	res, coreRes, err := Execute(ctx, job.problem, &job.req, env)
+	res, coreRes, err := Execute(ctx, p, &job.req, env)
 	if err != nil {
 		return nil, err
 	}

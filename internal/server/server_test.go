@@ -232,6 +232,15 @@ func TestInlineSpecVerifyJob(t *testing.T) {
 	  "theta": [{"name": "VDD", "nominal": 3.3, "lo": 3.0, "hi": 3.6, "apply": "source:VDD"}]
 	}`
 	body := fmt.Sprintf(`{"kind": "verify", "spec": %s, "options": {"verifySamples": 100, "seed": 5}}`, spec)
+
+	// AC bounds whose ratio overflows float64 would size an infinite
+	// frequency grid: the spec is refused at submit.
+	overflow := strings.Replace(body, `"acStart": 1000, "acStop": 1e9`, `"acStart": 1e-300, "acStop": 1e300`, 1)
+	if code, out := postJob(t, ts, overflow); overflow == body || code != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(out["error"]), "acStart/acStop") {
+		t.Fatalf("overflowing AC bounds: code %d body %v, want 400 naming acStart/acStop", code, out)
+	}
+
 	code, ack := postJob(t, ts, body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: code %d body %v", code, ack)

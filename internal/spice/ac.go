@@ -150,16 +150,43 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 	return c.ACSweepHead(dc, node, fStart, fStop, pointsPerDecade, 0)
 }
 
+// MaxSweepPoints caps the points of an AC sweep's frequency grid. Each
+// point costs a slice entry and a factor-and-solve, so a grid over the
+// cap is refused instead of allocated; 65,536 points cover every finite
+// float64 range at 100 points per decade.
+const MaxSweepPoints = 1 << 16
+
+// SweepPoints returns the number of points of the logarithmic grid
+// ACSweep runs from fStart to fStop (Hz) at pointsPerDecade. It refuses
+// bounds that are NaN, not positive or not increasing, and a grid that
+// is not finite (fStop/fStart overflows) or has more than
+// MaxSweepPoints points.
+func SweepPoints(fStart, fStop float64, pointsPerDecade int) (int, error) {
+	if !(fStart > 0) || !(fStop > fStart) || pointsPerDecade < 1 {
+		return 0, fmt.Errorf("spice: invalid sweep [%g, %g] @ %d/dec", fStart, fStop, pointsPerDecade)
+	}
+	span := math.Ceil(math.Log10(fStop/fStart) * float64(pointsPerDecade))
+	if !(span < MaxSweepPoints) {
+		return 0, fmt.Errorf("spice: sweep [%g, %g] @ %d/dec needs %g points, over the cap of %d",
+			fStart, fStop, pointsPerDecade, span+1, MaxSweepPoints)
+	}
+	return int(span) + 1, nil
+}
+
 // sweepGrid returns the sweep's frequency grid in Hz and rad/s, cached
 // on the circuit scratch: an evaluation flow sweeps the same grid on
 // every call, so the logarithmic spacing is computed once per circuit.
-func (c *Circuit) sweepGrid(fStart, fStop float64, pointsPerDecade int) *freqGrid {
+// Only a valid grid (SweepPoints) is ever cached.
+func (c *Circuit) sweepGrid(fStart, fStop float64, pointsPerDecade int) (*freqGrid, error) {
 	g := &c.scratch.grid
 	if g.freq != nil && g.fStart == fStart && g.fStop == fStop && g.perDecade == pointsPerDecade {
-		return g
+		return g, nil
+	}
+	npts, err := SweepPoints(fStart, fStop, pointsPerDecade)
+	if err != nil {
+		return nil, err
 	}
 	decades := math.Log10(fStop / fStart)
-	npts := int(math.Ceil(decades*float64(pointsPerDecade))) + 1
 	*g = freqGrid{
 		fStart: fStart, fStop: fStop, perDecade: pointsPerDecade,
 		freq:  make([]float64, npts),
@@ -169,7 +196,7 @@ func (c *Circuit) sweepGrid(fStart, fStop float64, pointsPerDecade int) *freqGri
 		f := fStart * math.Pow(10, decades*float64(i)/float64(npts-1))
 		g.freq[i], g.omega[i] = f, 2*math.Pi*f
 	}
-	return g
+	return g, nil
 }
 
 // ACSweepHead runs only the first n points of ACSweep's frequency grid
@@ -177,13 +204,14 @@ func (c *Circuit) sweepGrid(fStart, fStop float64, pointsPerDecade int) *freqGri
 // bit-identical to the same sample of the full sweep: the grid, the
 // affine value reload and each point's factor/solve arithmetic do not
 // depend on how many points run. A measurement that needs only the
-// low-frequency gain asks for one point.
+// low-frequency gain asks for one point. An invalid grid (see
+// SweepPoints) is an error.
 func (c *Circuit) ACSweepHead(dc *DCResult, node int, fStart, fStop float64, pointsPerDecade, n int) (*Bode, error) {
-	if fStart <= 0 || fStop <= fStart || pointsPerDecade < 1 {
-		return nil, fmt.Errorf("spice: invalid sweep [%g, %g] @ %d/dec", fStart, fStop, pointsPerDecade)
+	grid, err := c.sweepGrid(fStart, fStop, pointsPerDecade)
+	if err != nil {
+		return nil, err
 	}
 	c.finalize()
-	grid := c.sweepGrid(fStart, fStop, pointsPerDecade)
 	if npts := len(grid.freq); n <= 0 || n > npts {
 		n = npts
 	}

@@ -316,7 +316,11 @@ func TestACSweepFailureStopsAtFirstPoint(t *testing.T) {
 	for _, at := range []int{0, 1, acBlock + 3, 2*acBlock - 1, 40} {
 		c := buildTestAmp(SolverSparse)
 		iso := c.Node("iso")
-		c.Add(&notchShunt{node: iso, w: c.sweepGrid(10, 1e9, 9).omega[at]})
+		grid, err := c.sweepGrid(10, 1e9, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Add(&notchShunt{node: iso, w: grid.omega[at]})
 		dc, err := c.DC(DCOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -386,5 +390,61 @@ func TestBodePhaseCache(t *testing.T) {
 	// principal value instead of the unwrapped phase would stay inside it.
 	if last := bode.PhaseDeg(npts - 1); last > -360 {
 		t.Fatalf("fixture too tame: final unwrapped phase %.1f°", last)
+	}
+}
+
+// TestACSweepRejectsInvalidGrid: bounds that are NaN, not increasing or
+// whose ratio overflows, and grids over MaxSweepPoints, are errors from
+// SweepPoints and ACSweepHead rather than a makeslice panic; a valid
+// sweep on the same circuit afterwards still matches a fresh one.
+func TestACSweepRejectsInvalidGrid(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, g := range []struct {
+		fStart, fStop float64
+		perDecade     int
+	}{
+		{1e-300, 1e300, 8}, // ratio overflows to +Inf
+		{nan, 1e9, 8},
+		{10, nan, 8},
+		{nan, nan, 8},
+		{10, inf, 8},
+		{inf, inf, 8},
+		{0, 1e9, 8},
+		{1e9, 10, 8},
+		{10, 1e9, 0},
+		{10, 1e9, MaxSweepPoints / 8},  // 8 decades: just over the cap
+		{1e-10, 1e10, math.MaxInt / 2}, // span far past any int
+	} {
+		if n, err := SweepPoints(g.fStart, g.fStop, g.perDecade); err == nil {
+			t.Errorf("SweepPoints(%g, %g, %d) = %d, want an error", g.fStart, g.fStop, g.perDecade, n)
+		}
+		c := buildTestAmp(SolverSparse)
+		dc, err := c.DC(DCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ACSweepHead(dc, c.Node("out"), g.fStart, g.fStop, g.perDecade, 1); err == nil {
+			t.Errorf("ACSweepHead over [%g, %g] @ %d/dec: no error", g.fStart, g.fStop, g.perDecade)
+		}
+		got, err := c.ACSweep(dc, c.Node("out"), 10, 1e9, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := sweepRun(t, SolverSparse, 5, 0); sameSamples(got, want) >= 0 || len(got.H) != len(want.H) {
+			t.Errorf("valid sweep after refusing [%g, %g] differs from a fresh circuit's", g.fStart, g.fStop)
+		}
+	}
+
+	// Valid grids keep the arithmetic they always had.
+	for _, g := range []struct {
+		fStart, fStop float64
+		perDecade     int
+	}{
+		{10, 1e9, 8}, {100, 1e9, 8}, {1, 1e6, 20}, {10, 1e9, 4}, {1e-300, 1e-200, 8}, {1, 10, MaxSweepPoints - 1},
+	} {
+		want := int(math.Ceil(math.Log10(g.fStop/g.fStart)*float64(g.perDecade))) + 1
+		if n, err := SweepPoints(g.fStart, g.fStop, g.perDecade); err != nil || n != want {
+			t.Errorf("SweepPoints(%g, %g, %d) = %d, %v; want %d", g.fStart, g.fStop, g.perDecade, n, err, want)
+		}
 	}
 }

@@ -29,3 +29,30 @@ func FuzzYieldspecParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzYieldspecEval goes one step past parsing: a spec that parses is
+// evaluated once at its initial design, nominal statistical point and
+// nominal operating point, through Eval and (when present) Constraints.
+// Neither may panic; an error is a fine answer. The seed corpus
+// (testdata/fuzz/FuzzYieldspecEval) is FuzzYieldspecParse's plus
+// ac-bounds-overflow, AC bounds whose ratio overflows float64, which
+// once parsed and then panicked sizing the frequency grid.
+//
+//	go test -run XXX -fuzz FuzzYieldspecEval -fuzztime 60s ./internal/yieldspec
+func FuzzYieldspecEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(bytes.NewReader(data), "")
+		if err != nil {
+			return
+		}
+		d := p.InitialDesign()
+		if _, err := p.Eval(d, make([]float64, p.NumStat()), p.NominalTheta()); err != nil {
+			t.Logf("Eval: %v", err)
+		}
+		if p.Constraints != nil {
+			if _, err := p.Constraints(d); err != nil {
+				t.Logf("Constraints: %v", err)
+			}
+		}
+	})
+}

@@ -257,6 +257,9 @@ func Build(cfg *Config) (*problem.Problem, error) {
 	return p, nil
 }
 
+// acPointsPerDecade is the density of the AC measures' frequency grid.
+const acPointsPerDecade = 8
+
 func validate(cfg *Config) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("yieldspec: name is required")
@@ -264,12 +267,12 @@ func validate(cfg *Config) error {
 	if len(cfg.Specs) == 0 {
 		return fmt.Errorf("yieldspec: at least one spec is required")
 	}
-	if cfg.Testbench.ACStart <= 0 || cfg.Testbench.ACStop <= cfg.Testbench.ACStart {
+	if _, err := spice.SweepPoints(cfg.Testbench.ACStart, cfg.Testbench.ACStop, acPointsPerDecade); err != nil {
 		// Only required when an AC measure is used.
 		for _, s := range cfg.Specs {
 			switch s.Measure {
 			case "a0_db", "ft_mhz", "pm_deg", "cmrr_db":
-				return fmt.Errorf("yieldspec: spec %q needs a valid testbench acStart/acStop", s.Name)
+				return fmt.Errorf("yieldspec: spec %q needs a valid testbench acStart/acStop: %w", s.Name, err)
 			}
 		}
 	}
@@ -587,7 +590,7 @@ func (ev *evaluator) measure(deck *netlist.Deck) (map[string]float64, error) {
 			fb.ACMode = spice.VCVSACFixed
 			fb.ACValue = 0
 		}
-		bode, err := deck.Circuit.ACSweep(dc, deck.Nodes[tb.Out], tb.ACStart, tb.ACStop, 8)
+		bode, err := deck.Circuit.ACSweep(dc, deck.Nodes[tb.Out], tb.ACStart, tb.ACStop, acPointsPerDecade)
 		if err != nil {
 			return nil, err
 		}

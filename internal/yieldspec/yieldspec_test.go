@@ -1,6 +1,7 @@
 package yieldspec
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -342,5 +343,35 @@ func TestMeasurePrerequisitesValidated(t *testing.T) {
 	if _, err := Parse(strings.NewReader(cfg2), "."); err == nil ||
 		!strings.Contains(err.Error(), "feedback") {
 		t.Errorf("cmrr_db without feedback: %v", err)
+	}
+}
+
+// overflowACConfig is csAmpConfig with AC bounds whose ratio overflows
+// float64: the frequency grid would have +Inf points.
+var overflowACConfig = strings.Replace(csAmpConfig,
+	`"acStart": 1000,
+    "acStop": 1e9`, `"acStart": 1e-300,
+    "acStop": 1e300`, 1)
+
+// TestACBoundsRejected: AC bounds the simulator cannot sweep (a ratio
+// that overflows, NaN, infinite or decreasing bounds) are refused when
+// the spec is validated, so no evaluation ever sizes a grid from them.
+func TestACBoundsRejected(t *testing.T) {
+	if overflowACConfig == csAmpConfig {
+		t.Fatal("fixture edit did not apply")
+	}
+	if p, err := Parse(strings.NewReader(overflowACConfig), ""); err == nil || !strings.Contains(err.Error(), "acStart/acStop") {
+		t.Fatalf("overflowing AC bounds: Parse = %v, %v; want the acStart/acStop refusal", p, err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][2]float64{{nan, 1e9}, {1000, nan}, {1000, inf}, {-inf, 1e9}, {1e9, 1000}, {0, 1e9}} {
+		var cfg Config
+		if err := json.Unmarshal([]byte(csAmpConfig), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Testbench.ACStart, cfg.Testbench.ACStop = b[0], b[1]
+		if _, err := Build(&cfg); err == nil || !strings.Contains(err.Error(), "acStart/acStop") {
+			t.Errorf("AC bounds %v: Build error %v, want the acStart/acStop refusal", b, err)
+		}
 	}
 }

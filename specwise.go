@@ -125,7 +125,7 @@ func VerifyYield(p *Problem, d []float64, n int, seed uint64) (*MCResult, error)
 // VerifyYieldContext is VerifyYield with cancellation; the Monte-Carlo
 // worker pool drains and returns ctx.Err() when ctx is cancelled.
 func VerifyYieldContext(ctx context.Context, p *Problem, d []float64, n int, seed uint64) (*MCResult, error) {
-	return core.VerifyDesign(ctx, p, d, n, seed)
+	return core.VerifyDesign(ctx, p, d, n, seed, nil)
 }
 
 // PairMeasure is one ranked mismatch-pair entry.
