@@ -62,6 +62,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "specwise-worker: unknown -lane %q (want verify or optimize)\n", *lane)
 		os.Exit(2)
 	}
+	if err := jobs.CheckEvalCacheSize(*evalCacheSize, *sharedEvalCache); err != nil {
+		fmt.Fprintf(os.Stderr, "specwise-worker: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *name == "" {
 		host, err := os.Hostname()

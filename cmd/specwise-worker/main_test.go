@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +14,42 @@ import (
 	"specwise/internal/server"
 	"specwise/internal/worker"
 )
+
+// TestMain lets the test binary run as specwise-worker when
+// SPECWISE_WORKER_MAIN is set, so flag handling is tested on the real
+// main.
+func TestMain(m *testing.M) {
+	if os.Getenv("SPECWISE_WORKER_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// A shared evaluation-cache capacity nothing would read (no
+// -shared-eval-cache) or a negative one is refused with exit status 2
+// before the worker polls.
+func TestEvalCacheSizeFlagRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-eval-cache-size", "1000"},
+		{"-eval-cache-size", "-1", "-shared-eval-cache"},
+		{"-eval-cache-size", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, exe, append([]string{"-server", "http://127.0.0.1:1", "-max-jobs", "1"}, args...)...)
+		cmd.Env = append(os.Environ(), "SPECWISE_WORKER_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "-eval-cache-size") {
+			t.Errorf("%v: err %v, output %q; want exit status 2 naming -eval-cache-size", args, err, out)
+		}
+	}
+}
 
 // TestWorkerSmoke is the `make workersmoke` target: one remote-only
 // specwised manager behind httptest, one pull-worker with -max-jobs 1

@@ -130,6 +130,10 @@ func main() {
 			*defaultAlgorithm, strings.Join(search.Names(), ", "))
 		os.Exit(2)
 	}
+	if err := jobs.CheckEvalCacheSize(*evalCacheSize, *sharedEvalCache); err != nil {
+		fmt.Fprintf(os.Stderr, "specwised: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go servePprof(*pprofAddr)

@@ -11,7 +11,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -540,5 +542,30 @@ func TestStoreSmoke(t *testing.T) {
 	code, got := httpBody(t, d2.base+"/v1/jobs/"+id+"/result")
 	if code != http.StatusOK || got != want {
 		t.Fatalf("recovered result differs (status %d)", code)
+	}
+}
+
+// A shared evaluation-cache capacity nothing would read (no
+// -shared-eval-cache) or a negative one is refused at startup with exit
+// status 2, before the daemon listens.
+func TestEvalCacheSizeFlagRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-eval-cache-size", "1000"},
+		{"-eval-cache-size", "-1", "-shared-eval-cache"},
+		{"-eval-cache-size", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, exe, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		cmd.Env = append(os.Environ(), "SPECWISED_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "-eval-cache-size") {
+			t.Errorf("%v: err %v, output %q; want exit status 2 naming -eval-cache-size", args, err, out)
+		}
 	}
 }

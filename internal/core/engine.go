@@ -18,29 +18,28 @@ import (
 // progress and log plumbing, and result assembly. A SearchBackend drives
 // the design point; the engine does everything else.
 type Engine struct {
-	prob    *problem.Problem
-	opts    Options
-	counter problem.Counter
-	cache   *evalcache.View     // nil when Options.NoEvalCache is set
-	sim0    problem.SimCounters // simulator counters at construction time
-	p       *problem.Problem    // instrumented (and possibly cached) copy
-	mc      *problem.Problem    // counted, never cached: the MC samples' path
-	res     *Result             // assembled during run
+	prob  *problem.Problem
+	opts  Options
+	cache *evalcache.View     // the run's effort ledger (and memo, unless NoEvalCache)
+	sim0  problem.SimCounters // simulator counters at construction time
+	p     *problem.Problem    // counted (and, unless NoEvalCache, memoized) copy
+	mc    *problem.Problem    // counted, never cached: the MC samples' path
+	res   *Result             // assembled during run
 }
 
 // newEngine instruments the problem per the (already defaulted) options.
+// Every evaluation goes through one evalcache.View, which counts each
+// simulator call once: Options.EvalCache, or a private cache when that
+// is nil or the run switched memoization off.
 func newEngine(prob *problem.Problem, opts Options) *Engine {
-	e := &Engine{prob: prob, opts: opts}
-	e.p = e.counter.Instrument(prob)
-	e.mc = e.p
+	e := &Engine{prob: prob, opts: opts, cache: opts.EvalCache}
+	if e.cache == nil || opts.NoEvalCache {
+		e.cache = evalcache.New(0)
+	}
+	e.mc = e.cache.PassThrough(prob)
+	e.p = e.mc
 	if !opts.NoEvalCache {
-		if opts.EvalCache != nil {
-			e.cache = opts.EvalCache
-		} else {
-			e.cache = evalcache.New(0)
-		}
-		e.mc = e.cache.PassThrough(e.p)
-		e.p = e.cache.Wrap(e.p)
+		e.p = e.cache.Wrap(prob)
 	}
 	if opts.NoConstraints {
 		e.p.Constraints = nil
@@ -127,11 +126,9 @@ func (e *Engine) run(ctx context.Context, b SearchBackend) (*Result, error) {
 func (e *Engine) finish(final []float64) *Result {
 	res := e.res
 	res.FinalDesign = final
-	res.Simulations = e.counter.Evals()
-	res.ConstraintSims = e.counter.ConstraintEvals()
-	if e.cache != nil {
-		res.EvalCache = e.cache.Stats()
-	}
+	res.EvalCache = e.cache.Stats()
+	res.Simulations = res.EvalCache.Misses
+	res.ConstraintSims = res.EvalCache.ConstraintMisses
 	if e.prob.SimStats != nil {
 		// Report only this run's share of the (problem-cumulative)
 		// simulator counters.

@@ -65,7 +65,8 @@ type Options struct {
 	// simulation cost (extension; see the QuadStudy experiment).
 	QuadraticSpecs bool
 	// NoEvalCache disables the evaluation memoization cache, forcing
-	// every (d, s, θ) point back to the simulator. Results are
+	// every (d, s, θ) point back to the simulator; the calls are still
+	// counted by a private evalcache.View (PassThrough). Results are
 	// bit-identical either way (the cache keys on exact bit patterns);
 	// the switch exists for ablation and the determinism tests.
 	NoEvalCache bool
@@ -167,13 +168,15 @@ type Result struct {
 	Iterations  []Iteration
 	FinalDesign []float64
 	// Simulations totals the performance evaluations, full and per-spec,
-	// that actually reached the simulator (cache hits are excluded).
+	// that actually reached the simulator (cache hits are excluded). It
+	// is EvalCache.Misses.
 	Simulations int64
 	// ConstraintSims totals the DC-only constraint evaluations that
-	// reached the simulator.
+	// reached the simulator. It is EvalCache.ConstraintMisses.
 	ConstraintSims int64
-	// EvalCache reports the memoization-cache counters of the run
-	// (zero when Options.NoEvalCache disabled the cache). Misses and
+	// EvalCache reports the counters of the run's evaluation-cache view,
+	// the one place its simulator calls are counted. With
+	// Options.NoEvalCache every evaluation is a miss. Misses and
 	// Hits+Deduped are the same for identical runs; the split between
 	// Hits and Deduped depends on goroutine timing (see
 	// evalcache.Stats.Deduped).
@@ -192,10 +195,11 @@ type Optimizer struct {
 }
 
 // NewOptimizer validates the problem, resolves the search backend named
-// by Options.Algorithm and prepares an instrumented engine. Unless
-// Options.NoEvalCache is set, evaluations are memoized: the counter sits
-// between the cache and the simulator, so Result.Simulations counts only
-// evaluations that actually ran.
+// by Options.Algorithm and prepares an instrumented engine. Every
+// evaluation goes through one evalcache.View, which memoizes it unless
+// Options.NoEvalCache is set and counts each call that reaches the
+// simulator, so Result.Simulations counts only evaluations that
+// actually ran.
 func NewOptimizer(prob *problem.Problem, opts Options) (*Optimizer, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err

@@ -10,24 +10,29 @@
 // the cache on or off.
 //
 // Two kinds of entry are kept. A full entry holds the whole performance
-// vector from Eval and answers every spec at its point. A per-spec entry
-// holds one value from EvalSpec, keyed by (d, s, θ, i), and answers only
-// spec i. A per-spec request is answered by a full entry first, then by
-// its own per-spec entry. problem.SpecValue evaluates in full exactly
-// where several specs meet (statistical points with at most one nonzero
-// entry), so those points are simulated once whatever the call order.
+// vector from Eval, keyed by (d, s, θ). A per-spec entry holds one value
+// from EvalSpec, keyed by (d, s, θ, i), and answers only spec i.
+// problem.SpecValue evaluates in full exactly where several specs meet
+// (statistical points with at most one nonzero entry), so those points
+// are simulated once whatever the call order, and every other point is
+// looked up per spec.
 //
-// Monte-Carlo verification samples are not memoized. The sign-off of
-// the paper's Sec. 2 draws fresh random statistical points that no other
-// request repeats: not one of the 4,050 sample lookups in the Table-1
-// folded-cascode and Table-6 Miller benchmarks hit, while the stored
-// samples were most of a service sweep's live heap. They go through
-// PassThrough, which runs the simulator with no lookup and no insert and
-// counts each call as one miss, so every counter reads as if they had
-// been looked up and missed. Everything else the optimizer evaluates is
-// memoized: the worst-case operating corners at s = 0, the per-spec
-// worst-case searches (Eq. 8) and their gradients, the model builds, and
-// the repeated common-sample evaluations of the cross-entropy search.
+// A View is also the run's one effort ledger (paper Table 7): every
+// simulator call behind it counts once, as a miss, whether it was a
+// memoized lookup that found nothing or a PassThrough call that never
+// looks. Monte-Carlo verification samples are not memoized. The
+// sign-off of the paper's Sec. 2 draws fresh random statistical points
+// that no other request repeats: not one of the 4,050 sample lookups in
+// the Table-1 folded-cascode and Table-6 Miller benchmarks hit, while
+// the stored samples were most of a service sweep's live heap. They go
+// through PassThrough, which runs the simulator with no lookup and no
+// insert and counts each call as one miss, so every counter reads as if
+// they had been looked up and missed; a run with the cache switched off
+// sends all its evaluations the same way. Everything else the optimizer
+// evaluates is memoized: the worst-case operating corners at s = 0, the
+// per-spec worst-case searches (Eq. 8) and their gradients, the model
+// builds, and the repeated common-sample evaluations of the
+// cross-entropy search.
 //
 // The cache is safe for concurrent use and deduplicates in-flight work
 // (singleflight): when several goroutines request the same unsimulated
@@ -249,8 +254,8 @@ func (v *View) Stats() Stats {
 
 // Wrap returns a shallow copy of p whose Eval — and EvalSpec and
 // Constraints, when present — are memoized through the cache under this
-// view's problem key: a full entry answers every spec at its point, a
-// per-spec entry only its own. The wrapped functions are safe for
+// view's problem key: a full entry answers full requests at its point, a
+// per-spec entry only its own spec. The wrapped functions are safe for
 // concurrent use (assuming the underlying ones are, as the optimizer
 // already requires) and return defensive copies, so callers may not
 // corrupt each other through the cache.
@@ -258,23 +263,14 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return v.do(v.key('e', d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
+		return v.do(v.key('e', 0, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
 	}
 	if p.EvalSpec != nil {
 		innerS := p.EvalSpec
 		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
-			key := v.key('e', d, s, theta)
-			v.shared.mu.Lock()
-			if el, ok := v.shared.entries[key]; ok {
-				vals, err := v.join(el, &v.hits)
-				if err != nil {
-					return 0, err
-				}
-				return vals[i], nil
-			}
-			vals, err := v.doLocked(specKey(key, i), &v.hits, &v.misses, func() ([]float64, error) {
+			vals, err := v.do(v.key('s', i, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 				x, err := innerS(d, s, theta, i)
 				return []float64{x}, err
 			})
@@ -287,7 +283,7 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	if p.Constraints != nil {
 		innerC := p.Constraints
 		q.Constraints = func(d []float64) ([]float64, error) {
-			return v.do(v.key('c', d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
+			return v.do(v.key('c', 0, d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
 				return innerC(d)
 			})
 		}
@@ -295,14 +291,14 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	return &q
 }
 
-// PassThrough returns a shallow copy of p whose Eval runs p.Eval with no
-// cache lookup and no insert. Each call counts as one miss in this
-// view's Stats and in the shared cache's Misses, since it does run the
-// simulator; values, errors and panics are p.Eval's, unchanged. It
-// serves evaluations no other request repeats, the Monte-Carlo
-// verification samples, which call Eval alone: the copy has no EvalSpec
-// (per-spec requests fall back to the counted Eval, see
-// problem.SpecValue) and no Constraints.
+// PassThrough returns a shallow copy of p whose Eval — and EvalSpec and
+// Constraints, when present — run p's functions with no cache lookup
+// and no insert. Each call counts as one miss (a constraint miss for
+// Constraints) in this view's Stats and in the shared cache's Misses,
+// since it does run the simulator; values, errors and panics are p's,
+// unchanged. It serves evaluations no other request repeats, the
+// Monte-Carlo verification samples, and runs with the cache switched
+// off, which still count their simulator calls here.
 func (v *View) PassThrough(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
@@ -310,7 +306,20 @@ func (v *View) PassThrough(p *problem.Problem) *problem.Problem {
 		v.miss(&v.misses)
 		return inner(d, s, theta)
 	}
-	q.EvalSpec, q.Constraints = nil, nil
+	if p.EvalSpec != nil {
+		innerS := p.EvalSpec
+		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
+			v.miss(&v.misses)
+			return innerS(d, s, theta, i)
+		}
+	}
+	if p.Constraints != nil {
+		innerC := p.Constraints
+		q.Constraints = func(d []float64) ([]float64, error) {
+			v.miss(&v.consMisses)
+			return innerC(d)
+		}
+	}
 	return &q
 }
 
@@ -320,30 +329,28 @@ func (v *View) miss(misses *atomic.Int64) {
 	misses.Add(1)
 }
 
-// key builds the full cache key: problem-key length + problem key +
-// kind byte ('e' evaluation, 'c' constraint) + packed evaluation point.
-// The explicit length keeps problem keys of different lengths from ever
-// aliasing into the float section.
+// key builds the cache key: problem-key length + problem key + kind
+// byte ('e' full evaluation, 's' one spec's evaluation, 'c' constraint)
+// + the spec index for kind 's' + packed evaluation point. The explicit
+// length keeps problem keys of different lengths from ever aliasing
+// into the float section, and the kind byte keeps a per-spec entry from
+// answering a full request or another spec.
 // The raw IEEE-754 bit patterns are packed, so distinct floats never
 // collide and equal floats always hit (0.0 and -0.0 are distinct keys,
 // which is the conservative choice).
-func (v *View) key(kind byte, d, s, theta []float64) string {
+func (v *View) key(kind byte, spec int, d, s, theta []float64) string {
 	n := len(v.problem)
-	buf := make([]byte, 0, n+8*(len(d)+len(s)+len(theta))+17)
+	buf := make([]byte, 0, n+8*(len(d)+len(s)+len(theta))+21)
 	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	buf = append(buf, v.problem...)
 	buf = append(buf, kind)
+	if kind == 's' {
+		buf = append(buf, byte(spec), byte(spec>>8), byte(spec>>16), byte(spec>>24))
+	}
 	buf = packFloats(buf, d)
 	buf = packFloats(buf, s)
 	buf = packFloats(buf, theta)
 	return string(buf)
-}
-
-// specKey extends a point's full-evaluation key with a spec index.
-// Point keys are self-delimiting, so per-spec keys of different points
-// or specs never collide with each other or with a full key.
-func specKey(pointKey string, i int) string {
-	return pointKey + string([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
 }
 
 // packFloats appends the length and raw float bits of v to buf.
@@ -363,44 +370,29 @@ func packFloats(buf []byte, v []float64) []byte {
 // same-view vs cross-view), join an in-flight one, or run compute,
 // publish and evict past the cap.
 func (v *View) do(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
-	v.shared.mu.Lock()
-	return v.doLocked(key, hits, misses, compute)
-}
-
-// join answers from an existing entry: it marks the entry recently
-// used, counts a dedup when it is in flight or else a hit (and a cross
-// hit when another view stored it), waits for it and returns a copy of
-// its values. Called with s.mu held; it releases the lock.
-func (v *View) join(el *list.Element, hits *atomic.Int64) ([]float64, error) {
 	s := v.shared
-	e := el.Value.(*entry)
-	s.lru.MoveToFront(el)
-	inflight := !e.done
-	cross := e.owner != v
-	s.mu.Unlock()
-	if inflight {
-		s.deduped.Add(1)
-		v.deduped.Add(1)
-	} else {
-		s.hits.Add(1)
-		hits.Add(1)
-		if cross {
-			s.crossHits.Add(1)
-			v.crossHits.Add(1)
-		}
-	}
-	e.ready.Wait()
-	if e.err != nil {
-		return nil, e.err
-	}
-	return append([]float64(nil), e.vals...), nil
-}
-
-// doLocked is do with s.mu already held; it releases the lock.
-func (v *View) doLocked(key string, hits, misses *atomic.Int64, compute func() ([]float64, error)) ([]float64, error) {
-	s := v.shared
+	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
-		return v.join(el, hits)
+		e := el.Value.(*entry)
+		s.lru.MoveToFront(el)
+		inflight, cross := !e.done, e.owner != v
+		s.mu.Unlock()
+		if inflight {
+			s.deduped.Add(1)
+			v.deduped.Add(1)
+		} else {
+			s.hits.Add(1)
+			hits.Add(1)
+			if cross {
+				s.crossHits.Add(1)
+				v.crossHits.Add(1)
+			}
+		}
+		e.ready.Wait()
+		if e.err != nil {
+			return nil, e.err
+		}
+		return append([]float64(nil), e.vals...), nil
 	}
 	e := &entry{key: key, owner: v}
 	e.ready.Add(1)

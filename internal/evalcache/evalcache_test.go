@@ -113,6 +113,9 @@ func TestNoConstraintsStaysNil(t *testing.T) {
 		if q := c.Wrap(p); q.Constraints != nil {
 			t.Fatal("Wrap invented a Constraints function")
 		}
+		if q := c.PassThrough(p); q.Constraints != nil {
+			t.Fatal("PassThrough invented a Constraints function")
+		}
 	})
 }
 
@@ -309,13 +312,20 @@ func TestKeyDisambiguation(t *testing.T) {
 	// The same multiset of floats split differently across (d, s, θ)
 	// must produce different keys.
 	v := New(0)
-	a := v.key('e', []float64{1, 2}, []float64{3}, nil)
-	b := v.key('e', []float64{1}, []float64{2, 3}, nil)
+	a := v.key('e', 0, []float64{1, 2}, []float64{3}, nil)
+	b := v.key('e', 0, []float64{1}, []float64{2, 3}, nil)
 	if a == b {
 		t.Fatal("key collision across segment boundaries")
 	}
-	if v.key('e', nil, []float64{0}, nil) == v.key('e', nil, []float64{math.Copysign(0, -1)}, nil) {
+	if v.key('e', 0, nil, []float64{0}, nil) == v.key('e', 0, nil, []float64{math.Copysign(0, -1)}, nil) {
 		t.Fatal("0.0 and -0.0 must key differently (bit-exact policy)")
+	}
+	// A per-spec key differs from the full key and from every other
+	// spec's key at the same point.
+	d, s := []float64{1}, []float64{2, 3}
+	full, s0, s1 := v.key('e', 0, d, s, nil), v.key('s', 0, d, s, nil), v.key('s', 1, d, s, nil)
+	if full == s0 || full == s1 || s0 == s1 {
+		t.Fatal("per-spec key collides with the full key or another spec's key")
 	}
 }
 
@@ -345,34 +355,6 @@ func specProblem(full, perSpec *atomic.Int64, fail *atomic.Bool) *problem.Proble
 	}
 }
 
-// A full entry answers a per-spec request for any spec, as a hit.
-func TestSpecAnsweredByFullEntry(t *testing.T) {
-	forEachCache(t, 0, func(t *testing.T, c *View) {
-		var full, perSpec atomic.Int64
-		p := c.Wrap(specProblem(&full, &perSpec, nil))
-		d, s := []float64{1}, []float64{0.5, 0.25}
-		vals, err := p.Eval(d, s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			v, err := p.EvalSpec(d, s, nil, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != vals[i] {
-				t.Errorf("spec %d: %v from the full entry, want %v", i, v, vals[i])
-			}
-		}
-		if full.Load() != 1 || perSpec.Load() != 0 {
-			t.Errorf("simulator ran %d full / %d per-spec, want 1 / 0", full.Load(), perSpec.Load())
-		}
-		if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
-			t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
-		}
-	})
-}
-
 // A spec-i entry answers spec i only: not spec j, and not a full request.
 func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
@@ -399,13 +381,12 @@ func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
 	})
 }
 
-// With the counter between cache and simulator, each per-spec miss is
-// one simulation and hits cost none.
+// Each per-spec miss is one simulation and hits cost none: the view's
+// Misses count exactly the simulator calls behind it.
 func TestSpecMissCountedOnce(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
 		var full, perSpec atomic.Int64
-		var counter problem.Counter
-		p := c.Wrap(counter.Instrument(specProblem(&full, &perSpec, nil)))
+		p := c.Wrap(specProblem(&full, &perSpec, nil))
 		d := []float64{1}
 		for rep := 0; rep < 3; rep++ {
 			for _, s := range [][]float64{{0.5, 0.25}, {-1, 2}} {
@@ -416,11 +397,9 @@ func TestSpecMissCountedOnce(t *testing.T) {
 				}
 			}
 		}
-		if counter.Evals() != 4 || perSpec.Load() != 4 {
-			t.Errorf("counted %d simulations (%d ran), want 4: two points × two specs", counter.Evals(), perSpec.Load())
-		}
-		if st := c.Stats(); st.Misses != 4 || st.Hits != 8 {
-			t.Errorf("stats = %+v, want 4 misses / 8 hits", st)
+		if st := c.Stats(); st.Misses != 4 || st.Hits != 8 || perSpec.Load() != 4 || full.Load() != 0 {
+			t.Errorf("stats = %+v after %d per-spec / %d full calls, want 4 misses / 8 hits: two points × two specs",
+				st, perSpec.Load(), full.Load())
 		}
 	})
 }
@@ -455,20 +434,20 @@ func TestNoEvalSpecStaysNil(t *testing.T) {
 		if q := c.Wrap(countingProblem(&calls)); q.EvalSpec != nil {
 			t.Fatal("Wrap invented an EvalSpec function")
 		}
+		if q := c.PassThrough(countingProblem(&calls)); q.EvalSpec != nil {
+			t.Fatal("PassThrough invented an EvalSpec function")
+		}
 	})
 }
 
 // PassThrough runs every call, stores nothing and counts each call as
 // one miss in the view and in the shared totals; errors and panics come
-// back as the underlying Eval raised them.
+// back as the underlying Eval raised them, and failed calls count too.
 func TestPassThroughCountsWithoutStoring(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
 		var calls atomic.Int64
 		base := countingProblem(&calls)
 		p := c.PassThrough(base)
-		if p.EvalSpec != nil || p.Constraints != nil {
-			t.Fatal("the pass-through copy kept an EvalSpec or Constraints function")
-		}
 		d, s := []float64{1}, []float64{0.5, 0.25}
 		for rep := 0; rep < 3; rep++ {
 			if v, err := p.Eval(d, s, nil); err != nil || v[0] != 2.75 {
@@ -509,6 +488,73 @@ func TestPassThroughCountsWithoutStoring(t *testing.T) {
 		}()
 		if st, sh := c.Stats(), c.shared.Stats(); st.Misses != 6 || sh.Misses != 6 || sh.Entries != 1 {
 			t.Errorf("after errors: view %+v, shared %+v; want 6 misses each, 1 entry", st, sh)
+		}
+
+		// The original problem stays uncounted.
+		if _, err := base.Eval(d, s, nil); err != nil || c.Stats().Misses != 6 {
+			t.Errorf("original Eval: err %v, view %+v; want no new miss", err, c.Stats())
+		}
+	})
+}
+
+// Pass-through EvalSpec and Constraints calls are counted like Eval —
+// a per-spec call as a miss, a constraint call as a constraint miss —
+// and, like Eval, leave nothing in the cache.
+func TestPassThroughCountsSpecAndConstraints(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var full, perSpec, cons atomic.Int64
+		base := specProblem(&full, &perSpec, nil)
+		base.Constraints = func(d []float64) ([]float64, error) {
+			cons.Add(1)
+			return []float64{d[0]}, nil
+		}
+		p := c.PassThrough(base)
+		d, s := []float64{1}, []float64{0.5, 0.25}
+		for rep := 0; rep < 2; rep++ {
+			for i := 0; i < 2; i++ {
+				if v, err := p.EvalSpec(d, s, nil, i); err != nil || v != [2]float64{2, 0.25}[i] {
+					t.Fatalf("EvalSpec(%d) = %v, %v", i, v, err)
+				}
+			}
+			if _, err := p.Constraints(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Eval(d, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		if perSpec.Load() != 4 || cons.Load() != 2 || full.Load() != 1 {
+			t.Errorf("simulator ran %d per-spec / %d constraint / %d full, want 4 / 2 / 1",
+				perSpec.Load(), cons.Load(), full.Load())
+		}
+		if st := c.Stats(); st != (Stats{Misses: 5, ConstraintMisses: 2}) {
+			t.Errorf("view stats = %+v, want 5 misses / 2 constraint misses", st)
+		}
+		if sh := c.shared.Stats(); sh != (SharedStats{Misses: 7}) {
+			t.Errorf("shared stats = %+v, want 7 misses and no entries", sh)
+		}
+	})
+}
+
+// Concurrent pass-through calls are each counted exactly once.
+func TestPassThroughConcurrentCounting(t *testing.T) {
+	forEachCache(t, 0, func(t *testing.T, c *View) {
+		var calls atomic.Int64
+		p := c.PassThrough(countingProblem(&calls))
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					_, _ = p.Eval([]float64{1}, []float64{0, 0}, nil)
+					_, _ = p.Constraints([]float64{1})
+				}
+			}()
+		}
+		wg.Wait()
+		if st := c.Stats(); st.Misses != 800 || st.ConstraintMisses != 800 || calls.Load() != 1600 {
+			t.Errorf("stats = %+v after %d calls, want 800 misses / 800 constraint misses", st, calls.Load())
 		}
 	})
 }

@@ -56,6 +56,19 @@ func Lanes() []string { return []string{LaneVerify, LaneOptimize} }
 // ValidLane reports whether name names a known priority lane.
 func ValidLane(name string) bool { return name == LaneVerify || name == LaneOptimize }
 
+// CheckEvalCacheSize reports why a shared evaluation-cache capacity
+// cannot be used: it is negative, or nonzero while the shared cache is
+// off, where nothing would read it. Zero selects the default capacity.
+func CheckEvalCacheSize(size int, shared bool) error {
+	switch {
+	case size < 0:
+		return fmt.Errorf("-eval-cache-size %d is negative (0 selects the default)", size)
+	case size > 0 && !shared:
+		return fmt.Errorf("-eval-cache-size %d requires -shared-eval-cache", size)
+	}
+	return nil
+}
+
 // RunOptions is the JSON-facing subset of core.Options a request may set.
 // Zero values fall back to the optimizer's paper defaults.
 type RunOptions struct {

@@ -1,14 +1,14 @@
 // Package problem defines the black-box abstraction the yield optimizer
 // works on: performance specifications, bounded design parameters,
 // normalized statistical parameters, operating ranges, and the evaluation
-// callbacks the circuit layer implements — plus the simulation counter
-// used for the paper's effort reporting (Table 7).
+// callbacks the circuit layer implements. The paper's effort report
+// (Table 7) counts simulator calls through an evalcache.View, the one
+// wrapper between the optimizer and these callbacks.
 package problem
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // SpecKind says which side of the bound is acceptable.
@@ -283,53 +283,4 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Counter tallies simulator invocations so the effort table (paper
-// Table 7) can be reported. It is safe for concurrent use.
-type Counter struct {
-	evals       atomic.Int64
-	constraints atomic.Int64
-}
-
-// Evals returns the number of performance simulations so far: full
-// evaluations and per-spec evaluations, one each.
-func (c *Counter) Evals() int64 { return c.evals.Load() }
-
-// ConstraintEvals returns the number of constraint (DC-only) simulations.
-func (c *Counter) ConstraintEvals() int64 { return c.constraints.Load() }
-
-// Total returns all simulator invocations.
-func (c *Counter) Total() int64 { return c.evals.Load() + c.constraints.Load() }
-
-// Reset zeroes the counters.
-func (c *Counter) Reset() {
-	c.evals.Store(0)
-	c.constraints.Store(0)
-}
-
-// Instrument wraps the problem's evaluation functions with the counter and
-// returns a shallow copy; the original problem is left untouched.
-func (c *Counter) Instrument(p *Problem) *Problem {
-	q := *p
-	inner := p.Eval
-	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		c.evals.Add(1)
-		return inner(d, s, theta)
-	}
-	if p.EvalSpec != nil {
-		innerS := p.EvalSpec
-		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
-			c.evals.Add(1)
-			return innerS(d, s, theta, i)
-		}
-	}
-	if p.Constraints != nil {
-		innerC := p.Constraints
-		q.Constraints = func(d []float64) ([]float64, error) {
-			c.constraints.Add(1)
-			return innerC(d)
-		}
-	}
-	return &q
 }

@@ -1,10 +1,6 @@
 package problem
 
-import (
-	"errors"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func validProblem() *Problem {
 	return &Problem{
@@ -98,80 +94,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCounterInstrument(t *testing.T) {
-	p := validProblem()
-	var c Counter
-	q := c.Instrument(p)
-	d1 := []float64{1}
-	for i := 0; i < 3; i++ {
-		if _, err := q.Eval(d1, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Constraints([]float64{0}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Evals() != 3 || c.ConstraintEvals() != 1 || c.Total() != 4 {
-		t.Errorf("counts = %d/%d", c.Evals(), c.ConstraintEvals())
-	}
-	// The original problem stays uninstrumented.
-	if _, err := p.Eval(d1, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Evals() != 3 {
-		t.Error("original Eval leaked into counter")
-	}
-	c.Reset()
-	if c.Total() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestCounterConcurrentSafety(t *testing.T) {
-	p := validProblem()
-	var c Counter
-	q := c.Instrument(p)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := []float64{1}
-			for i := 0; i < 100; i++ {
-				_, _ = q.Eval(d, nil, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Evals() != 800 {
-		t.Errorf("evals = %d want 800", c.Evals())
-	}
-}
-
-func TestInstrumentPreservesErrors(t *testing.T) {
-	p := validProblem()
-	sentinel := errors.New("boom")
-	p.Eval = func(d, s, th []float64) ([]float64, error) { return nil, sentinel }
-	var c Counter
-	q := c.Instrument(p)
-	if _, err := q.Eval(nil, nil, nil); !errors.Is(err, sentinel) {
-		t.Error("error not propagated")
-	}
-	if c.Evals() != 1 {
-		t.Error("failed eval not counted")
-	}
-}
-
-func TestInstrumentNilConstraints(t *testing.T) {
-	p := validProblem()
-	p.Constraints = nil
-	var c Counter
-	q := c.Instrument(p)
-	if q.Constraints != nil {
-		t.Error("nil constraints must stay nil")
-	}
-}
-
 // specProblem has two specs, a full Eval and a per-spec EvalSpec that
 // tally their calls separately.
 func specProblem(full, perSpec *int) *Problem {
@@ -224,27 +146,5 @@ func TestSpecValueRouting(t *testing.T) {
 	full, perSpec = 0, 0
 	if v, err := p.SpecValue(d, []float64{0.5, 0.25}, th, 1); err != nil || v != 0.75 || full != 1 {
 		t.Errorf("nil EvalSpec: value %v err %v full %d, want 0.75 from one Eval", v, err, full)
-	}
-}
-
-// The counter counts a per-spec evaluation as one simulation, and leaves
-// a nil EvalSpec nil.
-func TestInstrumentCountsEvalSpec(t *testing.T) {
-	var full, perSpec int
-	var c Counter
-	q := c.Instrument(specProblem(&full, &perSpec))
-	for i := 0; i < 3; i++ {
-		if _, err := q.EvalSpec([]float64{1}, []float64{1, 1}, nil, i%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Eval([]float64{1}, []float64{1, 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Evals() != 4 || perSpec != 3 || full != 1 {
-		t.Errorf("evals = %d (per-spec %d, full %d), want 4 (3, 1)", c.Evals(), perSpec, full)
-	}
-	if q := c.Instrument(validProblem()); q.EvalSpec != nil {
-		t.Error("Instrument invented an EvalSpec function")
 	}
 }

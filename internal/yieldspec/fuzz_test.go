@@ -36,7 +36,10 @@ func FuzzYieldspecParse(f *testing.F) {
 // Neither may panic; an error is a fine answer. The seed corpus
 // (testdata/fuzz/FuzzYieldspecEval) is FuzzYieldspecParse's plus
 // ac-bounds-overflow, AC bounds whose ratio overflows float64, which
-// once parsed and then panicked sizing the frequency grid.
+// once parsed and then panicked sizing the frequency grid. Among the
+// shared seeds, supply-not-vsource (a resistor as supply) once parsed
+// and then panicked measuring power, and drive-not-vsource once parsed
+// and then read NaN for every measure; both are refused at Build now.
 //
 //	go test -run XXX -fuzz FuzzYieldspecEval -fuzztime 60s ./internal/yieldspec
 func FuzzYieldspecEval(f *testing.F) {

@@ -285,12 +285,11 @@ func validate(cfg *Config) error {
 		}
 		// Measures with testbench prerequisites fail here, not at eval.
 		switch s.Measure {
-		case "a0_db", "ft_mhz", "pm_deg":
+		case "a0_db", "ft_mhz", "pm_deg", "cmrr_db":
 			if cfg.Testbench.Drive == "" || cfg.Testbench.Out == "" {
 				return fmt.Errorf("yieldspec: spec %q needs testbench drive and out", s.Name)
 			}
-		case "cmrr_db":
-			if cfg.Testbench.Feedback == "" {
+			if s.Measure == "cmrr_db" && cfg.Testbench.Feedback == "" {
 				return fmt.Errorf("yieldspec: spec %q needs a testbench feedback VCVS", s.Name)
 			}
 		case "power_mw":
@@ -335,7 +334,9 @@ func checkMeasure(m string) error {
 	return fmt.Errorf("unknown measure %q", m)
 }
 
-// validateBindings checks that every named element exists in the netlist.
+// validateBindings checks that every named element exists in the netlist
+// and is of the kind its role needs, so the measurement flow can rely on
+// both.
 func validateBindings(cfg *Config, deck *netlist.Deck) error {
 	find := func(name string) spice.Device { return deck.Circuit.FindDevice(name) }
 	for _, d := range cfg.Design {
@@ -354,13 +355,28 @@ func validateBindings(cfg *Config, deck *netlist.Deck) error {
 			return fmt.Errorf("yieldspec: local variation targets unknown MOSFET %q", l.Device)
 		}
 	}
+	isVSource := func(dev spice.Device) bool { _, ok := dev.(*spice.VSource); return ok }
+	isVCVS := func(dev spice.Device) bool { _, ok := dev.(*spice.VCVS); return ok }
+	isMosfet := func(dev spice.Device) bool { _, ok := dev.(*spice.Mosfet); return ok }
 	tb := cfg.Testbench
-	for _, req := range []struct{ what, name string }{
-		{"drive", tb.Drive}, {"feedback", tb.Feedback},
-		{"supply", tb.Supply}, {"tail", tb.Tail},
+	for _, req := range []struct {
+		what, name, kind string
+		is               func(spice.Device) bool
+	}{
+		{"drive", tb.Drive, "a V source", isVSource},
+		{"feedback", tb.Feedback, "a VCVS", isVCVS},
+		{"supply", tb.Supply, "a V source", isVSource},
+		{"tail", tb.Tail, "a MOSFET", isMosfet},
 	} {
-		if req.name != "" && find(req.name) == nil {
+		if req.name == "" {
+			continue
+		}
+		dev := find(req.name)
+		if dev == nil {
 			return fmt.Errorf("yieldspec: testbench %s element %q not in netlist", req.what, req.name)
+		}
+		if !req.is(dev) {
+			return fmt.Errorf("yieldspec: testbench %s element %q is %T, not %s", req.what, req.name, dev, req.kind)
 		}
 	}
 	if tb.Out != "" {
@@ -370,8 +386,12 @@ func validateBindings(cfg *Config, deck *netlist.Deck) error {
 	}
 	for _, t := range cfg.Theta {
 		if src, ok := strings.CutPrefix(t.Apply, "source:"); ok {
-			if find(src) == nil {
+			dev := find(src)
+			if dev == nil {
 				return fmt.Errorf("yieldspec: theta %q targets unknown source %q", t.Name, src)
+			}
+			if !isVSource(dev) {
+				return fmt.Errorf("yieldspec: theta %q target %q is %T, not a V source", t.Name, src, dev)
 			}
 		}
 	}
@@ -481,11 +501,7 @@ func (ev *evaluator) instantiate(d, s, theta []float64) (*netlist.Deck, error) {
 			continue
 		}
 		src := strings.TrimPrefix(t.Apply, "source:")
-		vs, ok := deck.Circuit.FindDevice(src).(*spice.VSource)
-		if !ok {
-			return nil, fmt.Errorf("yieldspec: theta %q target %q is not a V source", t.Name, src)
-		}
-		vs.DC = theta[i]
+		deck.Circuit.FindDevice(src).(*spice.VSource).DC = theta[i]
 	}
 	for _, m := range deck.Mosfets {
 		m.P = m.P.AtTemp(tempC)
@@ -566,27 +582,14 @@ func (ev *evaluator) measure(deck *netlist.Deck) (map[string]float64, error) {
 		meas["power_mw"] = math.Abs(dc.BranchCurrent(vs.Branch())) * vs.DC * 1e3
 	}
 	if need["sr_vus"] {
-		tail, ok := deck.Mosfets[tb.Tail]
-		if !ok {
-			return nil, fmt.Errorf("yieldspec: sr_vus needs a MOSFET tail, %q not found", tb.Tail)
-		}
-		if tb.SlewCapF <= 0 {
-			return nil, fmt.Errorf("yieldspec: sr_vus needs slewCapF > 0")
-		}
-		meas["sr_vus"] = tail.Op(dc.X).ID / tb.SlewCapF / 1e6
+		meas["sr_vus"] = deck.Mosfets[tb.Tail].Op(dc.X).ID / tb.SlewCapF / 1e6
 	}
 
 	if need["a0_db"] || need["ft_mhz"] || need["pm_deg"] || need["cmrr_db"] {
-		drive, ok := deck.Circuit.FindDevice(tb.Drive).(*spice.VSource)
-		if !ok {
-			return nil, fmt.Errorf("yieldspec: AC measures need a V-source drive")
-		}
-		drive.AC = 1
+		deck.Circuit.FindDevice(tb.Drive).(*spice.VSource).AC = 1
 		var fb *spice.VCVS
 		if tb.Feedback != "" {
-			fb, _ = deck.Circuit.FindDevice(tb.Feedback).(*spice.VCVS)
-		}
-		if fb != nil {
+			fb = deck.Circuit.FindDevice(tb.Feedback).(*spice.VCVS)
 			fb.ACMode = spice.VCVSACFixed
 			fb.ACValue = 0
 		}
@@ -606,9 +609,6 @@ func (ev *evaluator) measure(deck *netlist.Deck) (map[string]float64, error) {
 		meas["pm_deg"] = pm
 
 		if need["cmrr_db"] {
-			if fb == nil {
-				return nil, fmt.Errorf("yieldspec: cmrr_db needs a feedback VCVS")
-			}
 			fb.ACValue = 1
 			cm, err := deck.Circuit.ACNode(dc, 2*math.Pi*tb.ACStart, deck.Nodes[tb.Out])
 			if err != nil {

@@ -192,6 +192,24 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown probe node", func(s string) string {
 			return strings.Replace(s, `"vdc:d"`, `"vdc:nowhere"`, 1)
 		}, "unknown node"},
+		// Testbench elements must be of the kind their role needs: a
+		// resistor as supply once parsed and then panicked in Eval, and as
+		// drive it parsed and then read NaN for every measure.
+		{"supply not a V source", func(s string) string {
+			return strings.Replace(s, `"supply": "VDD"`, `"supply": "RL"`, 1)
+		}, `supply element "RL" is *spice.Resistor, not a V source`},
+		{"drive not a V source", func(s string) string {
+			return strings.Replace(s, `"drive": "VIN"`, `"drive": "RL"`, 1)
+		}, `drive element "RL" is *spice.Resistor, not a V source`},
+		{"feedback not a VCVS", func(s string) string {
+			return strings.Replace(s, `"supply": "VDD"`, `"supply": "VDD", "feedback": "VIN"`, 1)
+		}, `feedback element "VIN" is *spice.VSource, not a VCVS`},
+		{"tail not a MOSFET", func(s string) string {
+			return strings.Replace(s, `"supply": "VDD"`, `"supply": "VDD", "tail": "CL"`, 1)
+		}, `tail element "CL" is *spice.Capacitor, not a MOSFET`},
+		{"theta source not a V source", func(s string) string {
+			return strings.Replace(s, `"apply": "source:VDD"`, `"apply": "source:RL"`, 1)
+		}, `target "RL" is *spice.Resistor, not a V source`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -343,6 +361,13 @@ func TestMeasurePrerequisitesValidated(t *testing.T) {
 	if _, err := Parse(strings.NewReader(cfg2), "."); err == nil ||
 		!strings.Contains(err.Error(), "feedback") {
 		t.Errorf("cmrr_db without feedback: %v", err)
+	}
+	// cmrr_db is an AC measure: it needs a drive like the others.
+	cfg3 := strings.Replace(cfg2, `"drive": "VIN",`, `"feedback": "E1",`, 1)
+	cfg3 = strings.Replace(cfg3, `CL d 0 1p\n`, `CL d 0 1p\nE1 x 0 d 0 1\n`, 1)
+	if _, err := Parse(strings.NewReader(cfg3), "."); err == nil ||
+		!strings.Contains(err.Error(), "drive and out") {
+		t.Errorf("cmrr_db without drive: %v", err)
 	}
 }
 
