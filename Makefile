@@ -90,7 +90,8 @@ test:
 # shared symbolic cache, effort counters and pooled testbenches, which
 # move between the parallel gradient workers as they do under the
 # worst-case searches. The mismatch analysis joins because it runs the
-# per-spec worst-case searches concurrently through wcd.SearchAll.
+# per-spec worst-case searches as pooled sched.For workers through
+# wcd.SearchAll.
 race:
 	$(GO) test -race ./internal/jobs/... ./internal/server/... ./internal/worker/... \
 		./internal/store/... ./internal/core/... ./internal/spice/... ./internal/wcd/... \

@@ -175,8 +175,8 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		return nil, nil, nil, err
 	}
 
-	// Worst-case statistical points (Eq. 8) per spec, searched
-	// concurrently. A pinned WC seed (Options.WC.Seed) decouples the
+	// Worst-case statistical points (Eq. 8) per spec, searched as one
+	// sched.For pool. A pinned WC seed (Options.WC.Seed) decouples the
 	// restart stream from the run seed: the search becomes a pure
 	// function of (d, spec), so seed sweeps vary only their sampling
 	// streams — and share the WC simulations.

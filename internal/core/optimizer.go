@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"specwise/internal/coord"
@@ -205,6 +206,19 @@ func NewOptimizer(prob *problem.Problem, opts Options) (*Optimizer, error) {
 		return nil, err
 	}
 	opts.defaults()
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"ModelSamples", opts.ModelSamples},
+		{"VerifySamples", opts.VerifySamples},
+		{"MaxIterations", opts.MaxIterations},
+		{"RefineThetaPasses", opts.RefineThetaPasses},
+	} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("core: Options.%s must not be negative (got %d)", c.name, c.v)
+		}
+	}
 	backend, err := backendFor(opts.Algorithm)
 	if err != nil {
 		return nil, err

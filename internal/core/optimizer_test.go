@@ -25,6 +25,25 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 	}
 }
 
+// Negative counts are refused up front, naming the field, instead of
+// panicking in makeslice or failing after the initial analysis.
+func TestNewOptimizerRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"ModelSamples", Options{ModelSamples: -1}},
+		{"VerifySamples", Options{VerifySamples: -1}},
+		{"MaxIterations", Options{MaxIterations: -1}},
+		{"RefineThetaPasses", Options{RefineThetaPasses: -2}},
+	} {
+		_, err := NewOptimizer(analyticProblem(), tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s < 0: err = %v, want an error naming the field", tc.field, err)
+		}
+	}
+}
+
 // stubBackend is a minimal SearchBackend driving the engine through one
 // analyze-and-record cycle, exercising the engine/backend contract
 // without any real search strategy.

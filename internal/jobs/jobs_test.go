@@ -149,9 +149,9 @@ func TestRunPanicFailsJob(t *testing.T) {
 
 // TestPooledPanicFailsJob panics on the Nth simulator call and every
 // later one, with the scheduler's slots free and held. Depending on N
-// the panic hits the job's own goroutine, one of Engine.Analyze's
-// per-spec worst-case searches or an extra sched.For gradient worker;
-// each must fail the job (not the test binary), and a resubmission of
+// the panic hits the job's own goroutine, a pooled sched.For worker
+// running one of Engine.Analyze's per-spec worst-case searches, or one
+// running a gradient probe nested inside them; each must fail the job (not the test binary), and a resubmission of
 // the same request under the shared evaluation cache must fail again
 // rather than hang.
 func TestPooledPanicFailsJob(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package sched is the process-wide compute scheduler: one semaphore
-// shared by every parallel pool — finite-difference gradient workers,
-// Monte-Carlo verification workers and the coordinate search's sample
-// blocks.
+// shared by every parallel pool — the per-spec worst-case searches,
+// finite-difference gradient workers, Monte-Carlo verification workers
+// and the coordinate search's sample blocks.
 // It exists so those pools, which overlap and nest freely (every spec's
 // worst-case search runs its own gradient pool, and service jobs run
 // side by side), can together size themselves to the machine instead of

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"specwise/internal/linalg"
@@ -159,6 +158,9 @@ func probe(m MarginFunc, work, s []float64, i int, f0, h float64) (float64, int,
 // { s | m0 + g·(s−s0) = 0 }, whose closed form is s* = g·(g·s0 − m0)/(g·g).
 func FindWorstCase(m MarginFunc, dim int, opts Options) (*WorstCase, error) {
 	opts.defaults()
+	if opts.Starts < 0 {
+		return nil, errors.New("wcd: Starts must not be negative")
+	}
 
 	m0, err := m(make([]float64, dim))
 	if err != nil {
@@ -228,45 +230,30 @@ func SearchSpec(ctx context.Context, p *problem.Problem, d, theta []float64, i i
 
 // SearchAll solves Eq. 8 for every spec of p at design d, spec i at its
 // worst-case operating point thetas[i] with opts.Seed replaced by
-// seed(i). The searches are independent, so they run concurrently (the
-// paper used a machine cluster for the same reason); each writes its own
-// index and draws its own restart stream, so the result is identical to
-// the serial run. A panicking search is re-raised here, on the caller's
-// goroutine, once every search has returned, so the caller's recovery
-// sees it instead of the process dying. Errors are reported in spec
-// order; a cancelled ctx returns ctx.Err().
+// seed(i). The searches are independent, so they run as one sched.For
+// pool (the paper used a machine cluster for the same reason), sharing
+// the scheduler's slots with the gradient pools nested inside them;
+// each writes its own index and draws its own restart stream, so the
+// result is identical to the serial run. A panicking search is re-raised
+// on the caller's goroutine by sched.For. Errors are reported in spec
+// order; once ctx is cancelled no further search starts, and SearchAll
+// returns ctx.Err().
 func SearchAll(ctx context.Context, p *problem.Problem, d []float64, thetas [][]float64, opts Options, seed func(i int) uint64) ([]*WorstCase, error) {
 	wcs := make([]*WorstCase, p.NumSpecs())
 	errs := make([]error, p.NumSpecs())
-	var wg sync.WaitGroup
-	var panicked struct {
-		sync.Once
-		v   any
-		set bool
-	}
-	for i := range p.Specs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.Do(func() { panicked.v, panicked.set = r, true })
-				}
-			}()
-			o := opts
-			o.Seed = seed(i)
-			wcs[i], errs[i] = SearchSpec(ctx, p, d, thetas[i], i, o)
-		}()
-	}
-	wg.Wait()
-	if panicked.set {
-		panic(panicked.v)
-	}
+	sched.Default().For(p.NumSpecs(), func(_, i int) bool {
+		o := opts
+		o.Seed = seed(i)
+		wcs[i], errs[i] = SearchSpec(ctx, p, d, thetas[i], i, o)
+		return ctx.Err() == nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	// Specs left unclaimed after a cancellation hold nil results and nil
+	// errors; this check is what reports them.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

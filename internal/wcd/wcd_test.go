@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"specwise/internal/problem"
+	"specwise/internal/sched"
 )
 
 // linear margin m(s) = m0 + g·s has its worst-case point at
@@ -364,28 +365,42 @@ func searchProblem(panicAt float64) *problem.Problem {
 	}
 }
 
+// withSlots runs f twice: once with every scheduler slot held, so the
+// searches run one after another on the caller, and once with the slots
+// free, so they run as pooled workers.
+func withSlots(t *testing.T, f func(t *testing.T)) {
+	t.Run("held", func(t *testing.T) {
+		release := sched.Default().HoldAll()
+		defer release()
+		f(t)
+	})
+	t.Run("free", f)
+}
+
 // SearchAll must return exactly what serial SearchSpec calls with the
 // same per-spec seeds return.
 func TestSearchAllMatchesSerial(t *testing.T) {
 	p := searchProblem(math.Inf(1))
 	thetas := [][]float64{{-0.5}, {0}, {0.5}}
 	seed := func(i int) uint64 { return 40 + uint64(i)*1000003 }
-	got, err := SearchAll(context.Background(), p, nil, thetas, Options{MaxIter: 20}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p.Specs {
-		want, err := SearchSpec(context.Background(), p, nil, thetas[i], i, Options{MaxIter: 20, Seed: seed(i)})
+	withSlots(t, func(t *testing.T) {
+		got, err := SearchAll(context.Background(), p, nil, thetas, Options{MaxIter: 20}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("spec %d: concurrent %+v, serial %+v", i, got[i], want)
+		for i := range p.Specs {
+			want, err := SearchSpec(context.Background(), p, nil, thetas[i], i, Options{MaxIter: 20, Seed: seed(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("spec %d: SearchAll %+v, serial %+v", i, got[i], want)
+			}
 		}
-	}
-	if b := got[0].Beta; math.Abs(b-1.5/math.Sqrt(1.25)) > 1e-3 {
-		t.Errorf("lin beta = %v, want %v", b, 1.5/math.Sqrt(1.25))
-	}
+		if b := got[0].Beta; math.Abs(b-1.5/math.Sqrt(1.25)) > 1e-3 {
+			t.Errorf("lin beta = %v, want %v", b, 1.5/math.Sqrt(1.25))
+		}
+	})
 }
 
 // A panicking search is re-raised on the caller's goroutine, after every
@@ -393,14 +408,16 @@ func TestSearchAllMatchesSerial(t *testing.T) {
 func TestSearchAllRelaysPanic(t *testing.T) {
 	p := searchProblem(0.5)
 	thetas := [][]float64{{0}, {0}, {0}}
-	defer func() {
-		r := recover()
-		if s, _ := r.(string); !strings.Contains(s, "boom") {
-			t.Fatalf("recovered %v, want the search's panic", r)
-		}
-	}()
-	SearchAll(context.Background(), p, nil, thetas, Options{}, func(i int) uint64 { return uint64(i) })
-	t.Fatal("SearchAll returned instead of panicking")
+	withSlots(t, func(t *testing.T) {
+		defer func() {
+			r := recover()
+			if s, _ := r.(string); !strings.Contains(s, "boom") {
+				t.Fatalf("recovered %v, want the search's panic", r)
+			}
+		}()
+		SearchAll(context.Background(), p, nil, thetas, Options{}, func(i int) uint64 { return uint64(i) })
+		t.Fatal("SearchAll returned instead of panicking")
+	})
 }
 
 func TestSearchAllCancelled(t *testing.T) {
@@ -424,5 +441,15 @@ func TestWorstCaseThetaRejectsBadPoint(t *testing.T) {
 	}
 	if _, err := WorstCaseTheta(p, []float64{1}, []float64{0, 0}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A negative start count leaves no search to pick from; it is an error,
+// not a nil dereference.
+func TestFindWorstCaseRejectsNegativeStarts(t *testing.T) {
+	m := func(s []float64) (float64, error) { return 1 + s[0], nil }
+	wc, err := FindWorstCase(m, 1, Options{Starts: -1})
+	if err == nil || !strings.Contains(err.Error(), "Starts") {
+		t.Fatalf("FindWorstCase(Starts: -1) = %+v, %v; want an error naming Starts", wc, err)
 	}
 }
