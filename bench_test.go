@@ -457,7 +457,7 @@ func BenchmarkSimulatorEval(b *testing.B) {
 
 // BenchmarkACSweep measures the open-loop AC sweep, where Monte-Carlo
 // verification spends most of its time, through the folded-cascode
-// per-spec evaluators. One op is acSweepRounds rounds of an ft
+// subset evaluator with one spec wanted. One op is acSweepRounds rounds of an ft
 // evaluation (DC operating point plus the whole frequency grid) and an
 // A0 evaluation (DC plus the sweep's one-point head) at the initial
 // design; the DC solves warm-start from the reference operating point,
@@ -469,22 +469,50 @@ func BenchmarkACSweep(b *testing.B) {
 	d := p.InitialDesign()
 	s := make([]float64, p.NumStat())
 	th := p.NominalTheta()
-	specs := map[string]int{}
-	for i, sp := range p.Specs {
-		specs[sp.Name] = i
+	var wants [][]bool // ft alone, then A0 alone
+	for _, name := range []string{"ft", "A0"} {
+		want := make([]bool, p.NumSpecs())
+		for i, sp := range p.Specs {
+			want[i] = sp.Name == name
+		}
+		wants = append(wants, want)
 	}
 	before := p.SimStats().Factorizations
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < acSweepRounds; r++ {
-			for _, name := range []string{"ft", "A0"} {
-				if _, err := p.EvalSpec(d, s, th, specs[name]); err != nil {
+			for _, want := range wants {
+				if _, err := p.EvalSubset(d, s, th, want); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(p.SimStats().Factorizations-before)/float64(b.N), "factorizations")
+}
+
+// BenchmarkVerifyDesign measures the sign-off verification layer,
+// core.VerifyDesign, on the folded cascode at its initial design: the
+// worst-case operating corners, then 150 Monte-Carlo samples at each
+// distinct corner, each corner simulated only as deep as its specs need.
+// It reports the simulator calls (the private cache view's misses) and
+// the factorizations per op as machine-invariant counts.
+func BenchmarkVerifyDesign(b *testing.B) {
+	p := circuits.FoldedCascodeProblem()
+	d := p.InitialDesign()
+	before := p.SimStats().Factorizations
+	var sims int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view := evalcache.New(0)
+		if _, err := core.VerifyDesign(context.Background(), p, d, 150, 7, view); err != nil {
+			b.Fatal(err)
+		}
+		sims += view.Stats().Misses
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sims)/float64(b.N), "simulations")
 	b.ReportMetric(float64(p.SimStats().Factorizations-before)/float64(b.N), "factorizations")
 }
 

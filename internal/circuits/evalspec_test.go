@@ -11,16 +11,19 @@ import (
 	"specwise/internal/rng"
 )
 
-// TestEvalSpecMatchesEval is the oracle for the per-spec evaluators:
-// EvalSpec(d, s, θ, i) equals Eval(d, s, θ)[i] bit for bit, for every
-// spec of every opamp problem, at random design, statistical and
-// operating points. Every eighth point has a NaN transistor width, on
-// which the DC solve fails; both paths must then report NaN. The evaluations run
-// concurrently, as they do under the parallel worst-case searches, so
-// the race detector sees EvalSpec and Eval sharing the problem's
-// symbolic cache and effort counters.
+// TestEvalSpecMatchesEval is the oracle for the subset evaluators:
+// EvalSubset(d, s, θ, want) returns Eval(d, s, θ)[i] bit for bit at every
+// wanted spec i and NaN at every other, for every opamp problem, at
+// random design, statistical and operating points. The one-hot masks,
+// SpecValue's per-spec evaluations, are checked at every point; every
+// nonempty mask (2^6 − 1 = 63 per problem) at the first maskPoints
+// points. Every eighth point has a NaN transistor width, on which the DC
+// solve fails; every wanted value must then be NaN too. The evaluations
+// run concurrently, as they do under the parallel worst-case searches
+// and Monte-Carlo samples, so the race detector sees EvalSubset and Eval
+// sharing the problem's symbolic cache and effort counters.
 func TestEvalSpecMatchesEval(t *testing.T) {
-	const points = 200
+	const points, maskPoints = 200, 16
 	for _, tc := range []struct {
 		name string
 		mk   func() *problem.Problem
@@ -31,20 +34,33 @@ func TestEvalSpecMatchesEval(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.mk()
-			if p.EvalSpec == nil {
-				t.Fatal("EvalSpec is nil")
+			if p.EvalSubset == nil {
+				t.Fatal("EvalSubset is nil")
 			}
 			ds, ss, ths, broken := randomPoints(p, rng.New(0x5bec), points)
 
-			// One job per (point, evaluator): evaluator -1 is the full
-			// Eval, evaluator i ≥ 0 is EvalSpec for spec i.
+			// One job per (point, mask): mask 0 is the full Eval, bit i
+			// of a nonzero mask wants spec i.
 			nspec := p.NumSpecs()
-			full := make([][]float64, points)
-			per := make([][]float64, points)
-			for k := range per {
-				per[k] = make([]float64, nspec)
+			type job struct{ k, mask int }
+			var jobs []job
+			for k := 0; k < points; k++ {
+				jobs = append(jobs, job{k, 0})
+				for mask := 1; mask < 1<<nspec; mask++ {
+					if k < maskPoints || mask&(mask-1) == 0 {
+						jobs = append(jobs, job{k, mask})
+					}
+				}
 			}
-			errs := make([]error, points*(nspec+1))
+			want := func(mask int) []bool {
+				w := make([]bool, nspec)
+				for i := range w {
+					w[i] = mask>>i&1 == 1
+				}
+				return w
+			}
+			got := make([][]float64, len(jobs))
+			errs := make([]error, len(jobs))
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
@@ -52,15 +68,15 @@ func TestEvalSpecMatchesEval(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						job := int(next.Add(1)) - 1
-						if job >= len(errs) {
+						n := int(next.Add(1)) - 1
+						if n >= len(jobs) {
 							return
 						}
-						k, i := job/(nspec+1), job%(nspec+1)-1
-						if i < 0 {
-							full[k], errs[job] = p.Eval(ds[k], ss[k], ths[k])
+						jb := jobs[n]
+						if jb.mask == 0 {
+							got[n], errs[n] = p.Eval(ds[jb.k], ss[jb.k], ths[jb.k])
 						} else {
-							per[k][i], errs[job] = p.EvalSpec(ds[k], ss[k], ths[k], i)
+							got[n], errs[n] = p.EvalSubset(ds[jb.k], ss[jb.k], ths[jb.k], want(jb.mask))
 						}
 					}
 				}()
@@ -72,15 +88,36 @@ func TestEvalSpecMatchesEval(t *testing.T) {
 				}
 			}
 
+			full := make([][]float64, points)
+			for n, jb := range jobs {
+				if jb.mask == 0 {
+					full[jb.k] = got[n]
+				}
+			}
 			for k := range full {
-				for i, want := range full[k] {
-					if got := per[k][i]; math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("point %d spec %s: EvalSpec = %v, Eval = %v (d=%v θ=%v)",
-							k, p.Specs[i].Name, got, want, ds[k], ths[k])
-					}
-					if broken[k] && !math.IsNaN(want) {
+				for i, v := range full[k] {
+					if broken[k] && !math.IsNaN(v) {
 						t.Errorf("point %d spec %s: NaN width gave %v, want NaN (DC failure)",
-							k, p.Specs[i].Name, want)
+							k, p.Specs[i].Name, v)
+					}
+				}
+			}
+			for n, jb := range jobs {
+				if jb.mask == 0 {
+					continue
+				}
+				if len(got[n]) != nspec {
+					t.Fatalf("point %d mask %#x: %d values, want %d", jb.k, jb.mask, len(got[n]), nspec)
+				}
+				for i, w := range want(jb.mask) {
+					v := got[n][i]
+					switch {
+					case w && math.Float64bits(v) != math.Float64bits(full[jb.k][i]):
+						t.Errorf("point %d mask %#x spec %s: EvalSubset = %v, Eval = %v (d=%v θ=%v)",
+							jb.k, jb.mask, p.Specs[i].Name, v, full[jb.k][i], ds[jb.k], ths[jb.k])
+					case !w && !math.IsNaN(v):
+						t.Errorf("point %d mask %#x spec %s: unwanted value %v, want NaN",
+							jb.k, jb.mask, p.Specs[i].Name, v)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -94,7 +95,7 @@ type opamp struct {
 // warm-start state shared by every evaluation — one reference operating
 // point, solved once at the initial design, and the cumulative DC and
 // solver effort counters — and a free list of built benches. Every
-// Eval, EvalSpec and Constraints call takes a bench off the list (or
+// Eval, EvalSubset and Constraints call takes a bench off the list (or
 // builds one when the list is empty), writes its point with set, resets
 // the circuit's solvers to a new circuit's state, evaluates and puts
 // the bench back; the list therefore holds at most as many benches as
@@ -159,7 +160,7 @@ func newSimHarness(c opamp, p *problem.Problem) *simHarness {
 	h.symCache.Freeze()
 
 	p.Eval = h.eval
-	p.EvalSpec = h.evalSpec
+	p.EvalSubset = h.evalSubset
 	p.Constraints = h.constraints
 	p.ConstraintNames = mosConstraintNames(tb0.mosfets)
 	p.SimStats = h.counters
@@ -208,14 +209,29 @@ func (h *simHarness) eval(d, s, theta []float64) ([]float64, error) {
 	return h.report(p), nil
 }
 
-// evalSpec implements problem.Problem.EvalSpec: the flow up to the
-// level spec i's field needs.
-func (h *simHarness) evalSpec(d, s, theta []float64, i int) (float64, error) {
+// evalSubset implements problem.Problem.EvalSubset: the flow up to the
+// deepest level a wanted spec's field needs, with NaN reported for the
+// specs not wanted.
+func (h *simHarness) evalSubset(d, s, theta []float64, want []bool) ([]float64, error) {
+	if len(want) != len(h.fields) {
+		return nil, fmt.Errorf("circuits: subset mask has %d entries, want %d", len(want), len(h.fields))
+	}
+	need := measureDC
+	for i, f := range h.fields {
+		if want[i] && f.need > need {
+			need = f.need
+		}
+	}
 	tb := h.bench(d, s, theta)
 	defer h.release(tb)
-	f := h.fields[i]
-	p, _ := tb.evaluate(h.fStart, h.fStop, f.need)
-	return f.get(p), nil
+	p, _ := tb.evaluate(h.fStart, h.fStop, need)
+	out := h.report(p)
+	for i, w := range want {
+		if !w {
+			out[i] = math.NaN()
+		}
+	}
+	return out, nil
 }
 
 // constraints implements problem.Problem.Constraints: the sizing rules

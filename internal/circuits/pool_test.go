@@ -11,7 +11,7 @@ import (
 )
 
 // TestPooledBenchMatchesFresh is the oracle for the pooled testbenches:
-// every Eval, EvalSpec and Constraints result of a problem, whose calls
+// every Eval, EvalSubset and Constraints result of a problem, whose calls
 // share a free list of reused benches, equals bit for bit the result of
 // a bench built fresh (topology, then set) for that one call. The pooled
 // calls run concurrently and in shuffled order, so each bench serves a
@@ -39,7 +39,7 @@ func TestPooledBenchMatchesFresh(t *testing.T) {
 			ds, ss, ths, _ := randomPoints(p, r, points)
 
 			// Job j of a point: -1 is Constraints, nspec is the full
-			// Eval, 0 ≤ j < nspec is EvalSpec for spec j.
+			// Eval, 0 ≤ j < nspec is EvalSubset for spec j alone.
 			nspec := p.NumSpecs()
 			perPoint := nspec + 2
 			got := make([][]float64, points*perPoint)
@@ -64,8 +64,9 @@ func TestPooledBenchMatchesFresh(t *testing.T) {
 						case j == nspec:
 							got[job], errs[job] = p.Eval(ds[k], ss[k], ths[k])
 						default:
-							v, err := p.EvalSpec(ds[k], ss[k], ths[k], j)
-							got[job], errs[job] = []float64{v}, err
+							want := make([]bool, nspec)
+							want[j] = true
+							got[job], errs[job] = p.EvalSubset(ds[k], ss[k], ths[k], want)
 						}
 					}
 				}()
@@ -93,7 +94,11 @@ func TestPooledBenchMatchesFresh(t *testing.T) {
 				default:
 					f := fresh.fields[j]
 					perf, _ := newBench(ds[k], ss[k], ths[k]).evaluate(fresh.fStart, fresh.fStop, f.need)
-					want = []float64{f.get(perf)}
+					want = make([]float64, nspec)
+					for i := range want {
+						want[i] = math.NaN()
+					}
+					want[j] = f.get(perf)
 				}
 				if len(got[job]) != len(want) {
 					t.Fatalf("point %d job %d: %d values, want %d", k, j, len(got[job]), len(want))

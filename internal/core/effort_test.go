@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ import (
 	"specwise/internal/testprob"
 )
 
-// countedAnalytic is the analytic fixture with a per-spec evaluator,
+// countedAnalytic is the analytic fixture with a subset evaluator,
 // tallying every call that reaches its functions.
 func countedAnalytic(evals, cons *atomic.Int64) *problem.Problem {
 	p := testprob.Analytic()
@@ -20,13 +21,18 @@ func countedAnalytic(evals, cons *atomic.Int64) *problem.Problem {
 		evals.Add(1)
 		return eval(d, s, th)
 	}
-	p.EvalSpec = func(d, s, th []float64, i int) (float64, error) {
+	p.EvalSubset = func(d, s, th []float64, want []bool) ([]float64, error) {
 		evals.Add(1)
 		v, err := eval(d, s, th)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return v[i], nil
+		for i, w := range want {
+			if !w {
+				v[i] = math.NaN()
+			}
+		}
+		return v, nil
 	}
 	p.Constraints = func(d []float64) ([]float64, error) {
 		cons.Add(1)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -42,18 +43,31 @@ func pointKey(parts ...[]float64) string {
 func TestMCSamplesBypassCache(t *testing.T) {
 	opts := core.Options{ModelSamples: 500, VerifySamples: 60, MaxIterations: 2, Seed: 7}
 
-	// Record every full evaluation point that reaches the simulator.
+	// Record every evaluation point that reaches the simulator, full or
+	// subset, with the subset's mask (nil for a full evaluation).
+	type point struct {
+		d, s, theta []float64
+		want        []bool
+	}
 	p := circuits.OTAProblem()
 	var mu sync.Mutex
-	evaluated := map[string][3][]float64{}
-	inner := p.Eval
-	p.Eval = func(d, s, theta []float64) ([]float64, error) {
+	evaluated := map[string]point{}
+	record := func(d, s, theta []float64, want []bool) {
 		mu.Lock()
-		evaluated[pointKey(d, s, theta)] = [3][]float64{
+		evaluated[pointKey(d, s, theta)+fmt.Sprint(want)] = point{
 			append([]float64(nil), d...), append([]float64(nil), s...), append([]float64(nil), theta...),
+			append([]bool(nil), want...),
 		}
 		mu.Unlock()
+	}
+	inner, innerS := p.Eval, p.EvalSubset
+	p.Eval = func(d, s, theta []float64) ([]float64, error) {
+		record(d, s, theta, nil)
 		return inner(d, s, theta)
+	}
+	p.EvalSubset = func(d, s, theta []float64, want []bool) ([]float64, error) {
+		record(d, s, theta, want)
+		return innerS(d, s, theta, want)
 	}
 
 	cache := evalcache.New(0)
@@ -73,8 +87,9 @@ func TestMCSamplesBypassCache(t *testing.T) {
 		}
 	}
 
-	// Probe every evaluated point through the same cache: a point it
-	// holds is answered without reaching probe's Eval.
+	// Probe every evaluated point through the same cache, with the same
+	// mask: a point it holds is answered without reaching probe's
+	// evaluators.
 	var probed int
 	probe := cache.Wrap(&problem.Problem{
 		Specs:     p.Specs,
@@ -84,23 +99,33 @@ func TestMCSamplesBypassCache(t *testing.T) {
 			probed++
 			return make([]float64, len(p.Specs)), nil
 		},
+		EvalSubset: func(d, s, theta []float64, want []bool) ([]float64, error) {
+			probed++
+			return make([]float64, len(p.Specs)), nil
+		},
 	})
 	var samples, others int
 	for _, pt := range evaluated {
 		before := probed
-		if _, err := probe.Eval(pt[0], pt[1], pt[2]); err != nil {
+		var err error
+		if pt.want == nil {
+			_, err = probe.Eval(pt.d, pt.s, pt.theta)
+		} else {
+			_, err = probe.EvalSubset(pt.d, pt.s, pt.theta, pt.want)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		stored := probed == before
-		if isSample[pointKey(pt[1])] {
+		if isSample[pointKey(pt.s)] {
 			samples++
 			if stored {
-				t.Fatalf("the cache holds an MC sample point (s = %v)", pt[1])
+				t.Fatalf("the cache holds an MC sample point (s = %v)", pt.s)
 			}
 		} else {
 			others++
 			if !stored {
-				t.Fatalf("the cache dropped a non-sample point (s = %v)", pt[1])
+				t.Fatalf("the cache dropped a non-sample point (s = %v)", pt.s)
 			}
 		}
 	}

@@ -19,7 +19,11 @@ import (
 type MCResult struct {
 	Estimate stat.YieldEstimate
 	// BadPerSpec[i] counts samples violating spec i (a sample may violate
-	// several specs).
+	// several specs); a NaN performance is a violation. Each corner is
+	// simulated only as deep as its specs need (problem.EvalSubsetFunc),
+	// so a DC-only spec judged at a corner where no AC spec is judged
+	// stays finite, and may pass, on a sample whose AC solve there fails,
+	// where the full evaluation would be NaN.
 	BadPerSpec []int
 	// Moments[i] tracks spec i's performance distribution at its
 	// worst-case operating point (feeding the Table-2 μ/σ report).
@@ -58,7 +62,11 @@ func VerifyDesign(ctx context.Context, p *problem.Problem, d []float64, n int, s
 // VerifyMCContext runs the simulation-based Monte-Carlo analysis of
 // Sec. 2 at design d with n ≥ 0 samples. thetas[i] is spec i's worst-case
 // operating point; specs sharing a corner share simulations, matching the
-// paper's observation that N* stays well below N·n_spec.
+// paper's observation that N* stays well below N·n_spec. Each sample
+// costs one simulation per distinct corner, and each of those runs only
+// as deep as the specs judged there need: one Problem.SubsetValues call
+// with that corner's mask (wcd.DistinctThetas), which falls back to the
+// full Eval when the problem has no subset evaluator.
 //
 // Samples are evaluated on the process-wide scheduler's caller-runs loop
 // (the paper ran its verification on a cluster of five machines; here
@@ -74,7 +82,7 @@ func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, theta
 	if n < 0 {
 		return nil, fmt.Errorf("core: negative Monte-Carlo sample count %d", n)
 	}
-	unique, specToUnique := wcd.DistinctThetas(thetas)
+	unique, wants := wcd.DistinctThetas(thetas)
 	r := rng.New(seed)
 	res := &MCResult{
 		BadPerSpec: make([]int, p.NumSpecs()),
@@ -87,26 +95,30 @@ func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, theta
 		samples[j] = r.NormVector(make([]float64, p.NumStat()))
 	}
 
-	// vals[j][u][i]: sample j, corner u, spec i. Samples run on the
+	// vals[j][i]: sample j, spec i at its own corner. Samples run on the
 	// process-wide scheduler's caller-runs loop and are written back by
 	// index, so the result is independent of how many workers ran; any
 	// pool nested inside a sample shares the same slots.
-	vals := make([][][]float64, n)
+	vals := make([][]float64, n)
 	errs := make([]error, n)
 	sched.Default().For(n, func(_, j int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		out := make([][]float64, len(unique))
+		row := make([]float64, p.NumSpecs())
 		for u, theta := range unique {
-			v, err := p.Eval(d, samples[j], theta)
+			v, err := p.SubsetValues(d, samples[j], theta, wants[u])
 			if err != nil {
 				errs[j] = err
 				break
 			}
-			out[u] = v
+			for i, w := range wants[u] {
+				if w {
+					row[i] = v[i]
+				}
+			}
 		}
-		vals[j] = out
+		vals[j] = row
 		return true
 	})
 	if err := ctx.Err(); err != nil {
@@ -121,7 +133,7 @@ func VerifyMCContext(ctx context.Context, p *problem.Problem, d []float64, theta
 		res.Evals += len(unique)
 		ok := true
 		for i, spec := range p.Specs {
-			v := vals[j][specToUnique[i]][i]
+			v := vals[j][i]
 			if math.IsNaN(v) {
 				// Broken circuit: the sample fails this spec; keep the
 				// moment accumulators clean.

@@ -10,8 +10,9 @@
 // the cache on or off.
 //
 // Two kinds of entry are kept. A full entry holds the whole performance
-// vector from Eval, keyed by (d, s, θ). A per-spec entry holds one value
-// from EvalSpec, keyed by (d, s, θ, i), and answers only spec i.
+// vector from Eval, keyed by (d, s, θ). A subset entry holds the vector
+// of an EvalSubset call, keyed by (d, s, θ, mask), and answers only that
+// mask; a per-spec evaluation is the one-hot mask of its spec.
 // problem.SpecValue evaluates in full exactly where several specs meet
 // (statistical points with at most one nonzero entry), so those points
 // are simulated once whatever the call order, and every other point is
@@ -252,10 +253,10 @@ func (v *View) Stats() Stats {
 	}
 }
 
-// Wrap returns a shallow copy of p whose Eval — and EvalSpec and
+// Wrap returns a shallow copy of p whose Eval — and EvalSubset and
 // Constraints, when present — are memoized through the cache under this
 // view's problem key: a full entry answers full requests at its point, a
-// per-spec entry only its own spec. The wrapped functions are safe for
+// subset entry only its own mask. The wrapped functions are safe for
 // concurrent use (assuming the underlying ones are, as the optimizer
 // already requires) and return defensive copies, so callers may not
 // corrupt each other through the cache.
@@ -263,27 +264,22 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
 	q.Eval = func(d, s, theta []float64) ([]float64, error) {
-		return v.do(v.key('e', 0, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
+		return v.do(v.key('e', nil, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
 			return inner(d, s, theta)
 		})
 	}
-	if p.EvalSpec != nil {
-		innerS := p.EvalSpec
-		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
-			vals, err := v.do(v.key('s', i, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
-				x, err := innerS(d, s, theta, i)
-				return []float64{x}, err
+	if p.EvalSubset != nil {
+		innerS := p.EvalSubset
+		q.EvalSubset = func(d, s, theta []float64, want []bool) ([]float64, error) {
+			return v.do(v.key('m', want, d, s, theta), &v.hits, &v.misses, func() ([]float64, error) {
+				return innerS(d, s, theta, want)
 			})
-			if err != nil {
-				return 0, err
-			}
-			return vals[0], nil
 		}
 	}
 	if p.Constraints != nil {
 		innerC := p.Constraints
 		q.Constraints = func(d []float64) ([]float64, error) {
-			return v.do(v.key('c', 0, d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
+			return v.do(v.key('c', nil, d, nil, nil), &v.consHits, &v.consMisses, func() ([]float64, error) {
 				return innerC(d)
 			})
 		}
@@ -291,14 +287,14 @@ func (v *View) Wrap(p *problem.Problem) *problem.Problem {
 	return &q
 }
 
-// PassThrough returns a shallow copy of p whose Eval — and EvalSpec and
-// Constraints, when present — run p's functions with no cache lookup
-// and no insert. Each call counts as one miss (a constraint miss for
-// Constraints) in this view's Stats and in the shared cache's Misses,
-// since it does run the simulator; values, errors and panics are p's,
-// unchanged. It serves evaluations no other request repeats, the
-// Monte-Carlo verification samples, and runs with the cache switched
-// off, which still count their simulator calls here.
+// PassThrough returns a shallow copy of p whose Eval — and EvalSubset
+// and Constraints, when present — run p's functions with no cache
+// lookup and no insert. Each call counts as one miss (a constraint miss
+// for Constraints) in this view's Stats and in the shared cache's
+// Misses, since it does run the simulator; values, errors and panics
+// are p's, unchanged. It serves evaluations no other request repeats,
+// the Monte-Carlo verification samples, and runs with the cache
+// switched off, which still count their simulator calls here.
 func (v *View) PassThrough(p *problem.Problem) *problem.Problem {
 	q := *p
 	inner := p.Eval
@@ -306,11 +302,11 @@ func (v *View) PassThrough(p *problem.Problem) *problem.Problem {
 		v.miss(&v.misses)
 		return inner(d, s, theta)
 	}
-	if p.EvalSpec != nil {
-		innerS := p.EvalSpec
-		q.EvalSpec = func(d, s, theta []float64, i int) (float64, error) {
+	if p.EvalSubset != nil {
+		innerS := p.EvalSubset
+		q.EvalSubset = func(d, s, theta []float64, want []bool) ([]float64, error) {
 			v.miss(&v.misses)
-			return innerS(d, s, theta, i)
+			return innerS(d, s, theta, want)
 		}
 	}
 	if p.Constraints != nil {
@@ -330,22 +326,31 @@ func (v *View) miss(misses *atomic.Int64) {
 }
 
 // key builds the cache key: problem-key length + problem key + kind
-// byte ('e' full evaluation, 's' one spec's evaluation, 'c' constraint)
-// + the spec index for kind 's' + packed evaluation point. The explicit
-// length keeps problem keys of different lengths from ever aliasing
-// into the float section, and the kind byte keeps a per-spec entry from
-// answering a full request or another spec.
+// byte ('e' full evaluation, 'm' a subset's evaluation, 'c' constraint)
+// + for kind 'm' the mask (its length, then one byte per spec) + packed
+// evaluation point. The explicit length keeps problem keys of different
+// lengths from ever aliasing into the float section, and the kind byte
+// and mask keep a subset entry from answering a full request or another
+// mask.
 // The raw IEEE-754 bit patterns are packed, so distinct floats never
 // collide and equal floats always hit (0.0 and -0.0 are distinct keys,
 // which is the conservative choice).
-func (v *View) key(kind byte, spec int, d, s, theta []float64) string {
+func (v *View) key(kind byte, want []bool, d, s, theta []float64) string {
 	n := len(v.problem)
-	buf := make([]byte, 0, n+8*(len(d)+len(s)+len(theta))+21)
+	buf := make([]byte, 0, n+len(want)+8*(len(d)+len(s)+len(theta))+21)
 	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	buf = append(buf, v.problem...)
 	buf = append(buf, kind)
-	if kind == 's' {
-		buf = append(buf, byte(spec), byte(spec>>8), byte(spec>>16), byte(spec>>24))
+	if kind == 'm' {
+		m := len(want)
+		buf = append(buf, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
+		for _, w := range want {
+			if w {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+		}
 	}
 	buf = packFloats(buf, d)
 	buf = packFloats(buf, s)

@@ -312,25 +312,37 @@ func TestKeyDisambiguation(t *testing.T) {
 	// The same multiset of floats split differently across (d, s, θ)
 	// must produce different keys.
 	v := New(0)
-	a := v.key('e', 0, []float64{1, 2}, []float64{3}, nil)
-	b := v.key('e', 0, []float64{1}, []float64{2, 3}, nil)
+	a := v.key('e', nil, []float64{1, 2}, []float64{3}, nil)
+	b := v.key('e', nil, []float64{1}, []float64{2, 3}, nil)
 	if a == b {
 		t.Fatal("key collision across segment boundaries")
 	}
-	if v.key('e', 0, nil, []float64{0}, nil) == v.key('e', 0, nil, []float64{math.Copysign(0, -1)}, nil) {
+	if v.key('e', nil, nil, []float64{0}, nil) == v.key('e', nil, nil, []float64{math.Copysign(0, -1)}, nil) {
 		t.Fatal("0.0 and -0.0 must key differently (bit-exact policy)")
 	}
-	// A per-spec key differs from the full key and from every other
-	// spec's key at the same point.
+	// A subset key, one-hot (per-spec) or not, differs from the full key
+	// and from every other mask's key at the same point.
 	d, s := []float64{1}, []float64{2, 3}
-	full, s0, s1 := v.key('e', 0, d, s, nil), v.key('s', 0, d, s, nil), v.key('s', 1, d, s, nil)
-	if full == s0 || full == s1 || s0 == s1 {
-		t.Fatal("per-spec key collides with the full key or another spec's key")
+	keys := []string{
+		v.key('e', nil, d, s, nil),
+		v.key('m', []bool{true, false}, d, s, nil),
+		v.key('m', []bool{false, true}, d, s, nil),
+		v.key('m', []bool{true, true}, d, s, nil),
+		v.key('m', []bool{true, false, true}, d, s, nil),
+		v.key('m', []bool{true, true, false}, d, s, nil),
+	}
+	for i := range keys {
+		for j := i + 1; j < len(keys); j++ {
+			if keys[i] == keys[j] {
+				t.Fatalf("keys %d and %d collide: full and subset keys must all differ", i, j)
+			}
+		}
 	}
 }
 
-// specProblem builds a two-spec problem whose Eval and EvalSpec tally
-// their real invocations separately. EvalSpec fails while *fail is set.
+// specProblem builds a two-spec problem whose Eval and EvalSubset tally
+// their real invocations separately. EvalSubset fails while *fail is
+// set.
 func specProblem(full, perSpec *atomic.Int64, fail *atomic.Bool) *problem.Problem {
 	f := func(d, s []float64, i int) float64 {
 		if i == 0 {
@@ -345,24 +357,44 @@ func specProblem(full, perSpec *atomic.Int64, fail *atomic.Bool) *problem.Proble
 			full.Add(1)
 			return []float64{f(d, s, 0), f(d, s, 1)}, nil
 		},
-		EvalSpec: func(d, s, theta []float64, i int) (float64, error) {
+		EvalSubset: func(d, s, theta []float64, want []bool) ([]float64, error) {
 			perSpec.Add(1)
 			if fail != nil && fail.Load() {
-				return 0, errors.New("boom")
+				return nil, errors.New("boom")
 			}
-			return f(d, s, i), nil
+			out := []float64{math.NaN(), math.NaN()}
+			for i, w := range want {
+				if w {
+					out[i] = f(d, s, i)
+				}
+			}
+			return out, nil
 		},
 	}
 }
 
-// A spec-i entry answers spec i only: not spec j, and not a full request.
+// evalSpec evaluates spec i alone through p's subset evaluator.
+func evalSpec(p *problem.Problem, d, s []float64, i int) (float64, error) {
+	want := make([]bool, p.NumSpecs())
+	want[i] = true
+	vals, err := p.EvalSubset(d, s, nil, want)
+	if err != nil {
+		return 0, err
+	}
+	return vals[i], nil
+}
+
+// A spec-i entry answers spec i only: not spec j, not a full request
+// and not a subset wanting spec i among others. A subset entry answers
+// its own mask only. A one-hot hit returns a value per spec, NaN at the
+// others.
 func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
 		var full, perSpec atomic.Int64
 		p := c.Wrap(specProblem(&full, &perSpec, nil))
 		d, s := []float64{1}, []float64{0.5, 0.25}
 		for _, i := range []int{0, 0, 1} {
-			if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+			if _, err := evalSpec(p, d, s, i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -375,8 +407,21 @@ func TestSpecEntryAnswersOnlyItsSpec(t *testing.T) {
 		if full.Load() != 1 {
 			t.Errorf("a per-spec entry answered a full request (full calls %d)", full.Load())
 		}
-		if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || c.shared.Stats().Entries != 3 {
-			t.Errorf("stats = %+v, len %d, want 1 hit / 3 misses, 3 entries (2 per-spec, 1 full)", st, c.shared.Stats().Entries)
+		vals, err := p.EvalSubset(d, s, nil, []bool{false, true})
+		if err != nil || !math.IsNaN(vals[0]) || vals[1] != 0.25 {
+			t.Errorf("one-hot hit = %v, %v; want [NaN 0.25]", vals, err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			vals, err := p.EvalSubset(d, s, nil, []bool{true, true})
+			if err != nil || vals[0] != 2 || vals[1] != 0.25 {
+				t.Fatalf("subset = %v, %v; want [2 0.25]", vals, err)
+			}
+		}
+		if perSpec.Load() != 3 {
+			t.Errorf("subset simulator ran %d times, want 3 (a per-spec entry answered a subset, or a subset entry its own repeat not)", perSpec.Load())
+		}
+		if st := c.Stats(); st.Hits != 3 || st.Misses != 4 || c.shared.Stats().Entries != 4 {
+			t.Errorf("stats = %+v, len %d, want 3 hits / 4 misses, 4 entries (2 per-spec, 1 full, 1 subset)", st, c.shared.Stats().Entries)
 		}
 	})
 }
@@ -391,7 +436,7 @@ func TestSpecMissCountedOnce(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			for _, s := range [][]float64{{0.5, 0.25}, {-1, 2}} {
 				for i := 0; i < 2; i++ {
-					if _, err := p.EvalSpec(d, s, nil, i); err != nil {
+					if _, err := evalSpec(p, d, s, i); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -411,14 +456,14 @@ func TestSpecErrorsAreNotMemoized(t *testing.T) {
 		fail.Store(true)
 		p := c.Wrap(specProblem(&full, &perSpec, &fail))
 		d, s := []float64{1}, []float64{0.5, 0.25}
-		if _, err := p.EvalSpec(d, s, nil, 1); err == nil {
-			t.Fatal("EvalSpec error was swallowed")
+		if _, err := evalSpec(p, d, s, 1); err == nil {
+			t.Fatal("EvalSubset error was swallowed")
 		}
 		if c.shared.Stats().Entries != 0 {
 			t.Fatal("error entry left in cache")
 		}
 		fail.Store(false)
-		v, err := p.EvalSpec(d, s, nil, 1)
+		v, err := evalSpec(p, d, s, 1)
 		if err != nil {
 			t.Fatalf("retry after error failed: %v", err)
 		}
@@ -431,11 +476,11 @@ func TestSpecErrorsAreNotMemoized(t *testing.T) {
 func TestNoEvalSpecStaysNil(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
 		var calls atomic.Int64
-		if q := c.Wrap(countingProblem(&calls)); q.EvalSpec != nil {
-			t.Fatal("Wrap invented an EvalSpec function")
+		if q := c.Wrap(countingProblem(&calls)); q.EvalSubset != nil {
+			t.Fatal("Wrap invented an EvalSubset function")
 		}
-		if q := c.PassThrough(countingProblem(&calls)); q.EvalSpec != nil {
-			t.Fatal("PassThrough invented an EvalSpec function")
+		if q := c.PassThrough(countingProblem(&calls)); q.EvalSubset != nil {
+			t.Fatal("PassThrough invented an EvalSubset function")
 		}
 	})
 }
@@ -497,8 +542,8 @@ func TestPassThroughCountsWithoutStoring(t *testing.T) {
 	})
 }
 
-// Pass-through EvalSpec and Constraints calls are counted like Eval —
-// a per-spec call as a miss, a constraint call as a constraint miss —
+// Pass-through EvalSubset and Constraints calls are counted like Eval —
+// a subset call as a miss, a constraint call as a constraint miss —
 // and, like Eval, leave nothing in the cache.
 func TestPassThroughCountsSpecAndConstraints(t *testing.T) {
 	forEachCache(t, 0, func(t *testing.T, c *View) {
@@ -512,8 +557,8 @@ func TestPassThroughCountsSpecAndConstraints(t *testing.T) {
 		d, s := []float64{1}, []float64{0.5, 0.25}
 		for rep := 0; rep < 2; rep++ {
 			for i := 0; i < 2; i++ {
-				if v, err := p.EvalSpec(d, s, nil, i); err != nil || v != [2]float64{2, 0.25}[i] {
-					t.Fatalf("EvalSpec(%d) = %v, %v", i, v, err)
+				if v, err := evalSpec(p, d, s, i); err != nil || v != [2]float64{2, 0.25}[i] {
+					t.Fatalf("spec %d = %v, %v", i, v, err)
 				}
 			}
 			if _, err := p.Constraints(d); err != nil {

@@ -72,8 +72,8 @@ func TestSharedProblemIsolation(t *testing.T) {
 	// Problem keys of different lengths must not alias into the float
 	// section of the key.
 	s2 := NewShared(0)
-	k1 := s2.View("ab").key('e', 0, []float64{1}, nil, nil)
-	k2 := s2.View("abc").key('e', 0, []float64{1}, nil, nil)
+	k1 := s2.View("ab").key('e', nil, []float64{1}, nil, nil)
+	k2 := s2.View("abc").key('e', nil, []float64{1}, nil, nil)
 	if k1 == k2 {
 		t.Fatal("problem keys of different lengths collided")
 	}
@@ -235,11 +235,11 @@ func TestSharedCrossViewSpecHit(t *testing.T) {
 	pB := vB.Wrap(specProblem(&full, &perSpec, nil))
 	d, q := []float64{1}, []float64{-1, 2}
 
-	want, err := pA.EvalSpec(d, q, nil, 0)
+	want, err := evalSpec(pA, d, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := pB.EvalSpec(d, q, nil, 0); err != nil || v != want {
+	if v, err := evalSpec(pB, d, q, 0); err != nil || v != want {
 		t.Fatalf("cross-view spec from spec entry = %v, %v; want %v", v, err, want)
 	}
 	if full.Load() != 0 || perSpec.Load() != 1 {
@@ -250,7 +250,7 @@ func TestSharedCrossViewSpecHit(t *testing.T) {
 	}
 
 	// Spec 1 at q has no entry: a miss, owned by B.
-	if _, err := pB.EvalSpec(d, q, nil, 1); err != nil {
+	if _, err := evalSpec(pB, d, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if perSpec.Load() != 2 || vB.Stats().Misses != 1 {

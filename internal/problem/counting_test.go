@@ -84,10 +84,10 @@ func TestInstrumentNilConstraints(t *testing.T) {
 	p := countedProblem()
 	p.Constraints = nil
 	v := evalcache.New(0)
-	if q := v.PassThrough(p); q.Constraints != nil || q.EvalSpec != nil {
-		t.Error("nil Constraints and EvalSpec must stay nil")
+	if q := v.PassThrough(p); q.Constraints != nil || q.EvalSubset != nil {
+		t.Error("nil Constraints and EvalSubset must stay nil")
 	}
-	if q := v.Wrap(p); q.Constraints != nil || q.EvalSpec != nil {
-		t.Error("nil Constraints and EvalSpec must stay nil")
+	if q := v.Wrap(p); q.Constraints != nil || q.EvalSubset != nil {
+		t.Error("nil Constraints and EvalSubset must stay nil")
 	}
 }

@@ -72,17 +72,21 @@ type OpRange struct {
 // testbench, counted as one circuit simulation.
 type EvalFunc func(d, s, theta []float64) ([]float64, error)
 
-// EvalSpecFunc computes performance i alone at (d, s, θ), running only the
-// analyses that performance needs (for an opamp: DC alone for power, one
-// AC point more for the gain, the full sweep only for the unity
-// frequency). One call also counts as one circuit simulation, as in the
-// paper's per-spec effort accounting (Table 7).
+// EvalSubsetFunc computes the performances flagged in want (one flag per
+// spec) at (d, s, θ), running only the analyses the deepest of them
+// needs (for an opamp: DC alone for power and slew rate, one AC point
+// more for the gain, the full sweep only for the unity frequency). It
+// returns one value per spec: NaN where want is false. One call counts
+// as one circuit simulation, whatever the mask, as in the paper's
+// per-spec effort accounting (Table 7).
 //
-// It must return exactly Eval(d, s, θ)[i], bit for bit, with one
-// deliberate exception: a performance that needs fewer analyses stays
-// finite where Eval goes NaN only because a later analysis it does not
-// need (an AC solve, for a DC-only spec) failed.
-type EvalSpecFunc func(d, s, theta []float64, i int) (float64, error)
+// Each wanted value must be exactly Eval(d, s, θ)[i], bit for bit, with
+// one deliberate exception: a performance that needs fewer analyses
+// stays finite where Eval goes NaN only because a later analysis none
+// of the wanted specs needs (an AC solve, for a mask of DC-only specs)
+// failed. A one-hot mask is the per-spec evaluation SpecValue uses.
+// want is read-only: SpecValue's one-hot masks are shared.
+type EvalSubsetFunc func(d, s, theta []float64, want []bool) ([]float64, error)
 
 // ConstraintFunc evaluates the functional constraints c(d) >= 0 of
 // Sec. 5.1 at the nominal statistical and operating point. One call
@@ -162,11 +166,11 @@ type Problem struct {
 	Theta           []OpRange
 	ConstraintNames []string
 	Eval            EvalFunc
-	// EvalSpec, when non-nil, is the cheaper per-spec evaluator; nil
-	// falls back to Eval(...)[i]. Callers go through SpecValue. A wrapper
-	// that replaces Eval must wrap EvalSpec too (or clear it), or
-	// per-spec calls bypass it.
-	EvalSpec    EvalSpecFunc
+	// EvalSubset, when non-nil, is the cheaper evaluator of a subset of
+	// the specs; nil falls back to Eval. Callers go through SpecValue
+	// and SubsetValues. A wrapper that replaces Eval must wrap EvalSubset
+	// too (or clear it), or subset calls bypass it.
+	EvalSubset  EvalSubsetFunc
 	Constraints ConstraintFunc
 	// SimStats, when non-nil, snapshots the simulator-side effort
 	// counters (DC warm starts, fallbacks, Newton iterations) so the
@@ -182,18 +186,58 @@ type Problem struct {
 // Several specs' searches visit those points: s = 0 at each operating
 // corner, and the ±h·e_k probes of the first gradient from it. One full
 // evaluation (memoized by an evaluation cache) then answers every spec
-// there. All other points go through EvalSpec when the problem has one.
-// The choice depends only on the point, never on call order, so
-// simulation counts stay deterministic.
+// there. All other points go through EvalSubset with spec i alone
+// wanted, when the problem has one. The choice depends only on the
+// point, never on call order, so simulation counts stay deterministic.
 func (p *Problem) SpecValue(d, s, theta []float64, i int) (float64, error) {
-	if p.EvalSpec == nil || nonzeros(s) <= 1 {
+	if p.EvalSubset == nil || nonzeros(s) <= 1 {
 		vals, err := p.Eval(d, s, theta)
 		if err != nil {
 			return 0, err
 		}
 		return vals[i], nil
 	}
-	return p.EvalSpec(d, s, theta, i)
+	vals, err := p.EvalSubset(d, s, theta, oneHot(p.NumSpecs(), i))
+	if err != nil {
+		return 0, err
+	}
+	return vals[i], nil
+}
+
+// maxOneHot is the largest spec count whose one-hot masks are windows
+// of hot rather than fresh slices.
+const maxOneHot = 64
+
+// hot is true at index maxOneHot-1 alone, so each of its n-long windows
+// is a one-hot mask: the per-spec calls share them instead of
+// allocating one per call.
+var hot = func() (h [2*maxOneHot - 1]bool) {
+	h[maxOneHot-1] = true
+	return h
+}()
+
+// oneHot returns the n-spec mask that wants spec i alone. The result
+// may be shared, so it must not be modified.
+func oneHot(n, i int) []bool {
+	if n > maxOneHot {
+		want := make([]bool, n)
+		want[i] = true
+		return want
+	}
+	lo := maxOneHot - 1 - i
+	return hot[lo : lo+n : lo+n]
+}
+
+// SubsetValues returns the performances flagged in want at (d, s, θ)
+// through EvalSubset, or through the full Eval when the problem has
+// none; callers read only the wanted entries. It is the entry point for
+// call sites that judge several specs at one point, such as the
+// Monte-Carlo verification at each worst-case operating corner.
+func (p *Problem) SubsetValues(d, s, theta []float64, want []bool) ([]float64, error) {
+	if p.EvalSubset == nil {
+		return p.Eval(d, s, theta)
+	}
+	return p.EvalSubset(d, s, theta, want)
 }
 
 // nonzeros counts the nonzero entries of v.

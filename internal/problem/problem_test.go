@@ -1,6 +1,9 @@
 package problem
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func validProblem() *Problem {
 	return &Problem{
@@ -94,7 +97,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// specProblem has two specs, a full Eval and a per-spec EvalSpec that
+// specProblem has two specs, a full Eval and a subset evaluator that
 // tally their calls separately.
 func specProblem(full, perSpec *int) *Problem {
 	p := validProblem()
@@ -103,19 +106,24 @@ func specProblem(full, perSpec *int) *Problem {
 		*full++
 		return []float64{d[0] + s[0], d[0] - s[1]}, nil
 	}
-	p.EvalSpec = func(d, s, th []float64, i int) (float64, error) {
+	p.EvalSubset = func(d, s, th []float64, want []bool) ([]float64, error) {
 		*perSpec++
-		if i == 0 {
-			return d[0] + s[0], nil
+		out := []float64{math.NaN(), math.NaN()}
+		if want[0] {
+			out[0] = d[0] + s[0]
 		}
-		return d[0] - s[1], nil
+		if want[1] {
+			out[1] = d[0] - s[1]
+		}
+		return out, nil
 	}
 	return p
 }
 
 // SpecValue evaluates in full where s has at most one nonzero entry (the
 // points several specs share) and per spec everywhere else; without an
-// EvalSpec it always falls back to Eval.
+// EvalSubset it always falls back to Eval. SubsetValues passes its mask
+// to EvalSubset at every point, and falls back to Eval likewise.
 func TestSpecValueRouting(t *testing.T) {
 	var full, perSpec int
 	p := specProblem(&full, &perSpec)
@@ -142,9 +150,39 @@ func TestSpecValueRouting(t *testing.T) {
 		}
 	}
 
-	p.EvalSpec = nil
+	full, perSpec = 0, 0
+	if v, err := p.SubsetValues(d, []float64{0, 0}, th, []bool{false, true}); err != nil ||
+		!math.IsNaN(v[0]) || v[1] != 1 || full != 0 || perSpec != 1 {
+		t.Errorf("SubsetValues: %v err %v, full %d, per-spec %d; want [NaN 1] from one EvalSubset", v, err, full, perSpec)
+	}
+
+	p.EvalSubset = nil
 	full, perSpec = 0, 0
 	if v, err := p.SpecValue(d, []float64{0.5, 0.25}, th, 1); err != nil || v != 0.75 || full != 1 {
-		t.Errorf("nil EvalSpec: value %v err %v full %d, want 0.75 from one Eval", v, err, full)
+		t.Errorf("nil EvalSubset: value %v err %v full %d, want 0.75 from one Eval", v, err, full)
+	}
+	if v, err := p.SubsetValues(d, []float64{0.5, 0.25}, th, []bool{true, false}); err != nil || v[0] != 1.5 || full != 2 {
+		t.Errorf("nil EvalSubset: SubsetValues %v err %v full %d, want 1.5 from one more Eval", v, err, full)
+	}
+}
+
+// oneHot's masks want exactly spec i of n, cannot be grown into the
+// shared backing array, and cost no allocation up to maxOneHot specs.
+func TestOneHot(t *testing.T) {
+	for n := 1; n <= maxOneHot+2; n++ {
+		for i := 0; i < n; i++ {
+			m := oneHot(n, i)
+			if len(m) != n || cap(m) != n {
+				t.Fatalf("oneHot(%d, %d): len %d cap %d, want %d and %d", n, i, len(m), cap(m), n, n)
+			}
+			for k, w := range m {
+				if w != (k == i) {
+					t.Fatalf("oneHot(%d, %d) = %v", n, i, m)
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { oneHot(6, 5) }); a != 0 {
+		t.Errorf("oneHot(6, 5) allocates %v times, want 0", a)
 	}
 }

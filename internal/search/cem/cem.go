@@ -27,6 +27,7 @@ import (
 	"specwise/internal/core"
 	"specwise/internal/feasopt"
 	"specwise/internal/rng"
+	"specwise/internal/wcd"
 )
 
 // Name is the backend's registry and wire identifier.
@@ -42,12 +43,12 @@ type Backend struct {
 	mean, sigma []float64
 
 	// Fixed scoring machinery, set up at Init.
-	samples  [][]float64 // common statistical samples, one stream for the run
-	thetas   [][]float64 // distinct worst-case operating points
-	thetaIdx []int       // spec index -> index into thetas
-	scale    []float64   // per-spec margin normalizer (sample σ at the start)
-	cscale   []float64   // per-constraint violation normalizer
-	r        *rng.Rand
+	samples [][]float64 // common statistical samples, one stream for the run
+	thetas  [][]float64 // distinct worst-case operating points
+	wants   [][]bool    // per θ, the specs judged there
+	scale   []float64   // per-spec margin normalizer (sample σ at the start)
+	cscale  []float64   // per-constraint violation normalizer
+	r       *rng.Rand
 
 	best      []float64
 	bestScore float64
@@ -100,21 +101,11 @@ func (b *Backend) Init(ctx context.Context, e *core.Engine) error {
 
 	// Distinct worst-case operating points from the initial analysis;
 	// candidates are judged at these θ for the rest of the run.
-	b.thetaIdx = make([]int, p.NumSpecs())
+	perSpec := make([][]float64, len(cur.Specs))
 	for i, st := range cur.Specs {
-		u := -1
-		for j, th := range b.thetas {
-			if equalPoint(th, st.ThetaWc) {
-				u = j
-				break
-			}
-		}
-		if u < 0 {
-			u = len(b.thetas)
-			b.thetas = append(b.thetas, append([]float64(nil), st.ThetaWc...))
-		}
-		b.thetaIdx[i] = u
+		perSpec[i] = append([]float64(nil), st.ThetaWc...)
 	}
+	b.thetas, b.wants = wcd.DistinctThetas(perSpec)
 
 	// Budgets: MaxIterations meters generations, ModelSamples meters the
 	// per-candidate sample count — so the existing effort knobs scale
@@ -289,7 +280,8 @@ func (b *Backend) converged() bool {
 }
 
 // marginsAt evaluates the common sample set at d and returns, per
-// sample, the per-spec margins (each spec judged at its worst-case θ).
+// sample, the per-spec margins (each spec judged at its worst-case θ,
+// each θ simulated only as deep as its own specs need).
 func (b *Backend) marginsAt(ctx context.Context, e *core.Engine, d []float64) ([][]float64, error) {
 	p := e.Problem()
 	out := make([][]float64, len(b.samples))
@@ -299,12 +291,12 @@ func (b *Backend) marginsAt(ctx context.Context, e *core.Engine, d []float64) ([
 		}
 		row := make([]float64, p.NumSpecs())
 		for u, th := range b.thetas {
-			vals, err := p.Eval(d, s, th)
+			vals, err := p.SubsetValues(d, s, th, b.wants[u])
 			if err != nil {
 				return nil, err
 			}
-			for i := range p.Specs {
-				if b.thetaIdx[i] == u {
+			for i, w := range b.wants[u] {
+				if w {
 					row[i] = p.Specs[i].Margin(vals[i])
 				}
 			}
@@ -407,16 +399,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func equalPoint(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -158,8 +158,15 @@ func probe(m MarginFunc, work, s []float64, i int, f0, h float64) (float64, int,
 // { s | m0 + g·(s−s0) = 0 }, whose closed form is s* = g·(g·s0 − m0)/(g·g).
 func FindWorstCase(m MarginFunc, dim int, opts Options) (*WorstCase, error) {
 	opts.defaults()
-	if opts.Starts < 0 {
+	switch {
+	case opts.Starts < 0:
 		return nil, errors.New("wcd: Starts must not be negative")
+	case opts.MaxRadius < 0:
+		return nil, errors.New("wcd: MaxRadius must not be negative")
+	case opts.Damping < 0:
+		return nil, errors.New("wcd: Damping must not be negative")
+	case opts.Tol < 0:
+		return nil, errors.New("wcd: Tol must not be negative")
 	}
 
 	m0, err := m(make([]float64, dim))
@@ -582,11 +589,13 @@ func Corners(ranges []problem.OpRange) [][]float64 {
 }
 
 // DistinctThetas deduplicates the per-spec worst-case operating points,
-// returning the unique set and the mapping spec → set index. The
-// Monte-Carlo verifier uses it to share simulations between specs with a
-// common worst-case corner.
-func DistinctThetas(perSpec [][]float64) (unique [][]float64, specToUnique []int) {
-	specToUnique = make([]int, len(perSpec))
+// returning the unique set and, per unique point u, the mask of the
+// specs judged there: wants[u][i] reports whether spec i's point is u.
+// The Monte-Carlo verifier uses it to share simulations between specs
+// with a common worst-case corner, and passes each corner's mask to
+// problem.Problem.SubsetValues so the corner is simulated only as deep
+// as its own specs need.
+func DistinctThetas(perSpec [][]float64) (unique [][]float64, wants [][]bool) {
 	for i, th := range perSpec {
 		found := -1
 		for u, ut := range unique {
@@ -597,11 +606,12 @@ func DistinctThetas(perSpec [][]float64) (unique [][]float64, specToUnique []int
 		}
 		if found < 0 {
 			unique = append(unique, th)
+			wants = append(wants, make([]bool, len(perSpec)))
 			found = len(unique) - 1
 		}
-		specToUnique[i] = found
+		wants[found][i] = true
 	}
-	return unique, specToUnique
+	return unique, wants
 }
 
 func equalVec(a, b []float64) bool {

@@ -196,12 +196,12 @@ func TestWorstCaseTheta(t *testing.T) {
 func TestDistinctThetas(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{1, 3}
-	unique, idx := DistinctThetas([][]float64{a, b, a, a})
-	if len(unique) != 2 {
-		t.Fatalf("unique = %d want 2", len(unique))
+	unique, wants := DistinctThetas([][]float64{a, b, a, a})
+	if !reflect.DeepEqual(unique, [][]float64{a, b}) {
+		t.Fatalf("unique = %v want [%v %v]", unique, a, b)
 	}
-	if idx[0] != idx[2] || idx[0] != idx[3] || idx[0] == idx[1] {
-		t.Errorf("mapping = %v", idx)
+	if want := [][]bool{{true, false, true, true}, {false, true, false, false}}; !reflect.DeepEqual(wants, want) {
+		t.Errorf("masks = %v want %v", wants, want)
 	}
 }
 
@@ -451,5 +451,33 @@ func TestFindWorstCaseRejectsNegativeStarts(t *testing.T) {
 	wc, err := FindWorstCase(m, 1, Options{Starts: -1})
 	if err == nil || !strings.Contains(err.Error(), "Starts") {
 		t.Fatalf("FindWorstCase(Starts: -1) = %+v, %v; want an error naming Starts", wc, err)
+	}
+}
+
+// Negative MaxRadius, Damping and Tol are refused after defaults(), as
+// Starts is. On the margin 1 + s₀ over two parameters (β = 1 at
+// s_wc = (−1, 0), found in 18 evaluations with the defaults) they used
+// to return wrong worst cases without an error; each row records what
+// came back.
+func TestFindWorstCaseRejectsNegativeOptions(t *testing.T) {
+	m := func(s []float64) (float64, error) { return 1 + s[0], nil }
+	for _, tc := range []struct {
+		field string
+		opts  Options
+		was   string
+	}{
+		{"MaxRadius", Options{MaxRadius: -1}, "s = (1, 0), a passing point, reported as β = 1"},
+		{"Damping", Options{Damping: -1}, "β = 6, clamped and unconverged"},
+		{"Tol", Options{Tol: -1}, "never converged, 144 evaluations instead of 18"},
+	} {
+		wc, err := FindWorstCase(m, 2, tc.opts)
+		if err == nil || err.Error() != "wcd: "+tc.field+" must not be negative" {
+			t.Errorf("%s: FindWorstCase(%+v) = %+v, %v; want an error naming %s (it used to give %s)",
+				tc.field, tc.opts, wc, err, tc.field, tc.was)
+		}
+	}
+	wc, err := FindWorstCase(m, 2, Options{})
+	if err != nil || wc.Beta != 1 || wc.Evals != 18 {
+		t.Fatalf("defaults: %+v, %v; want β = 1 in 18 evaluations", wc, err)
 	}
 }
