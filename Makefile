@@ -131,8 +131,9 @@ lanesmoke: build
 	$(GO) test -run TestLaneSmoke ./cmd/specwised
 
 # A short fuzzing pass: each fuzz target runs alone for a fixed 10 s
-# (`-fuzz` takes one target per run, so the two store targets run one
-# after the other). A failing input lands in the target's
+# (`-fuzz` takes one target per run, so the two jobs targets, request
+# decoding and batch admission, run one after the other, as do the two
+# store targets). A failing input lands in the target's
 # testdata/fuzz directory and fails the pass. Not part of `make check`,
 # whose test step already runs every seed corpus as plain tests.
 FUZZ = $(GO) test -run XXX -fuzztime 10s -fuzz
@@ -141,6 +142,7 @@ fuzz:
 	$(FUZZ) '^FuzzYieldspecParse$$' ./internal/yieldspec
 	$(FUZZ) '^FuzzYieldspecEval$$' ./internal/yieldspec
 	$(FUZZ) '^FuzzRequestNormalize$$' ./internal/jobs
+	$(FUZZ) '^FuzzSubmitBatch$$' ./internal/jobs
 	$(FUZZ) '^FuzzScanFrames$$' ./internal/store
 	$(FUZZ) '^FuzzFrameRoundTrip$$' ./internal/store
 

@@ -94,7 +94,11 @@ type Options struct {
 	TrustFrac float64
 }
 
-func (o *Options) defaults() {
+// Defaults fills every unset option with its default. Search and
+// MaxMinBeta apply it to their own copy; a caller that derives
+// options from the effective values (feasguided halves the trust bands
+// on a rejected step) applies it once up front.
+func (o *Options) Defaults() {
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 8
 	}
@@ -125,7 +129,7 @@ type Result struct {
 // feasibility polytope, coordinate by coordinate, until a full pass makes
 // no progress.
 func Search(box Box, est *linmodel.Estimator, lc *LinearConstraints, d0 []float64, opts Options) *Result {
-	opts.defaults()
+	opts.Defaults()
 	d := append([]float64(nil), d0...)
 	res := &Result{}
 

@@ -122,7 +122,7 @@ func GradientSearch(box Box, est *linmodel.Estimator, lc *LinearConstraints, d0 
 // sampled estimate carries), which is exactly the paper's argument for
 // direct yield optimization; the comparison benchmark quantifies it.
 func MaxMinBeta(box Box, est *linmodel.Estimator, lc *LinearConstraints, d0 []float64, opts Options) *Result {
-	opts.defaults()
+	opts.Defaults()
 	d := append([]float64(nil), d0...)
 	res := &Result{}
 

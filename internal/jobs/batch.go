@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"specwise/internal/problem"
 )
 
 // ErrEmptyBatch rejects batch submissions with no requests.
@@ -112,11 +110,11 @@ type BatchStatus struct {
 
 // SubmitBatch validates, resolves, deduplicates and enqueues a list of
 // requests as one atomic batch: either every member is accepted and
-// durable, or none is. Requests hash-identical to an earlier member
-// share that member's job; unique requests hash-identical to a cached
-// result settle immediately from the cache, exactly like Submit. The
-// queue-capacity check covers the whole batch, so a batch is never
-// half-enqueued.
+// durable, or none is. It shares Submit's admission path (admitLocked):
+// requests hash-identical to an earlier member share that member's
+// job, unique requests hash-identical to a cached result settle
+// immediately from the cache, and the queue-capacity check covers the
+// whole batch, so a batch is never half-enqueued.
 func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 	if err := m.ctx.Err(); err != nil {
 		return nil, ErrClosed
@@ -124,158 +122,21 @@ func (m *Manager) SubmitBatch(reqs []Request) (*Batch, error) {
 	if len(reqs) == 0 {
 		return nil, ErrEmptyBatch
 	}
-	// Validate and resolve every member eagerly: one malformed request
-	// rejects the whole batch before anything is journaled.
-	type memberReq struct {
-		req      Request
-		hash     string
-		probHash string
+	// One malformed request rejects the whole batch before anything is
+	// journaled.
+	prep, i, err := m.prepare(reqs)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: batch member %d: %w", i, err)
 	}
-	members := make([]memberReq, len(reqs))
-	problems := make(map[string]*problem.Problem) // problemHash → resolved, once
-	for i := range reqs {
-		mr := memberReq{req: reqs[i]}
-		m.stampDefaults(&mr.req)
-		if err := mr.req.Normalize(); err != nil {
-			return nil, fmt.Errorf("jobs: batch member %d: %w", i, err)
-		}
-		var err error
-		if mr.hash, err = mr.req.Hash(); err != nil {
-			return nil, fmt.Errorf("jobs: batch member %d: %w", i, err)
-		}
-		if mr.probHash, err = mr.req.ProblemHash(); err != nil {
-			return nil, fmt.Errorf("jobs: batch member %d: %w", i, err)
-		}
-		if _, ok := problems[mr.probHash]; !ok {
-			p, err := m.cfg.Resolve(&mr.req)
-			if err != nil {
-				return nil, fmt.Errorf("jobs: batch member %d: %w", i, err)
-			}
-			problems[mr.probHash] = p
-		}
-		members[i] = mr
-	}
-
+	batch := new(Batch)
 	m.mu.Lock()
-	// Dedupe members against each other and split the unique ones into
-	// cached (settle from the result cache) and fresh (need a queue slot).
-	byHash := make(map[string]*Job, len(members))
-	var uniq []*Job
-	var fresh []*Job
-	memberIDs := make([]string, len(members))
-	now := m.now()
-	seq0, batchSeq0 := m.seq, m.batchSeq
-	m.batchSeq++
-	batch := &Batch{id: fmt.Sprintf("batch-%06d", m.batchSeq), seq: m.batchSeq, created: now}
-	dedup := 0
-	for i, mr := range members {
-		if j, ok := byHash[mr.hash]; ok {
-			memberIDs[i] = j.id
-			dedup++
-			continue
-		}
-		m.seq++
-		job := &Job{
-			id:          fmt.Sprintf("job-%06d", m.seq),
-			seq:         m.seq,
-			hash:        mr.hash,
-			problemHash: mr.probHash,
-			batch:       batch.id,
-			lane:        mr.req.lane(),
-			req:         mr.req,
-			problem:     problems[mr.probHash],
-			enqueued:    now,
-		}
-		byHash[mr.hash] = job
-		memberIDs[i] = job.id
-		uniq = append(uniq, job)
-		if _, cached := m.cache[mr.hash]; !cached {
-			fresh = append(fresh, job)
-		}
+	defer m.mu.Unlock()
+	if _, err := m.admitLocked(prep, batch); err != nil {
+		return nil, err
 	}
-	// Admission is per lane, over the whole batch, so a batch is never
-	// half-enqueued: every lane a fresh member lands in must have room
-	// for all of that lane's members at once.
-	freshPerLane := make(map[string]int)
-	for _, job := range fresh {
-		freshPerLane[job.lane]++
-	}
-	for lane, n := range freshPerLane {
-		lq := m.lanes[lane]
-		if lq.pending.Len()+n > lq.limit {
-			// Atomic rejection: nothing was journaled or tracked yet, so
-			// the rollback is just the counters.
-			qerr := &QueueFullError{Lane: lane, Depth: lq.pending.Len(), RetryAfter: lq.retryAfter(now)}
-			m.seq, m.batchSeq = seq0, batchSeq0
-			m.mu.Unlock()
-			return nil, qerr
-		}
-	}
-	// Journal every member, then the committing RecBatch. A member
-	// append failing mid-way leaves already-journaled members without a
-	// commit record: settle them canceled (replay reaches the same state
-	// through the orphan rule) and refuse the batch.
-	journaled := uniq[:0:0]
-	var journalErr error
-	for _, job := range uniq {
-		if err := m.journal(&Record{Kind: RecSubmit, Job: job.id, Seq: job.seq, Hash: job.hash,
-			Req: &job.req, Batch: batch.id, Lane: job.lane, Time: now}); err != nil {
-			journalErr = err
-			break
-		}
-		journaled = append(journaled, job)
-	}
-	if journalErr == nil {
-		journalErr = m.journal(&Record{Kind: RecBatch, Batch: batch.id, Seq: batch.seq, Members: memberIDs, Time: now})
-	}
-	if journalErr != nil {
-		for _, job := range journaled {
-			job.batch = "" // not a member of any committed batch
-			m.jobs[job.id] = job
-			job.mu.Lock()
-			m.finishLocked(job, StateCanceled, "canceled: batch submission failed")
-			job.mu.Unlock()
-		}
-		m.mu.Unlock()
-		return nil, fmt.Errorf("jobs: journaling batch: %w", journalErr)
-	}
-
-	// Committed: track the batch, settle cached members, enqueue the rest.
-	batch.memberIDs = memberIDs
-	batch.unique = uniq
-	m.batches[batch.id] = batch
-	cachedHits := 0
-	warmHits := 0
-	for _, job := range uniq {
-		m.jobs[job.id] = job
-		if el, ok := m.cache[job.hash]; ok {
-			ent := el.Value.(*cacheEntry)
-			if ent.warm {
-				warmHits++
-			}
-			m.lru.MoveToFront(el)
-			job.cached = true
-			job.result = ent.res
-			job.mu.Lock()
-			m.finishLocked(job, StateDone, "")
-			job.mu.Unlock()
-			cachedHits++
-		} else {
-			job.state = StateQueued
-			m.enqueueLocked(job, false)
-		}
-	}
-	m.mu.Unlock()
-
-	m.metrics.submitted.Add(int64(len(uniq)))
 	m.metrics.batches.Add(1)
-	m.metrics.batchMembers.Add(int64(len(members)))
-	m.metrics.batchDeduped.Add(int64(dedup))
-	m.metrics.cacheHits.Add(int64(cachedHits))
-	m.metrics.cacheWarmHits.Add(int64(warmHits))
-	if len(fresh) > 0 {
-		m.wakeOne()
-	}
+	m.metrics.batchMembers.Add(int64(len(reqs)))
+	m.metrics.batchDeduped.Add(int64(len(reqs) - len(batch.unique)))
 	return batch, nil
 }
 
@@ -409,36 +270,6 @@ func (m *Manager) noteBatchSettleLocked(j *Job) {
 	b.terminal++
 	if b.terminal == len(b.unique) {
 		b.finished = m.now()
-		m.batchOrder.PushBack(retainedBatch{batch: b, finished: b.finished})
-	}
-}
-
-// retainedBatch is one terminal batch in the batch retention queue.
-type retainedBatch struct {
-	batch    *Batch
-	finished time.Time
-}
-
-// evictBatchesLocked drops the oldest terminal batches — and their
-// member jobs — past the retention cap and TTL, mirroring evictLocked
-// for standalone jobs. Caller holds m.mu.
-func (m *Manager) evictBatchesLocked(now time.Time) {
-	for m.batchOrder.Len() > 0 {
-		front := m.batchOrder.Front()
-		r := front.Value.(retainedBatch)
-		overCap := m.cfg.RetainJobs >= 0 && m.batchOrder.Len() > m.cfg.RetainJobs
-		tooOld := m.cfg.RetainFor > 0 && now.Sub(r.finished) > m.cfg.RetainFor
-		if !overCap && !tooOld {
-			break
-		}
-		m.batchOrder.Remove(front)
-		delete(m.batches, r.batch.id)
-		for _, j := range r.batch.unique {
-			delete(m.jobs, j.id)
-			m.journal(&Record{Kind: RecJobEvict, Job: j.id}) //nolint:errcheck // degraded store: logged once
-			m.metrics.jobsEvicted.Add(1)
-		}
-		m.journal(&Record{Kind: RecBatchEvict, Batch: r.batch.id}) //nolint:errcheck // degraded store: logged once
-		m.metrics.batchesEvicted.Add(1)
+		m.batchOrder.PushBack(retained{batch: b, finished: b.finished})
 	}
 }

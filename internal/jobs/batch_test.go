@@ -343,24 +343,72 @@ func TestBatchOrphansCanceledOnRecovery(t *testing.T) {
 	}
 }
 
-// A batch canceled mid-journal (member appends succeeded, the commit
-// record failed) must refuse the submission and settle the journaled
-// members canceled — replay reaches the same state via the orphan rule.
+// A batch the journal refuses is refused whole, at either failure
+// point. (i) With nothing journaled the refusal leaves no trace, not
+// even a burned job or batch ID. (ii) When the member RecSubmits landed
+// but the committing RecBatch did not, those members settle canceled,
+// and a manager recovered from the same journal reaches the same state
+// through the orphan rule.
 func TestBatchJournalFailureMidway(t *testing.T) {
-	st := &memStore{}
-	m := persistManager(t, Config{RemoteOnly: true}, st, 0)
-	st.mu.Lock()
-	st.appendErr = errors.New("disk full")
-	st.mu.Unlock()
-	if _, err := m.SubmitBatch(batchReqs(2)); err == nil {
-		t.Fatal("batch acknowledged without durability")
-	}
-	if lease, _ := m.Claim("w1"); lease != nil {
-		t.Errorf("member of refused batch claimable: %s", lease.JobID)
-	}
-	if got := len(m.Batches()); got != 0 {
-		t.Errorf("refused batch tracked: %d batches", got)
-	}
+	diskFull := errors.New("disk full")
+	t.Run("first-append", func(t *testing.T) {
+		st := &memStore{}
+		m := persistManager(t, Config{RemoteOnly: true}, st, 0)
+		st.failFrom(1, diskFull)
+		if _, err := m.SubmitBatch(batchReqs(2)); !errors.Is(err, ErrNotDurable) {
+			t.Fatalf("err = %v, want ErrNotDurable", err)
+		}
+		if got := len(m.Jobs()); got != 0 {
+			t.Errorf("refused batch left %d tracked jobs", got)
+		}
+		if got := len(m.Batches()); got != 0 {
+			t.Errorf("refused batch tracked: %d batches", got)
+		}
+		st.failFrom(1, nil) // the disk has room again
+		reqs := batchReqs(3)
+		j, err := m.Submit(reqs[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.ID() != "job-000001" {
+			t.Errorf("next job ID = %s, want job-000001", j.ID())
+		}
+		b, err := m.SubmitBatch(reqs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.ID() != "batch-000001" {
+			t.Errorf("next batch ID = %s, want batch-000001", b.ID())
+		}
+	})
+	t.Run("commit-record", func(t *testing.T) {
+		st := &memStore{}
+		m := persistManager(t, Config{RemoteOnly: true}, st, 0)
+		st.failFrom(3, diskFull) // both members' RecSubmits land
+		if _, err := m.SubmitBatch(batchReqs(2)); !errors.Is(err, ErrNotDurable) {
+			t.Fatalf("err = %v, want ErrNotDurable", err)
+		}
+		check := func(label string, m *Manager) {
+			t.Helper()
+			if got := len(m.Batches()); got != 0 {
+				t.Errorf("%s: refused batch tracked: %d batches", label, got)
+			}
+			for i := 1; i <= 2; i++ {
+				j, ok := m.Get(jobID(i))
+				if !ok {
+					t.Fatalf("%s: journaled member %s lost (it must settle, not vanish)", label, jobID(i))
+				}
+				if got := j.State(); got != StateCanceled {
+					t.Errorf("%s: member %s state = %v, want canceled", label, jobID(i), got)
+				}
+			}
+			if lease, _ := m.Claim("w1"); lease != nil {
+				t.Errorf("%s: member of refused batch claimable: %s", label, lease.JobID)
+			}
+		}
+		check("live", m)
+		check("recovered", persistManager(t, Config{RemoteOnly: true}, st.crashCopy(), 0))
+	})
 }
 
 // stripEffort canonicalizes a result for shared-vs-isolated comparison:

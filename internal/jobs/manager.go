@@ -24,6 +24,9 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed is returned for submissions after Close.
 	ErrClosed = errors.New("jobs: manager closed")
+	// ErrNotDurable wraps the store error of a submission the journal
+	// refused: the submission is rejected rather than run unrecorded.
+	ErrNotDurable = errors.New("jobs: submission not durable")
 	// ErrNotFound is returned for operations on unknown job IDs.
 	ErrNotFound = errors.New("jobs: no such job")
 	// ErrLeaseLost is returned when a worker operates on a lease that has
@@ -210,14 +213,14 @@ type Manager struct {
 	lanes   map[string]*laneQueue
 	cycle   []string
 	rrPos   int
-	order   *list.List               // of retained: terminal jobs in finish order
+	order   *list.List               // of retained (job): terminal jobs in finish order
 	cache   map[string]*list.Element // hash → element in lru
 	lru     *list.List               // of *cacheEntry, most recent first
 	batches map[string]*Batch
 	// batchOrder retains terminal batches in settle order; member jobs
 	// are pinned in m.jobs while their batch is tracked and evicted with
 	// it (see batch.go).
-	batchOrder *list.List // of retainedBatch
+	batchOrder *list.List // of retained (batch)
 	seq        int
 	batchSeq   int
 	leaseSeq   int
@@ -234,10 +237,12 @@ type cacheEntry struct {
 	warm  bool
 }
 
-// retained is one terminal job in the retention queue; the finish time
-// is copied so eviction never needs the job's own lock.
+// retained is one terminal job (order) or batch (batchOrder) in a
+// retention queue; the finish time is copied so eviction never needs
+// the job's own lock.
 type retained struct {
 	job      *Job
+	batch    *Batch
 	finished time.Time
 }
 
@@ -403,97 +408,190 @@ func (m *Manager) Metrics() *Metrics { return &m.metrics }
 // Submit validates, resolves and enqueues a request. A request whose
 // content hash matches an already-completed job is answered from the
 // result cache: the returned job is immediately done and never occupies
-// a worker. ErrQueueFull is returned when the queue is at capacity;
-// nothing of the rejected submission is retained.
+// a worker. ErrQueueFull is returned when the queue is at capacity and
+// ErrNotDurable when the journal refuses the submission; nothing of a
+// rejected submission is retained, not even a burned job ID.
 func (m *Manager) Submit(req Request) (*Job, error) {
 	if err := m.ctx.Err(); err != nil {
 		return nil, ErrClosed
 	}
-	m.stampDefaults(&req)
-	if err := req.Normalize(); err != nil {
-		return nil, err
-	}
-	hash, err := req.Hash()
+	prep, _, err := m.prepare([]Request{req})
 	if err != nil {
 		return nil, err
 	}
-	// The problem hash keys the shared evaluation cache. It is computed
-	// even when the manager-side shard is off: remote pull-workers carry
-	// it in their leases and maintain their own shard.
-	probHash, err := req.ProblemHash()
-	if err != nil {
-		return nil, err
-	}
-	// Resolve eagerly so a bad circuit name or malformed spec fails the
-	// submission itself, not the job later.
-	p, err := m.cfg.Resolve(&req)
-	if err != nil {
-		return nil, err
-	}
-
-	lane := req.lane()
-
 	m.mu.Lock()
-	cacheEl, cacheHit := m.cache[hash]
-	if !cacheHit {
-		// Admission control, per lane, BEFORE the sequence number is
-		// allocated: a rejected submission must leave no trace — not even
-		// a burned job ID (the "nothing of the rejected submission is
-		// retained" contract). Cache hits bypass admission entirely; they
-		// never occupy a queue slot.
-		lq := m.lanes[lane]
-		if lq.pending.Len() >= lq.limit {
-			qerr := &QueueFullError{Lane: lane, Depth: lq.pending.Len(), RetryAfter: lq.retryAfter(m.now())}
-			m.mu.Unlock()
-			return nil, qerr
-		}
+	defer m.mu.Unlock()
+	uniq, err := m.admitLocked(prep, nil)
+	if err != nil {
+		return nil, err
 	}
-	m.seq++
-	job := &Job{
-		id:          fmt.Sprintf("job-%06d", m.seq),
-		seq:         m.seq,
-		hash:        hash,
-		problemHash: probHash,
-		lane:        lane,
-		req:         req,
-		problem:     p,
-		enqueued:    m.now(),
-	}
-	// Journal before acknowledging: a submission that cannot be made
-	// durable is refused, never silently volatile. For cache hits this
-	// lands ahead of the settlement, so replay sees the same submit→done
-	// sequence the caller was told.
-	if err := m.journal(&Record{Kind: RecSubmit, Job: job.id, Seq: job.seq, Hash: hash, Lane: lane, Req: &job.req, Time: job.enqueued}); err != nil {
-		m.seq--
-		m.mu.Unlock()
-		return nil, fmt.Errorf("jobs: journaling submission: %w", err)
-	}
-	if cacheHit {
-		ent := cacheEl.Value.(*cacheEntry)
-		warm := ent.warm
-		m.lru.MoveToFront(cacheEl)
-		job.cached = true
-		job.result = ent.res
-		m.jobs[job.id] = job
-		job.mu.Lock()
-		m.finishLocked(job, StateDone, "")
-		job.mu.Unlock()
-		m.mu.Unlock()
-		m.metrics.submitted.Add(1)
-		m.metrics.cacheHits.Add(1)
-		if warm {
-			m.metrics.cacheWarmHits.Add(1)
-		}
-		return job, nil
-	}
-	job.state = StateQueued
-	m.enqueueLocked(job, false)
-	m.jobs[job.id] = job
-	m.mu.Unlock()
+	return uniq[0], nil
+}
 
-	m.metrics.submitted.Add(1)
-	m.wakeOne()
-	return job, nil
+// prepared is one request made ready for admission: defaults stamped,
+// normalized, hashed and resolved.
+type prepared struct {
+	req  Request
+	hash string
+	// probHash keys the shared evaluation cache. It is computed even
+	// when the manager-side shard is off: remote pull-workers carry it
+	// in their leases and maintain their own shard.
+	probHash string
+	problem  *problem.Problem
+}
+
+// prepare readies requests for admission outside m.mu. Resolving
+// eagerly makes a bad circuit name or malformed spec fail the
+// submission itself, not the job later; each distinct problem is
+// resolved once. On failure it returns the index of the bad request.
+func (m *Manager) prepare(reqs []Request) ([]prepared, int, error) {
+	out := make([]prepared, len(reqs))
+	problems := make(map[string]*problem.Problem)
+	for i := range reqs {
+		p := &out[i]
+		p.req = reqs[i]
+		m.stampDefaults(&p.req)
+		if err := p.req.Normalize(); err != nil {
+			return nil, i, err
+		}
+		var err error
+		if p.hash, err = p.req.Hash(); err != nil {
+			return nil, i, err
+		}
+		if p.probHash, err = p.req.ProblemHash(); err != nil {
+			return nil, i, err
+		}
+		if p.problem = problems[p.probHash]; p.problem == nil {
+			if p.problem, err = m.cfg.Resolve(&p.req); err != nil {
+				return nil, i, err
+			}
+			problems[p.probHash] = p.problem
+		}
+	}
+	return out, -1, nil
+}
+
+// admitLocked admits prepared requests atomically: either every one is
+// accepted and durable, or none is. Hash-identical requests share one
+// job; a job whose hash matches a cached result settles from the cache
+// and never occupies a queue slot. Every lane the fresh jobs land in
+// must have room for all of them at once. With a non-nil batch the
+// jobs are its members and a RecBatch record commits them. It returns
+// the distinct jobs in first-appearance order. Caller holds m.mu.
+func (m *Manager) admitLocked(reqs []prepared, batch *Batch) ([]*Job, error) {
+	now := m.now()
+	// Dedupe, and split off the result-cache hits. Admission runs before
+	// any ID is allocated, so a rejection has nothing to roll back.
+	byHash := make(map[string]*Job, len(reqs))
+	members := make([]*Job, len(reqs))
+	var uniq []*Job
+	var hits []*list.Element      // per unique job: its cache entry, or nil
+	fresh := make(map[string]int) // lane → fresh jobs
+	for i := range reqs {
+		p := &reqs[i]
+		if j, ok := byHash[p.hash]; ok {
+			members[i] = j
+			continue
+		}
+		j := &Job{hash: p.hash, problemHash: p.probHash, lane: p.req.lane(), req: p.req, problem: p.problem, enqueued: now}
+		byHash[p.hash] = j
+		members[i] = j
+		uniq = append(uniq, j)
+		el := m.cache[p.hash]
+		hits = append(hits, el)
+		if el == nil {
+			fresh[j.lane]++
+		}
+	}
+	for _, name := range Lanes() {
+		if lq := m.lanes[name]; fresh[name] > 0 && lq.pending.Len()+fresh[name] > lq.limit {
+			return nil, &QueueFullError{Lane: name, Depth: lq.pending.Len(), RetryAfter: lq.retryAfter(now)}
+		}
+	}
+
+	seq0, batchSeq0 := m.seq, m.batchSeq
+	if batch != nil {
+		m.batchSeq++
+		batch.id, batch.seq, batch.created = fmt.Sprintf("batch-%06d", m.batchSeq), m.batchSeq, now
+	}
+	for _, j := range uniq {
+		m.seq++
+		j.id, j.seq = fmt.Sprintf("job-%06d", m.seq), m.seq
+		if batch != nil {
+			j.batch = batch.id
+		}
+	}
+	// Journal before acknowledging: every RecSubmit, then the committing
+	// RecBatch (the store has no transactions). For cache hits this lands
+	// ahead of the settlement, so replay sees the same submit→done
+	// sequence the caller was told.
+	landed := 0
+	var err error
+	for _, j := range uniq {
+		if err = m.journal(&Record{Kind: RecSubmit, Job: j.id, Seq: j.seq, Hash: j.hash, Req: &j.req, Batch: j.batch, Lane: j.lane, Time: now}); err != nil {
+			break
+		}
+		landed++
+	}
+	if err == nil && batch != nil {
+		batch.memberIDs = make([]string, len(members))
+		for i, j := range members {
+			batch.memberIDs[i] = j.id
+		}
+		err = m.journal(&Record{Kind: RecBatch, Batch: batch.id, Seq: batch.seq, Members: batch.memberIDs, Time: now})
+	}
+	if err != nil {
+		// A submission that cannot be made durable is refused, never
+		// silently volatile. With no record landed the IDs were never
+		// seen and are reused; members whose RecSubmit landed have no
+		// commit record, so they settle canceled (replay reaches the same
+		// state through the orphan rule).
+		if landed == 0 {
+			m.seq, m.batchSeq = seq0, batchSeq0
+		}
+		for _, j := range uniq[:landed] {
+			j.batch = ""
+			m.jobs[j.id] = j
+			j.mu.Lock()
+			m.finishLocked(j, StateCanceled, "canceled: batch submission failed")
+			j.mu.Unlock()
+		}
+		return nil, fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+
+	// Committed. The batch is tracked before its cached members settle,
+	// so their settlements count toward it.
+	if batch != nil {
+		batch.unique = uniq
+		m.batches[batch.id] = batch
+	}
+	cached, warm := 0, 0
+	for k, j := range uniq {
+		m.jobs[j.id] = j
+		if el := hits[k]; el != nil {
+			cached++
+			ent := el.Value.(*cacheEntry)
+			if ent.warm {
+				warm++
+			}
+			m.lru.MoveToFront(el)
+			j.cached = true
+			j.result = ent.res
+			j.mu.Lock()
+			m.finishLocked(j, StateDone, "")
+			j.mu.Unlock()
+		} else {
+			j.state = StateQueued
+			m.enqueueLocked(j, false)
+		}
+	}
+	m.metrics.submitted.Add(int64(len(uniq)))
+	m.metrics.cacheHits.Add(int64(cached))
+	m.metrics.cacheWarmHits.Add(int64(warm))
+	if cached < len(uniq) {
+		m.wakeOne()
+	}
+	return uniq, nil
 }
 
 // stampDefaults applies manager-level request defaults ahead of
@@ -850,23 +948,40 @@ func (m *Manager) finishLocked(j *Job, state State, errMsg string) {
 	m.evictLocked(j.finished)
 }
 
-// evictLocked drops the oldest terminal jobs past the retention cap and
-// (when configured) past the retention TTL. Caller holds m.mu.
+// evictLocked drops the oldest terminal jobs and batches past the
+// retention cap and (when configured) past the retention TTL. The two
+// queues are capped separately; a batch takes its member jobs with it.
+// Caller holds m.mu.
 func (m *Manager) evictLocked(now time.Time) {
-	for m.order.Len() > 0 {
-		front := m.order.Front()
-		r := front.Value.(retained)
-		overCap := m.cfg.RetainJobs >= 0 && m.order.Len() > m.cfg.RetainJobs
-		tooOld := m.cfg.RetainFor > 0 && now.Sub(r.finished) > m.cfg.RetainFor
-		if !overCap && !tooOld {
-			break
+	for _, q := range []*list.List{m.order, m.batchOrder} {
+		for q.Len() > 0 {
+			front := q.Front()
+			r := front.Value.(retained)
+			overCap := m.cfg.RetainJobs >= 0 && q.Len() > m.cfg.RetainJobs
+			tooOld := m.cfg.RetainFor > 0 && now.Sub(r.finished) > m.cfg.RetainFor
+			if !overCap && !tooOld {
+				break
+			}
+			q.Remove(front)
+			if r.batch == nil {
+				m.evictJobLocked(r.job)
+				continue
+			}
+			delete(m.batches, r.batch.id)
+			for _, j := range r.batch.unique {
+				m.evictJobLocked(j)
+			}
+			m.journal(&Record{Kind: RecBatchEvict, Batch: r.batch.id}) //nolint:errcheck // degraded store: logged once
+			m.metrics.batchesEvicted.Add(1)
 		}
-		m.order.Remove(front)
-		delete(m.jobs, r.job.id)
-		m.journal(&Record{Kind: RecJobEvict, Job: r.job.id}) //nolint:errcheck // degraded store: logged once
-		m.metrics.jobsEvicted.Add(1)
 	}
-	m.evictBatchesLocked(now)
+}
+
+// evictJobLocked forgets one terminal job. Caller holds m.mu.
+func (m *Manager) evictJobLocked(j *Job) {
+	delete(m.jobs, j.id)
+	m.journal(&Record{Kind: RecJobEvict, Job: j.id}) //nolint:errcheck // degraded store: logged once
+	m.metrics.jobsEvicted.Add(1)
 }
 
 // run executes one job end to end on the local pool.

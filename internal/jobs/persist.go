@@ -337,7 +337,7 @@ func (m *Manager) recover() error {
 		return termBatches[i].seq < termBatches[k].seq
 	})
 	for _, b := range termBatches {
-		m.batchOrder.PushBack(retainedBatch{batch: b, finished: b.finished})
+		m.batchOrder.PushBack(retained{batch: b, finished: b.finished})
 	}
 
 	// Re-resolve problems for every job that may still run locally. A

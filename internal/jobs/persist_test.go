@@ -23,13 +23,25 @@ type memStore struct {
 	snapshots int64
 	bytes     int64
 	appendErr error // injected Append failure
+	okLeft    int   // appends that still succeed before appendErr applies
+}
+
+// failFrom makes the nth append from now, and every later one, fail
+// with err (n = 1: the next append fails; a nil err clears the failure).
+func (s *memStore) failFrom(n int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.okLeft, s.appendErr = n-1, err
 }
 
 func (s *memStore) Append(rec *Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.appendErr != nil {
-		return s.appendErr
+		if s.okLeft == 0 {
+			return s.appendErr
+		}
+		s.okLeft--
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

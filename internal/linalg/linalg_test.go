@@ -151,63 +151,6 @@ func TestLUSolveProperty(t *testing.T) {
 	}
 }
 
-// Property: Cholesky factor reproduces the matrix, L Lᵀ = A.
-func TestCholeskyProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		n := 1 + rr.Intn(12)
-		a := randomSPD(rr, n)
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		// Verify lower-triangular structure.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if l.At(i, j) != 0 {
-					return false
-				}
-			}
-		}
-		llt := l.Mul(l.T())
-		for i := range a.Data {
-			if !almostEqual(llt.Data[i], a.Data[i], 1e-8) {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 50, Rand: r}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrNotPositiveDefinite {
-		t.Fatalf("want ErrNotPositiveDefinite, got %v", err)
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := randomSPD(r, 8)
-	b := NewVector(8)
-	for i := range b {
-		b[i] = r.NormFloat64()
-	}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.MulVec(x).Sub(b)
-	if res.NormInf() > 1e-8 {
-		t.Errorf("residual %v", res.NormInf())
-	}
-}
-
 func TestTriangularSolves(t *testing.T) {
 	l := FromRows([][]float64{{2, 0}, {1, 3}})
 	x := SolveLowerTriangular(l, Vector{4, 7})
@@ -218,6 +161,16 @@ func TestTriangularSolves(t *testing.T) {
 	y := SolveUpperTriangular(u, Vector{5, 6})
 	if !almostEqual(y[1], 2, tol) || !almostEqual(y[0], 1.5, tol) {
 		t.Errorf("upper solve = %v", y)
+	}
+}
+
+func TestTriangularSolves1x1(t *testing.T) {
+	l := FromRows([][]float64{{2}})
+	if x := SolveLowerTriangular(l, Vector{4}); x[0] != 2 {
+		t.Fatalf("lower 1x1: %v", x)
+	}
+	if x := SolveUpperTriangular(l, Vector{4}); x[0] != 2 {
+		t.Fatalf("upper 1x1: %v", x)
 	}
 }
 
@@ -305,12 +258,6 @@ func TestMatrixMulVecShapePanic(t *testing.T) {
 func TestLUNonSquare(t *testing.T) {
 	if _, err := NewLU(NewMatrix(2, 3)); err == nil {
 		t.Error("non-square LU accepted")
-	}
-}
-
-func TestCholeskyNonSquare(t *testing.T) {
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
-		t.Error("non-square Cholesky accepted")
 	}
 }
 

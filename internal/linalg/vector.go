@@ -1,7 +1,6 @@
 // Package linalg provides the dense linear algebra kernels used throughout
 // the yield optimizer: real and complex LU factorizations for the circuit
-// simulator's MNA systems and Cholesky factorization for covariance
-// models.
+// simulator's MNA systems.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: matrices in this problem domain are dense and

@@ -77,18 +77,21 @@ func (m *SpecModel) Margin(d, s []float64) float64 {
 	return v
 }
 
+const (
+	// fdStepD is the design finite-difference step as a fraction of each
+	// parameter's range.
+	fdStepD = 0.02
+	// mirrorThreshold: a spec is treated as quadratic when the measured
+	// margin at −s_wc is below this fraction of the value the linear
+	// model predicts there.
+	mirrorThreshold = 0.3
+)
+
 // BuildOptions controls model construction.
 type BuildOptions struct {
-	// FDStepD is the design finite-difference step in designer units
-	// (default 0.02 of each parameter's range).
-	FDStepD float64
 	// MirrorSpecs enables the quadratic detection of Eqs. 21–22
 	// (default true; the Table-4-style ablations switch pieces off).
 	MirrorSpecs bool
-	// MirrorThreshold: a spec is treated as quadratic when the measured
-	// margin at −s_wc is below this fraction of the value the linear
-	// model predicts there (default 0.3).
-	MirrorThreshold float64
 	// AtNominal linearizes at s = 0 instead of the worst-case points —
 	// the paper's Table-4 ablation.
 	AtNominal bool
@@ -99,20 +102,10 @@ type BuildOptions struct {
 	QuadraticSpecs bool
 }
 
-func (o *BuildOptions) defaults() {
-	if o.FDStepD == 0 {
-		o.FDStepD = 0.02
-	}
-	if o.MirrorThreshold == 0 {
-		o.MirrorThreshold = 0.3
-	}
-}
-
 // Build constructs the spec-wise models for every spec from the worst-case
 // analysis results. It spends (numDesign+1) evaluations per spec for the
 // design gradient plus one evaluation per mirror check.
 func Build(p *problem.Problem, df []float64, wcs []*wcd.WorstCase, thetas [][]float64, opts BuildOptions) ([]*SpecModel, error) {
-	opts.defaults()
 	if opts.MirrorSpecs && opts.AtNominal {
 		return nil, fmt.Errorf("linmodel: mirror specs require worst-case linearization")
 	}
@@ -149,7 +142,7 @@ func Build(p *problem.Problem, df []float64, wcs []*wcd.WorstCase, thetas [][]fl
 		if !opts.MirrorSpecs {
 			continue
 		}
-		mirror, err := maybeMirror(p, df, i, base, wcs[i], opts)
+		mirror, err := maybeMirror(p, df, i, base, wcs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +213,7 @@ func buildOne(p *problem.Problem, df []float64, i int, wc *wcd.WorstCase, theta 
 		}
 	}
 
-	gradD, err := designGradient(p, df, i, s, theta, margin0, opts)
+	gradD, err := designGradient(p, df, i, s, theta, margin0)
 	if err != nil {
 		return nil, err
 	}
@@ -234,12 +227,12 @@ func buildOne(p *problem.Problem, df []float64, i int, wc *wcd.WorstCase, theta 
 
 // designGradient measures ∂m/∂d by forward differences, respecting the
 // design box (steps flip direction at the upper bound).
-func designGradient(p *problem.Problem, df []float64, i int, s []float64, theta []float64, margin0 float64, opts BuildOptions) (linalg.Vector, error) {
+func designGradient(p *problem.Problem, df []float64, i int, s []float64, theta []float64, margin0 float64) (linalg.Vector, error) {
 	spec := p.Specs[i]
 	grad := linalg.NewVector(p.NumDesign())
 	work := append([]float64(nil), df...)
 	for k, prm := range p.Design {
-		h := opts.FDStepD * (prm.Hi - prm.Lo)
+		h := fdStepD * (prm.Hi - prm.Lo)
 		if h == 0 {
 			continue
 		}
@@ -284,7 +277,7 @@ func designGradient(p *problem.Problem, df []float64, i int, s []float64, theta 
 // paper's construction — the mirrored half of a quadratic valley passes
 // close to f_b by symmetry, and trusting a measured value from a broken
 // far-out region would wrongly condemn the whole sample cloud.
-func maybeMirror(p *problem.Problem, df []float64, i int, base *SpecModel, wc *wcd.WorstCase, opts BuildOptions) (*SpecModel, error) {
+func maybeMirror(p *problem.Problem, df []float64, i int, base *SpecModel, wc *wcd.WorstCase) (*SpecModel, error) {
 	sNorm := base.S.Norm2()
 	if sNorm < 1e-9 {
 		return nil, nil // nominal-centered worst case carries no direction
@@ -309,7 +302,7 @@ func maybeMirror(p *problem.Problem, df []float64, i int, base *SpecModel, wc *w
 	if predicted <= 0 {
 		return nil, nil // base model already pessimistic there
 	}
-	if measured > opts.MirrorThreshold*predicted {
+	if measured > mirrorThreshold*predicted {
 		return nil, nil // behaves linearly enough
 	}
 	// Pin the intercept near the boundary (≥ −0.5σ·|∇|) so a wildly

@@ -176,20 +176,6 @@ func Table6(cfg RunConfig, log io.Writer) (*core.Result, error) {
 	})
 }
 
-// Table7Row is one circuit's computational effort. Beyond the paper's
-// simulation counts it carries the evaluation-reuse counters: cache hits
-// that spared a simulation and DC solves answered from the warm-start
-// reference operating point.
-type Table7Row struct {
-	Circuit        string
-	Simulations    int64
-	ConstraintSims int64
-	CacheHits      int64
-	WarmStarts     int64
-	WarmConverged  int64
-	WallClock      string
-}
-
 // Curve is a sampled 1-D function, the payload of the figure experiments.
 type Curve struct {
 	Label string

@@ -119,12 +119,3 @@ func ImprovementTable(w io.Writer, res *core.Result, from, to int) {
 		fmt.Fprintf(w, "%-10s %17.1f%% %17.1f%%\n", s.Name, 100*dmu, 100*dsg)
 	}
 }
-
-// MismatchTable writes a Table-5-style ranking of mismatch measures.
-func MismatchTable(w io.Writer, spec string, names []string, values []float64) {
-	fmt.Fprintf(w, "Mismatch measure for %s\n", spec)
-	fmt.Fprintf(w, "%-6s %-24s %8s\n", "Rank", "Pair", "m_kl")
-	for i := range names {
-		fmt.Fprintf(w, "P%-5d %-24s %8.3f\n", i+1, names[i], values[i])
-	}
-}

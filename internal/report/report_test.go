@@ -91,14 +91,3 @@ func TestImprovementTable(t *testing.T) {
 		t.Errorf("sigma reduction missing:\n%s", out)
 	}
 }
-
-func TestMismatchTable(t *testing.T) {
-	var b strings.Builder
-	MismatchTable(&b, "CMRR", []string{"M3/M4", "M1/M2"}, []float64{0.84, 0.11})
-	out := b.String()
-	for _, want := range []string{"CMRR", "P1", "M3/M4", "0.840", "P2", "0.110"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("mismatch table missing %q:\n%s", want, out)
-		}
-	}
-}

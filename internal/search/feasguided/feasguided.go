@@ -51,14 +51,6 @@ func score(skipVerify bool, it *core.Iteration) float64 {
 	return it.MCYield
 }
 
-// trustOf reads the effective trust factor from coordinate options.
-func trustOf(o coord.Options) float64 {
-	if o.TrustFactor <= 0 {
-		return 2.5
-	}
-	return o.TrustFactor
-}
-
 // Init finds a feasible starting point (Sec. 5.5), analyzes it and
 // records the initial iteration state.
 func (b *Backend) Init(ctx context.Context, e *core.Engine) error {
@@ -76,6 +68,7 @@ func (b *Backend) Init(ctx context.Context, e *core.Engine) error {
 		}
 	}
 	b.coordOpts = opts.Coord
+	b.coordOpts.Defaults() // the trust bands halve from their effective values
 
 	cur, _, est, err := e.Analyze(ctx, d, opts.Seed)
 	if err != nil {
@@ -143,7 +136,7 @@ func (b *Backend) Step(ctx context.Context, e *core.Engine) (bool, error) {
 	e.Logf("attempt %d: model yield %.4f, MC yield %.4f", attempt, next.ModelYield, next.MCYield)
 
 	if score(opts.SkipVerify, next) < score(opts.SkipVerify, b.cur)-0.02 {
-		newTrust := trustOf(b.coordOpts) / 2
+		newTrust := b.coordOpts.TrustFactor / 2
 		b.rejections++
 		e.Logf("attempt %d: yield regressed (%.4f < %.4f); trust -> %.2f",
 			attempt, score(opts.SkipVerify, next), score(opts.SkipVerify, b.cur), newTrust)
@@ -152,9 +145,6 @@ func (b *Backend) Step(ctx context.Context, e *core.Engine) (bool, error) {
 			return true, nil
 		}
 		b.coordOpts.TrustFactor = newTrust
-		if b.coordOpts.TrustFrac <= 0 {
-			b.coordOpts.TrustFrac = 0.35
-		}
 		b.coordOpts.TrustFrac /= 2
 		return false, nil
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,5 +155,27 @@ func TestBatchErrorPathsOverHTTP(t *testing.T) {
 	var st jobs.BatchStatus
 	if code := getJSON(t, ts.URL+"/v1/batches/batch-000099", &st); code != http.StatusNotFound {
 		t.Errorf("unknown batch GET = %d, want 404", code)
+	}
+}
+
+// failingStore is a jobs.Store whose every append fails, as on a full
+// disk.
+type failingStore struct{ jobs.NullStore }
+
+func (failingStore) Append(*jobs.Record) error { return errors.New("disk full") }
+
+// A submission the journal refuses is a service fault, not a bad
+// request: both submit endpoints answer 503 and track nothing.
+func TestSubmitNotDurableOverHTTP(t *testing.T) {
+	ts, m := newTestServer(t, jobs.Config{RemoteOnly: true, Store: failingStore{}})
+	job := `{"kind": "verify", "circuit": "ota", "options": {"verifySamples": 30, "seed": 1}}`
+	if code, out := postJob(t, ts, job); code != http.StatusServiceUnavailable {
+		t.Errorf("POST /v1/jobs: code = %d (%v), want 503", code, out)
+	}
+	if code, _ := postBatch(t, ts, `{"jobs": [`+job+`]}`); code != http.StatusServiceUnavailable {
+		t.Errorf("POST /v1/batches: code = %d, want 503", code)
+	}
+	if n, b := len(m.Jobs()), len(m.Batches()); n != 0 || b != 0 {
+		t.Errorf("refused submissions tracked: %d jobs, %d batches", n, b)
 	}
 }

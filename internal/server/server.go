@@ -165,20 +165,29 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool
 	return true
 }
 
-// writeQueueFull answers an admission-control rejection: 429 with a
-// Retry-After computed from the lane's recent drain rate. A plain
-// ErrQueueFull without lane context (not produced today) falls back to
-// one second.
-func writeQueueFull(w http.ResponseWriter, err error) {
-	secs := 1
-	var qf *jobs.QueueFullError
-	if errors.As(err, &qf) {
-		if s := int(math.Ceil(qf.RetryAfter.Seconds())); s > secs {
-			secs = s
+// writeSubmitError answers a refused job or batch submission. A full
+// lane is 429 with a Retry-After computed from the lane's recent drain
+// rate (a plain ErrQueueFull without lane context, not produced today,
+// falls back to one second). A closed manager or a journal that refused
+// the submission is 503: the request was fine, the service cannot take
+// it now. Anything else is a bad request.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		secs := 1
+		var qf *jobs.QueueFullError
+		if errors.As(err, &qf) {
+			if s := int(math.Ceil(qf.RetryAfter.Seconds())); s > secs {
+				secs = s
+			}
 		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, jobs.ErrClosed), errors.Is(err, jobs.ErrNotDurable):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, err.Error())
 }
 
 // submitResponse acknowledges a submission.
@@ -194,16 +203,8 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.manager.Submit(req)
-	switch {
-	case err == nil:
-	case errors.Is(err, jobs.ErrQueueFull):
-		writeQueueFull(w, err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeSubmitError(w, err)
 		return
 	}
 	code := http.StatusAccepted
@@ -230,16 +231,8 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	batch, err := s.manager.SubmitBatch(req.Jobs)
-	switch {
-	case err == nil:
-	case errors.Is(err, jobs.ErrQueueFull):
-		writeQueueFull(w, err)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeSubmitError(w, err)
 		return
 	}
 	st, err := s.manager.BatchStatus(batch.ID())

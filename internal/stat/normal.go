@@ -1,16 +1,11 @@
 // Package stat provides the probability machinery of the yield flow:
-// normal distribution functions, the worst-case-distance-to-yield map
-// Y = Φ(β_wc), distribution transforms into the normalized Gaussian space
-// (paper Sec. 2), multivariate sampling against a Cholesky factor, and
-// binomial confidence intervals for Monte-Carlo yield estimates.
+// the standard normal distribution and quantile functions (the
+// worst-case-distance-to-yield map Y = Φ(β_wc) and its inverse),
+// streaming moments, and binomial confidence intervals for Monte-Carlo
+// yield estimates.
 package stat
 
 import "math"
-
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
 
 // NormalCDF returns P(X <= x) for X ~ N(0,1). This is the paper's Φ in
 // the one-spec yield relation Y^(i) = Φ(β_wc^(i)).
@@ -66,11 +61,3 @@ func NormalQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// YieldFromBeta maps a signed worst-case distance to the single-spec
-// parametric yield: positive β (nominal inside the acceptance region)
-// gives Y > 50%, negative β gives Y < 50%.
-func YieldFromBeta(beta float64) float64 { return NormalCDF(beta) }
-
-// BetaFromYield is the inverse of YieldFromBeta.
-func BetaFromYield(y float64) float64 { return NormalQuantile(y) }

@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"specwise/internal/linalg"
-	"specwise/internal/rng"
 )
 
 func TestNormalCDFKnownValues(t *testing.T) {
@@ -22,15 +19,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 		if got := NormalCDF(c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("NormalCDF(%v) = %v want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestNormalPDFSymmetricAndPeak(t *testing.T) {
-	if got := NormalPDF(0); math.Abs(got-1/math.Sqrt(2*math.Pi)) > 1e-15 {
-		t.Errorf("pdf(0) = %v", got)
-	}
-	if NormalPDF(1.3) != NormalPDF(-1.3) {
-		t.Error("pdf not symmetric")
 	}
 }
 
@@ -76,62 +64,19 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
+// The worst-case-distance-to-yield map Y = Φ(β) and its inverse.
 func TestYieldBetaRoundTrip(t *testing.T) {
 	for _, beta := range []float64{-3, -1, 0, 0.5, 2, 4} {
-		y := YieldFromBeta(beta)
-		if got := BetaFromYield(y); math.Abs(got-beta) > 1e-9 {
+		y := NormalCDF(beta)
+		if got := NormalQuantile(y); math.Abs(got-beta) > 1e-9 {
 			t.Errorf("round trip beta %v -> %v", beta, got)
 		}
 	}
-	if YieldFromBeta(0) != 0.5 {
+	if NormalCDF(0) != 0.5 {
 		t.Error("beta 0 should give 50% yield")
 	}
-	if YieldFromBeta(3) < 0.99 {
+	if NormalCDF(3) < 0.99 {
 		t.Error("beta 3 should give >99% yield")
-	}
-}
-
-func TestDistributionTransformRoundTrip(t *testing.T) {
-	dists := []Distribution{
-		{Kind: Normal, Mu: 2, Sigma: 0.5},
-		{Kind: LogNormal, Mu: 0, Sigma: 0.3},
-		{Kind: Uniform, Lo: -1, Hi: 3},
-	}
-	for _, d := range dists {
-		for _, z := range []float64{-2.5, -1, 0, 0.7, 2.2} {
-			x := d.ToPhysical(z)
-			if got := d.ToNormal(x); math.Abs(got-z) > 1e-9 {
-				t.Errorf("%v: round trip z=%v -> %v", d.Kind, z, got)
-			}
-		}
-	}
-}
-
-func TestDistributionMean(t *testing.T) {
-	if got := (Distribution{Kind: Normal, Mu: 3, Sigma: 1}).Mean(); got != 3 {
-		t.Errorf("normal mean = %v", got)
-	}
-	if got := (Distribution{Kind: Uniform, Lo: 0, Hi: 4}).Mean(); got != 2 {
-		t.Errorf("uniform mean = %v", got)
-	}
-	ln := Distribution{Kind: LogNormal, Mu: 0, Sigma: 0.5}
-	if got := ln.Mean(); math.Abs(got-math.Exp(0.125)) > 1e-12 {
-		t.Errorf("lognormal mean = %v", got)
-	}
-}
-
-// Property: uniform transform stays within [Lo, Hi].
-func TestUniformTransformBoundsProperty(t *testing.T) {
-	d := Distribution{Kind: Uniform, Lo: 1, Hi: 5}
-	f := func(z float64) bool {
-		if math.IsNaN(z) || math.IsInf(z, 0) {
-			return true
-		}
-		x := d.ToPhysical(z)
-		return x >= d.Lo && x <= d.Hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -163,38 +108,6 @@ func TestYieldEstimateExtremes(t *testing.T) {
 	}
 }
 
-func TestSampleMVNCovariance(t *testing.T) {
-	// Target covariance [[4, 1], [1, 2]].
-	cov := linalg.FromRows([][]float64{{4, 1}, {1, 2}})
-	l, err := linalg.Cholesky(cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := linalg.Vector{1, -1}
-	r := rng.New(99)
-	const n = 100000
-	var sx, sy, sxx, syy, sxy float64
-	dst := linalg.NewVector(2)
-	for i := 0; i < n; i++ {
-		SampleMVN(r, mean, l, dst)
-		sx += dst[0]
-		sy += dst[1]
-		sxx += dst[0] * dst[0]
-		syy += dst[1] * dst[1]
-		sxy += dst[0] * dst[1]
-	}
-	mx, my := sx/n, sy/n
-	if math.Abs(mx-1) > 0.03 || math.Abs(my+1) > 0.03 {
-		t.Errorf("means (%v, %v)", mx, my)
-	}
-	cxx := sxx/n - mx*mx
-	cyy := syy/n - my*my
-	cxy := sxy/n - mx*my
-	if math.Abs(cxx-4) > 0.15 || math.Abs(cyy-2) > 0.1 || math.Abs(cxy-1) > 0.1 {
-		t.Errorf("covariance [[%v, %v], [_, %v]]", cxx, cxy, cyy)
-	}
-}
-
 func TestMomentsWelford(t *testing.T) {
 	var m Moments
 	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -221,40 +134,6 @@ func TestMomentsEmptyAndSingle(t *testing.T) {
 	m.Add(3)
 	if m.Mean() != 3 || m.Variance() != 0 {
 		t.Error("single observation: mean 3, variance 0")
-	}
-}
-
-func TestDistributionKindString(t *testing.T) {
-	if Normal.String() != "normal" || LogNormal.String() != "lognormal" || Uniform.String() != "uniform" {
-		t.Error("String() labels wrong")
-	}
-	if DistributionKind(42).String() == "" {
-		t.Error("unknown kind should still render")
-	}
-}
-
-// Property: SampleMVN with the identity factor reproduces i.i.d. normals:
-// each call equals mean + z where z are the generator's normals.
-func TestSampleMVNIdentityProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		l, err := linalg.Cholesky(linalg.Identity(3))
-		if err != nil {
-			return false
-		}
-		mean := linalg.Vector{1, 2, 3}
-		a := rng.New(seed)
-		b := rng.New(seed)
-		got := SampleMVN(a, mean, l, linalg.NewVector(3))
-		z := b.NormVector(make([]float64, 3))
-		for i := range got {
-			if math.Abs(got[i]-(mean[i]+z[i])) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,11 +1,6 @@
 package stat
 
-import (
-	"math"
-
-	"specwise/internal/linalg"
-	"specwise/internal/rng"
-)
+import "math"
 
 // YieldEstimate is a Monte-Carlo pass/fail tally with its confidence
 // interval, the Ỹ of the paper's Eq. (6).
@@ -48,24 +43,6 @@ func NewYieldEstimate(pass, total int) YieldEstimate {
 		e.Hi = 1
 	}
 	return e
-}
-
-// SampleMVN draws a sample x = mean + L·z with z ~ N(0,I) where L is a
-// lower-triangular Cholesky factor of the covariance (Eq. 11's G).
-// dst must have length mean; it is returned for convenience.
-func SampleMVN(r *rng.Rand, mean linalg.Vector, l *linalg.Matrix, dst linalg.Vector) linalg.Vector {
-	n := len(mean)
-	z := make([]float64, n)
-	r.NormVector(z)
-	for i := 0; i < n; i++ {
-		s := mean[i]
-		row := l.Row(i)
-		for j := 0; j <= i; j++ {
-			s += row[j] * z[j]
-		}
-		dst[i] = s
-	}
-	return dst
 }
 
 // Moments accumulates streaming mean and variance (Welford's algorithm),

@@ -11,8 +11,6 @@ package variation
 import (
 	"fmt"
 	"math"
-
-	"specwise/internal/linalg"
 )
 
 // Kind distinguishes what a statistical parameter perturbs.
@@ -146,32 +144,6 @@ func (m *Model) AppendPhysical(dst []Delta, shat []float64, geom Geometry) []Del
 		idx++
 	}
 	return out
-}
-
-// Covariance assembles the (diagonal) physical covariance matrix C(d) for
-// the given geometry, exposing the design dependence the paper's Sec. 4
-// transforms away. It is used by analyses and tests, not the optimizer.
-func (m *Model) Covariance(geom Geometry) *linalg.Matrix {
-	n := m.Dim()
-	c := linalg.NewMatrix(n, n)
-	idx := 0
-	for _, g := range m.Globals {
-		c.Set(idx, idx, g.Sigma*g.Sigma)
-		idx++
-	}
-	for _, l := range m.Locals {
-		w, lch := geom(l.Device)
-		var sigma float64
-		switch l.Kind {
-		case VthShift:
-			sigma = SigmaVth(l.A, w, lch)
-		case BetaRel:
-			sigma = SigmaBeta(l.A, w, lch)
-		}
-		c.Set(idx, idx, sigma*sigma)
-		idx++
-	}
-	return c
 }
 
 // LocalIndex returns the ŝ index of the named local parameter, or -1.

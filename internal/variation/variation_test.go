@@ -105,27 +105,33 @@ func TestPhysicalPanicsOnWrongDim(t *testing.T) {
 	testModel().Physical([]float64{1, 2}, geom)
 }
 
+// The covariance C(d) = G(d)·G(d)ᵀ of the physical deltas depends on
+// the design: a unit sample on one component moves only that component
+// (G is diagonal, so C is), by its σ.
 func TestCovarianceDesignDependence(t *testing.T) {
 	m := testModel()
-	c := m.Covariance(geom)
-	if c.Rows != 5 || c.Cols != 5 {
-		t.Fatalf("shape %dx%d", c.Rows, c.Cols)
-	}
-	// Diagonal: globals then Pelgrom variances.
-	if math.Abs(c.At(0, 0)-0.0004) > 1e-12 {
-		t.Errorf("global variance = %v", c.At(0, 0))
-	}
-	sigmaM1 := 10e-3 / math.Sqrt(10)
-	if math.Abs(c.At(2, 2)-sigmaM1*sigmaM1) > 1e-15 {
-		t.Errorf("M1 variance = %v", c.At(2, 2))
-	}
-	// Off-diagonals vanish (spatially uncorrelated locals).
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if i != j && c.At(i, j) != 0 {
-				t.Errorf("C[%d][%d] = %v", i, j, c.At(i, j))
+	sigmas := func(geom Geometry) []float64 {
+		out := make([]float64, m.Dim())
+		for i := range out {
+			unit := make([]float64, m.Dim())
+			unit[i] = 1
+			for k, d := range m.Physical(unit, geom) {
+				if k != i && d.Value != 0 {
+					t.Errorf("G[%d][%d] = %v, want 0", k, i, d.Value)
+				}
+				if k == i {
+					out[i] = d.Value
+				}
 			}
 		}
+		return out
+	}
+	sig := sigmas(geom)
+	if sig[0] != 0.02 {
+		t.Errorf("global sigma = %v", sig[0])
+	}
+	if want := 10e-3 / math.Sqrt(10); math.Abs(sig[2]-want) > 1e-15 {
+		t.Errorf("M1 sigma = %v, want %v", sig[2], want)
 	}
 
 	// Growing M1 shrinks its variance but not M2's: C depends on d.
@@ -135,11 +141,11 @@ func TestCovarianceDesignDependence(t *testing.T) {
 		}
 		return geom(device)
 	}
-	c2 := m.Covariance(bigger)
-	if c2.At(2, 2) >= c.At(2, 2) {
+	sig2 := sigmas(bigger)
+	if sig2[2] >= sig[2] {
 		t.Error("upsizing M1 must shrink its mismatch variance")
 	}
-	if c2.At(4, 4) != c.At(4, 4) {
+	if sig2[4] != sig[4] {
 		t.Error("M2 variance must be unchanged")
 	}
 }
