@@ -15,7 +15,7 @@ all: check
 # silently skipped Table2MeanSigma and Table7Effort). SweepOTA16 is the
 # batch-engine contract: the shared-evaluation-cache run must answer
 # >=30% of would-be simulator calls cross-job (it fails the bench
-# otherwise). BackendsOTA tracks the registered search backends side by
+# otherwise). BackendsOTA tracks the two search backends side by
 # side on the same OTA task. CoordSearch is the Eq.-19 coordinate
 # search alone at the paper's Table-6 scale (N = 10,000). ACSweep is the
 # folded-cascode open-loop AC sweep (full grid plus one-point head), the
@@ -86,9 +86,9 @@ test:
 # paths (queue, leases, heartbeats); the store joins them because the
 # WAL is appended from every mutation path; the spice and wcd packages
 # join because the optimizer evaluates circuits (and their shared
-# solver-stat counters) from parallel gradient workers; coord, feasopt
-# and the search backends join because the engine/backend split moved
-# the search loops there and they drive the parallel evaluators; sched
+# solver-stat counters) from parallel gradient workers; core covers the
+# engine and both search backends, and coord and feasopt join because
+# the backends' search loops drive the parallel evaluators; sched
 # joins because every one of those pools now admits work through its
 # shared semaphore. The circuits oracles run per-spec and full
 # evaluations and constraint solves concurrently over one problem's
@@ -101,7 +101,7 @@ race:
 	$(GO) test -race ./internal/jobs/... ./internal/server/... ./internal/worker/... \
 		./internal/store/... ./internal/core/... ./internal/spice/... ./internal/wcd/... \
 		./internal/evalcache/... ./internal/coord/... ./internal/feasopt/... \
-		./internal/search/... ./internal/sched/... ./internal/mismatch/...
+		./internal/sched/... ./internal/mismatch/...
 	$(GO) test -race -run 'TestEvalSpec|TestPooledBench' ./internal/circuits/
 
 # End-to-end smoke of the remote pull-worker binary path: one

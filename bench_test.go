@@ -689,7 +689,7 @@ func BenchmarkAblationYieldVsBetaCentering(b *testing.B) {
 }
 
 // BenchmarkBackendsOTA runs the same reduced-scale OTA yield
-// optimization under every registered search backend, so the bench
+// optimization under each search backend, so the bench
 // record tracks the relative cost of the strategies side by side.
 func BenchmarkBackendsOTA(b *testing.B) {
 	for _, algo := range Algorithms() {

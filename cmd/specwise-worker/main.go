@@ -30,8 +30,8 @@ import (
 	"syscall"
 	"time"
 
+	"specwise/internal/core"
 	"specwise/internal/jobs"
-	"specwise/internal/search"
 	"specwise/internal/worker"
 )
 
@@ -52,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *listAlgorithms {
-		for _, algo := range search.Names() {
+		for _, algo := range core.Backends() {
 			fmt.Println(algo)
 		}
 		return

@@ -75,7 +75,6 @@ import (
 
 	"specwise/internal/core"
 	"specwise/internal/jobs"
-	"specwise/internal/search"
 	"specwise/internal/server"
 	"specwise/internal/store"
 )
@@ -116,18 +115,18 @@ func main() {
 		"search backend stamped onto optimize jobs that omit options.algorithm "+
 			"(empty keeps requests untouched and request hashes byte-compatible; see -list-algorithms)")
 	listAlgorithms := flag.Bool("list-algorithms", false,
-		"print the registered search backends and exit")
+		"print the search backends and exit")
 	flag.Parse()
 
 	if *listAlgorithms {
-		for _, name := range search.Names() {
+		for _, name := range core.Backends() {
 			fmt.Println(name)
 		}
 		return
 	}
 	if *defaultAlgorithm != "" && !core.KnownBackend(*defaultAlgorithm) {
 		fmt.Fprintf(os.Stderr, "unknown -default-algorithm %q (registered: %s)\n",
-			*defaultAlgorithm, strings.Join(search.Names(), ", "))
+			*defaultAlgorithm, strings.Join(core.Backends(), ", "))
 		os.Exit(2)
 	}
 	if err := jobs.CheckEvalCacheSize(*evalCacheSize, *sharedEvalCache); err != nil {

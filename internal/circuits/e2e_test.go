@@ -1,13 +1,12 @@
 package circuits
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"specwise/internal/core"
 	"specwise/internal/report"
-
-	_ "specwise/internal/search" // register the search backends
 )
 
 // TestEndToEndOTA runs the full Fig.-6 flow on the small OTA; it must lift
@@ -15,16 +14,12 @@ import (
 // of the whole stack (simulator → worst case → models → search).
 func TestEndToEndOTA(t *testing.T) {
 	p := OTAProblem()
-	opt, err := core.NewOptimizer(p, core.Options{
+	res, err := core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  3000,
 		VerifySamples: 120,
 		MaxIterations: 2,
 		Seed:          42,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +43,13 @@ func TestEndToEndFoldedCascode(t *testing.T) {
 		t.Skip("slow end-to-end run")
 	}
 	p := FoldedCascodeProblem()
-	opt, err := core.NewOptimizer(p, core.Options{
+	res, err := core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  4000,
 		VerifySamples: 200,
 		MaxIterations: 4,
 		Seed:          42,
 		Log:           os.Stderr,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +72,13 @@ func TestEndToEndMiller(t *testing.T) {
 		t.Skip("slow end-to-end run")
 	}
 	p := MillerProblem()
-	opt, err := core.NewOptimizer(p, core.Options{
+	res, err := core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  4000,
 		VerifySamples: 200,
 		MaxIterations: 3,
 		Seed:          42,
 		Log:           os.Stderr,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +124,7 @@ func TestEndToEndAblations(t *testing.T) {
 			o.VerifySamples = 150
 			o.MaxIterations = tc.iters
 			o.Seed = 42
-			opt, err := core.NewOptimizer(p, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := opt.Run()
+			res, err := core.Optimize(context.Background(), p, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestEndToEndFoldedCascodeQuadratic(t *testing.T) {
 		t.Skip("slow end-to-end run")
 	}
 	p := FoldedCascodeProblem()
-	opt, err := core.NewOptimizer(p, core.Options{
+	res, err := core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:   10000,
 		VerifySamples:  300,
 		MaxIterations:  4,
@@ -24,10 +25,6 @@ func TestEndToEndFoldedCascodeQuadratic(t *testing.T) {
 		QuadraticSpecs: true,
 		Log:            os.Stderr,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := opt.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,44 +4,24 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"specwise/internal/problem"
 )
 
-// The circuit registry maps request-level circuit names to problem
-// constructors, so the job service treats problems as data the same way
-// the core registry treats search backends. The built-ins register
-// below; embedders can add their own before serving requests.
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() *problem.Problem{}
-)
-
-// Register adds a named circuit constructor. Names are matched
-// case-insensitively at Build (request normalization lower-cases them);
-// registering a duplicate name panics, since a silent overwrite would
-// change what submitted requests mean.
-func Register(name string, build func() *problem.Problem) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || build == nil {
-		panic("circuits: Register with empty name or nil constructor")
-	}
-	name = strings.ToLower(name)
-	if _, dup := registry[name]; dup {
-		panic("circuits: Register called twice for " + name)
-	}
-	registry[name] = build
+// builtins maps request-level circuit names to problem constructors, so
+// the job service treats problems as data. Names are lower case; Build
+// matches them case-insensitively. The map is never written.
+var builtins = map[string]func() *problem.Problem{
+	"foldedcascode": FoldedCascodeProblem,
+	"fc":            FoldedCascodeProblem, // historical short name
+	"miller":        MillerProblem,
+	"ota":           OTAProblem,
 }
 
-// Names returns the registered circuit names, sorted.
+// Names returns the circuit names Build accepts, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -49,21 +29,12 @@ func Names() []string {
 }
 
 // Build constructs the named circuit's problem, or an error listing the
-// registered names.
+// known names.
 func Build(name string) (*problem.Problem, error) {
-	registryMu.RLock()
-	build, ok := registry[strings.ToLower(name)]
-	registryMu.RUnlock()
+	build, ok := builtins[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("circuits: unknown circuit %q (registered: %s)",
 			name, strings.Join(Names(), ", "))
 	}
 	return build(), nil
-}
-
-func init() {
-	Register("foldedcascode", FoldedCascodeProblem)
-	Register("fc", FoldedCascodeProblem) // historical short name
-	Register("miller", MillerProblem)
-	Register("ota", OTAProblem)
 }

@@ -33,15 +33,6 @@ func TestRegistryUnknownNameListsRegistered(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration must panic")
-		}
-	}()
-	Register("ota", OTAProblem)
-}
-
 func TestNamesSorted(t *testing.T) {
 	names := Names()
 	if len(names) < 4 {

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"specwise/internal/linmodel"
 )
 
 // DefaultAlgorithm is the backend an empty Options.Algorithm selects:
@@ -14,25 +14,23 @@ const DefaultAlgorithm = "feasguided"
 
 // SearchBackend is the strategy half of the optimizer. The engine owns
 // everything a search has in common — problem instrumentation, the
-// evaluation cache, worst-case analysis, model building, Monte-Carlo
-// verification, progress plumbing and result assembly — while a backend
-// owns the search loop itself: where to move the design next and when
-// to stop. Backends are stateful per run; register a factory, not an
-// instance.
+// evaluation cache, the feasible start, worst-case analysis, model
+// building, Monte-Carlo verification, progress plumbing and result
+// assembly — while a backend owns the search loop itself: where to move
+// the design next and when to stop. Backends are stateful per run.
 //
-// The engine drives Init once, then Step until it reports done. A
-// backend records iteration states through Engine.Record as it goes
-// (Init records the initial state) and must check ctx inside Step at
-// whatever granularity it can cancel at. The determinism contract:
-// given a fixed seed every random draw must come from an rng stream
-// derived from Options.Seed, so a run is a pure function of
-// (problem, options) — bit-identical across machines and worker pools.
+// The engine finds and analyzes the starting point, records it as the
+// initial iteration state, hands it to Init, then drives Step until it
+// reports done. A backend records further iteration states through
+// Engine.Record as it goes and must check ctx inside Step at whatever
+// granularity it can cancel at. The determinism contract: given a fixed
+// seed every random draw must come from an rng stream derived from
+// Options.Seed, so a run is a pure function of (problem, options) —
+// bit-identical across machines and worker pools.
 type SearchBackend interface {
-	// Name identifies the backend in the registry and on results.
-	Name() string
-	// Init prepares the run: pick the starting design, analyze it and
-	// record the initial iteration state.
-	Init(ctx context.Context, e *Engine) error
+	// Init prepares the run from the analyzed starting point: its
+	// recorded iteration state and the model-yield estimator built there.
+	Init(ctx context.Context, e *Engine, start *Iteration, est *linmodel.Estimator) error
 	// Step runs one search cycle. done reports that the search has
 	// converged (or exhausted its budget); the engine stops stepping.
 	Step(ctx context.Context, e *Engine) (done bool, err error)
@@ -42,66 +40,26 @@ type SearchBackend interface {
 	Final() []float64
 }
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]func() SearchBackend{}
-)
+// Backends returns the backend names Options.Algorithm may select,
+// sorted.
+func Backends() []string { return []string{"cem", DefaultAlgorithm} }
 
-// RegisterBackend adds a search backend to the registry, typically from
-// a backend package's init. Registering a duplicate name panics: the
-// name is the wire-level algorithm identifier, so a silent overwrite
-// would change what submitted requests mean.
-func RegisterBackend(name string, factory func() SearchBackend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if name == "" || factory == nil {
-		panic("core: RegisterBackend with empty name or nil factory")
-	}
-	if _, dup := backends[name]; dup {
-		panic("core: RegisterBackend called twice for " + name)
-	}
-	backends[name] = factory
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for name := range backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// KnownBackend reports whether name resolves to a registered backend
-// (the empty name selects the default).
+// KnownBackend reports whether name selects a backend (the empty name
+// selects the default).
 func KnownBackend(name string) bool {
-	if name == "" {
-		name = DefaultAlgorithm
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	_, ok := backends[name]
-	return ok
+	_, err := newBackend(name)
+	return err == nil
 }
 
-// backendFor instantiates the backend for an algorithm name; "" selects
-// DefaultAlgorithm.
-func backendFor(name string) (SearchBackend, error) {
-	if name == "" {
-		name = DefaultAlgorithm
+// newBackend instantiates the backend for an algorithm name; ""
+// selects DefaultAlgorithm.
+func newBackend(name string) (SearchBackend, error) {
+	switch name {
+	case "", DefaultAlgorithm:
+		return &feasGuided{}, nil
+	case "cem":
+		return &cem{}, nil
 	}
-	backendMu.RLock()
-	factory, ok := backends[name]
-	backendMu.RUnlock()
-	if !ok {
-		if reg := Backends(); len(reg) > 0 {
-			return nil, fmt.Errorf("core: unknown search algorithm %q (registered: %s)",
-				name, strings.Join(reg, ", "))
-		}
-		return nil, fmt.Errorf("core: unknown search algorithm %q (no backends registered; import specwise/internal/search)", name)
-	}
-	return factory(), nil
+	return nil, fmt.Errorf("core: unknown search algorithm %q (registered: %s)",
+		name, strings.Join(Backends(), ", "))
 }

@@ -53,5 +53,5 @@ func TestVerifyMCContextCancel(t *testing.T) {
 	}
 }
 
-// The RunContext cancellation and Progress-hook tests moved to
-// internal/search/feasguided, which owns the loop they exercise.
+// The run-cancellation and Progress-hook tests live in feasguided_test.go,
+// beside the backend that owns the loop they exercise.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -58,7 +59,7 @@ func TestSimulationsAreCacheMisses(t *testing.T) {
 		opts core.Options
 	}{{"private", base}, {"shared", shared}, {"off", off}} {
 		var evals, cons atomic.Int64
-		res, err := core.NewAndRun(countedAnalytic(&evals, &cons), c.opts)
+		res, err := core.Optimize(context.Background(), countedAnalytic(&evals, &cons), c.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"specwise/internal/coord"
 	"specwise/internal/evalcache"
+	"specwise/internal/feasopt"
 	"specwise/internal/linmodel"
 	"specwise/internal/problem"
 	"specwise/internal/rng"
@@ -81,9 +82,9 @@ func (e *Engine) Emit(stage string, iteration, attempt int, it *Iteration) {
 	})
 }
 
-// Record appends one iteration state to the run's result. Backends call
-// it for the initial state and for every state worth a table block
-// (accepted steps, not rejected probes).
+// Record appends one iteration state to the run's result. The engine
+// records the initial state; backends call it for every further state
+// worth a table block (accepted steps, not rejected probes).
 func (e *Engine) Record(it *Iteration) {
 	e.res.Iterations = append(e.res.Iterations, *it)
 }
@@ -103,11 +104,32 @@ func (e *Engine) DesignBox() coord.Box {
 }
 
 // run drives a backend through one full optimization and assembles the
-// result. Cancelling ctx stops the run between backend steps (and inside
-// them, wherever the backend checks) and returns ctx.Err().
+// result. The preamble is the same for every backend: find a feasible
+// start (Sec. 5.5), analyze it and record it as the initial state; the
+// backend's search then starts from there. Cancelling ctx stops the run
+// between backend steps (and inside them, wherever the backend checks)
+// and returns ctx.Err().
 func (e *Engine) run(ctx context.Context, b SearchBackend) (*Result, error) {
-	e.res = &Result{Problem: e.prob, Algorithm: b.Name()}
-	if err := b.Init(ctx, e); err != nil {
+	e.res = &Result{Problem: e.prob, Algorithm: e.opts.Algorithm}
+	p := e.p
+	d := p.InitialDesign()
+	if p.Constraints != nil {
+		df, err := feasopt.FeasibleStart(p, d, 0)
+		if err != nil {
+			e.Logf("feasible start: %v (continuing from best effort)", err)
+		}
+		if df != nil {
+			d = df
+		}
+	}
+	start, est, err := e.Analyze(ctx, d, e.opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	e.Logf("initial: model yield %.4f, MC yield %.4f", start.ModelYield, start.MCYield)
+	e.Record(start)
+	e.Emit("initial", 0, 0, start)
+	if err := b.Init(ctx, e, start, est); err != nil {
 		return nil, err
 	}
 	for {
@@ -158,21 +180,21 @@ func (e *Engine) finish(final []float64) *Result {
 // operating points (Eq. 2), per-spec worst-case statistical points
 // (Eq. 8), spec-wise linear models (Eq. 16 / Eqs. 21–22), the sampled
 // model-yield estimate (Eq. 17) and the simulation-based verification.
-func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iteration, []*linmodel.SpecModel, *linmodel.Estimator, error) {
+func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iteration, *linmodel.Estimator, error) {
 	p := e.p
 	opts := e.opts
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// Worst-case operating points (Eq. 2) at the nominal statistical point.
 	zeroS := make([]float64, p.NumStat())
 	thetaRes, err := wcd.WorstCaseTheta(p, d, zeroS)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := wcd.RefineTheta(p, d, zeroS, thetaRes, opts.RefineThetaPasses); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// Worst-case statistical points (Eq. 8) per spec, searched as one
@@ -188,7 +210,7 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		return wcSeed + uint64(i)*1000003
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// Spec-wise linear models (Eq. 16 / Eqs. 21–22).
@@ -198,7 +220,7 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		QuadraticSpecs: opts.QuadraticSpecs,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	var est *linmodel.Estimator
@@ -231,7 +253,7 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 		// they are counted but not memoized (see evalcache.PassThrough).
 		mc, err := VerifyMCContext(ctx, e.mc, d, thetaRes.PerSpec, opts.VerifySamples, seed^0xabcdef, 0)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		iter.MCResult = mc
 		iter.MCYield = mc.Estimate.Yield()
@@ -241,5 +263,5 @@ func (e *Engine) Analyze(ctx context.Context, d []float64, seed uint64) (*Iterat
 			iter.Specs[i].MCBad = mc.BadPerSpec[i]
 		}
 	}
-	return iter, models, est, nil
+	return iter, est, nil
 }

@@ -3,8 +3,10 @@
 // worst-case points (Sec. 5.2), feasibility-region linearization
 // (Sec. 5.1), a sampled-yield coordinate search (Sec. 5.3), a
 // simulation-based line search (Sec. 5.4) and a feasible-start search
-// (Sec. 5.5). The problem abstraction it runs on lives in
-// internal/problem.
+// (Sec. 5.5). Optimize runs it: an engine shared by both search backends
+// (feasguided.go, the paper's search, and cem.go, a cross-entropy
+// sampler) around the backend's loop (backend.go). The problem
+// abstraction it runs on lives in internal/problem.
 package core
 
 import (
@@ -25,9 +27,8 @@ import (
 type Options struct {
 	// Algorithm selects the search backend driving the run. The empty
 	// string selects DefaultAlgorithm (the paper's feasibility-guided
-	// coordinate search); any other value must name a registered
-	// SearchBackend — importing specwise/internal/search registers the
-	// built-in set.
+	// coordinate search); the other value Backends lists is "cem", a
+	// GLOVA-style cross-entropy sampler.
 	Algorithm string
 	// ModelSamples is N for the linear-model yield estimate (Eq. 17).
 	ModelSamples int
@@ -114,6 +115,9 @@ const (
 )
 
 func (o *Options) defaults() {
+	if o.Algorithm == "" {
+		o.Algorithm = DefaultAlgorithm
+	}
 	if o.ModelSamples == 0 {
 		o.ModelSamples = 10000
 	}
@@ -188,20 +192,25 @@ type Result struct {
 	Sim problem.SimCounters
 }
 
-// Optimizer pairs the engine with a search backend. The default backend
-// runs the paper's Fig.-6 algorithm.
-type Optimizer struct {
-	eng     *Engine
-	backend SearchBackend
-}
-
-// NewOptimizer validates the problem, resolves the search backend named
-// by Options.Algorithm and prepares an instrumented engine. Every
-// evaluation goes through one evalcache.View, which memoizes it unless
-// Options.NoEvalCache is set and counts each call that reaches the
-// simulator, so Result.Simulations counts only evaluations that
-// actually ran.
-func NewOptimizer(prob *problem.Problem, opts Options) (*Optimizer, error) {
+// Optimize validates the problem and options, then runs the search
+// backend named by Options.Algorithm against a freshly instrumented
+// engine. Every evaluation goes through one evalcache.View, which
+// memoizes it unless Options.NoEvalCache is set and counts each call
+// that reaches the simulator, so Result.Simulations counts only
+// evaluations that actually ran.
+//
+// With the default feasguided backend this is the paper's Fig.-6
+// algorithm — feasible start (Sec. 5.5), then MaxIterations cycles of
+// constraint linearization (Eq. 15), worst-case analysis (Eqs. 2 and 8),
+// spec-wise linearization (Eq. 16, with Eqs. 21–22 mirrors),
+// sampled-yield coordinate search (Eqs. 17–20) and a simulation-based
+// line search (Eq. 23) — so a run with MaxIterations=2 yields the three
+// table blocks.
+//
+// Cancelling ctx stops the run promptly — between optimizer stages and
+// between individual Monte-Carlo verification samples — and returns
+// ctx.Err().
+func Optimize(ctx context.Context, prob *problem.Problem, opts Options) (*Result, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,41 +228,9 @@ func NewOptimizer(prob *problem.Problem, opts Options) (*Optimizer, error) {
 			return nil, fmt.Errorf("core: Options.%s must not be negative (got %d)", c.name, c.v)
 		}
 	}
-	backend, err := backendFor(opts.Algorithm)
+	backend, err := newBackend(opts.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	return &Optimizer{eng: newEngine(prob, opts), backend: backend}, nil
-}
-
-// Run executes the optimization without external cancellation; see
-// RunContext.
-func (o *Optimizer) Run() (*Result, error) {
-	return o.RunContext(context.Background())
-}
-
-// RunContext executes the selected search backend against the engine:
-// Init finds and analyzes the starting point, then Step runs search
-// cycles until the backend converges. With the default feasguided
-// backend this is the paper's algorithm — feasible start (Sec. 5.5),
-// then MaxIterations cycles of constraint linearization (Eq. 15),
-// worst-case analysis (Eqs. 2 and 8), spec-wise linearization (Eq. 16,
-// with Eqs. 21–22 mirrors), sampled-yield coordinate search
-// (Eqs. 17–20) and a simulation-based line search (Eq. 23) — so a run
-// with MaxIterations=2 yields the three table blocks.
-//
-// Cancelling ctx stops the run promptly — between optimizer stages and
-// between individual Monte-Carlo verification samples — and returns
-// ctx.Err().
-func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
-	return o.eng.run(ctx, o.backend)
-}
-
-// NewAndRun is a convenience wrapper: validate, construct and run.
-func NewAndRun(p *problem.Problem, opts Options) (*Result, error) {
-	o, err := NewOptimizer(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return o.Run()
+	return newEngine(prob, opts).run(ctx, backend)
 }

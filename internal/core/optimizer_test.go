@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"specwise/internal/linmodel"
 	"specwise/internal/problem"
 	"specwise/internal/testprob"
 )
@@ -15,12 +16,12 @@ func analyticProblem() *problem.Problem { return testprob.Analytic() }
 func TestValidateRejectsBadProblems(t *testing.T) {
 	p := analyticProblem()
 	p.Design[0].Init = 99 // outside box
-	if _, err := NewOptimizer(p, Options{}); err == nil {
+	if _, err := Optimize(context.Background(), p, Options{}); err == nil {
 		t.Error("expected validation error for out-of-box init")
 	}
 	q := analyticProblem()
 	q.Eval = nil
-	if _, err := NewOptimizer(q, Options{}); err == nil {
+	if _, err := Optimize(context.Background(), q, Options{}); err == nil {
 		t.Error("expected validation error for nil Eval")
 	}
 }
@@ -37,32 +38,24 @@ func TestNewOptimizerRejectsNegativeCounts(t *testing.T) {
 		{"MaxIterations", Options{MaxIterations: -1}},
 		{"RefineThetaPasses", Options{RefineThetaPasses: -2}},
 	} {
-		_, err := NewOptimizer(analyticProblem(), tc.opts)
+		_, err := Optimize(context.Background(), analyticProblem(), tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s < 0: err = %v, want an error naming the field", tc.field, err)
 		}
 	}
 }
 
-// stubBackend is a minimal SearchBackend driving the engine through one
-// analyze-and-record cycle, exercising the engine/backend contract
-// without any real search strategy.
+// stubBackend is a minimal SearchBackend that stops after one step,
+// exercising the engine/backend contract (the engine's feasible start,
+// initial analysis and result assembly) without any real search
+// strategy.
 type stubBackend struct {
-	name  string
 	steps int
 	d     []float64
 }
 
-func (s *stubBackend) Name() string { return s.name }
-
-func (s *stubBackend) Init(ctx context.Context, e *Engine) error {
-	s.d = e.Problem().InitialDesign()
-	it, _, _, err := e.Analyze(ctx, s.d, e.Options().Seed)
-	if err != nil {
-		return err
-	}
-	e.Record(it)
-	e.Emit("initial", 0, 0, it)
+func (s *stubBackend) Init(_ context.Context, _ *Engine, start *Iteration, _ *linmodel.Estimator) error {
+	s.d = start.Design
 	return nil
 }
 
@@ -77,19 +70,15 @@ func (s *stubBackend) Step(ctx context.Context, e *Engine) (bool, error) {
 func (s *stubBackend) Final() []float64 { return s.d }
 
 func TestEngineRunsRegisteredBackend(t *testing.T) {
-	RegisterBackend("stub-engine-test", func() SearchBackend {
-		return &stubBackend{name: "stub-engine-test"}
-	})
 	p := analyticProblem()
-	res, err := NewAndRun(p, Options{
-		Algorithm:    "stub-engine-test",
-		ModelSamples: 500, SkipVerify: true, Seed: 3,
-	})
+	opts := Options{Algorithm: "stub", ModelSamples: 500, SkipVerify: true, Seed: 3}
+	opts.defaults()
+	res, err := newEngine(p, opts).run(context.Background(), &stubBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != "stub-engine-test" {
-		t.Errorf("result algorithm = %q, want stub-engine-test", res.Algorithm)
+	if res.Algorithm != "stub" {
+		t.Errorf("result algorithm = %q, want stub", res.Algorithm)
 	}
 	if len(res.Iterations) != 1 {
 		t.Fatalf("iterations = %d, want 1 (initial only)", len(res.Iterations))
@@ -100,27 +89,28 @@ func TestEngineRunsRegisteredBackend(t *testing.T) {
 	if len(res.FinalDesign) != p.NumDesign() {
 		t.Errorf("final design has %d entries, want %d", len(res.FinalDesign), p.NumDesign())
 	}
-	if !KnownBackend("stub-engine-test") {
-		t.Error("KnownBackend must see the registered stub")
+}
+
+// Every listed backend resolves, and the empty name selects the default.
+func TestBackendsResolve(t *testing.T) {
+	for _, name := range append(Backends(), "") {
+		if !KnownBackend(name) {
+			t.Errorf("KnownBackend(%q) = false", name)
+		}
+	}
+	if b, _ := newBackend(""); b == nil {
+		t.Fatal("the empty name must select a backend")
+	} else if _, ok := b.(*feasGuided); !ok {
+		t.Errorf("the empty name selects %T, want the feasguided backend", b)
 	}
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	_, err := NewOptimizer(analyticProblem(), Options{Algorithm: "no-such-search"})
+	_, err := Optimize(context.Background(), analyticProblem(), Options{Algorithm: "no-such-search"})
 	if err == nil {
 		t.Fatal("expected an unknown-algorithm error")
 	}
 	if !strings.Contains(err.Error(), "no-such-search") {
 		t.Errorf("error %q does not name the unknown algorithm", err)
 	}
-}
-
-func TestRegisterBackendRejectsDuplicates(t *testing.T) {
-	RegisterBackend("stub-dup-test", func() SearchBackend { return &stubBackend{name: "stub-dup-test"} })
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration must panic")
-		}
-	}()
-	RegisterBackend("stub-dup-test", func() SearchBackend { return &stubBackend{name: "stub-dup-test"} })
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -13,9 +14,6 @@ import (
 	"specwise/internal/evalcache"
 	"specwise/internal/problem"
 	"specwise/internal/rng"
-
-	// The feasibility-guided backend the run below uses.
-	_ "specwise/internal/search"
 )
 
 // pointKey packs the exact bits of an evaluation point.
@@ -72,7 +70,7 @@ func TestMCSamplesBypassCache(t *testing.T) {
 
 	cache := evalcache.New(0)
 	opts.EvalCache = cache
-	res, err := core.NewAndRun(p, opts)
+	res, err := core.Optimize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

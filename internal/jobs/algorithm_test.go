@@ -134,18 +134,20 @@ func TestRequestHashAlgorithmCompat(t *testing.T) {
 	}
 }
 
-// goldenPath is the pre-refactor feasguided OTA result, captured through
-// the job API before the optimizer was split into engine + backends.
-// Regenerate (only if the trajectory contract intentionally changes) with
+// The golden results of TestBackendEquivalenceOTA, one per backend, both
+// captured through the job API. The feasguided golden predates the
+// engine/backend split; the cem golden predates the backends' move into
+// internal/core. Regenerate (only if a trajectory contract intentionally
+// changes) with
 //
 //	SPECWISE_UPDATE_GOLDEN=1 go test ./internal/jobs/ -run TestBackendEquivalenceOTA
-const goldenPath = "testdata/golden_ota_feasguided.json"
+const (
+	goldenPath    = "testdata/golden_ota_feasguided.json"
+	goldenPathCEM = "testdata/golden_ota_cem.json"
+)
 
 // TestBackendEquivalenceOTA runs the OTA through the full job API under
-// every registered backend. The feasguided run must reproduce the
-// pre-refactor golden byte for byte — the engine/backend split is a pure
-// refactor of the default algorithm — while the cem run only has to
-// complete end to end with its own algorithm stamp.
+// both backends, and each run must reproduce its golden byte for byte.
 func TestBackendEquivalenceOTA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full OTA optimizations in -short mode")
@@ -154,7 +156,7 @@ func TestBackendEquivalenceOTA(t *testing.T) {
 
 	run := func(t *testing.T, algorithm string) *Result {
 		t.Helper()
-		m := New(Config{Workers: 1}) // default resolver: the circuits registry
+		m := New(Config{Workers: 1}) // default resolver: the circuits table
 		defer m.Close()
 		o := opts
 		o.Algorithm = algorithm
@@ -169,54 +171,47 @@ func TestBackendEquivalenceOTA(t *testing.T) {
 		if res == nil || res.Optimization == nil {
 			t.Fatal("done job has no optimization result")
 		}
+		if res.Optimization.Algorithm != algorithm {
+			t.Fatalf("result algorithm = %q, want %s", res.Optimization.Algorithm, algorithm)
+		}
+		res.Optimization.StripVolatile()
 		return res
 	}
 
-	t.Run("feasguided", func(t *testing.T) {
-		res := run(t, "feasguided")
-		opt := res.Optimization
-		if opt.Algorithm != "feasguided" {
-			t.Fatalf("result algorithm = %q, want feasguided", opt.Algorithm)
-		}
-		opt.StripVolatile()
-		// The golden predates the algorithm field; clear it so the rest of
-		// the result compares byte-for-byte.
-		opt.Algorithm = ""
-		got, err := json.MarshalIndent(opt, "", "  ")
+	compare := func(t *testing.T, path string, v any) {
+		t.Helper()
+		got, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, '\n')
 		if os.Getenv("SPECWISE_UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(filepath.FromSlash(goldenPath), got, 0o644); err != nil {
+			if err := os.WriteFile(filepath.FromSlash(path), got, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("rewrote %s", goldenPath)
+			t.Logf("rewrote %s", path)
 			return
 		}
-		want, err := os.ReadFile(filepath.FromSlash(goldenPath))
+		want, err := os.ReadFile(filepath.FromSlash(path))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("feasguided OTA result drifted from the pre-refactor golden %s\n got %d bytes\nwant %d bytes",
-				goldenPath, len(got), len(want))
+			t.Errorf("OTA result drifted from the golden %s\n got %d bytes\nwant %d bytes",
+				path, len(got), len(want))
 		}
+	}
+
+	t.Run("feasguided", func(t *testing.T) {
+		opt := run(t, "feasguided").Optimization
+		// The golden predates the algorithm field; clear it so the rest of
+		// the result compares byte-for-byte.
+		opt.Algorithm = ""
+		compare(t, goldenPath, opt)
 	})
 
 	t.Run("cem", func(t *testing.T) {
-		res := run(t, "cem")
-		opt := res.Optimization
-		if opt.Algorithm != "cem" {
-			t.Fatalf("result algorithm = %q, want cem", opt.Algorithm)
-		}
-		if len(opt.Iterations) == 0 || len(opt.FinalDesign) == 0 {
-			t.Fatalf("cem result incomplete: %d iterations, %d design values",
-				len(opt.Iterations), len(opt.FinalDesign))
-		}
-		if opt.Simulations == 0 {
-			t.Error("cem result reports zero simulations")
-		}
+		compare(t, goldenPathCEM, run(t, "cem").Optimization)
 	})
 }
 

@@ -8,11 +8,6 @@ import (
 	"specwise/internal/evalcache"
 	"specwise/internal/problem"
 	"specwise/internal/report"
-
-	// Register the built-in search backends: any process that executes
-	// jobs — the daemon's local pool and the remote pull-workers alike —
-	// must resolve every algorithm a request may name.
-	_ "specwise/internal/search"
 )
 
 // ExecEnv carries pool-level execution hooks. Every field here is
@@ -74,11 +69,7 @@ func Execute(ctx context.Context, p *problem.Problem, req *Request, env ExecEnv)
 		opts := req.Options.Core()
 		opts.EvalCache = env.EvalCache
 		opts.Progress = env.Progress
-		opt, err := core.NewOptimizer(p, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := opt.RunContext(ctx)
+		res, err := core.Optimize(ctx, p, opts)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -170,8 +170,8 @@ func (c *Config) defaults() {
 	}
 }
 
-// ResolveProblem is the default problem resolver: a registered circuit
-// name (see circuits.Register) or an inline yieldspec document. Inline
+// ResolveProblem is the default problem resolver: a built-in circuit
+// name (see circuits.Build) or an inline yieldspec document. Inline
 // specs must carry their netlist inline too — a service request has no
 // base directory to resolve file references against, so the spec is
 // parsed with none and a netlistFile is refused.

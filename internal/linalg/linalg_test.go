@@ -151,29 +151,6 @@ func TestLUSolveProperty(t *testing.T) {
 	}
 }
 
-func TestTriangularSolves(t *testing.T) {
-	l := FromRows([][]float64{{2, 0}, {1, 3}})
-	x := SolveLowerTriangular(l, Vector{4, 7})
-	if !almostEqual(x[0], 2, tol) || !almostEqual(x[1], 5.0/3.0, tol) {
-		t.Errorf("lower solve = %v", x)
-	}
-	u := FromRows([][]float64{{2, 1}, {0, 3}})
-	y := SolveUpperTriangular(u, Vector{5, 6})
-	if !almostEqual(y[1], 2, tol) || !almostEqual(y[0], 1.5, tol) {
-		t.Errorf("upper solve = %v", y)
-	}
-}
-
-func TestTriangularSolves1x1(t *testing.T) {
-	l := FromRows([][]float64{{2}})
-	if x := SolveLowerTriangular(l, Vector{4}); x[0] != 2 {
-		t.Fatalf("lower 1x1: %v", x)
-	}
-	if x := SolveUpperTriangular(l, Vector{4}); x[0] != 2 {
-		t.Fatalf("upper 1x1: %v", x)
-	}
-}
-
 func TestCSolveKnown(t *testing.T) {
 	a := NewCMatrix(2, 2)
 	a.Set(0, 0, complex(1, 1))

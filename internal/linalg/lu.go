@@ -156,33 +156,3 @@ func Solve(a *Matrix, b Vector) (Vector, error) {
 	}
 	return f.Solve(b), nil
 }
-
-// SolveLowerTriangular solves L x = b for lower-triangular L.
-func SolveLowerTriangular(l *Matrix, b Vector) Vector {
-	n := l.Rows
-	x := NewVector(n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := l.Row(i)
-		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-// SolveUpperTriangular solves U x = b for upper-triangular U.
-func SolveUpperTriangular(u *Matrix, b Vector) Vector {
-	n := u.Rows
-	x := NewVector(n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		row := u.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}

@@ -21,7 +21,6 @@ import (
 	"specwise/internal/mismatch"
 	"specwise/internal/problem"
 	"specwise/internal/rng"
-	_ "specwise/internal/search" // register the search backends
 	"specwise/internal/wcd"
 )
 
@@ -48,7 +47,7 @@ func Quick() RunConfig { return RunConfig{ModelSamples: 2000, VerifySamples: 100
 // linear-model bad-sample counts and Monte-Carlo yield per iteration.
 func Table1(cfg RunConfig, log io.Writer) (*core.Result, error) {
 	p := circuits.FoldedCascodeProblem()
-	return core.NewAndRun(p, core.Options{
+	return core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  cfg.ModelSamples,
 		VerifySamples: cfg.VerifySamples,
 		MaxIterations: cfg.Iterations,
@@ -99,7 +98,7 @@ func Table2(res *core.Result, from, to int) []Table2Row {
 // Table 3): the model's bad-sample counts fall, the true yield does not.
 func Table3(cfg RunConfig, log io.Writer) (*core.Result, error) {
 	p := circuits.FoldedCascodeProblem()
-	return core.NewAndRun(p, core.Options{
+	return core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  cfg.ModelSamples,
 		VerifySamples: cfg.VerifySamples,
 		MaxIterations: 1, // the paper shows a single iteration
@@ -114,7 +113,7 @@ func Table3(cfg RunConfig, log io.Writer) (*core.Result, error) {
 // below the full method.
 func Table4(cfg RunConfig, log io.Writer) (*core.Result, error) {
 	p := circuits.FoldedCascodeProblem()
-	return core.NewAndRun(p, core.Options{
+	return core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:       cfg.ModelSamples,
 		VerifySamples:      cfg.VerifySamples,
 		MaxIterations:      cfg.Iterations,
@@ -167,7 +166,7 @@ func Table5(n int) ([]Table5Entry, error) {
 // (the paper's Table 6).
 func Table6(cfg RunConfig, log io.Writer) (*core.Result, error) {
 	p := circuits.MillerProblem()
-	return core.NewAndRun(p, core.Options{
+	return core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  cfg.ModelSamples,
 		VerifySamples: cfg.VerifySamples,
 		MaxIterations: cfg.Iterations,

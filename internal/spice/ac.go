@@ -150,10 +150,10 @@ func (c *Circuit) ACSweep(dc *DCResult, node int, fStart, fStop float64, pointsP
 	return c.ACSweepHead(dc, node, fStart, fStop, pointsPerDecade, 0)
 }
 
-// MaxSweepPoints caps the points of an AC sweep's frequency grid. Each
-// point costs a slice entry and a factor-and-solve, so a grid over the
-// cap is refused instead of allocated; 65,536 points cover every finite
-// float64 range at 100 points per decade.
+// MaxSweepPoints caps the points of an AC sweep's frequency grid and of
+// a DC sweep. Each point costs a slice entry and a factor-and-solve, so
+// a sweep over the cap is refused instead of allocated; 65,536 points
+// cover every finite float64 range at 100 points per decade.
 const MaxSweepPoints = 1 << 16
 
 // SweepPoints returns the number of points of the logarithmic grid

@@ -259,10 +259,13 @@ func (r *DCSweepResult) Voltage(node int) []float64 {
 // DCSweep steps the DC value of a voltage source from start to stop in n
 // points, warm-starting each solve from the previous solution — the
 // natural continuation for transfer-curve extraction. The source's DC
-// value is restored afterwards.
+// value is restored afterwards. n must lie in [2, MaxSweepPoints].
 func (c *Circuit) DCSweep(src *VSource, start, stop float64, n int, opts DCOptions) (*DCSweepResult, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("spice: DC sweep needs at least 2 points")
+	}
+	if n > MaxSweepPoints {
+		return nil, fmt.Errorf("spice: DC sweep of %d points, over the cap of %d", n, MaxSweepPoints)
 	}
 	saved := src.DC
 	defer func() { src.DC = saved }()

@@ -491,3 +491,18 @@ func TestDCSweepValidation(t *testing.T) {
 		t.Error("n=1 sweep accepted")
 	}
 }
+
+// A point count over the cap is refused instead of panicking in
+// makeslice (spicesim -dc V1,0,1,4611686018427387904 reaches it).
+func TestDCSweepRefusesPointsOverCap(t *testing.T) {
+	c := New()
+	n := c.Node("n")
+	v := NewVSource("V", n, groundIndex, 1, 0)
+	c.Add(v)
+	c.Add(NewResistor("R", n, groundIndex, 1e3))
+	for _, pts := range []int{MaxSweepPoints + 1, 1 << 62} {
+		if _, err := c.DCSweep(v, 0, 1, pts, DCOptions{}); err == nil {
+			t.Errorf("%d-point sweep accepted", pts)
+		}
+	}
+}

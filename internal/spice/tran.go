@@ -21,9 +21,19 @@ type TranOptions struct {
 	Theta float64
 }
 
+// MaxTranSteps caps the time points of a transient analysis. Each point
+// keeps a copy of the full solution, so a run over the cap is refused
+// instead of allocated.
+const MaxTranSteps = 1 << 20
+
 func (o *TranOptions) defaults() error {
-	if o.Stop <= 0 || o.Step <= 0 {
+	if !(o.Stop > 0) || !(o.Step > 0) {
 		return errors.New("spice: transient Stop and Step must be positive")
+	}
+	// Not finite (an infinite Stop) fails the comparison too.
+	if steps := math.Ceil(o.Stop / o.Step); !(steps <= MaxTranSteps) {
+		return fmt.Errorf("spice: transient to %g s in %g s steps needs %g steps, over the cap of %d",
+			o.Stop, o.Step, steps, MaxTranSteps)
 	}
 	if o.MaxNewton == 0 {
 		o.MaxNewton = 60

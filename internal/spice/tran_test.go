@@ -95,6 +95,26 @@ func TestTranOptionValidation(t *testing.T) {
 	}
 }
 
+// Step counts that overflow an int, or a Stop that is NaN or infinite,
+// are refused instead of panicking in makeslice (spicesim -tran
+// 1e-30,1 reaches the first).
+func TestTranRefusesStepCountsOverCap(t *testing.T) {
+	c := New()
+	n := c.Node("n")
+	c.Add(NewResistor("R", n, c.Node(Ground), 1))
+	for _, o := range []TranOptions{
+		{Stop: 1, Step: 1e-30},
+		{Stop: math.NaN(), Step: 1e-6},
+		{Stop: math.Inf(1), Step: 1e-6},
+		{Stop: 1e-3, Step: math.NaN()},
+		{Stop: 1, Step: 1e-7}, // 10,000,000 steps
+	} {
+		if _, err := c.Tran(o); err == nil {
+			t.Errorf("Tran(Stop %g, Step %g) accepted", o.Stop, o.Step)
+		}
+	}
+}
+
 func TestPulseSourceValueAt(t *testing.T) {
 	s := NewPulseSource("P", 0, 1, 0.5, 2.5, 1e-6, 2e-6)
 	cases := []struct{ t, want float64 }{

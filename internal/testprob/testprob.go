@@ -1,11 +1,10 @@
 // Package testprob provides fixtures shared by the test suites of
 // several packages: cheap closed-form test problems for the engine and
 // search-backend tests, and the /metrics exposition check for the
-// service tests. They live outside the packages under test so that both
-// internal/core tests and the backend packages (which import core, and
-// therefore cannot be imported by core's in-package tests) can use the
-// same fixtures, and so that an in-package test and a test of a binary
-// check one page format the same way.
+// service tests. They live outside the packages under test so that
+// core's in-package and external tests, the jobs tests and the binaries'
+// tests use the same fixtures, and so that an in-package test and a test
+// of a binary check one page format the same way.
 package testprob
 
 import "specwise/internal/problem"

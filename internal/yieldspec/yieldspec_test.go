@@ -1,6 +1,7 @@
 package yieldspec
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -10,7 +11,6 @@ import (
 
 	"specwise/internal/core"
 	"specwise/internal/netlist"
-	_ "specwise/internal/search" // register the search backends
 	"specwise/internal/spice"
 )
 
@@ -148,7 +148,7 @@ func TestEndToEndOptimizeFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewAndRun(p, core.Options{
+	res, err := core.Optimize(context.Background(), p, core.Options{
 		ModelSamples:  1500,
 		VerifySamples: 80,
 		MaxIterations: 2,

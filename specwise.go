@@ -36,7 +36,6 @@ import (
 	"specwise/internal/core"
 	"specwise/internal/mismatch"
 	"specwise/internal/problem"
-	"specwise/internal/search"
 	"specwise/internal/wcd"
 )
 
@@ -84,18 +83,18 @@ func Miller() *Problem { return circuits.MillerProblem() }
 // quickstart example.
 func OTA() *Problem { return circuits.OTAProblem() }
 
-// Circuit builds a registered benchmark circuit by name ("foldedcascode",
+// Circuit builds a built-in benchmark circuit by name ("foldedcascode",
 // "miller", "ota", ...); unknown names return an error listing the
-// registered set.
+// known set.
 func Circuit(name string) (*Problem, error) { return circuits.Build(name) }
 
-// Circuits returns the registered benchmark circuit names, sorted.
+// Circuits returns the built-in benchmark circuit names, sorted.
 func Circuits() []string { return circuits.Names() }
 
-// Algorithms returns the names of the registered search backends a
-// run's Options.Algorithm may select; the empty string picks the
-// default ("feasguided", the paper's feasibility-guided search).
-func Algorithms() []string { return search.Names() }
+// Algorithms returns the names of the search backends a run's
+// Options.Algorithm may select; the empty string picks the default
+// ("feasguided", the paper's feasibility-guided search).
+func Algorithms() []string { return core.Backends() }
 
 // Optimize runs the full yield optimization on a problem with the
 // backend named by Options.Algorithm (the paper's Fig.-6 algorithm by
@@ -108,11 +107,7 @@ func Optimize(p *Problem, opts Options) (*Result, error) {
 // (between optimizer stages and Monte-Carlo samples) when ctx is
 // cancelled, returning ctx.Err().
 func OptimizeContext(ctx context.Context, p *Problem, opts Options) (*Result, error) {
-	o, err := core.NewOptimizer(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return o.RunContext(ctx)
+	return core.Optimize(ctx, p, opts)
 }
 
 // VerifyYield runs the simulation-based Monte-Carlo analysis of the
@@ -172,10 +167,14 @@ func AnalyzeMismatch(p *Problem, d []float64, seed uint64) ([]MismatchReport, er
 
 // TopPairs flattens the per-spec reports into the overall ranking the
 // paper's Table 5 shows, keeping at most n entries with measure > 0.
+// n <= 0 keeps none.
 func TopPairs(reports []MismatchReport, n int) []struct {
 	Spec string
 	PairMeasure
 } {
+	if n <= 0 {
+		return nil
+	}
 	var all []struct {
 		Spec string
 		PairMeasure

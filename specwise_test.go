@@ -105,6 +105,23 @@ func TestAnalyzeMismatchPublicAPI(t *testing.T) {
 	}
 }
 
+// TopPairs keeps no pairs for n <= 0 instead of slicing out of range
+// (mismatch -top -1 reaches it).
+func TestTopPairsNonPositiveN(t *testing.T) {
+	reports := []MismatchReport{{Spec: "f", Pairs: []PairMeasure{
+		{ParamK: "M1.dVth", ParamL: "M2.dVth", Value: 0.5},
+		{ParamK: "M1.dBeta", ParamL: "M2.dBeta", Value: 0.2},
+	}}}
+	for _, n := range []int{-1, 0} {
+		if top := TopPairs(reports, n); len(top) != 0 {
+			t.Errorf("TopPairs(n=%d) = %v, want no pairs", n, top)
+		}
+	}
+	if top := TopPairs(reports, 1); len(top) != 1 || top[0].Value != 0.5 {
+		t.Errorf("TopPairs(n=1) = %v, want the 0.5 pair", top)
+	}
+}
+
 // TestLikeKindPairsExcludesGlobals checks the candidate pairs of the
 // mismatch analysis on an analytic problem whose only failure direction
 // is the M1/M2 threshold mismatch: the global parameter is never paired,
